@@ -14,7 +14,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional [numba] extra; the engine runs the pure twin
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):  # type: ignore

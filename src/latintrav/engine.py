@@ -16,6 +16,7 @@ kernel reports how far it got and callers surface the result as unknown.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
@@ -92,35 +93,42 @@ class SearchConstraints:
             raise OddOrder("suitable-diagonal mode needs even order")
 
 
+def _base_candidates(square: LatinSquare) -> list[list[tuple[int, int, int]]]:
+    """Every cell as a (col, sym, delta) candidate, one list per row, columns ascending.
+
+    Unconstrained and independent of the search mode, so one build serves
+    every search on the square; `_Prepared` filters it per search.
+    """
+    dg = delta_grid(square).tolist()
+    return [list(zip(range(square.order), grow, drow))
+            for grow, drow in zip(square.grid, dg)]
+
+
 class _Prepared:
     __slots__ = ("n", "target", "use_syms", "sd_final", "cand", "lo_suf", "hi_suf", "feasible")
 
-    def __init__(self, square: LatinSquare, constraints: SearchConstraints):
+    def __init__(self, square: LatinSquare, constraints: SearchConstraints,
+                 base: list[list[tuple[int, int, int]]] | None = None):
         constraints.validate(square)
         n = square.order
-        grid = square.grid
-        dg = delta_grid(square)
+        if base is None:
+            base = _base_candidates(square)
         req_by_row = {e.row: e for e in constraints.required}
         req_cols = {e.col for e in constraints.required}
-        req_syms = {e.sym for e in constraints.required}
         transversal = constraints.mode is SearchMode.TRANSVERSAL
+        req_syms = {e.sym for e in constraints.required} if transversal else set()
+        forb_by_row: dict[int, set[int]] = {}
+        for r, c in constraints.forbidden_cells:
+            forb_by_row.setdefault(r, set()).add(c)
         cand: list[list[tuple[int, int, int]]] = []
-        for r in range(n):
-            if r in req_by_row:
-                e = req_by_row[r]
-                cand.append([(e.col, e.sym, int(dg[r, e.col]))])
+        for r, brow in enumerate(base):
+            e = req_by_row.get(r)
+            if e is not None:
+                cand.append([brow[e.col]])
                 continue
-            row = []
-            grow = grid[r]
-            drow = dg[r]
-            for c in range(n):
-                if c in req_cols or (r, c) in constraints.forbidden_cells:
-                    continue
-                s = grow[c]
-                if transversal and s in req_syms:
-                    continue
-                row.append((c, s, int(drow[c])))
-            cand.append(row)
+            forb = forb_by_row.get(r, ())
+            cand.append([t for t in brow
+                         if t[0] not in req_cols and t[1] not in req_syms and t[0] not in forb])
         self.n = n
         self.use_syms = transversal
         self.sd_final = constraints.mode is SearchMode.SUITABLE_DIAGONAL
@@ -212,16 +220,17 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None,
     counter.nodes = nodes
 
 
-def _use_kernel(prep: _Prepared, backend: str) -> bool:
+def _use_kernel(n: int, backend: str) -> bool:
+    """Whether a search of order n runs on the kernel; DomainError if it must and cannot."""
     if backend == "pure":
         return False
     if backend == "numba":
         if not _kernel.HAVE_NUMBA:
             raise DomainError("numba backend requested but numba is unavailable")
-        if prep.n > _kernel.MAX_KERNEL_ORDER:
+        if n > _kernel.MAX_KERNEL_ORDER:
             raise DomainError(f"numba backend handles order <= {_kernel.MAX_KERNEL_ORDER}")
         return True
-    return _kernel.HAVE_NUMBA and prep.n <= _kernel.MAX_KERNEL_ORDER
+    return _kernel.HAVE_NUMBA and n <= _kernel.MAX_KERNEL_ORDER
 
 
 def _kernel_arrays(prep: _Prepared):
@@ -294,25 +303,26 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
     outcome, never a "no".
     """
     cons = _constraints_arg(constraints, kwargs)
-    prep = _Prepared(square, cons)
-    cols: tuple[int, ...] | None = None
-    if not prep.feasible:
-        return None
-    if _use_kernel(prep, backend):
-        status, _, nodes, _, first_cols, _, _, _ = _run_kernel(
-            prep, prune=prune, budget=cons.node_budget, enumerate_all=False)
-        if status == -1:
-            raise BudgetExceeded(nodes)
-        if status == 1:
-            cols = tuple(int(c) for c in first_cols)
-    else:
-        counter = _NodeCounter()
-        cols = next(_iter_cols(prep, prune, cons.node_budget, counter), None)
+    cols = _first_hit(_Prepared(square, cons), prune, cons.node_budget, backend)
     if cols is None:
         return None
     if cons.mode is SearchMode.TRANSVERSAL:
         return as_transversal(square, cols)
     return Diagonal(cols)
+
+
+def _first_hit(prep: _Prepared, prune: bool, budget: int | None,
+               backend: str) -> tuple[int, ...] | None:
+    """Columns of a prepared search's first solution, or None; BudgetExceeded if it runs out."""
+    if not prep.feasible:
+        return None
+    if _use_kernel(prep.n, backend):
+        status, _, nodes, _, first_cols, _, _, _ = _run_kernel(
+            prep, prune=prune, budget=budget, enumerate_all=False)
+        if status == -1:
+            raise BudgetExceeded(nodes)
+        return tuple(int(c) for c in first_cols) if status == 1 else None
+    return next(_iter_cols(prep, prune, budget, _NodeCounter()), None)
 
 
 def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = None, *,
@@ -330,12 +340,17 @@ def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = 
 def enumerate_solutions(square: LatinSquare, constraints: SearchConstraints | None = None,
                         visitor: Callable[[Diagonal], None] | None = None, *,
                         prune: bool = True, backend: str = "auto", **kwargs) -> int:
-    """Visit every solution exactly once in lexicographic order; return the count."""
+    """Visit every solution exactly once in lexicographic order; return the count.
+
+    With a ``visitor`` the lazy iteration runs on the pure twin; ``backend``
+    is still checked, so an unavailable numba is a DomainError as in `find`.
+    """
     cons = _constraints_arg(constraints, kwargs)
     if visitor is None:
         summary = count_and_cover(square, cons, prune=prune, backend=backend,
                                   want_cover=False)
         return summary.count
+    _use_kernel(square.order, backend)
     count = 0
     for sol in iter_solutions(square, cons, prune=prune):
         visitor(sol)
@@ -357,7 +372,7 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
     if not prep.feasible:
         return EnumerationSummary(count=0, cover=np.zeros((n, n), np.int64) if want_cover else None,
                                   witness_cols={}, min_block_hits=None, nodes=0, first=None)
-    if _use_kernel(prep, backend):
+    if _use_kernel(n, backend):
         status, count, nodes, min_block, first_cols, cover, witness, have = _run_kernel(
             prep, prune=prune, budget=cons.node_budget, enumerate_all=True,
             block_m=block_m, want_cover=want_cover)
@@ -477,22 +492,38 @@ def _report_from_summary(square: LatinSquare, summary: EnumerationSummary) -> Cl
     )
 
 
-def _classify_cell(args):
-    grid, family, r, c, budget, backend = args
-    square = LatinSquare(grid, family=family)
-    entry = square.entry(r, c)
-    try:
-        witness = find(square, required=(entry,), node_budget=budget, backend=backend)
-    except BudgetExceeded as exc:
-        return (r, c, UNKNOWN, None, exc.nodes)
-    if witness is None:
-        return (r, c, FREE, None, 0)
-    try:
-        avoiding = find(square, forbidden_cells=((r, c),), node_budget=budget,
-                        backend=backend)
-    except BudgetExceeded as exc:
-        return (r, c, UNKNOWN, witness.cols, exc.nodes)
-    return (r, c, PINNED if avoiding is None else COVERED, witness.cols, 0)
+def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int | None]]:
+    """First transversal through, or with ``avoid`` avoiding, each of ``cells``.
+
+    The square's candidates are built once for the whole batch.  Each result
+    is (r, c, cols or None, None), or (r, c, None, nodes) when the search ran
+    out of its node budget after ``nodes`` nodes.
+    """
+    square, cells, avoid, budget, backend = args
+    base = _base_candidates(square)
+    out = []
+    for r, c in cells:
+        if avoid:
+            cons = SearchConstraints(forbidden_cells=frozenset({(r, c)}), node_budget=budget)
+        else:
+            cons = SearchConstraints(required=frozenset({square.entry(r, c)}), node_budget=budget)
+        try:
+            cols = _first_hit(_Prepared(square, cons, base), True, budget, backend)
+        except BudgetExceeded as exc:
+            out.append((r, c, None, exc.nodes))
+        else:
+            out.append((r, c, cols, None))
+    return out
+
+
+def _map_cells(pool, jobs: int, square: LatinSquare, cells, avoid: bool,
+               budget: int | None, backend: str):
+    """`_search_cells` over ``cells``, in strided chunks on ``pool`` when there is one."""
+    if pool is None:
+        return _search_cells((square, cells, avoid, budget, backend))
+    k = min(len(cells), 4 * jobs)
+    chunks = [(square, cells[i::k], avoid, budget, backend) for i in range(k)]
+    return [res for part in pool.map(_search_cells, chunks) for res in part]
 
 
 def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int = 1,
@@ -500,12 +531,29 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
     """Classify every cell as FREE / COVERED / PINNED.
 
     ``strategy='auto'`` first tries one full enumeration with per-cell cover
-    counting, capped at AUTO_ENUM_BUDGET nodes, and falls back to independent
-    per-cell searches if that cap is exhausted (squares with huge transversal
-    counts classify far faster per cell).  Both strategies produce identical
-    reports; per-cell work can be spread over ``jobs`` worker processes and
-    is merged by cell index, so the report does not depend on the worker
-    count.
+    counting, capped at AUTO_ENUM_BUDGET nodes, and falls back to per-cell
+    searches if that cap is exhausted (squares with huge transversal counts
+    classify far faster per cell).  Both strategies produce identical
+    reports.
+
+    Per-cell classification runs in two phases over one preparation of the
+    square.  Phase 1 searches each cell for the lexicographically first
+    transversal through it: none makes the cell FREE, and the one found is
+    the cell's witness, the same one ``strategy='enumerate'`` reports.  A
+    witnessed cell that some phase-1 witness avoids is COVERED.  Phase 2
+    searches only the witnessed cells that lie in every phase-1 witness for a
+    transversal avoiding them: none makes the cell PINNED, one makes it
+    COVERED.  In a complete run the intersection is exactly the pinned set
+    (a transversal T avoiding (a, x) passes through (a, T[a]), whose witness
+    then avoids (a, x) too), so phase 2 is the refutation behind each PINNED
+    verdict.  The intersection is taken after all phase-1 results are
+    merged, and each phase's work can be spread over ``jobs`` worker
+    processes, so the report does not depend on the worker count.
+
+    ``node_budget`` caps each search; a search that runs out leaves its cell
+    UNKNOWN and the report partial, never FREE or PINNED.  A cell whose
+    phase-1 search finished is COVERED as soon as some witness avoids it, so
+    a budgeted run resolves cells whose avoiding search would have run out.
     """
     n = square.order
     if strategy not in ("auto", "enumerate", "per-cell"):
@@ -524,35 +572,41 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
         except BudgetExceeded:
             if strategy == "enumerate":
                 raise
-    tasks = [(square.grid, square.family, r, c, node_budget, backend)
-             for r in range(n) for c in range(n)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_classify_cell, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-    else:
-        results = [_classify_cell(t) for t in tasks]
-    results.sort(key=lambda t: (t[0], t[1]))
     status = [[UNKNOWN] * n for _ in range(n)]
-    witnesses = {}
-    pinned = []
+    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
     total_nodes = 0
-    for r, c, st, wcols, nodes in results:
-        status[r][c] = st
-        total_nodes += nodes
-        if wcols is not None:
-            witnesses[(r, c)] = tuple(wcols)
-        if st == PINNED:
-            pinned.append(square.entry(r, c))
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for r, c, cols, spent in _map_cells(pool, jobs, square, cells, False,
+                                            node_budget, backend):
+            if spent is not None:
+                total_nodes += spent
+            elif cols is None:
+                status[r][c] = FREE
+            else:
+                witnesses[(r, c)] = cols
+        common = set.intersection(*(set(enumerate(w)) for w in witnesses.values())) \
+            if witnesses else set()
+        for r, c in witnesses:
+            if (r, c) not in common:
+                status[r][c] = COVERED
+        shared = sorted(cell for cell in witnesses if cell in common)
+        for r, c, cols, spent in _map_cells(pool, jobs, square, shared, True,
+                                            node_budget, backend):
+            if spent is not None:
+                total_nodes += spent
+            else:
+                status[r][c] = PINNED if cols is None else COVERED
     partial = any(UNKNOWN in row for row in status)
     tau = sum(row.count(FREE) for row in status)
-    has_transversal = any(st in (COVERED, PINNED) for row in status for st in row)
     return ClassificationReport(
         order=n,
         family=square.family,
         status=tuple(tuple(row) for row in status),
         tau=tau,
-        pinned=tuple(pinned),
-        has_transversal=has_transversal,
+        pinned=tuple(square.entry(r, c) for r in range(n) for c in range(n)
+                     if status[r][c] == PINNED),
+        has_transversal=bool(witnesses),
         transversal_count=None,
         witnesses=witnesses,
         partial=partial,
@@ -575,7 +629,12 @@ def is_pinned(square: LatinSquare, entry, *, node_budget: int | None = None,
 
 def find_disjoint_pair(square: LatinSquare, *, node_budget: int | None = None,
                        backend: str = "auto") -> tuple[Transversal, Transversal] | None:
-    """First entry-disjoint pair of transversals in lexicographic order, if any."""
+    """First entry-disjoint pair of transversals in lexicographic order, if any.
+
+    The lazy iteration over first members runs on the pure twin; ``backend``
+    applies to the searches for the second member and is checked up front.
+    """
+    _use_kernel(square.order, backend)
     for first in iter_solutions(square, node_budget=node_budget):
         cells = tuple((r, c) for r, c in enumerate(first.cols))
         second = find(square, forbidden_cells=cells, node_budget=node_budget,

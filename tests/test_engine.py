@@ -24,6 +24,7 @@ from latintrav.engine import (
     COVERED,
     FREE,
     PINNED,
+    UNKNOWN,
     _iter_cols,
     _NodeCounter,
     _Prepared,
@@ -34,6 +35,7 @@ from latintrav.families import (
     build_exceptional,
     build_L,
     build_T,
+    build_U,
     build_V,
     claimed_free_cells,
 )
@@ -135,6 +137,15 @@ def test_budget_exceeded_is_distinct_from_none():
         enumerate_solutions(sq, node_budget=10)
 
 
+def test_lazy_paths_reject_missing_numba(monkeypatch):
+    monkeypatch.setattr(_kernel, "HAVE_NUMBA", False)
+    with pytest.raises(DomainError, match="numba"):
+        enumerate_solutions(build_exceptional(6), visitor=lambda sol: None, backend="numba")
+    with pytest.raises(DomainError, match="numba"):
+        find_disjoint_pair(cayley_table(4), backend="numba")  # no transversal to iterate
+    assert find_disjoint_pair(cayley_table(4), backend="auto") is None
+
+
 @needs_numba
 def test_budget_exceeded_numba_backend():
     with pytest.raises(BudgetExceeded):
@@ -212,23 +223,64 @@ def test_classify_V10():
     assert [e.as_tuple() for e in rep.pinned] == [(1, 0, 3)]
 
 
-def test_classify_strategies_agree():
-    sq = build_V(10)
+@pytest.mark.parametrize("sq", [build_V(10), build_T(12), build_U(14),
+                                build_exceptional(6), build_exceptional(8)],
+                         ids=["V10", "T12", "U14", "EX6", "EX8"])
+def test_classify_strategies_agree(sq):
     enum = classify(sq, strategy="enumerate")
     cells = classify(sq, strategy="per-cell")
     assert enum.status == cells.status
     assert enum.tau == cells.tau
+    assert enum.witnesses == cells.witnesses
     assert enum.pinned == cells.pinned
     assert enum.has_transversal == cells.has_transversal
+    assert enum.partial == cells.partial is False
+    # each per-cell verdict is justified by the report's own witnesses
+    witness_cells = [set(enumerate(w)) for w in cells.witnesses.values()]
+    for r, row in enumerate(cells.status):
+        for c, st in enumerate(row):
+            if st == COVERED:
+                assert any((r, c) not in w for w in witness_cells)
+            elif st == PINNED:
+                assert all((r, c) in w for w in witness_cells)
+    if witness_cells:
+        assert set.intersection(*witness_cells) == {(e.row, e.col) for e in cells.pinned}
 
 
 def test_classify_jobs_do_not_change_report():
-    sq = build_exceptional(6)
+    sq = build_V(10)  # has a pinned cell, so both phases run in the pool
     one = classify(sq, strategy="per-cell", jobs=1)
     two = classify(sq, strategy="per-cell", jobs=2)
+    assert one.pinned
     assert one.status == two.status
     assert one.tau == two.tau
     assert one.pinned == two.pinned
+    assert one.witnesses == two.witnesses
+
+
+@pytest.mark.parametrize("sq, budget", [(build_T(12), 200), (build_T(12), 400),
+                                        (build_exceptional(8), 100)],
+                         ids=["T12-200", "T12-400", "EX8-100"])
+def test_classify_per_cell_budget(sq, budget):
+    full = classify(sq, strategy="per-cell")
+    part = classify(sq, strategy="per-cell", node_budget=budget)
+    assert part.partial
+    resolved_by_witness = 0
+    for r, row in enumerate(part.status):
+        for c, st in enumerate(row):
+            if st != UNKNOWN:
+                assert st == full.status[r][c]
+                assert part.witnesses.get((r, c)) == full.witnesses.get((r, c))
+            try:
+                find(sq, required=(sq.entry(r, c),), node_budget=budget)
+            except BudgetExceeded:
+                assert st == UNKNOWN
+            try:
+                find(sq, forbidden_cells=((r, c),), node_budget=budget)
+            except BudgetExceeded:
+                assert st != PINNED
+                resolved_by_witness += st == COVERED
+    assert resolved_by_witness > 0
 
 
 def test_classify_consistency_with_per_cell_finds():
