@@ -1,0 +1,138 @@
+/* Row-order depth-first search over transversals (or diagonals) with
+ * delta-interval pruning: the compiled twin of engine._iter_cols plus the
+ * aggregation of engine.count_and_cover.
+ *
+ * It must stay behaviourally identical to the pure twin: rows ascending,
+ * candidates in their given order within a row, the same prune, and one node
+ * per candidate index visited.  _kernel.py builds and loads this file; the
+ * caller checks 1 <= n <= MAX_ORDER and the buffer shapes.
+ */
+#include <stdint.h>
+
+#define MAX_ORDER 62 /* used columns and symbols are bits of one int64 */
+#define BIG ((int64_t)1 << 62)
+
+/* Python's a % n for n > 0, which is never negative. */
+static inline int64_t pymod(int64_t a, int64_t n)
+{
+    int64_t r = a % n;
+    return r < 0 ? r + n : r;
+}
+
+/* Returns 1 when at least one solution was found, 0 when the space was
+ * exhausted empty, -1 when the node budget ran out (the aggregates are valid
+ * for the explored prefix) and -2 when n is out of range.
+ *
+ * cand        (row_start[n], 3): col, sym, delta of each candidate, row after row
+ * row_start   (n + 1): row r's candidates are cand[row_start[r] .. row_start[r + 1])
+ * lo_suf, hi_suf (n + 1): min and max delta sums of rows r..n-1
+ * first_cols  (n): columns of the first solution
+ * cover       (n, n), witness (n * n, n), witness_have (n * n): written only
+ *             when want_cover, so they may be NULL otherwise
+ * totals      (3): count, nodes, min_block
+ */
+int64_t dfs(const int64_t *cand, const int64_t *row_start,
+            const int64_t *lo_suf, const int64_t *hi_suf,
+            int64_t n, int64_t target, int64_t use_syms, int64_t sd_final,
+            int64_t prune, int64_t budget, int64_t enumerate_all,
+            int64_t block_m, int64_t want_cover,
+            int64_t *first_cols, int64_t *cover, int64_t *witness,
+            int64_t *witness_have, int64_t *totals)
+{
+    int64_t idx[MAX_ORDER + 1], ucols[MAX_ORDER + 1], usyms[MAX_ORDER + 1];
+    int64_t dsum[MAX_ORDER + 1], sol[MAX_ORDER], x[9];
+    int64_t depth = 0, nodes = 0, count = 0, min_block = BIG, status;
+
+    if (n < 1 || n > MAX_ORDER)
+        return -2;
+    idx[0] = row_start[0];
+    ucols[0] = 0;
+    usyms[0] = 0;
+    dsum[0] = 0;
+    if (prune && lo_suf[0] + pymod(target - lo_suf[0], n) > hi_suf[0]) {
+        status = 0; /* the target residue is unreachable from the root */
+        goto done;
+    }
+    while (depth >= 0) {
+        if (depth == n) {
+            if (!sd_final || pymod(dsum[n], n) == target) {
+                count++;
+                if (count == 1)
+                    for (int64_t r = 0; r < n; r++)
+                        first_cols[r] = sol[r];
+                if (!enumerate_all) {
+                    status = 1;
+                    goto done;
+                }
+                if (want_cover) {
+                    for (int64_t r = 0; r < n; r++) {
+                        int64_t cell = r * n + sol[r];
+                        cover[cell]++;
+                        if (!witness_have[cell]) {
+                            witness_have[cell] = 1;
+                            for (int64_t r2 = 0; r2 < n; r2++)
+                                witness[cell * n + r2] = sol[r2];
+                        }
+                    }
+                }
+                if (block_m > 0) {
+                    for (int t = 0; t < 9; t++)
+                        x[t] = 0;
+                    for (int64_t r = 0; r < n; r++)
+                        x[(r / block_m) * 3 + sol[r] / block_m]++;
+                    int64_t mn = x[0];
+                    for (int t = 1; t < 9; t++)
+                        if (x[t] < mn)
+                            mn = x[t];
+                    if (mn < min_block)
+                        min_block = mn;
+                }
+            }
+            depth--;
+            continue;
+        }
+        int64_t i = idx[depth];
+        int64_t end = row_start[depth + 1];
+        int64_t uc = ucols[depth], us = usyms[depth], ds = dsum[depth];
+        int moved = 0;
+        while (i < end) {
+            nodes++;
+            if (budget >= 0 && nodes > budget) {
+                status = -1;
+                goto done;
+            }
+            int64_t c = cand[3 * i], s = cand[3 * i + 1], d = cand[3 * i + 2];
+            i++;
+            if ((uc >> c) & 1)
+                continue;
+            if (use_syms && ((us >> s) & 1))
+                continue;
+            int64_t nd = ds + d;
+            if (prune) {
+                int64_t lo = nd + lo_suf[depth + 1];
+                int64_t hi = nd + hi_suf[depth + 1];
+                if (lo + pymod(target - lo, n) > hi)
+                    continue;
+            }
+            idx[depth] = i;
+            sol[depth] = c;
+            ucols[depth + 1] = uc | ((int64_t)1 << c);
+            usyms[depth + 1] = use_syms ? us | ((int64_t)1 << s) : us;
+            dsum[depth + 1] = nd;
+            depth++;
+            idx[depth] = row_start[depth];
+            moved = 1;
+            break;
+        }
+        if (!moved) {
+            idx[depth] = i;
+            depth--;
+        }
+    }
+    status = count > 0;
+done:
+    totals[0] = count;
+    totals[1] = nodes;
+    totals[2] = min_block;
+    return status;
+}

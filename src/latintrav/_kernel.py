@@ -1,130 +1,130 @@
-"""Compiled depth-first search kernel (numba), mirrored by engine._iter_cols.
+"""Compiled depth-first search kernel, built from ``_kernel.c`` on first use.
 
-The kernel and the pure-python generator must stay behaviourally identical:
-same candidate order (rows ascending, columns ascending within a row), same
-pruning rule, same node accounting (one node per candidate index visited).
-Equivalence is property-tested in the suite.
+The C kernel and the pure-python generator ``engine._iter_cols`` must stay
+behaviourally identical: same candidate order (rows ascending, columns
+ascending within a row), same pruning rule, same node accounting (one node per
+candidate index visited).  Equivalence is tested in the suite, with the pure
+twin as the oracle.
+
+The first search that picks the kernel compiles ``_kernel.c`` with the C
+compiler Python was built with (``sysconfig`` ``CC``) into ``__pycache__/``
+beside this module.  The library's name carries a checksum of the C source,
+so a stale build is never loaded, and it is written under a temporary name and
+moved into place, so concurrent worker processes cannot see a partial file.
+Without a compiler, a writable cache or a successful build, `load` logs one
+warning and returns None, and the engine runs the pure twin.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+import zlib
+from pathlib import Path
+
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is the optional [numba] extra; the engine runs the pure twin
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(fn):
-            return fn
-
-        return wrap
-
+# perfbench/workloads.py reads this at import to name the backend it reports.
+HAVE_NUMBA = False
 
 # Column masks are machine words; anything larger goes to the pure path.
 MAX_KERNEL_ORDER = 62
 
-BIG = np.int64(1) << 62
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
+
+_I64 = ctypes.c_int64
+_PTR = ctypes.c_void_p
+
+log = logging.getLogger(__name__)
 
 
-@njit(cache=True)
-def dfs(cand_col, cand_sym, cand_d, cand_len, lo_suf, hi_suf,
-        n, target, use_syms, sd_final, prune, budget,
-        enumerate_all, block_m, want_cover,
-        first_cols, cover, witness, witness_have, sol):
-    """Iterative DFS over rows 0..n-1.
+def library_path(source: bytes) -> Path:
+    """Where the library built from these C source bytes lives.
 
-    Returns (status, count, nodes, min_block_hits) with status 1 when at
-    least one solution was found, 0 when the space was exhausted empty, and
-    -1 when the node budget ran out (partial aggregates are still valid for
-    the explored prefix).
+    The name carries the source's CRC-32: numpy has already loaded zlib,
+    while importing hashlib loads OpenSSL (3.6 MB more resident memory on
+    CPython 3.11, Linux x86-64).
     """
-    idx = np.zeros(n + 1, np.int64)
-    ucols = np.zeros(n + 1, np.int64)
-    usyms = np.zeros(n + 1, np.int64)
-    dsum = np.zeros(n + 1, np.int64)
-    x = np.zeros(9, np.int64)
-    depth = 0
-    nodes = np.int64(0)
-    count = np.int64(0)
-    min_block = BIG
-    if prune == 1 and lo_suf[0] + ((target - lo_suf[0]) % n) > hi_suf[0]:
-        return (0, count, nodes, min_block)  # unreachable from the root
-    while depth >= 0:
-        if depth == n:
-            ok = True
-            if sd_final == 1:
-                ok = dsum[n] % n == target
-            if ok:
-                count += 1
-                if count == 1:
-                    for r in range(n):
-                        first_cols[r] = sol[r]
-                if enumerate_all == 0:
-                    return (1, count, nodes, min_block)
-                if want_cover == 1:
-                    for r in range(n):
-                        c = sol[r]
-                        cover[r, c] += 1
-                        cell = r * n + c
-                        if witness_have[cell] == 0:
-                            witness_have[cell] = 1
-                            for r2 in range(n):
-                                witness[cell, r2] = sol[r2]
-                if block_m > 0:
-                    for t in range(9):
-                        x[t] = 0
-                    for r in range(n):
-                        x[(r // block_m) * 3 + sol[r] // block_m] += 1
-                    mn = x[0]
-                    for t in range(1, 9):
-                        if x[t] < mn:
-                            mn = x[t]
-                    if mn < min_block:
-                        min_block = mn
-            depth -= 1
-            continue
-        i = idx[depth]
-        length = cand_len[depth]
-        uc = ucols[depth]
-        us = usyms[depth]
-        ds = dsum[depth]
-        moved = False
-        while i < length:
-            nodes += 1
-            if budget >= 0 and nodes > budget:
-                return (-1, count, nodes, min_block)
-            c = cand_col[depth, i]
-            s = cand_sym[depth, i]
-            d = cand_d[depth, i]
-            i += 1
-            if (uc >> c) & 1 == 1:
-                continue
-            if use_syms == 1 and (us >> s) & 1 == 1:
-                continue
-            nd = ds + d
-            if prune == 1:
-                lo = nd + lo_suf[depth + 1]
-                hi = nd + hi_suf[depth + 1]
-                if lo + ((target - lo) % n) > hi:
-                    continue
-            idx[depth] = i
-            sol[depth] = c
-            ucols[depth + 1] = uc | (np.int64(1) << c)
-            if use_syms == 1:
-                usyms[depth + 1] = us | (np.int64(1) << s)
-            else:
-                usyms[depth + 1] = us
-            dsum[depth + 1] = nd
-            depth += 1
-            idx[depth] = 0
-            moved = True
-            break
-        if not moved:
-            idx[depth] = i
-            depth -= 1
-    status = 1 if count > 0 else 0
-    return (status, count, nodes, min_block)
+    suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
+    return _CACHE_DIR / f"_kernel-{zlib.crc32(source):08x}{suffix}"
+
+
+def _build(source: bytes, path: Path) -> None:
+    """Compile ``source`` to the shared library ``path``; OSError or CalledProcessError on failure."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    path.parent.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=path.stem + "-", suffix=".tmp", dir=path.parent)
+    os.close(fd)
+    try:
+        subprocess.run([*cc, "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
+                       input=source, capture_output=True, check=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def load():
+    """The compiled ``dfs`` as a ctypes function, built on first call; None if it cannot be."""
+    try:
+        source = _SOURCE.read_bytes()
+        path = library_path(source)
+        if not path.exists():
+            _build(source, path)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = exc.stderr.decode(errors="replace").strip() \
+            if isinstance(exc, subprocess.CalledProcessError) else ""
+        log.warning("C search kernel unavailable, searches run on the pure-Python twin: %s %s",
+                    exc, detail)
+        return None
+    dfs = lib.dfs
+    dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR] * 5
+    dfs.restype = _I64
+    return dfs
+
+
+def run(cand: np.ndarray, row_start: np.ndarray, lo_suf: np.ndarray,
+        hi_suf: np.ndarray, n: int, target: int, use_syms: bool, sd_final: bool,
+        prune: bool, budget: int | None, enumerate_all: bool, block_m: int,
+        want_cover: bool):
+    """One kernel search.
+
+    ``cand`` is (k, 3) int64 of (col, sym, delta), row after row, and row r
+    is ``cand[row_start[r]:row_start[r + 1]]``.  Returns (status, count,
+    nodes, min_block, first_cols, cover, witness, witness_have) with status
+    1 when at least one solution was found, 0 when the space was exhausted
+    empty, and -1 when the node budget ran out (partial aggregates are still
+    valid for the explored prefix).  Without ``want_cover`` the last three
+    are None.  The caller has checked that `load` returns the kernel.
+    """
+    if not 1 <= n <= MAX_KERNEL_ORDER:
+        raise ValueError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n}")
+    for arr, shape in ((cand, (int(row_start[-1]), 3)), (row_start, (n + 1,)),
+                       (lo_suf, (n + 1,)), (hi_suf, (n + 1,))):
+        if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
+            raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
+    totals = np.zeros(3 + n, np.int64)  # count, nodes, min_block, then first_cols
+    first_cols = totals[3:]
+    if want_cover:
+        cover = np.zeros((n, n), np.int64)
+        witness = np.zeros((n * n, n), np.int64)
+        witness_have = np.zeros(n * n, np.int64)
+        cover_ptrs = (cover.ctypes.data, witness.ctypes.data, witness_have.ctypes.data)
+    else:
+        cover = witness = witness_have = None
+        cover_ptrs = (None, None, None)
+    status = load()(cand.ctypes.data, row_start.ctypes.data, lo_suf.ctypes.data,
+                    hi_suf.ctypes.data, n, target, use_syms, sd_final, prune,
+                    -1 if budget is None else budget, enumerate_all, block_m, want_cover,
+                    first_cols.ctypes.data, *cover_ptrs, totals.ctypes.data)
+    count, nodes, min_block = totals[:3].tolist()
+    return status, count, nodes, min_block, first_cols, cover, witness, witness_have

@@ -93,55 +93,63 @@ class SearchConstraints:
             raise OddOrder("suitable-diagonal mode needs even order")
 
 
-def _base_candidates(square: LatinSquare) -> list[list[tuple[int, int, int]]]:
-    """Every cell as a (col, sym, delta) candidate, one list per row, columns ascending.
+def _base_candidates(square: LatinSquare) -> np.ndarray:
+    """Every cell as a (col, sym, delta) candidate: an (n, n, 3) int64 array.
 
     Unconstrained and independent of the search mode, so one build serves
     every search on the square; `_Prepared` filters it per search.
     """
-    dg = delta_grid(square).tolist()
-    return [list(zip(range(square.order), grow, drow))
-            for grow, drow in zip(square.grid, dg)]
+    n = square.order
+    base = np.empty((n, n, 3), np.int64)
+    base[:, :, 0] = np.arange(n)
+    base[:, :, 1] = square.to_array()
+    base[:, :, 2] = delta_grid(square)
+    return base
 
 
 class _Prepared:
-    __slots__ = ("n", "target", "use_syms", "sd_final", "cand", "lo_suf", "hi_suf", "feasible")
+    """One search's candidates, laid out for the compiled kernel.
+
+    ``cand`` is (k, 3) int64 of (col, sym, delta), row after row and columns
+    ascending within a row; row r is ``cand[row_start[r]:row_start[r + 1]]``.
+    ``lo_suf[r]`` and ``hi_suf[r]`` bound the delta sum of rows r..n-1.
+    """
+
+    __slots__ = ("n", "target", "use_syms", "sd_final", "cand", "row_start",
+                 "lo_suf", "hi_suf", "feasible")
 
     def __init__(self, square: LatinSquare, constraints: SearchConstraints,
-                 base: list[list[tuple[int, int, int]]] | None = None):
+                 base: np.ndarray | None = None):
         constraints.validate(square)
         n = square.order
         if base is None:
             base = _base_candidates(square)
-        req_by_row = {e.row: e for e in constraints.required}
-        req_cols = {e.col for e in constraints.required}
         transversal = constraints.mode is SearchMode.TRANSVERSAL
-        req_syms = {e.sym for e in constraints.required} if transversal else set()
-        forb_by_row: dict[int, set[int]] = {}
+        keep = np.ones((n, n), bool)
+        for e in constraints.required:
+            keep[:, e.col] = False
+            if transversal:
+                keep &= base[:, :, 1] != e.sym
         for r, c in constraints.forbidden_cells:
-            forb_by_row.setdefault(r, set()).add(c)
-        cand: list[list[tuple[int, int, int]]] = []
-        for r, brow in enumerate(base):
-            e = req_by_row.get(r)
-            if e is not None:
-                cand.append([brow[e.col]])
-                continue
-            forb = forb_by_row.get(r, ())
-            cand.append([t for t in brow
-                         if t[0] not in req_cols and t[1] not in req_syms and t[0] not in forb])
+            keep[r, c] = False
+        for e in constraints.required:
+            keep[e.row] = False
+            keep[e.row, e.col] = True
+        lengths = keep.sum(axis=1)
+        deltas = base[:, :, 2]
+        # deltas lie in (-n/2, n/2], so n and -n never win a min or max over a kept cell
+        lo = np.zeros(n + 1, np.int64)
+        hi = np.zeros(n + 1, np.int64)
+        lo[:n] = np.cumsum(np.where(keep, deltas, n).min(axis=1)[::-1])[::-1]
+        hi[:n] = np.cumsum(np.where(keep, deltas, -n).max(axis=1)[::-1])[::-1]
         self.n = n
         self.use_syms = transversal
         self.sd_final = constraints.mode is SearchMode.SUITABLE_DIAGONAL
         self.target = (n // 2) if n % 2 == 0 else 0
-        self.cand = cand
-        self.feasible = all(cand)
-        lo = [0] * (n + 1)
-        hi = [0] * (n + 1)
-        if self.feasible:
-            for r in range(n - 1, -1, -1):
-                ds = [d for _, _, d in cand[r]]
-                lo[r] = lo[r + 1] + min(ds)
-                hi[r] = hi[r + 1] + max(ds)
+        self.cand = base[keep]
+        self.row_start = np.zeros(n + 1, np.int64)
+        np.cumsum(lengths, out=self.row_start[1:])
+        self.feasible = bool(lengths.all())
         self.lo_suf = lo
         self.hi_suf = hi
 
@@ -160,9 +168,11 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None,
         return
     n = prep.n
     target = prep.target
-    cand = prep.cand
-    lo_suf = prep.lo_suf
-    hi_suf = prep.hi_suf
+    flat = prep.cand.tolist()
+    bounds = prep.row_start.tolist()
+    cand = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    lo_suf = prep.lo_suf.tolist()
+    hi_suf = prep.hi_suf.tolist()
     use_syms = prep.use_syms
     sd_final = prep.sd_final
     if prune and lo_suf[0] + ((target - lo_suf[0]) % n) > hi_suf[0]:
@@ -183,12 +193,13 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None,
             depth -= 1
             continue
         row = cand[depth]
+        length = len(row)
         i = idx[depth]
         uc = ucols[depth]
         us = usyms[depth]
         ds = dsum[depth]
         moved = False
-        while i < len(row):
+        while i < length:
             nodes += 1
             if 0 <= limit < nodes:
                 counter.nodes = nodes
@@ -224,54 +235,22 @@ def _use_kernel(n: int, backend: str) -> bool:
     """Whether a search of order n runs on the kernel; DomainError if it must and cannot."""
     if backend == "pure":
         return False
-    if backend == "numba":
-        if not _kernel.HAVE_NUMBA:
-            raise DomainError("numba backend requested but numba is unavailable")
+    if backend == "compiled":
         if n > _kernel.MAX_KERNEL_ORDER:
-            raise DomainError(f"numba backend handles order <= {_kernel.MAX_KERNEL_ORDER}")
+            raise DomainError(f"compiled backend handles order <= {_kernel.MAX_KERNEL_ORDER}")
+        if _kernel.load() is None:
+            raise DomainError("compiled backend requested but the C kernel could not be built")
         return True
-    return _kernel.HAVE_NUMBA and n <= _kernel.MAX_KERNEL_ORDER
-
-
-def _kernel_arrays(prep: _Prepared):
-    n = prep.n
-    width = max(1, max(len(row) for row in prep.cand))
-    cand_col = np.zeros((n, width), np.int64)
-    cand_sym = np.zeros((n, width), np.int64)
-    cand_d = np.zeros((n, width), np.int64)
-    cand_len = np.zeros(n, np.int64)
-    for r, row in enumerate(prep.cand):
-        cand_len[r] = len(row)
-        for i, (c, s, d) in enumerate(row):
-            cand_col[r, i] = c
-            cand_sym[r, i] = s
-            cand_d[r, i] = d
-    lo = np.asarray(prep.lo_suf, np.int64)
-    hi = np.asarray(prep.hi_suf, np.int64)
-    return cand_col, cand_sym, cand_d, cand_len, lo, hi
+    if backend != "auto":
+        raise DomainError(f"unknown backend {backend!r}; use 'auto', 'compiled' or 'pure'")
+    return n <= _kernel.MAX_KERNEL_ORDER and _kernel.load() is not None
 
 
 def _run_kernel(prep: _Prepared, *, prune: bool, budget: int | None,
                 enumerate_all: bool, block_m: int = 0, want_cover: bool = False):
-    n = prep.n
-    arrays = _kernel_arrays(prep)
-    first_cols = np.zeros(n, np.int64)
-    sol = np.zeros(n, np.int64)
-    cover = np.zeros((n, n) if want_cover else (1, 1), np.int64)
-    witness = np.zeros((n * n, n) if want_cover else (1, 1), np.int64)
-    witness_have = np.zeros(n * n if want_cover else 1, np.int64)
-    status, count, nodes, min_block = _kernel.dfs(
-        *arrays, n, prep.target,
-        1 if prep.use_syms else 0,
-        1 if prep.sd_final else 0,
-        1 if prune else 0,
-        -1 if budget is None else budget,
-        1 if enumerate_all else 0,
-        block_m,
-        1 if want_cover else 0,
-        first_cols, cover, witness, witness_have, sol,
-    )
-    return status, int(count), int(nodes), int(min_block), first_cols, cover, witness, witness_have
+    return _kernel.run(prep.cand, prep.row_start, prep.lo_suf, prep.hi_suf, prep.n,
+                       prep.target, prep.use_syms, prep.sd_final, prune, budget,
+                       enumerate_all, block_m, want_cover)
 
 
 @dataclass(frozen=True)
@@ -343,7 +322,8 @@ def enumerate_solutions(square: LatinSquare, constraints: SearchConstraints | No
     """Visit every solution exactly once in lexicographic order; return the count.
 
     With a ``visitor`` the lazy iteration runs on the pure twin; ``backend``
-    is still checked, so an unavailable numba is a DomainError as in `find`.
+    is still checked, so an unavailable compiled kernel is a DomainError as in
+    `find`.
     """
     cons = _constraints_arg(constraints, kwargs)
     if visitor is None:
@@ -369,6 +349,8 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
     cons = _constraints_arg(constraints, kwargs)
     prep = _Prepared(square, cons)
     n = prep.n
+    if block_m < 0 or 0 < 3 * block_m < n:
+        raise DomainError(f"block_m {block_m} does not split order {n} into 3 x 3 blocks")
     if not prep.feasible:
         return EnumerationSummary(count=0, cover=np.zeros((n, n), np.int64) if want_cover else None,
                                   witness_cols={}, min_block_hits=None, nodes=0, first=None)

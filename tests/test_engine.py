@@ -1,3 +1,9 @@
+import logging
+import os
+import subprocess
+import sys
+import sysconfig
+
 import numpy as np
 import pytest
 
@@ -42,16 +48,16 @@ from latintrav.families import (
 
 SMALL = [cayley_table(n) for n in range(1, 7)] + [build_exceptional(6)]
 
-needs_numba = pytest.mark.skipif(not _kernel.HAVE_NUMBA, reason="numba is not installed")
+needs_compiler = pytest.mark.skipif(_kernel.load() is None, reason="no C compiler")
 
 
-@pytest.mark.parametrize("backend", ["pure", pytest.param("numba", marks=needs_numba)])
+@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiler)])
 def test_engine_matches_naive_oracle(backend, oracle):
     for sq in SMALL:
         expected = [tuple(p) for p in oracle(sq.grid)]
         got = [d.cols for d in iter_solutions(sq)] if backend == "pure" else None
-        if backend == "numba" and sq.order <= 62:
-            count = enumerate_solutions(sq, backend="numba")
+        if backend == "compiled" and sq.order <= 62:
+            count = enumerate_solutions(sq, backend="compiled")
             assert count == len(expected)
         if got is not None:
             assert got == sorted(expected)
@@ -75,11 +81,11 @@ def test_pruning_soundness_small(n, oracle):
     assert pruned == unpruned
 
 
-@needs_numba
-def test_pure_and_numba_agree_on_finds():
+@needs_compiler
+def test_pure_and_compiled_agree_on_finds():
     for sq in (build_T(12), build_V(10), build_exceptional(8)):
         a = find(sq, backend="pure")
-        b = find(sq, backend="numba")
+        b = find(sq, backend="compiled")
         assert a.cols == b.cols
 
 
@@ -137,19 +143,93 @@ def test_budget_exceeded_is_distinct_from_none():
         enumerate_solutions(sq, node_budget=10)
 
 
-def test_lazy_paths_reject_missing_numba(monkeypatch):
-    monkeypatch.setattr(_kernel, "HAVE_NUMBA", False)
-    with pytest.raises(DomainError, match="numba"):
-        enumerate_solutions(build_exceptional(6), visitor=lambda sol: None, backend="numba")
-    with pytest.raises(DomainError, match="numba"):
-        find_disjoint_pair(cayley_table(4), backend="numba")  # no transversal to iterate
+def test_lazy_paths_reject_missing_kernel(monkeypatch):
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    with pytest.raises(DomainError, match="compiled"):
+        enumerate_solutions(build_exceptional(6), visitor=lambda sol: None, backend="compiled")
+    with pytest.raises(DomainError, match="compiled"):
+        find_disjoint_pair(cayley_table(4), backend="compiled")  # no transversal to iterate
     assert find_disjoint_pair(cayley_table(4), backend="auto") is None
 
 
-@needs_numba
-def test_budget_exceeded_numba_backend():
+@needs_compiler
+def test_budget_exceeded_compiled_backend():
     with pytest.raises(BudgetExceeded):
-        find(build_exceptional(8), node_budget=3, backend="numba")
+        find(build_exceptional(8), node_budget=3, backend="compiled")
+
+
+def test_unknown_backend_and_block_size_are_rejected():
+    with pytest.raises(DomainError, match="unknown backend"):
+        find(build_exceptional(6), backend="numba")
+    with pytest.raises(DomainError, match="block_m"):
+        count_and_cover(build_V(10), block_m=3)  # blocks of 3 leave row 9 outside
+
+
+@pytest.fixture
+def fresh_loader():
+    """Forget the loaded kernel before and after the test, so it builds anew."""
+    _kernel.load.cache_clear()
+    yield
+    _kernel.load.cache_clear()
+
+
+@pytest.mark.parametrize("broken", ["missing-compiler", "unwritable-cache"])
+def test_failed_build_falls_back_to_pure_twin(broken, monkeypatch, tmp_path, caplog,
+                                              fresh_loader):
+    if broken == "missing-compiler":
+        real = sysconfig.get_config_var
+        monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: str(tmp_path / "no-cc") if name == "CC" else real(name))
+    else:
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path / "file" / "cache")
+    caplog.set_level(logging.WARNING, logger=_kernel.__name__)
+    for sq in (build_V(10), build_exceptional(8)):
+        auto = count_and_cover(sq, backend="auto")
+        pure = count_and_cover(sq, backend="pure")
+        assert (auto.count, auto.nodes, auto.witness_cols, auto.first) \
+            == (pure.count, pure.nodes, pure.witness_cols, pure.first)
+        assert np.array_equal(auto.cover, pure.cover)
+        assert find(sq).cols == find(sq, backend="pure").cols
+        with pytest.raises(DomainError, match="compiled"):
+            find(sq, backend="compiled")
+    auto = classify(build_T(12), strategy="per-cell")
+    pure = classify(build_T(12), strategy="per-cell", backend="pure")
+    assert (auto.status, auto.witnesses) == (pure.status, pure.witnesses)
+    warnings = [rec for rec in caplog.records if rec.name == _kernel.__name__]
+    assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
+    assert "pure-Python twin" in warnings[0].getMessage()
+    assert not list(tmp_path.rglob("_kernel-*"))
+
+
+def test_library_name_follows_source_bytes():
+    source = _kernel._SOURCE.read_bytes()
+    path = _kernel.library_path(source)
+    assert path.parent == _kernel._CACHE_DIR
+    assert _kernel.library_path(source) == path
+    assert _kernel.library_path(source + b"\n") != path
+    assert _kernel.library_path(source.replace(b"> hi", b">= hi")) != path
+
+
+@needs_compiler
+def test_concurrent_builds_yield_one_library(tmp_path):
+    """More builders than cores, one empty cache: each loads, one library, no temporaries."""
+    script = ("import sys; from pathlib import Path; from latintrav import _kernel; "
+              "_kernel._CACHE_DIR = Path(sys.argv[1]); "
+              "sys.exit(0 if _kernel.load() is not None else 1)")
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path)],
+                              env={**os.environ,
+                                   "PYTHONPATH": str(_kernel._SOURCE.parents[1])})
+             for _ in range(4)]
+    try:
+        codes = [proc.wait(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert codes == [0] * len(procs)
+    assert [p.name for p in tmp_path.iterdir()] \
+        == [_kernel.library_path(_kernel._SOURCE.read_bytes()).name]
 
 
 # (label, square, prune, block_m) for the kernel-logic check below.
@@ -162,11 +242,12 @@ KERNEL_CASES = (
 )
 
 
+@needs_compiler
 @pytest.mark.parametrize("sq, prune, block_m",
                          [pytest.param(sq, prune, m, id=label)
                           for label, sq, prune, m in KERNEL_CASES])
 def test_kernel_logic_matches_twin(sq, prune, block_m):
-    """_kernel.dfs, compiled under numba and plain Python without it, vs the twin."""
+    """The C kernel against the pure twin, its oracle."""
     prep = _Prepared(sq, SearchConstraints.make())
     counter = _NodeCounter()
     first = next(_iter_cols(prep, prune, None, counter), None)
@@ -191,6 +272,7 @@ def test_kernel_logic_matches_twin(sq, prune, block_m):
         assert min_block == twin.min_block_hits
 
 
+@needs_compiler
 def test_kernel_logic_budget_matches_twin():
     prep = _Prepared(build_exceptional(8), SearchConstraints.make())
     with pytest.raises(BudgetExceeded) as exc:
