@@ -6,13 +6,16 @@ ascending within a row), same pruning rule, same node accounting (one node per
 candidate index visited).  Equivalence is tested in the suite, with the pure
 twin as the oracle.
 
-The first search that picks the kernel compiles ``_kernel.c`` with the C
-compiler Python was built with (``sysconfig`` ``CC``) into ``__pycache__/``
-beside this module.  The library's name carries a checksum of the C source,
-so a stale build is never loaded, and it is written under a temporary name and
-moved into place, so concurrent worker processes cannot see a partial file.
-Without a compiler, a writable cache or a successful build, `load` logs one
-warning and returns None, and the engine runs the pure twin.
+When the kernel loads, the engine runs here every first-hit search and full
+enumeration of order at most ``MAX_KERNEL_ORDER``; lazy enumeration
+(``engine.iter_solutions``) and larger orders run on the pure twin.  The first
+such search compiles ``_kernel.c`` with the C compiler Python was built with
+(``sysconfig`` ``CC``) into ``__pycache__/`` beside this module.  The
+library's name carries a checksum of the C source, so a stale build is never
+loaded, and it is written under a temporary name and moved into place, so
+concurrent worker processes cannot see a partial file.  Without a compiler, a
+writable cache or a successful build, `load` logs one warning and returns
+None, and every search runs on the pure twin.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-# perfbench/workloads.py reads this at import to name the backend it reports.
+# perfbench/workloads.py reads this at import to name the search path it reports.
 HAVE_NUMBA = False
 
 # Column masks are machine words; anything larger goes to the pure path.

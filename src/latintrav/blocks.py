@@ -159,8 +159,7 @@ class TheoremCheck:
         }
 
 
-def verify_hit_theorem(m: int, node_budget: int | None = None, *,
-                       backend: str = "auto") -> TheoremCheck:
+def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
     """Enumerate all transversals of build_L(m) and check every block is hit.
 
     Also re-verifies the two block specializations independently: forbidding
@@ -172,7 +171,7 @@ def verify_hit_theorem(m: int, node_budget: int | None = None, *,
     min_hits: int | None = None
     try:
         summary = engine.count_and_cover(square, block_m=m, want_cover=False,
-                                         node_budget=node_budget, backend=backend)
+                                         node_budget=node_budget)
         count = summary.count
         min_hits = summary.min_block_hits
     except engine.BudgetExceeded as exc:
@@ -182,7 +181,7 @@ def verify_hit_theorem(m: int, node_budget: int | None = None, *,
     def block_is_unavoidable(i, j):
         try:
             hit = engine.find(square, forbidden_cells=block_cells(i, j, m),
-                              node_budget=node_budget, backend=backend)
+                              node_budget=node_budget)
             return hit is None
         except engine.BudgetExceeded:
             nonlocal exhausted

@@ -4,8 +4,8 @@ certificates.
 
 Exit codes: 0 success, 2 input/domain error, 3 node budget exceeded (partial
 output is still emitted).  All JSON output is deterministic; the ``meta``
-block (timestamp, node counts) is dropped with ``--no-meta`` so byte-identical
-reruns can be compared.
+block (tool, version, timestamp) is dropped with ``--no-meta`` so
+byte-identical reruns can be compared.
 """
 
 from __future__ import annotations
@@ -26,18 +26,17 @@ from .core import (
 )
 from .delta import forced_entry_certificate
 from .engine import BudgetExceeded, SearchMode
-from .families import build_family, family_of_order
+from .families import FAMILIES, build_family, family_of_order
 
 DEFAULT_BUDGET = 1_000_000_000
 TABLE_FAST_MAX = 16
 
 
-def _meta(args, **extra) -> dict:
+def _meta() -> dict:
     return {
         "tool": "latintrav",
         "version": __version__,
         "generatedAt": datetime.now(timezone.utc).isoformat(),
-        **extra,
     }
 
 
@@ -47,7 +46,7 @@ def _emit(args, payload: dict, text_renderer=None) -> None:
     else:
         body = dict(payload)
         if not args.no_meta:
-            body["meta"] = _meta(args)
+            body["meta"] = _meta()
         out = json.dumps(body, indent=2, sort_keys=True)
     print(out)
 
@@ -66,14 +65,15 @@ def _load_square(args) -> LatinSquare:
 def _add_square_source(p: argparse.ArgumentParser, positional: bool = True) -> None:
     if positional:
         p.add_argument("square", nargs="?", help="square file (text or JSON form)")
-    p.add_argument("--family", choices=["T", "U", "V", "L", "EX6", "EX8", "CAYLEY"])
+    p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--order", type=int)
     p.add_argument("--m", type=int, help="block size for family L")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, jobs: bool = False) -> None:
     p.add_argument("--budget", type=int, default=None, help="node budget per search")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for per-cell work")
+    if jobs:
+        p.add_argument("--jobs", type=int, default=1, help="worker processes for per-cell work")
     p.add_argument("--format", choices=["text", "json"], default="json")
     p.add_argument("--no-meta", action="store_true", help="omit timestamp/meta block")
 
@@ -163,12 +163,12 @@ def cmd_bounds(args) -> int:
         check = bounds.check_sets_only(args.family, args.order)
     else:
         square = build_family(args.family, n=args.order)
-        try:
-            report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
-            check = bounds.verify_bound(args.family, args.order, report)
-        except BudgetExceeded:
+        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
+        if report.partial:
             check = bounds.check_sets_only(args.family, args.order)
             code = 3
+        else:
+            check = bounds.verify_bound(args.family, args.order, report)
     _emit(args, check.to_json_dict(),
           lambda p: f"{p['family']}{p['n']}: union {p['unionSize']} >= "
                     f"{p['formulaValue']}, subsetOK {p['subsetOK']}, tau {p['tau']}")
@@ -194,11 +194,7 @@ def cmd_table1(args) -> int:
     for n in range(10, args.max_order + 2, 2):
         family = family_of_order(n)
         square = build_family(family, n)
-        try:
-            report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
-        except BudgetExceeded:
-            code = 3
-            break
+        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
         if report.partial:
             code = 3
             break
@@ -230,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a family square and print/write it")
-    p.add_argument("--family", required=True,
-                   choices=["T", "U", "V", "L", "EX6", "EX8", "CAYLEY"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--order", type=int)
     p.add_argument("--m", type=int, help="block size for family L")
     p.add_argument("--output", "-o", help="write to file instead of stdout")
@@ -239,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="per-cell FREE/COVERED/PINNED report")
     _add_square_source(p)
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("transversal", help="find/enumerate/count transversals")
@@ -263,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--sets-only", action="store_true",
                    help="skip classification; set arithmetic only")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("blocks", help="block-hit theorem verification")
@@ -275,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=TABLE_FAST_MAX)
     p.add_argument("--long", action="store_true",
                    help="allow the slow orders above 16")
-    _add_common(p)
+    _add_common(p, jobs=True)
     p.set_defaults(fn=cmd_table1)
     return ap
 

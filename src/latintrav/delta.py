@@ -150,31 +150,36 @@ def forced_entry_certificate(square: LatinSquare) -> ForcedCertificate:
     if n % 2:
         raise OddOrder(f"forced-entry certificates need even order, got {n}")
     half = n // 2
-    prof = delta_profile(square)
+    dg = delta_grid(square)
+    row_min = dg.min(axis=1, keepdims=True)
+    row_max = dg.max(axis=1, keepdims=True)
+    min_sum = int(row_min.sum())
+    max_sum = int(row_max.sum())
+    at_min = dg == row_min
+    at_max = dg == row_max
     refutation = REFUTATION_NONE
     clash = None
-    if prof.min_sum > -half:
+    if min_sum > -half:
         refutation = REFUTATION_MIN_SUM
-    elif prof.min_sum == -half:
+    elif min_sum == -half:
         by_col: dict[int, Entry] = {}
-        for r in range(n):
-            if len(prof.argmin[r]) != 1:
-                continue
-            e = prof.argmin[r][0]
+        for r in np.flatnonzero(at_min.sum(axis=1) == 1).tolist():
+            e = square.entry(r, int(at_min[r].argmax()))
             if e.col in by_col:
                 refutation = REFUTATION_CLASH
                 clash = (by_col[e.col], e)
                 break
             by_col[e.col] = e
-    valid = prof.max_sum == half and refutation != REFUTATION_NONE
+    valid = max_sum == half and refutation != REFUTATION_NONE
     forced = ()
     if valid:
-        forced = tuple(prof.argmax[r][0] for r in range(n) if len(prof.argmax[r]) == 1)
+        forced = tuple(square.entry(r, int(at_max[r].argmax()))
+                       for r in np.flatnonzero(at_max.sum(axis=1) == 1).tolist())
     return ForcedCertificate(
         valid=valid,
         forced=forced,
-        max_sum=prof.max_sum,
-        min_sum=prof.min_sum,
+        max_sum=max_sum,
+        min_sum=min_sum,
         refutation=refutation,
         clash=clash,
     )

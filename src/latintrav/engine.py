@@ -231,18 +231,8 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None,
     counter.nodes = nodes
 
 
-def _use_kernel(n: int, backend: str) -> bool:
-    """Whether a search of order n runs on the kernel; DomainError if it must and cannot."""
-    if backend == "pure":
-        return False
-    if backend == "compiled":
-        if n > _kernel.MAX_KERNEL_ORDER:
-            raise DomainError(f"compiled backend handles order <= {_kernel.MAX_KERNEL_ORDER}")
-        if _kernel.load() is None:
-            raise DomainError("compiled backend requested but the C kernel could not be built")
-        return True
-    if backend != "auto":
-        raise DomainError(f"unknown backend {backend!r}; use 'auto', 'compiled' or 'pure'")
+def _use_kernel(n: int) -> bool:
+    """Whether a search of order n runs on the compiled kernel rather than the pure twin."""
     return n <= _kernel.MAX_KERNEL_ORDER and _kernel.load() is not None
 
 
@@ -274,15 +264,14 @@ def _constraints_arg(constraints, kwargs) -> SearchConstraints:
 
 
 def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
-         prune: bool = True, backend: str = "auto",
-         **kwargs) -> Transversal | Diagonal | None:
+         prune: bool = True, **kwargs) -> Transversal | Diagonal | None:
     """First solution in lexicographic column order, or None if none exists.
 
     Raises BudgetExceeded when the node budget runs out, which is an unknown
     outcome, never a "no".
     """
     cons = _constraints_arg(constraints, kwargs)
-    cols = _first_hit(_Prepared(square, cons), prune, cons.node_budget, backend)
+    cols = _first_hit(_Prepared(square, cons), prune, cons.node_budget)
     if cols is None:
         return None
     if cons.mode is SearchMode.TRANSVERSAL:
@@ -290,12 +279,11 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
     return Diagonal(cols)
 
 
-def _first_hit(prep: _Prepared, prune: bool, budget: int | None,
-               backend: str) -> tuple[int, ...] | None:
+def _first_hit(prep: _Prepared, prune: bool, budget: int | None) -> tuple[int, ...] | None:
     """Columns of a prepared search's first solution, or None; BudgetExceeded if it runs out."""
     if not prep.feasible:
         return None
-    if _use_kernel(prep.n, backend):
+    if _use_kernel(prep.n):
         status, _, nodes, _, first_cols, _, _, _ = _run_kernel(
             prep, prune=prune, budget=budget, enumerate_all=False)
         if status == -1:
@@ -306,7 +294,7 @@ def _first_hit(prep: _Prepared, prune: bool, budget: int | None,
 
 def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = None, *,
                    prune: bool = True, **kwargs) -> Iterator[Diagonal]:
-    """Lazy lexicographic enumeration (pure backend); yields bound objects."""
+    """Lazy lexicographic enumeration on the pure twin; yields bound objects."""
     cons = _constraints_arg(constraints, kwargs)
     prep = _Prepared(square, cons)
     counter = _NodeCounter()
@@ -318,19 +306,15 @@ def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = 
 
 def enumerate_solutions(square: LatinSquare, constraints: SearchConstraints | None = None,
                         visitor: Callable[[Diagonal], None] | None = None, *,
-                        prune: bool = True, backend: str = "auto", **kwargs) -> int:
+                        prune: bool = True, **kwargs) -> int:
     """Visit every solution exactly once in lexicographic order; return the count.
 
-    With a ``visitor`` the lazy iteration runs on the pure twin; ``backend``
-    is still checked, so an unavailable compiled kernel is a DomainError as in
-    `find`.
+    With a ``visitor`` the lazy iteration runs on the pure twin.
     """
     cons = _constraints_arg(constraints, kwargs)
     if visitor is None:
-        summary = count_and_cover(square, cons, prune=prune, backend=backend,
-                                  want_cover=False)
+        summary = count_and_cover(square, cons, prune=prune, want_cover=False)
         return summary.count
-    _use_kernel(square.order, backend)
     count = 0
     for sol in iter_solutions(square, cons, prune=prune):
         visitor(sol)
@@ -339,8 +323,8 @@ def enumerate_solutions(square: LatinSquare, constraints: SearchConstraints | No
 
 
 def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None = None, *,
-                    prune: bool = True, backend: str = "auto", block_m: int = 0,
-                    want_cover: bool = True, **kwargs) -> EnumerationSummary:
+                    prune: bool = True, block_m: int = 0, want_cover: bool = True,
+                    **kwargs) -> EnumerationSummary:
     """Full enumeration reduced to aggregates: count, cover counts, witnesses.
 
     The per-cell cover matrix counts how many solutions use each cell; the
@@ -354,7 +338,7 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
     if not prep.feasible:
         return EnumerationSummary(count=0, cover=np.zeros((n, n), np.int64) if want_cover else None,
                                   witness_cols={}, min_block_hits=None, nodes=0, first=None)
-    if _use_kernel(n, backend):
+    if _use_kernel(n):
         status, count, nodes, min_block, first_cols, cover, witness, have = _run_kernel(
             prep, prune=prune, budget=cons.node_budget, enumerate_all=True,
             block_m=block_m, want_cover=want_cover)
@@ -481,7 +465,7 @@ def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int | No
     is (r, c, cols or None, None), or (r, c, None, nodes) when the search ran
     out of its node budget after ``nodes`` nodes.
     """
-    square, cells, avoid, budget, backend = args
+    square, cells, avoid, budget = args
     base = _base_candidates(square)
     out = []
     for r, c in cells:
@@ -490,7 +474,7 @@ def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int | No
         else:
             cons = SearchConstraints(required=frozenset({square.entry(r, c)}), node_budget=budget)
         try:
-            cols = _first_hit(_Prepared(square, cons, base), True, budget, backend)
+            cols = _first_hit(_Prepared(square, cons, base), True, budget)
         except BudgetExceeded as exc:
             out.append((r, c, None, exc.nodes))
         else:
@@ -499,17 +483,17 @@ def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int | No
 
 
 def _map_cells(pool, jobs: int, square: LatinSquare, cells, avoid: bool,
-               budget: int | None, backend: str):
+               budget: int | None):
     """`_search_cells` over ``cells``, in strided chunks on ``pool`` when there is one."""
     if pool is None:
-        return _search_cells((square, cells, avoid, budget, backend))
+        return _search_cells((square, cells, avoid, budget))
     k = min(len(cells), 4 * jobs)
-    chunks = [(square, cells[i::k], avoid, budget, backend) for i in range(k)]
+    chunks = [(square, cells[i::k], avoid, budget) for i in range(k)]
     return [res for part in pool.map(_search_cells, chunks) for res in part]
 
 
 def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int = 1,
-             backend: str = "auto", strategy: str = "auto") -> ClassificationReport:
+             strategy: str = "auto") -> ClassificationReport:
     """Classify every cell as FREE / COVERED / PINNED.
 
     ``strategy='auto'`` first tries one full enumeration with per-cell cover
@@ -549,7 +533,7 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
                 else min(node_budget, AUTO_ENUM_BUDGET)
         cons = SearchConstraints.make(node_budget=enum_budget)
         try:
-            summary = count_and_cover(square, cons, backend=backend)
+            summary = count_and_cover(square, cons)
             return _report_from_summary(square, summary)
         except BudgetExceeded:
             if strategy == "enumerate":
@@ -559,8 +543,7 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
     total_nodes = 0
     cells = [(r, c) for r in range(n) for c in range(n)]
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for r, c, cols, spent in _map_cells(pool, jobs, square, cells, False,
-                                            node_budget, backend):
+        for r, c, cols, spent in _map_cells(pool, jobs, square, cells, False, node_budget):
             if spent is not None:
                 total_nodes += spent
             elif cols is None:
@@ -573,8 +556,7 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
             if (r, c) not in common:
                 status[r][c] = COVERED
         shared = sorted(cell for cell in witnesses if cell in common)
-        for r, c, cols, spent in _map_cells(pool, jobs, square, shared, True,
-                                            node_budget, backend):
+        for r, c, cols, spent in _map_cells(pool, jobs, square, shared, True, node_budget):
             if spent is not None:
                 total_nodes += spent
             else:
@@ -596,40 +578,35 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
     )
 
 
-def is_pinned(square: LatinSquare, entry, *, node_budget: int | None = None,
-              backend: str = "auto") -> bool:
+def is_pinned(square: LatinSquare, entry, *, node_budget: int | None = None) -> bool:
     """True iff the square has a transversal and none avoids the entry's cell."""
     e = Entry(*_as_rcs(entry))
     if square.grid[e.row][e.col] != e.sym:
         raise DomainError(f"{e} is not an entry of the square")
-    if find(square, node_budget=node_budget, backend=backend) is None:
+    if find(square, node_budget=node_budget) is None:
         return False
-    avoiding = find(square, forbidden_cells=((e.row, e.col),),
-                    node_budget=node_budget, backend=backend)
+    avoiding = find(square, forbidden_cells=((e.row, e.col),), node_budget=node_budget)
     return avoiding is None
 
 
-def find_disjoint_pair(square: LatinSquare, *, node_budget: int | None = None,
-                       backend: str = "auto") -> tuple[Transversal, Transversal] | None:
+def find_disjoint_pair(square: LatinSquare, *,
+                       node_budget: int | None = None) -> tuple[Transversal, Transversal] | None:
     """First entry-disjoint pair of transversals in lexicographic order, if any.
 
-    The lazy iteration over first members runs on the pure twin; ``backend``
-    applies to the searches for the second member and is checked up front.
+    The lazy iteration over first members runs on the pure twin.
     """
-    _use_kernel(square.order, backend)
     for first in iter_solutions(square, node_budget=node_budget):
         cells = tuple((r, c) for r, c in enumerate(first.cols))
-        second = find(square, forbidden_cells=cells, node_budget=node_budget,
-                      backend=backend)
+        second = find(square, forbidden_cells=cells, node_budget=node_budget)
         if second is not None:
             return (first, second)
     return None
 
 
-def count_parity_check(square: LatinSquare, *, node_budget: int | None = None,
-                       backend: str = "auto") -> tuple[int, bool]:
+def count_parity_check(square: LatinSquare, *,
+                       node_budget: int | None = None) -> tuple[int, bool]:
     """Full transversal count of an even-order square plus its evenness."""
     if square.order % 2:
         raise OddOrder("parity check applies to even order")
-    count = enumerate_solutions(square, node_budget=node_budget, backend=backend)
+    count = enumerate_solutions(square, node_budget=node_budget)
     return count, count % 2 == 0

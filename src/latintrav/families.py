@@ -31,7 +31,7 @@ from .core import (
     as_transversal,
 )
 
-FAMILIES = ("T", "U", "V", "L", "EX6", "EX8")
+FAMILIES = ("T", "U", "V", "L", "EX6", "EX8", "CAYLEY")
 
 # Order-6 square: 16 cells are in no transversal, yet transversals exist.
 _EX6_GRID = (

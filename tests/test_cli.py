@@ -1,7 +1,12 @@
+import argparse
 import json
+import re
 
+import pytest
 
-from latintrav.cli import main
+from latintrav.cli import build_parser, main
+from latintrav.core import DomainError
+from latintrav.families import FAMILIES, build_family
 
 
 def run(capsys, *argv):
@@ -178,3 +183,34 @@ def test_budget_exhaustion_exit_3(capsys):
     code, _, err = run(capsys, "classify", "--family", "V", "--order", "10",
                        "--budget", "5")
     assert code == 3
+
+
+def test_bounds_budget_falls_back_to_sets_only(capsys):
+    code, out, _ = run(capsys, "bounds", "--family", "T", "--order", "12",
+                       "--budget", "10", "--no-meta")
+    assert code == 3
+    data = json.loads(out)
+    assert data["subsetOK"] is None
+    _, sets_only, _ = run(capsys, "bounds", "--family", "T", "--order", "12",
+                          "--sets-only", "--no-meta")
+    assert out == sets_only
+
+
+def test_jobs_only_where_work_is_spread(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["blocks", "--m", "3", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    code, _, _ = run(capsys, "classify", "--family", "EX6", "--jobs", "1", "--no-meta")
+    assert code == 0
+
+
+def test_one_family_list():
+    assert "CAYLEY" in FAMILIES
+    with pytest.raises(DomainError, match=re.escape(str(FAMILIES))):
+        build_family("X", 6)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("construct", "classify"):
+        family = next(a for a in sub.choices[command]._actions if a.dest == "family")
+        assert family.choices == FAMILIES

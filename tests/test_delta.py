@@ -21,7 +21,7 @@ from latintrav.delta import (
     NotBlockSquare,
     OddOrder,
 )
-from latintrav.families import build_L, build_T, build_U, build_V
+from latintrav.families import build_exceptional, build_L, build_T, build_U, build_V
 
 
 def test_delta_examples():
@@ -124,12 +124,18 @@ def test_certificate_json_shape():
 
 
 def test_forced_entries_are_unique_row_maxima():
-    for family, n in (("T", 24), ("U", 20), ("V", 22)):
-        sq = {"T": build_T, "U": build_U, "V": build_V}[family](n)
+    # delta_profile, which lists every row extremum, is the reference here
+    for sq in (build_T(24), build_U(20), build_V(22), build_U(14), build_exceptional(6),
+               build_exceptional(8), cayley_table(6)):
         cert = forced_entry_certificate(sq)
         prof = delta_profile(sq)
-        for e in cert.forced:
-            assert prof.argmax[e.row] == (e,)
+        assert (cert.min_sum, cert.max_sum) == (prof.min_sum, prof.max_sum)
+        unique_max = tuple(top[0] for top in prof.argmax if len(top) == 1)
+        assert cert.forced == (unique_max if cert.valid else ())
+        if cert.clash is not None:
+            first, second = cert.clash
+            assert prof.argmin[first.row] == (first,) and prof.argmin[second.row] == (second,)
+            assert first.row < second.row and first.col == second.col
 
 
 @pytest.mark.parametrize("n", [10, 12, 14, 16])

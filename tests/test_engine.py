@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import sysconfig
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -51,17 +52,27 @@ SMALL = [cayley_table(n) for n in range(1, 7)] + [build_exceptional(6)]
 needs_compiler = pytest.mark.skipif(_kernel.load() is None, reason="no C compiler")
 
 
-@pytest.mark.parametrize("backend", ["pure", pytest.param("compiled", marks=needs_compiler)])
-def test_engine_matches_naive_oracle(backend, oracle):
+@contextmanager
+def pure_twin():
+    """Searches inside run on the pure twin, as they do where the kernel cannot be built.
+
+    The patch reaches this process only, so code run inside keeps ``jobs=1``.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "load", lambda: None)
+        yield
+
+
+@pytest.mark.parametrize("path", ["pure", pytest.param("compiled", marks=needs_compiler)])
+def test_engine_matches_naive_oracle(path, oracle):
     for sq in SMALL:
-        expected = [tuple(p) for p in oracle(sq.grid)]
-        got = [d.cols for d in iter_solutions(sq)] if backend == "pure" else None
-        if backend == "compiled" and sq.order <= 62:
-            count = enumerate_solutions(sq, backend="compiled")
-            assert count == len(expected)
-        if got is not None:
-            assert got == sorted(expected)
-            assert len(got) == len(expected)
+        expected = sorted(tuple(p) for p in oracle(sq.grid))
+        if path == "pure":
+            assert [d.cols for d in iter_solutions(sq)] == expected
+            with pure_twin():
+                assert enumerate_solutions(sq) == len(expected)
+        else:
+            assert enumerate_solutions(sq) == len(expected)
 
 
 def test_enumeration_is_lexicographic_and_deterministic():
@@ -84,8 +95,9 @@ def test_pruning_soundness_small(n, oracle):
 @needs_compiler
 def test_pure_and_compiled_agree_on_finds():
     for sq in (build_T(12), build_V(10), build_exceptional(8)):
-        a = find(sq, backend="pure")
-        b = find(sq, backend="compiled")
+        with pure_twin():
+            a = find(sq)
+        b = find(sq)
         assert a.cols == b.cols
 
 
@@ -137,30 +149,21 @@ def test_suitable_diagonal_mode_returns_diagonal():
 
 def test_budget_exceeded_is_distinct_from_none():
     sq = build_exceptional(8)
-    with pytest.raises(BudgetExceeded):
-        find(sq, node_budget=3, backend="pure")
+    with pure_twin(), pytest.raises(BudgetExceeded):
+        find(sq, node_budget=3)
     with pytest.raises(BudgetExceeded):
         enumerate_solutions(sq, node_budget=10)
-
-
-def test_lazy_paths_reject_missing_kernel(monkeypatch):
-    monkeypatch.setattr(_kernel, "load", lambda: None)
-    with pytest.raises(DomainError, match="compiled"):
-        enumerate_solutions(build_exceptional(6), visitor=lambda sol: None, backend="compiled")
-    with pytest.raises(DomainError, match="compiled"):
-        find_disjoint_pair(cayley_table(4), backend="compiled")  # no transversal to iterate
-    assert find_disjoint_pair(cayley_table(4), backend="auto") is None
 
 
 @needs_compiler
 def test_budget_exceeded_compiled_backend():
     with pytest.raises(BudgetExceeded):
-        find(build_exceptional(8), node_budget=3, backend="compiled")
+        find(build_exceptional(8), node_budget=3)
 
 
 def test_unknown_backend_and_block_size_are_rejected():
-    with pytest.raises(DomainError, match="unknown backend"):
-        find(build_exceptional(6), backend="numba")
+    with pytest.raises(TypeError, match="backend"):
+        find(build_exceptional(6), backend="pure")  # the engine picks the search path itself
     with pytest.raises(DomainError, match="block_m"):
         count_and_cover(build_V(10), block_m=3)  # blocks of 3 leave row 9 outside
 
@@ -185,18 +188,16 @@ def test_failed_build_falls_back_to_pure_twin(broken, monkeypatch, tmp_path, cap
         (tmp_path / "file").write_text("")
         monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path / "file" / "cache")
     caplog.set_level(logging.WARNING, logger=_kernel.__name__)
-    for sq in (build_V(10), build_exceptional(8)):
-        auto = count_and_cover(sq, backend="auto")
-        pure = count_and_cover(sq, backend="pure")
-        assert (auto.count, auto.nodes, auto.witness_cols, auto.first) \
-            == (pure.count, pure.nodes, pure.witness_cols, pure.first)
-        assert np.array_equal(auto.cover, pure.cover)
-        assert find(sq).cols == find(sq, backend="pure").cols
-        with pytest.raises(DomainError, match="compiled"):
-            find(sq, backend="compiled")
-    auto = classify(build_T(12), strategy="per-cell")
-    pure = classify(build_T(12), strategy="per-cell", backend="pure")
-    assert (auto.status, auto.witnesses) == (pure.status, pure.witnesses)
+    v10 = count_and_cover(build_V(10))
+    assert (v10.count, v10.nodes) == (272, 32_250)
+    assert v10.first == find(build_V(10)).cols == (2, 0, 4, 6, 7, 3, 8, 5, 9, 1)
+    ex8 = count_and_cover(build_exceptional(8))
+    assert ex8.count == 16
+    assert (ex8.cover.sum(axis=1) == 16).all()
+    assert ex8.first == find(build_exceptional(8)).cols == (0, 2, 6, 1, 4, 7, 5, 3)
+    t12 = classify(build_T(12), strategy="per-cell")  # jobs=1: the patches stay in this process
+    assert t12.tau == 67
+    assert [e.as_tuple() for e in t12.pinned] == [(1, 0, 3), (2, 1, 4)]
     warnings = [rec for rec in caplog.records if rec.name == _kernel.__name__]
     assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
     assert "pure-Python twin" in warnings[0].getMessage()
@@ -257,7 +258,8 @@ def test_kernel_logic_matches_twin(sq, prune, block_m):
     if first is not None:
         assert tuple(first_cols) == first
 
-    twin = count_and_cover(sq, prune=prune, backend="pure", block_m=block_m)
+    with pure_twin():
+        twin = count_and_cover(sq, prune=prune, block_m=block_m)
     status, count, nodes, min_block, first_cols, cover, witness, have = _run_kernel(
         prep, prune=prune, budget=None, enumerate_all=True, block_m=block_m,
         want_cover=True)
