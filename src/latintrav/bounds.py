@@ -4,10 +4,11 @@ Every transversal of a family square must take the maximum-delta cell in each
 row (the row maxima sum to exactly n/2), so three kinds of cells can never be
 used: cells that miss their row's maximum delta in designated rows (M = P u Q
 u R), cells sharing a column with a forced cell (N), and cells sharing a
-symbol with one (O).  The union M u N u O is materialized literally and its
-size compared against the family's closed-form quadratic bound; the case
-analysis behind the closed form is validated as a consequence, not
-re-derived.
+symbol with one (O).  Each set is materialized as a boolean (n, n) mask over
+the square's cells, so the union M u N u O is one mask whose count is
+compared against the family's closed-form quadratic bound; the case analysis
+behind the closed form is validated as a consequence, not re-derived.
+`bound_sets` lists the same masks' cells as entries.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import DomainError, Entry, LatinSquare, LatinSquareError
 from .delta import delta_grid
 from .engine import FREE, ClassificationReport
-from .families import build_family, claimed_pinned_entries, family_k
+from .families import _pinned_square, family_k
 
 
 class PartialReport(LatinSquareError):
@@ -105,37 +108,47 @@ def _column_symbol_sets(family: str, n: int, k: int) -> tuple[set[int], set[int]
     return cols, syms
 
 
-def bound_sets(family: str, n: int) -> BoundSets:
+def _masks(family: str, n: int) -> tuple[LatinSquare, tuple[Entry, ...], dict[str, np.ndarray]]:
+    """The square, its forced cells F, and (n, n) boolean masks of N, O, P, Q, R minus F."""
     k = family_k(family, n)
-    square = build_family(family, n)
-    pinned = claimed_pinned_entries(family, n)
+    square, pinned = _pinned_square(family, n)
     cols, syms = _column_symbol_sets(family, n, k)
     if cols != {e.col for e in pinned} or syms != {e.sym for e in pinned}:
         raise DomainError(
             f"{family}{n}: column/symbol sets disagree with the forced cells")
-    fset = frozenset(pinned)
-    grid = square.grid
-    n_set = frozenset(Entry(r, c, grid[r][c])
-                      for c in cols for r in range(n)) - fset
-    o_set = frozenset(e for e in square.entries() if e.sym in syms) - fset
+    outside = np.ones((n, n), bool)
+    outside[[e.row for e in pinned], [e.col for e in pinned]] = False
+    in_cols = np.zeros((n, n), bool)
+    in_cols[:, sorted(cols)] = True
+    masks = {"N": in_cols & outside,
+             "O": np.isin(square.to_array(), sorted(syms)) & outside}
     dg = delta_grid(square)
-    p_rows, q_rows, r_rows = _off_max_rows(family, k)
+    for name, rows in zip("PQR", _off_max_rows(family, k)):
+        idx = [r for r, _ in rows]
+        mask = np.zeros((n, n), bool)
+        mask[idx] = dg[idx] != np.array([d for _, d in rows], np.int64).reshape(-1, 1)
+        masks[name] = mask & outside
+    return square, pinned, masks
 
-    def slice_set(rows):
-        return frozenset(Entry(r, c, grid[r][c])
-                         for r, dval in rows for c in range(n) if dg[r, c] != dval)
+
+def _union_mask(family: str, n: int) -> np.ndarray:
+    return np.logical_or.reduce(list(_masks(family, n)[2].values()))
+
+
+def bound_sets(family: str, n: int) -> BoundSets:
+    square, pinned, masks = _masks(family, n)
+    grid = square.grid
+
+    def cells(mask):
+        return frozenset(Entry(r, c, grid[r][c]) for r, c in np.argwhere(mask).tolist())
 
     return BoundSets(
         family=family,
         n=n,
         pinned=pinned,
-        columns=frozenset(cols),
-        symbols=frozenset(syms),
-        N=n_set,
-        O=o_set,
-        P=slice_set(p_rows),
-        Q=slice_set(q_rows),
-        R=slice_set(r_rows),
+        columns=frozenset(e.col for e in pinned),
+        symbols=frozenset(e.sym for e in pinned),
+        **{name: cells(mask) for name, mask in masks.items()},
     )
 
 
@@ -169,15 +182,15 @@ class BoundCheck:
 
 def check_sets_only(family: str, n: int) -> BoundCheck:
     """Pure set arithmetic: union size vs the closed form, no search needed."""
-    sets = bound_sets(family, n)
-    value = sets.formula_value
+    union_size = int(_union_mask(family, n).sum())
+    value = lower_bound_formula(family, n)
     return BoundCheck(
         family=family,
         n=n,
-        union_size=sets.union_size,
+        union_size=union_size,
         formula_value=value,
         lower_bound=math.ceil(value),
-        size_ok=sets.union_size >= value,
+        size_ok=union_size >= value,
         subset_ok=None,
         tau=None,
         tau_ok=None,
@@ -190,17 +203,18 @@ def verify_bound(family: str, n: int, report: ClassificationReport) -> BoundChec
         raise PartialReport(f"classification of {family}{n} is incomplete")
     if report.order != n:
         raise DomainError(f"report order {report.order} does not match n={n}")
-    sets = bound_sets(family, n)
-    value = sets.formula_value
-    subset_ok = all(report.status[e.row][e.col] == FREE for e in sets.union)
+    union = _union_mask(family, n)
+    union_size = int(union.sum())
+    value = lower_bound_formula(family, n)
+    subset_ok = not (union & (np.array(report.status) != FREE)).any()
     tau = report.tau
     return BoundCheck(
         family=family,
         n=n,
-        union_size=sets.union_size,
+        union_size=union_size,
         formula_value=value,
         lower_bound=math.ceil(value),
-        size_ok=sets.union_size >= value,
+        size_ok=union_size >= value,
         subset_ok=subset_ok,
         tau=tau,
         tau_ok=value <= tau < n * n,

@@ -142,10 +142,9 @@ def cmd_transversal(args) -> int:
 def cmd_pinned(args) -> int:
     square = build_family(args.family, n=args.order, m=args.m)
     cert = forced_entry_certificate(square)
-    entries = []
-    for e in cert.forced:
-        verdict = engine.is_pinned(square, e, node_budget=args.budget)
-        entries.append({"entry": list(e.as_tuple()), "pinned": verdict})
+    verdicts = engine.pinned_verdicts(square, cert.forced, node_budget=args.budget)
+    entries = [{"entry": list(e.as_tuple()), "pinned": verdict}
+               for e, verdict in zip(cert.forced, verdicts)]
     payload = {
         "family": args.family,
         "order": square.order,

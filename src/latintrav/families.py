@@ -20,6 +20,8 @@ integers, while mod-2 / mod-3 guards read the plain representatives 0..n-1.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import (
@@ -283,7 +285,7 @@ def _need(value, name):
 
 
 def _cols_T(n: int) -> list[int]:
-    k = n // 6
+    k = family_k("T", n)
     cols = []
     for a in range(n):
         if a == 0:
@@ -305,7 +307,7 @@ def _cols_T(n: int) -> list[int]:
 
 
 def _cols_U(n: int) -> list[int]:
-    k = (n - 2) // 6
+    k = family_k("U", n)
     fixed = {0: 1, 3: 4, 4: 5, 1: 3, 2: 8,
              3 * k + 6: 2, 3 * k + 1: 6, 3 * k + 3: 7, 6 * k - 1: 9, 3 * k: 11}
     cols = []
@@ -329,7 +331,7 @@ def _cols_U(n: int) -> list[int]:
 
 
 def _cols_V(n: int) -> list[int]:
-    k = (n - 4) // 6
+    k = family_k("V", n)
     fixed = {0: 2, 1: 0, 2: 6, 3: 1, 3 * k + 5: 4}
     cols = []
     for a in range(n):
@@ -397,26 +399,35 @@ def _cols_L(m: int) -> list[int]:
     return cols
 
 
+def _cols_L_order(n: int) -> list[int]:
+    if n % 3 or (n // 3) % 2 == 0 or n < 9:
+        raise DomainError(f"family L covers orders 3m for odd m >= 3, got {n}")
+    return _cols_L(n // 3)
+
+
+def _cols_fixed(family: str, cols: tuple[int, ...], n: int) -> tuple[int, ...]:
+    if n != len(cols):
+        raise DomainError(f"family {family} has order {len(cols)}, got {n}")
+    return cols
+
+
+# Each function checks that the family covers order n, then gives the columns.
+_WITNESS_COLS = {
+    "T": _cols_T,
+    "U": _cols_U,
+    "V": _cols_V,
+    "L": _cols_L_order,
+    "EX6": functools.partial(_cols_fixed, "EX6", _EX6_TRANSVERSAL),
+    "EX8": functools.partial(_cols_fixed, "EX8", _EX8_TRANSVERSAL),
+}
+
+
 def witness_transversal(family: str, n: int) -> Transversal:
     """The family's explicit transversal, verified against the built square."""
-    if family == "T":
-        square, cols = build_T(n), _cols_T(n)
-    elif family == "U":
-        square, cols = build_U(n), _cols_U(n)
-    elif family == "V":
-        square, cols = build_V(n), _cols_V(n)
-    elif family == "L":
-        if n % 3 or (n // 3) % 2 == 0 or n < 9:
-            raise DomainError(f"family L covers orders 3m for odd m >= 3, got {n}")
-        square, cols = build_L(n // 3), _cols_L(n // 3)
-    elif family in ("EX6", "EX8"):
-        square = build_exceptional(6 if family == "EX6" else 8)
-        if n != square.order:
-            raise DomainError(f"family {family} has order {square.order}, got {n}")
-        cols = _EX6_TRANSVERSAL if family == "EX6" else _EX8_TRANSVERSAL
-    else:
+    if family not in _WITNESS_COLS:
         raise DomainError(f"unknown family {family!r}")
-    return as_transversal(square, cols)
+    cols = _WITNESS_COLS[family](n)
+    return as_transversal(build_family(family, n), cols)
 
 
 def claimed_pinned_entries(family: str, n: int) -> tuple[Entry, ...]:
@@ -425,6 +436,11 @@ def claimed_pinned_entries(family: str, n: int) -> tuple[Entry, ...]:
     Computed from the forced-entry certificate rather than by pattern; the
     certificate is the operational definition and the count is checked here.
     """
+    return _pinned_square(family, n)[1]
+
+
+def _pinned_square(family: str, n: int) -> tuple[LatinSquare, tuple[Entry, ...]]:
+    """The T/U/V square and its certified forced cells, exactly floor(n/6) of them."""
     from .delta import forced_entry_certificate
 
     if family not in ("T", "U", "V"):
@@ -437,4 +453,4 @@ def claimed_pinned_entries(family: str, n: int) -> tuple[Entry, ...]:
             f"certificate for {family}{n} is {'valid' if cert.valid else 'invalid'} "
             f"with {len(cert.forced)} forced cells, expected {k}"
         )
-    return cert.forced
+    return square, cert.forced

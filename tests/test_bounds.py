@@ -5,14 +5,17 @@ import pytest
 from latintrav import classify
 from latintrav.bounds import (
     PartialReport,
+    _off_max_rows,
     bound_sets,
     check_sets_only,
     lower_bound,
     lower_bound_formula,
     verify_bound,
 )
+from latintrav.cli import main
+from latintrav.delta import delta
 from latintrav.engine import ClassificationReport
-from latintrav.families import build_family
+from latintrav.families import build_family, claimed_pinned_entries
 
 ALL_ORDERS = [("T", n) for n in range(12, 101, 6)] + \
              [("U", n) for n in range(14, 101, 6)] + \
@@ -126,3 +129,50 @@ def test_union_beats_formula_cap_sweep():
     for family, n in orders:
         check = check_sets_only(family, n)
         assert check.size_ok
+
+
+# Union sizes at the largest order <= 300 of each family, as the per-entry set
+# code gave them before the union became a mask.
+LARGE_UNIONS = {("T", 300): 47076, ("U", 296): 45637, ("V", 298): 46155}
+
+
+def _union_by_cell(family, n):
+    """The union cell by cell: a forced cell's column or symbol, or a designated
+    row whose delta differs from the row's required delta; minus the forced cells."""
+    pinned = claimed_pinned_entries(family, n)
+    cols = {e.col for e in pinned}
+    syms = {e.sym for e in pinned}
+    forced = {(e.row, e.col) for e in pinned}
+    required = {r: d for rows in _off_max_rows(family, n // 6) for r, d in rows}
+    grid = build_family(family, n).grid
+    return {(r, c) for r in range(n) for c in range(n)
+            if (c in cols or grid[r][c] in syms
+                or (r in required and delta((r, c, grid[r][c]), n) != required[r]))
+            and (r, c) not in forced}
+
+
+@pytest.mark.parametrize("family,n", ALL_ORDERS + list(LARGE_UNIONS))
+def test_union_matches_cell_predicate(family, n):
+    expected = _union_by_cell(family, n)
+    sets = bound_sets(family, n)
+    assert {(e.row, e.col) for e in sets.union} == expected
+    assert check_sets_only(family, n).union_size == len(expected)
+
+
+@pytest.mark.parametrize("family,n", list(LARGE_UNIONS))
+def test_large_union_sizes_and_cli_bytes(family, n, capsys):
+    size = LARGE_UNIONS[(family, n)]
+    assert check_sets_only(family, n).union_size == size
+    value = lower_bound_formula(family, n)
+    shown = int(value) if value.denominator == 1 else float(value)
+    assert main(["bounds", "--family", family, "--order", str(n),
+                 "--sets-only", "--no-meta"]) == 0
+    assert capsys.readouterr().out == (
+        "{\n"
+        f'  "family": "{family}",\n'
+        f'  "formulaValue": {shown},\n'
+        f'  "n": {n},\n'
+        '  "subsetOK": null,\n'
+        '  "tau": null,\n'
+        f'  "unionSize": {size}\n'
+        "}\n")

@@ -6,7 +6,7 @@ import pytest
 
 from latintrav.cli import build_parser, main
 from latintrav.core import DomainError
-from latintrav.families import FAMILIES, build_family
+from latintrav.families import FAMILIES, build_family, claimed_pinned_entries
 
 
 def run(capsys, *argv):
@@ -110,6 +110,15 @@ def test_transversal_disjoint_pair(capsys):
     assert json.loads(out)["found"] is True
 
 
+@pytest.mark.parametrize("family,n", [("T", 12), ("U", 14), ("V", 16)])
+def test_pinned_entries_are_the_certified_cells(capsys, family, n):
+    code, out, _ = run(capsys, "pinned", "--family", family, "--order", str(n), "--no-meta")
+    assert code == 0
+    assert json.loads(out)["entries"] == [
+        {"entry": list(e.as_tuple()), "pinned": True}
+        for e in claimed_pinned_entries(family, n)]
+
+
 def test_pinned_command(capsys):
     code, out, _ = run(capsys, "pinned", "--family", "T", "--order", "12", "--no-meta")
     assert code == 0
@@ -183,6 +192,10 @@ def test_budget_exhaustion_exit_3(capsys):
     code, _, err = run(capsys, "classify", "--family", "V", "--order", "10",
                        "--budget", "5")
     assert code == 3
+    code, out, err = run(capsys, "pinned", "--family", "T", "--order", "12",
+                         "--budget", "10")
+    assert (code, out) == (3, "")
+    assert "node budget exceeded" in err
 
 
 def test_bounds_budget_falls_back_to_sets_only(capsys):

@@ -26,6 +26,7 @@ from latintrav import (
     is_pinned,
     iter_solutions,
 )
+from latintrav import engine
 from latintrav.delta import OddOrder, delta_sum
 from latintrav.engine import (
     COVERED,
@@ -37,6 +38,7 @@ from latintrav.engine import (
     _Prepared,
     _run_kernel,
     count_and_cover,
+    pinned_verdicts,
 )
 from latintrav.families import (
     build_exceptional,
@@ -239,7 +241,7 @@ KERNEL_CASES = (
      for n in range(1, 9) for prune in (True, False)]
     + [("EX6", build_exceptional(6), True, 0), ("EX8", build_exceptional(8), True, 0),
        ("V10", build_V(10), True, 0), ("T12", build_T(12), True, 0),
-       ("L9", build_L(3), True, 3)]
+       ("L9", build_L(3), True, 3), ("CAYLEY9-blocks", cayley_table(9), True, 3)]
 )
 
 
@@ -272,6 +274,19 @@ def test_kernel_logic_matches_twin(sq, prune, block_m):
         assert tuple(first_cols) == twin.first
     if block_m:
         assert min_block == twin.min_block_hits
+
+
+def test_min_block_hits_is_a_minimum(oracle):
+    """Cayley 9 with 3 x 3 blocks: some transversal misses a block, and the
+    largest per-transversal minimum is 1, so a maximum would read 1, not 0."""
+    sq = cayley_table(9)
+    minima = [np.bincount(np.arange(9) // 3 * 3 + np.array(p) // 3, minlength=9).min()
+              for p in oracle(sq.grid)]
+    assert (len(minima), min(minima), max(minima)) == (2025, 0, 1)
+    with pure_twin():
+        twin = count_and_cover(sq, block_m=3)
+    for summary in (count_and_cover(sq, block_m=3), twin):
+        assert (summary.count, summary.min_block_hits) == (2025, 0)
 
 
 @needs_compiler
@@ -342,6 +357,37 @@ def test_classify_jobs_do_not_change_report():
     assert one.witnesses == two.witnesses
 
 
+def _twin_nodes(sq, budget, **constraints):
+    """Nodes of one first-hit search on the pure twin, up to running out."""
+    counter = _NodeCounter()
+    prep = _Prepared(sq, SearchConstraints.make(**constraints))
+    try:
+        next(_iter_cols(prep, True, budget, counter), None)
+    except BudgetExceeded as exc:
+        return exc.nodes
+    return counter.nodes
+
+
+@pytest.mark.parametrize("sq, budget", [(build_V(10), None), (build_T(12), None),
+                                        (build_exceptional(8), None),
+                                        (build_exceptional(8), 100)],
+                         ids=["V10", "T12", "EX8", "EX8-100"])
+def test_per_cell_classify_counts_nodes(sq, budget):
+    report = classify(sq, strategy="per-cell", node_budget=budget)
+    assert report.partial == (budget is not None)
+    # phase 1 searches every cell, phase 2 the witnessed cells in every witness
+    cells = [(r, c) for r in range(sq.order) for c in range(sq.order)]
+    common = set.intersection(*(set(enumerate(w)) for w in report.witnesses.values()))
+    phase1 = sum(_twin_nodes(sq, budget, required=(sq.entry(r, c),)) for r, c in cells)
+    phase2 = sum(_twin_nodes(sq, budget, forbidden_cells=(cell,))
+                 for cell in report.witnesses if cell in common)
+    assert phase1 > 0
+    assert report.nodes == phase1 + phase2
+    with pure_twin():
+        assert classify(sq, strategy="per-cell", node_budget=budget).nodes == report.nodes
+    assert classify(sq, strategy="per-cell", node_budget=budget, jobs=2).nodes == report.nodes
+
+
 @pytest.mark.parametrize("sq, budget", [(build_T(12), 200), (build_T(12), 400),
                                         (build_exceptional(8), 100)],
                          ids=["T12-200", "T12-400", "EX8-100"])
@@ -410,6 +456,22 @@ def test_is_pinned():
     assert not is_pinned(cayley_table(6), (0, 0, 0))  # no transversal at all
     with pytest.raises(DomainError):
         is_pinned(sq, (0, 0, 5))
+
+
+def test_pinned_verdicts_share_one_search(monkeypatch):
+    sq = build_T(12)
+    entries = [(1, 0, 3), (0, 0, 0), (2, 1, 4)]
+    calls = []
+    real_find = engine.find
+    monkeypatch.setattr(engine, "find", lambda *a, **kw: calls.append(kw) or real_find(*a, **kw))
+    assert pinned_verdicts(sq, entries) == (True, False, True)
+    assert [kw.get("forbidden_cells") for kw in calls] \
+        == [None, ((1, 0),), ((0, 0),), ((2, 1),)]
+    assert pinned_verdicts(sq, []) == ()
+    assert pinned_verdicts(cayley_table(6), [(0, 0, 0), (1, 1, 2)]) == (False, False)
+    assert len(calls) == 5  # no search without entries; one for the transversal-free square
+    with pytest.raises(DomainError):
+        pinned_verdicts(sq, [(1, 0, 3), (0, 0, 5)])
 
 
 def test_find_disjoint_pair():

@@ -206,3 +206,20 @@ def test_build_family_dispatch():
         build_family("T", None)
     with pytest.raises(DomainError):
         build_family("EX6", n=8)
+
+
+@pytest.mark.parametrize("family,n,message", [
+    ("T", 13, "family T needs order n ≡ 0 (mod 6), n >= 12; got 13"),
+    ("U", 8, "family U needs order n ≡ 2 (mod 6), n >= 14; got 8"),
+    ("V", 11, "family V needs order n ≡ 4 (mod 6), n >= 10; got 11"),
+    ("L", 10, "family L covers orders 3m for odd m >= 3, got 10"),
+    ("L", 12, "family L covers orders 3m for odd m >= 3, got 12"),
+    ("L", 6, "family L covers orders 3m for odd m >= 3, got 6"),
+    ("EX6", 8, "family EX6 has order 6, got 8"),
+    ("EX8", 6, "family EX8 has order 8, got 6"),
+    ("CAYLEY", 5, "unknown family 'CAYLEY'"),
+])
+def test_witness_rejects_orders_a_family_does_not_cover(family, n, message):
+    with pytest.raises(DomainError) as info:
+        witness_transversal(family, n)
+    assert str(info.value) == message
