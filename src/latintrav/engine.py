@@ -271,7 +271,7 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
     outcome, never a "no".
     """
     cons = _constraints_arg(constraints, kwargs)
-    cols, _ = _first_hit(_Prepared(square, cons), prune, cons.node_budget)
+    cols = _first_hit(_Prepared(square, cons), prune, cons.node_budget)
     if cols is None:
         return None
     if cons.mode is SearchMode.TRANSVERSAL:
@@ -279,22 +279,17 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
     return Diagonal(cols)
 
 
-def _first_hit(prep: _Prepared, prune: bool,
-               budget: int | None) -> tuple[tuple[int, ...] | None, int]:
-    """Columns of a prepared search's first solution (or None) and the nodes it took.
-
-    Raises BudgetExceeded if the budget runs out.
-    """
+def _first_hit(prep: _Prepared, prune: bool, budget: int | None) -> tuple[int, ...] | None:
+    """Columns of a prepared search's first solution, or None; BudgetExceeded if it runs out."""
     if not prep.feasible:
-        return None, 0
+        return None
     if _use_kernel(prep.n):
         status, _, nodes, _, first_cols, _, _, _ = _run_kernel(
             prep, prune=prune, budget=budget, enumerate_all=False)
         if status == -1:
             raise BudgetExceeded(nodes)
-        return (tuple(int(c) for c in first_cols) if status == 1 else None), nodes
-    counter = _NodeCounter()
-    return next(_iter_cols(prep, prune, budget, counter), None), counter.nodes
+        return tuple(int(c) for c in first_cols) if status == 1 else None
+    return next(_iter_cols(prep, prune, budget, _NodeCounter()), None)
 
 
 def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = None, *,
@@ -463,12 +458,12 @@ def _report_from_summary(square: LatinSquare, summary: EnumerationSummary) -> Cl
     )
 
 
-def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int, bool]]:
+def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int | None]]:
     """First transversal through, or with ``avoid`` avoiding, each of ``cells``.
 
     The square's candidates are built once for the whole batch.  Each result
-    is (r, c, cols or None, nodes, ran_out): the search took ``nodes`` nodes,
-    and with ``ran_out`` it exhausted its node budget and ``cols`` is None.
+    is (r, c, cols or None, None), or (r, c, None, nodes) when the search ran
+    out of its node budget after ``nodes`` nodes.
     """
     square, cells, avoid, budget = args
     base = _base_candidates(square)
@@ -479,11 +474,11 @@ def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int, boo
         else:
             cons = SearchConstraints(required=frozenset({square.entry(r, c)}), node_budget=budget)
         try:
-            cols, nodes = _first_hit(_Prepared(square, cons, base), True, budget)
+            cols = _first_hit(_Prepared(square, cons, base), True, budget)
         except BudgetExceeded as exc:
-            out.append((r, c, None, exc.nodes, True))
+            out.append((r, c, None, exc.nodes))
         else:
-            out.append((r, c, cols, nodes, False))
+            out.append((r, c, cols, None))
     return out
 
 
@@ -525,8 +520,6 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
     UNKNOWN and the report partial, never FREE or PINNED.  A cell whose
     phase-1 search finished is COVERED as soon as some witness avoids it, so
     a budgeted run resolves cells whose avoiding search would have run out.
-    The report's ``nodes`` sums the nodes of every search of both phases,
-    including searches that ran out.
     """
     n = square.order
     if strategy not in ("auto", "enumerate", "per-cell"):
@@ -550,23 +543,23 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
     total_nodes = 0
     cells = [(r, c) for r in range(n) for c in range(n)]
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for r, c, cols, nodes, ran_out in _map_cells(pool, jobs, square, cells, False,
-                                                     node_budget):
-            total_nodes += nodes
-            if cols is not None:
-                witnesses[(r, c)] = cols
-            elif not ran_out:
+        for r, c, cols, spent in _map_cells(pool, jobs, square, cells, False, node_budget):
+            if spent is not None:
+                total_nodes += spent
+            elif cols is None:
                 status[r][c] = FREE
+            else:
+                witnesses[(r, c)] = cols
         common = set.intersection(*(set(enumerate(w)) for w in witnesses.values())) \
             if witnesses else set()
         for r, c in witnesses:
             if (r, c) not in common:
                 status[r][c] = COVERED
         shared = sorted(cell for cell in witnesses if cell in common)
-        for r, c, cols, nodes, ran_out in _map_cells(pool, jobs, square, shared, True,
-                                                     node_budget):
-            total_nodes += nodes
-            if not ran_out:
+        for r, c, cols, spent in _map_cells(pool, jobs, square, shared, True, node_budget):
+            if spent is not None:
+                total_nodes += spent
+            else:
                 status[r][c] = PINNED if cols is None else COVERED
     partial = any(UNKNOWN in row for row in status)
     tau = sum(row.count(FREE) for row in status)

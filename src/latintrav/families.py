@@ -20,8 +20,6 @@ integers, while mod-2 / mod-3 guards read the plain representatives 0..n-1.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .core import (
@@ -266,14 +264,14 @@ def build_family(family: str, n: int | None = None, m: int | None = None) -> Lat
         return build_V(_need(n, "order"))
     if family == "L":
         if m is None and n is not None:
-            if n % 3:
-                raise DomainError(f"family L needs order divisible by 3, got {n}")
+            if n % 3 or (n // 3) % 2 == 0 or n < 9:
+                raise DomainError(f"family L covers orders 3m for odd m >= 3, got {n}")
             m = n // 3
         return build_L(_need(m, "m"))
     if family in ("EX6", "EX8"):
         fixed = 6 if family == "EX6" else 8
         if n is not None and n != fixed:
-            raise DomainError(f"family {family} has fixed order {fixed}, got {n}")
+            raise DomainError(f"family {family} has order {fixed}, got {n}")
         return build_exceptional(fixed)
     raise DomainError(f"unknown family {family!r} (use one of {FAMILIES})")
 
@@ -285,7 +283,7 @@ def _need(value, name):
 
 
 def _cols_T(n: int) -> list[int]:
-    k = family_k("T", n)
+    k = n // 6
     cols = []
     for a in range(n):
         if a == 0:
@@ -307,7 +305,7 @@ def _cols_T(n: int) -> list[int]:
 
 
 def _cols_U(n: int) -> list[int]:
-    k = family_k("U", n)
+    k = (n - 2) // 6
     fixed = {0: 1, 3: 4, 4: 5, 1: 3, 2: 8,
              3 * k + 6: 2, 3 * k + 1: 6, 3 * k + 3: 7, 6 * k - 1: 9, 3 * k: 11}
     cols = []
@@ -331,7 +329,7 @@ def _cols_U(n: int) -> list[int]:
 
 
 def _cols_V(n: int) -> list[int]:
-    k = family_k("V", n)
+    k = (n - 4) // 6
     fixed = {0: 2, 1: 0, 2: 6, 3: 1, 3 * k + 5: 4}
     cols = []
     for a in range(n):
@@ -399,26 +397,14 @@ def _cols_L(m: int) -> list[int]:
     return cols
 
 
-def _cols_L_order(n: int) -> list[int]:
-    if n % 3 or (n // 3) % 2 == 0 or n < 9:
-        raise DomainError(f"family L covers orders 3m for odd m >= 3, got {n}")
-    return _cols_L(n // 3)
-
-
-def _cols_fixed(family: str, cols: tuple[int, ...], n: int) -> tuple[int, ...]:
-    if n != len(cols):
-        raise DomainError(f"family {family} has order {len(cols)}, got {n}")
-    return cols
-
-
-# Each function checks that the family covers order n, then gives the columns.
+# Columns of each family's explicit transversal; build_family checks the order.
 _WITNESS_COLS = {
     "T": _cols_T,
     "U": _cols_U,
     "V": _cols_V,
-    "L": _cols_L_order,
-    "EX6": functools.partial(_cols_fixed, "EX6", _EX6_TRANSVERSAL),
-    "EX8": functools.partial(_cols_fixed, "EX8", _EX8_TRANSVERSAL),
+    "L": lambda n: _cols_L(n // 3),
+    "EX6": lambda n: _EX6_TRANSVERSAL,
+    "EX8": lambda n: _EX8_TRANSVERSAL,
 }
 
 
@@ -426,8 +412,7 @@ def witness_transversal(family: str, n: int) -> Transversal:
     """The family's explicit transversal, verified against the built square."""
     if family not in _WITNESS_COLS:
         raise DomainError(f"unknown family {family!r}")
-    cols = _WITNESS_COLS[family](n)
-    return as_transversal(build_family(family, n), cols)
+    return as_transversal(build_family(family, n), _WITNESS_COLS[family](n))
 
 
 def claimed_pinned_entries(family: str, n: int) -> tuple[Entry, ...]:

@@ -136,14 +136,27 @@ def test_union_beats_formula_cap_sweep():
 LARGE_UNIONS = {("T", 300): 47076, ("U", 296): 45637, ("V", 298): 46155}
 
 
-def _union_by_cell(family, n):
-    """The union cell by cell: a forced cell's column or symbol, or a designated
-    row whose delta differs from the row's required delta; minus the forced cells."""
-    pinned = claimed_pinned_entries(family, n)
-    cols = {e.col for e in pinned}
-    syms = {e.sym for e in pinned}
-    forced = {(e.row, e.col) for e in pinned}
-    required = {r: d for rows in _off_max_rows(family, n // 6) for r, d in rows}
+# Forced cells F as (row, col, sym) and the designated rows of P, Q and R as
+# row -> required delta, written out from the paper's definitions.
+PINNED_SETS = {
+    ("T", 18): ([(1, 0, 3), (2, 1, 4), (5, 12, 0)], {1: 2, 4: 2, 2: 1, 5: 1, 6: 0}),
+    ("U", 20): ([(1, 3, 5), (3, 4, 8), (6, 14, 1)], {5: 2, 1: 1, 3: 1, 6: 1, 7: 0}),
+    ("V", 16): ([(1, 0, 3), (5, 10, 0)], {1: 2, 4: 2, 5: 1, 6: 0}),
+}
+
+
+def _module_sets(family, n):
+    pinned = [(e.row, e.col, e.sym) for e in claimed_pinned_entries(family, n)]
+    return pinned, {r: d for rows in _off_max_rows(family, n // 6) for r, d in rows}
+
+
+def _union_by_cell(family, n, pinned, required):
+    """The union cell by cell from the given F and designated rows: a forced
+    cell's column or symbol, or a designated row whose delta differs from the
+    row's required delta; minus the forced cells."""
+    cols = {c for _, c, _ in pinned}
+    syms = {s for _, _, s in pinned}
+    forced = {(r, c) for r, c, _ in pinned}
     grid = build_family(family, n).grid
     return {(r, c) for r in range(n) for c in range(n)
             if (c in cols or grid[r][c] in syms
@@ -151,9 +164,20 @@ def _union_by_cell(family, n):
             and (r, c) not in forced}
 
 
+@pytest.mark.parametrize("family,n", list(PINNED_SETS))
+def test_union_matches_pinned_sets(family, n):
+    pinned, required = PINNED_SETS[(family, n)]
+    assert _module_sets(family, n) == (pinned, required)
+    expected = _union_by_cell(family, n, pinned, required)
+    assert {(e.row, e.col) for e in bound_sets(family, n).union} == expected
+    assert check_sets_only(family, n).union_size == len(expected)
+
+
 @pytest.mark.parametrize("family,n", ALL_ORDERS + list(LARGE_UNIONS))
 def test_union_matches_cell_predicate(family, n):
-    expected = _union_by_cell(family, n)
+    """The mask arithmetic against the cell predicate; F and the designated
+    rows come from the module here and are pinned in test_union_matches_pinned_sets."""
+    expected = _union_by_cell(family, n, *_module_sets(family, n))
     sets = bound_sets(family, n)
     assert {(e.row, e.col) for e in sets.union} == expected
     assert check_sets_only(family, n).union_size == len(expected)

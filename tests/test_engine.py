@@ -357,37 +357,6 @@ def test_classify_jobs_do_not_change_report():
     assert one.witnesses == two.witnesses
 
 
-def _twin_nodes(sq, budget, **constraints):
-    """Nodes of one first-hit search on the pure twin, up to running out."""
-    counter = _NodeCounter()
-    prep = _Prepared(sq, SearchConstraints.make(**constraints))
-    try:
-        next(_iter_cols(prep, True, budget, counter), None)
-    except BudgetExceeded as exc:
-        return exc.nodes
-    return counter.nodes
-
-
-@pytest.mark.parametrize("sq, budget", [(build_V(10), None), (build_T(12), None),
-                                        (build_exceptional(8), None),
-                                        (build_exceptional(8), 100)],
-                         ids=["V10", "T12", "EX8", "EX8-100"])
-def test_per_cell_classify_counts_nodes(sq, budget):
-    report = classify(sq, strategy="per-cell", node_budget=budget)
-    assert report.partial == (budget is not None)
-    # phase 1 searches every cell, phase 2 the witnessed cells in every witness
-    cells = [(r, c) for r in range(sq.order) for c in range(sq.order)]
-    common = set.intersection(*(set(enumerate(w)) for w in report.witnesses.values()))
-    phase1 = sum(_twin_nodes(sq, budget, required=(sq.entry(r, c),)) for r, c in cells)
-    phase2 = sum(_twin_nodes(sq, budget, forbidden_cells=(cell,))
-                 for cell in report.witnesses if cell in common)
-    assert phase1 > 0
-    assert report.nodes == phase1 + phase2
-    with pure_twin():
-        assert classify(sq, strategy="per-cell", node_budget=budget).nodes == report.nodes
-    assert classify(sq, strategy="per-cell", node_budget=budget, jobs=2).nodes == report.nodes
-
-
 @pytest.mark.parametrize("sq, budget", [(build_T(12), 200), (build_T(12), 400),
                                         (build_exceptional(8), 100)],
                          ids=["T12-200", "T12-400", "EX8-100"])
