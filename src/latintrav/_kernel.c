@@ -1,12 +1,19 @@
 /* Row-order depth-first search over transversals (or diagonals) with
- * delta-interval pruning: the compiled twin of engine._iter_cols plus the
- * aggregation of engine.count_and_cover.
+ * delta-interval pruning.  Two entry points share the one search:
+ *
+ *   dfs           the compiled twin of engine._iter_cols plus the aggregation
+ *                 of engine.count_and_cover: one search over prepared
+ *                 candidates;
+ *   search_cells  the compiled twin of engine._search_cells's per-cell loop:
+ *                 _Prepared's filter for one required entry or one forbidden
+ *                 cell, then a first-hit dfs, for each cell of a batch.
  *
  * It must stay behaviourally identical to the pure twin: rows ascending,
  * candidates in their given order within a row, the same prune, and one node
  * per candidate index visited.  _kernel.py builds and loads this file; the
- * caller checks 1 <= n <= MAX_ORDER and the buffer shapes.
+ * caller checks 1 <= n <= MAX_ORDER, the cell indices and the buffer shapes.
  */
+#include <stddef.h>
 #include <stdint.h>
 
 #define MAX_ORDER 62 /* used columns and symbols are bits of one int64 */
@@ -135,4 +142,77 @@ done:
     totals[1] = nodes;
     totals[2] = min_block;
     return status;
+}
+
+/* One first-hit transversal search through (avoid == 0) or avoiding
+ * (avoid == 1) each of k cells, with delta-interval pruning.
+ *
+ * base        (n, n, 3): col, sym, delta of every cell, row after row
+ * cells       (k, 2): row and column of each cell
+ * cand, row_start, lo_suf, hi_suf: scratch of n * n * 3, n + 1, n + 1 and
+ *             n + 1 values, laid out for dfs; rewritten for every cell
+ * status      (k): dfs's status for each cell, or 0 when the filter leaves a
+ *             row without candidates (no search runs then)
+ * nodes       (k): nodes each search visited
+ * cols        (k, n): columns of each cell's first solution, written only
+ *             where status is 1
+ *
+ * The filter is _Prepared's.  The required entry (fr, fc, fs) keeps only
+ * (fr, fc) in row fr and drops column fc and symbol fs from every other row;
+ * the forbidden cell (fr, fc) drops that cell alone.
+ */
+void search_cells(const int64_t *base, int64_t n, const int64_t *cells, int64_t k,
+                  int64_t avoid, int64_t budget, int64_t *cand, int64_t *row_start,
+                  int64_t *lo_suf, int64_t *hi_suf, int64_t *status, int64_t *nodes,
+                  int64_t *cols)
+{
+    int64_t target = n % 2 ? 0 : n / 2;
+    for (int64_t j = 0; j < k; j++) {
+        int64_t fr = cells[2 * j], fc = cells[2 * j + 1];
+        int64_t fs = base[3 * (fr * n + fc) + 1];
+        int64_t len = 0, totals[3];
+        int feasible = 1;
+        row_start[0] = 0;
+        for (int64_t r = 0; r < n && feasible; r++) {
+            int64_t lo = BIG, hi = -BIG;
+            for (int64_t c = 0; c < n; c++) {
+                const int64_t *e = base + 3 * (r * n + c);
+                int keep;
+                if (avoid)
+                    keep = r != fr || c != fc;
+                else if (r == fr)
+                    keep = c == fc;
+                else
+                    keep = c != fc && e[1] != fs;
+                if (!keep)
+                    continue;
+                cand[3 * len] = e[0];
+                cand[3 * len + 1] = e[1];
+                cand[3 * len + 2] = e[2];
+                len++;
+                if (e[2] < lo)
+                    lo = e[2];
+                if (e[2] > hi)
+                    hi = e[2];
+            }
+            row_start[r + 1] = len;
+            feasible = len > row_start[r];
+            lo_suf[r] = lo;
+            hi_suf[r] = hi;
+        }
+        if (!feasible) {
+            status[j] = 0;
+            nodes[j] = 0;
+            continue;
+        }
+        lo_suf[n] = 0;
+        hi_suf[n] = 0;
+        for (int64_t r = n - 1; r >= 0; r--) {
+            lo_suf[r] += lo_suf[r + 1];
+            hi_suf[r] += hi_suf[r + 1];
+        }
+        status[j] = dfs(cand, row_start, lo_suf, hi_suf, n, target, 1, 0, 1, budget, 0, 0, 0,
+                        cols + j * n, NULL, NULL, NULL, totals);
+        nodes[j] = totals[1];
+    }
 }

@@ -1,9 +1,15 @@
 """Compiled depth-first search kernel, built from ``_kernel.c`` on first use.
 
+The library has two entry points over one search: ``dfs``, wrapped by `run`,
+runs one search over prepared candidates; ``search_cells``, wrapped by
+`run_cells`, runs per-cell classification's first-hit searches for a whole
+batch of cells, filtering the square's candidates for each cell itself.
+
 The C kernel and the pure-python generator ``engine._iter_cols`` must stay
 behaviourally identical: same candidate order (rows ascending, columns
 ascending within a row), same pruning rule, same node accounting (one node per
-candidate index visited).  Equivalence is tested in the suite, with the pure
+candidate index visited).  ``search_cells`` must also filter exactly as
+``engine._Prepared`` does.  Equivalence is tested in the suite, with the pure
 twin as the oracle.
 
 When the kernel loads, the engine runs here every first-hit search and full
@@ -76,7 +82,7 @@ def _build(source: bytes, path: Path) -> None:
 
 @functools.cache
 def load():
-    """The compiled ``dfs`` as a ctypes function, built on first call; None if it cannot be."""
+    """The compiled library, ``dfs`` and ``search_cells`` typed, built on first call; else None."""
     try:
         source = _SOURCE.read_bytes()
         path = library_path(source)
@@ -89,10 +95,11 @@ def load():
         log.warning("C search kernel unavailable, searches run on the pure-Python twin: %s %s",
                     exc, detail)
         return None
-    dfs = lib.dfs
-    dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR] * 5
-    dfs.restype = _I64
-    return dfs
+    lib.dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR] * 5
+    lib.dfs.restype = _I64
+    lib.search_cells.argtypes = [_PTR, _I64, _PTR, _I64, _I64, _I64] + [_PTR] * 7
+    lib.search_cells.restype = None
+    return lib
 
 
 def run(cand: np.ndarray, row_start: np.ndarray, lo_suf: np.ndarray,
@@ -125,9 +132,40 @@ def run(cand: np.ndarray, row_start: np.ndarray, lo_suf: np.ndarray,
     else:
         cover = witness = witness_have = None
         cover_ptrs = (None, None, None)
-    status = load()(cand.ctypes.data, row_start.ctypes.data, lo_suf.ctypes.data,
-                    hi_suf.ctypes.data, n, target, use_syms, sd_final, prune,
-                    -1 if budget is None else budget, enumerate_all, block_m, want_cover,
-                    first_cols.ctypes.data, *cover_ptrs, totals.ctypes.data)
+    status = load().dfs(cand.ctypes.data, row_start.ctypes.data, lo_suf.ctypes.data,
+                        hi_suf.ctypes.data, n, target, use_syms, sd_final, prune,
+                        -1 if budget is None else budget, enumerate_all, block_m, want_cover,
+                        first_cols.ctypes.data, *cover_ptrs, totals.ctypes.data)
     count, nodes, min_block = totals[:3].tolist()
     return status, count, nodes, min_block, first_cols, cover, witness, witness_have
+
+
+def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | None):
+    """First-hit transversal searches through, or with ``avoid`` avoiding, each cell.
+
+    ``base`` is the square's (n, n, 3) int64 array of (col, sym, delta) and
+    ``cells`` a (k, 2) int64 array of (row, col).  Every search prunes and
+    stops at ``budget`` nodes, as `run` does.  Returns (status, nodes, cols):
+    for each cell the status of `run`, the nodes visited, and in ``cols[i]``
+    the columns of the first solution, valid only where the status is 1.
+    The caller has checked that `load` returns the kernel.
+    """
+    n = base.shape[0]
+    if not 1 <= n <= MAX_KERNEL_ORDER:
+        raise ValueError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n}")
+    for arr, shape in ((base, (n, n, 3)), (cells, (len(cells), 2))):
+        if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
+            raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
+    if ((cells < 0) | (cells >= n)).any():
+        raise ValueError(f"cells must lie in 0..{n - 1}")
+    k = len(cells)
+    status = np.empty(k, np.int64)
+    nodes = np.empty(k, np.int64)
+    cols = np.empty((k, n), np.int64)
+    cand = np.empty(3 * n * n, np.int64)
+    row_start, lo_suf, hi_suf = np.empty((3, n + 1), np.int64)
+    load().search_cells(base.ctypes.data, n, cells.ctypes.data, k, avoid,
+                        -1 if budget is None else budget, cand.ctypes.data,
+                        row_start.ctypes.data, lo_suf.ctypes.data, hi_suf.ctypes.data,
+                        status.ctypes.data, nodes.ctypes.data, cols.ctypes.data)
+    return status, nodes, cols

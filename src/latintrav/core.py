@@ -165,7 +165,7 @@ class LatinSquare:
             raise BadSymbol(f"value {int(arr[r, c])} at ({r},{c}) outside 0..{n - 1}")
         _validate_latin(arr)
         self.order = n
-        self.grid = tuple(tuple(int(v) for v in row) for row in arr.tolist())
+        self.grid = tuple(map(tuple, arr.tolist()))  # tolist() already gives Python ints
         self.family = family
         arr.setflags(write=False)
         self._array = arr

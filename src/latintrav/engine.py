@@ -461,12 +461,21 @@ def _report_from_summary(square: LatinSquare, summary: EnumerationSummary) -> Cl
 def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int | None]]:
     """First transversal through, or with ``avoid`` avoiding, each of ``cells``.
 
-    The square's candidates are built once for the whole batch.  Each result
-    is (r, c, cols or None, None), or (r, c, None, nodes) when the search ran
-    out of its node budget after ``nodes`` nodes.
+    The square's candidates are built once for the whole batch.  On the
+    compiled kernel the whole batch is one `_kernel.run_cells` call, which
+    filters the candidates for each cell in C; on the pure twin each cell gets
+    its own `_Prepared` and `_iter_cols` search.  Each result is (r, c, cols
+    or None, None), or (r, c, None, nodes) when the search ran out of its node
+    budget after ``nodes`` nodes.
     """
     square, cells, avoid, budget = args
     base = _base_candidates(square)
+    if _use_kernel(square.order):
+        status, nodes, cols = _kernel.run_cells(
+            base, np.array(cells, np.int64).reshape(-1, 2), avoid, budget)
+        return [(r, c, tuple(w) if st == 1 else None, spent if st == -1 else None)
+                for (r, c), st, spent, w in zip(cells, status.tolist(), nodes.tolist(),
+                                                cols.tolist())]
     out = []
     for r, c in cells:
         if avoid:
@@ -514,7 +523,9 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
     then avoids (a, x) too), so phase 2 is the refutation behind each PINNED
     verdict.  The intersection is taken after all phase-1 results are
     merged, and each phase's work can be spread over ``jobs`` worker
-    processes, so the report does not depend on the worker count.
+    processes, so the report does not depend on the worker count.  On the
+    compiled kernel each phase is one kernel call per square, or per worker
+    chunk, not one call per cell.
 
     ``node_budget`` caps each search; a search that runs out leaves its cell
     UNKNOWN and the report partial, never FREE or PINNED.  A cell whose

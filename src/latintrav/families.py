@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    KNOWN_FAMILIES,
     CaseOverlap,
     DomainError,
     Entry,
@@ -31,7 +32,8 @@ from .core import (
     as_transversal,
 )
 
-FAMILIES = ("T", "U", "V", "L", "EX6", "EX8", "CAYLEY")
+# The families build_family constructs: every known tag but a user's own square.
+FAMILIES = tuple(f for f in KNOWN_FAMILIES if f != "CUSTOM")
 
 # Order-6 square: 16 cells are in no transversal, yet transversals exist.
 _EX6_GRID = (

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from latintrav.cli import build_parser, main
-from latintrav.core import DomainError
+from latintrav.core import KNOWN_FAMILIES, DomainError
 from latintrav.families import FAMILIES, build_family, claimed_pinned_entries
 
 
@@ -219,6 +219,7 @@ def test_jobs_only_where_work_is_spread(capsys):
 
 
 def test_one_family_list():
+    assert FAMILIES == tuple(f for f in KNOWN_FAMILIES if f != "CUSTOM")
     assert "CAYLEY" in FAMILIES
     with pytest.raises(DomainError, match=re.escape(str(FAMILIES))):
         build_family("X", 6)

@@ -22,7 +22,7 @@ from latintrav import (
     serialize,
     to_json,
 )
-from latintrav.families import build_exceptional, build_T, build_V
+from latintrav.families import build_exceptional, build_L, build_T, build_U, build_V
 
 
 def test_order_one_square():
@@ -174,3 +174,17 @@ def test_entry_ordering_and_tuple():
     e = Entry(1, 0, 3)
     assert e.as_tuple() == (1, 0, 3)
     assert Entry(0, 5, 5) < e
+
+
+@pytest.mark.parametrize("build, arg", [(build_T, 300), (build_U, 296), (build_V, 298),
+                                        (build_L, 99)], ids=["T300", "U296", "V298", "L99"])
+def test_grid_is_tuples_of_exact_ints(build, arg):
+    sq = build(arg)
+    per_cell = tuple(tuple(int(v) for v in row) for row in sq.to_array().tolist())
+    assert sq.grid == per_cell
+    assert {type(row) for row in sq.grid} == {tuple}
+    assert {type(v) for row in sq.grid for v in row} == {int}
+    assert hash(sq) == hash(per_cell)
+    from_array = LatinSquare(sq.to_array())
+    assert from_array == sq and hash(from_array) == hash(sq)
+    assert sq != LatinSquare(sq.to_array()[::-1])

@@ -1,5 +1,6 @@
 import logging
 import os
+import shlex
 import subprocess
 import sys
 import sysconfig
@@ -33,10 +34,12 @@ from latintrav.engine import (
     FREE,
     PINNED,
     UNKNOWN,
+    _base_candidates,
     _iter_cols,
     _NodeCounter,
     _Prepared,
     _run_kernel,
+    _search_cells,
     count_and_cover,
     pinned_verdicts,
 )
@@ -297,6 +300,59 @@ def test_kernel_logic_budget_matches_twin():
     status, _, nodes, _, _, _, _, _ = _run_kernel(
         prep, prune=True, budget=3, enumerate_all=False)
     assert (status, nodes) == (-1, exc.value.nodes)
+
+
+# (label, square, budget) for the batched per-cell check below.
+BATCH_CASES = [
+    ("V10", build_V(10), None), ("T12", build_T(12), None), ("U14", build_U(14), None),
+    ("EX6", build_exceptional(6), None), ("EX8", build_exceptional(8), None),
+    ("L9", build_L(3), None),  # odd order: target residue 0
+    ("CAYLEY7", cayley_table(7), None),
+    ("CAYLEY8", cayley_table(8), None),  # pruned at the root: every cell FREE
+    ("EX8-100", build_exceptional(8), 100), ("T12-200", build_T(12), 200),
+]
+
+
+@needs_compiler
+@pytest.mark.parametrize("avoid", [False, True], ids=["through", "avoiding"])
+@pytest.mark.parametrize("sq, budget", [pytest.param(sq, budget, id=label)
+                                        for label, sq, budget in BATCH_CASES])
+def test_batched_cells_match_twin(sq, budget, avoid):
+    """Every cell of the square as one kernel batch against the per-cell twin loop."""
+    n = sq.order
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    with pure_twin():
+        twin = _search_cells((sq, cells, avoid, budget))
+    assert _search_cells((sq, cells, avoid, budget)) == twin
+    # node accounting per search, including the searches that finish
+    _, nodes, _ = _kernel.run_cells(_base_candidates(sq), np.array(cells, np.int64),
+                                    avoid, budget)
+    twin_nodes = []
+    for r, c in cells:
+        cons = SearchConstraints.make(forbidden_cells=((r, c),)) if avoid \
+            else SearchConstraints.make(required=(sq.entry(r, c),))
+        counter = _NodeCounter()
+        try:
+            next(_iter_cols(_Prepared(sq, cons), True, budget, counter), None)
+        except BudgetExceeded:
+            pass
+        twin_nodes.append(counter.nodes)
+    assert nodes.tolist() == twin_nodes
+
+
+@needs_compiler
+def test_one_library_has_both_entry_points():
+    lib = _kernel.load()
+    assert lib._name == str(_kernel.library_path(_kernel._SOURCE.read_bytes()))
+    assert lib.dfs.argtypes and lib.search_cells.argtypes
+
+
+@needs_compiler
+def test_kernel_compiles_without_warnings():
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    proc = subprocess.run([*cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                           str(_kernel._SOURCE)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_classify_exceptional_6():
