@@ -1,9 +1,9 @@
 /* Row-order depth-first search over transversals (or diagonals) with
  * delta-interval pruning.  Two entry points share the one search:
  *
- *   dfs           the compiled twin of engine._iter_cols plus the aggregation
- *                 of engine.count_and_cover: one search over prepared
- *                 candidates;
+ *   dfs           the compiled twin of engine._iter_cols plus the count, node
+ *                 and block tallies of engine.count_and_cover: one search
+ *                 over prepared candidates;
  *   search_cells  the compiled twin of engine._search_cells's per-cell loop:
  *                 _Prepared's filter for one required entry or one forbidden
  *                 cell, then a first-hit dfs, for each cell of a batch.
@@ -13,7 +13,6 @@
  * per candidate index visited.  _kernel.py builds and loads this file; the
  * caller checks 1 <= n <= MAX_ORDER, the cell indices and the buffer shapes.
  */
-#include <stddef.h>
 #include <stdint.h>
 
 #define MAX_ORDER 62 /* used columns and symbols are bits of one int64 */
@@ -27,24 +26,20 @@ static inline int64_t pymod(int64_t a, int64_t n)
 }
 
 /* Returns 1 when at least one solution was found, 0 when the space was
- * exhausted empty, -1 when the node budget ran out (the aggregates are valid
- * for the explored prefix) and -2 when n is out of range.
+ * exhausted empty, -1 when the node budget ran out (the totals are valid for
+ * the explored prefix) and -2 when n is out of range.
  *
  * cand        (row_start[n], 3): col, sym, delta of each candidate, row after row
  * row_start   (n + 1): row r's candidates are cand[row_start[r] .. row_start[r + 1])
  * lo_suf, hi_suf (n + 1): min and max delta sums of rows r..n-1
  * first_cols  (n): columns of the first solution
- * cover       (n, n), witness (n * n, n), witness_have (n * n): written only
- *             when want_cover, so they may be NULL otherwise
  * totals      (3): count, nodes, min_block
  */
 int64_t dfs(const int64_t *cand, const int64_t *row_start,
             const int64_t *lo_suf, const int64_t *hi_suf,
             int64_t n, int64_t target, int64_t use_syms, int64_t sd_final,
             int64_t prune, int64_t budget, int64_t enumerate_all,
-            int64_t block_m, int64_t want_cover,
-            int64_t *first_cols, int64_t *cover, int64_t *witness,
-            int64_t *witness_have, int64_t *totals)
+            int64_t block_m, int64_t *first_cols, int64_t *totals)
 {
     int64_t idx[MAX_ORDER + 1], ucols[MAX_ORDER + 1], usyms[MAX_ORDER + 1];
     int64_t dsum[MAX_ORDER + 1], sol[MAX_ORDER], x[9];
@@ -70,17 +65,6 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
                 if (!enumerate_all) {
                     status = 1;
                     goto done;
-                }
-                if (want_cover) {
-                    for (int64_t r = 0; r < n; r++) {
-                        int64_t cell = r * n + sol[r];
-                        cover[cell]++;
-                        if (!witness_have[cell]) {
-                            witness_have[cell] = 1;
-                            for (int64_t r2 = 0; r2 < n; r2++)
-                                witness[cell * n + r2] = sol[r2];
-                        }
-                    }
                 }
                 if (block_m > 0) {
                     for (int t = 0; t < 9; t++)
@@ -211,8 +195,8 @@ void search_cells(const int64_t *base, int64_t n, const int64_t *cells, int64_t 
             lo_suf[r] += lo_suf[r + 1];
             hi_suf[r] += hi_suf[r + 1];
         }
-        status[j] = dfs(cand, row_start, lo_suf, hi_suf, n, target, 1, 0, 1, budget, 0, 0, 0,
-                        cols + j * n, NULL, NULL, NULL, totals);
+        status[j] = dfs(cand, row_start, lo_suf, hi_suf, n, target, 1, 0, 1, budget, 0, 0,
+                        cols + j * n, totals);
         nodes[j] = totals[1];
     }
 }

@@ -1,9 +1,12 @@
 """Compiled depth-first search kernel, built from ``_kernel.c`` on first use.
 
 The library has two entry points over one search: ``dfs``, wrapped by `run`,
-runs one search over prepared candidates; ``search_cells``, wrapped by
+runs one search over prepared candidates and returns its first solution,
+solution count, node count and least block hits; ``search_cells``, wrapped by
 `run_cells`, runs per-cell classification's first-hit searches for a whole
 batch of cells, filtering the square's candidates for each cell itself.
+``dfs`` tallies nothing per cell: classification takes every status and
+witness from ``search_cells``.
 
 The C kernel and the pure-python generator ``engine._iter_cols`` must stay
 behaviourally identical: same candidate order (rows ascending, columns
@@ -95,7 +98,7 @@ def load():
         log.warning("C search kernel unavailable, searches run on the pure-Python twin: %s %s",
                     exc, detail)
         return None
-    lib.dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 9 + [_PTR] * 5
+    lib.dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 8 + [_PTR] * 2
     lib.dfs.restype = _I64
     lib.search_cells.argtypes = [_PTR, _I64, _PTR, _I64, _I64, _I64] + [_PTR] * 7
     lib.search_cells.restype = None
@@ -104,17 +107,15 @@ def load():
 
 def run(cand: np.ndarray, row_start: np.ndarray, lo_suf: np.ndarray,
         hi_suf: np.ndarray, n: int, target: int, use_syms: bool, sd_final: bool,
-        prune: bool, budget: int | None, enumerate_all: bool, block_m: int,
-        want_cover: bool):
+        prune: bool, budget: int | None, enumerate_all: bool, block_m: int):
     """One kernel search.
 
     ``cand`` is (k, 3) int64 of (col, sym, delta), row after row, and row r
     is ``cand[row_start[r]:row_start[r + 1]]``.  Returns (status, count,
-    nodes, min_block, first_cols, cover, witness, witness_have) with status
-    1 when at least one solution was found, 0 when the space was exhausted
-    empty, and -1 when the node budget ran out (partial aggregates are still
-    valid for the explored prefix).  Without ``want_cover`` the last three
-    are None.  The caller has checked that `load` returns the kernel.
+    nodes, min_block, first_cols) with status 1 when at least one solution
+    was found, 0 when the space was exhausted empty, and -1 when the node
+    budget ran out (count, nodes and min_block are still valid for the
+    explored prefix).  The caller has checked that `load` returns the kernel.
     """
     if not 1 <= n <= MAX_KERNEL_ORDER:
         raise ValueError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n}")
@@ -124,20 +125,12 @@ def run(cand: np.ndarray, row_start: np.ndarray, lo_suf: np.ndarray,
             raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
     totals = np.zeros(3 + n, np.int64)  # count, nodes, min_block, then first_cols
     first_cols = totals[3:]
-    if want_cover:
-        cover = np.zeros((n, n), np.int64)
-        witness = np.zeros((n * n, n), np.int64)
-        witness_have = np.zeros(n * n, np.int64)
-        cover_ptrs = (cover.ctypes.data, witness.ctypes.data, witness_have.ctypes.data)
-    else:
-        cover = witness = witness_have = None
-        cover_ptrs = (None, None, None)
     status = load().dfs(cand.ctypes.data, row_start.ctypes.data, lo_suf.ctypes.data,
                         hi_suf.ctypes.data, n, target, use_syms, sd_final, prune,
-                        -1 if budget is None else budget, enumerate_all, block_m, want_cover,
-                        first_cols.ctypes.data, *cover_ptrs, totals.ctypes.data)
+                        -1 if budget is None else budget, enumerate_all, block_m,
+                        first_cols.ctypes.data, totals.ctypes.data)
     count, nodes, min_block = totals[:3].tolist()
-    return status, count, nodes, min_block, first_cols, cover, witness, witness_have
+    return status, count, nodes, min_block, first_cols
 
 
 def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | None):

@@ -170,8 +170,7 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
     count: int | None = None
     min_hits: int | None = None
     try:
-        summary = engine.count_and_cover(square, block_m=m, want_cover=False,
-                                         node_budget=node_budget)
+        summary = engine.count_and_cover(square, block_m=m, node_budget=node_budget)
         count = summary.count
         min_hits = summary.min_block_hits
     except engine.BudgetExceeded as exc:

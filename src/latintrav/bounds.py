@@ -31,14 +31,12 @@ class PartialReport(LatinSquareError):
 
 def lower_bound_formula(family: str, n: int) -> Fraction:
     """The family's closed-form lower bound on tau; may be half-integral."""
-    family_k(family, n)
+    family_k(family, n)  # DomainError unless T, U or V at a valid order
     if family == "T":
         return Fraction(19 * n * n - 51 * n + 36, 36)
     if family == "V":
         return Fraction(19 * n * n - 86 * n - 68, 36)
-    if family == "U":
-        return Fraction(19 * n * n - 73 * n - 182, 36)
-    raise DomainError(f"no closed-form bound for family {family!r}")
+    return Fraction(19 * n * n - 73 * n - 182, 36)
 
 
 def lower_bound(family: str, n: int) -> int:

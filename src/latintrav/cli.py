@@ -11,6 +11,7 @@ byte-identical reruns can be compared.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -162,7 +163,8 @@ def cmd_bounds(args) -> int:
         check = bounds.check_sets_only(args.family, args.order)
     else:
         square = build_family(args.family, n=args.order)
-        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
+        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs,
+                                 strategy="per-cell")
         if report.partial:
             check = bounds.check_sets_only(args.family, args.order)
             code = 3
@@ -193,7 +195,8 @@ def cmd_table1(args) -> int:
     for n in range(10, args.max_order + 2, 2):
         family = family_of_order(n)
         square = build_family(family, n)
-        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
+        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs,
+                                 strategy="per-cell")
         if report.partial:
             code = 3
             break
@@ -216,7 +219,9 @@ def cmd_table1(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="latintrav",
         description="Latin square transversal analysis: constructions, "

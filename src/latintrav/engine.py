@@ -237,19 +237,22 @@ def _use_kernel(n: int) -> bool:
 
 
 def _run_kernel(prep: _Prepared, *, prune: bool, budget: int | None,
-                enumerate_all: bool, block_m: int = 0, want_cover: bool = False):
+                enumerate_all: bool, block_m: int = 0):
     return _kernel.run(prep.cand, prep.row_start, prep.lo_suf, prep.hi_suf, prep.n,
                        prep.target, prep.use_syms, prep.sd_final, prune, budget,
-                       enumerate_all, block_m, want_cover)
+                       enumerate_all, block_m)
 
 
 @dataclass(frozen=True)
 class EnumerationSummary:
-    """Aggregates of a full enumeration: count, per-cell cover, witnesses."""
+    """What a full enumeration gives that per-cell statuses cannot.
+
+    The solution count, the least number of solution cells in one of the 3 x 3
+    blocks (None without ``block_m`` or without solutions), the nodes visited
+    and the first solution's columns.
+    """
 
     count: int
-    cover: np.ndarray | None
-    witness_cols: dict[tuple[int, int], tuple[int, ...]]
     min_block_hits: int | None
     nodes: int
     first: tuple[int, ...] | None
@@ -284,7 +287,7 @@ def _first_hit(prep: _Prepared, prune: bool, budget: int | None) -> tuple[int, .
     if not prep.feasible:
         return None
     if _use_kernel(prep.n):
-        status, _, nodes, _, first_cols, _, _, _ = _run_kernel(
+        status, _, nodes, _, first_cols = _run_kernel(
             prep, prune=prune, budget=budget, enumerate_all=False)
         if status == -1:
             raise BudgetExceeded(nodes)
@@ -313,8 +316,7 @@ def enumerate_solutions(square: LatinSquare, constraints: SearchConstraints | No
     """
     cons = _constraints_arg(constraints, kwargs)
     if visitor is None:
-        summary = count_and_cover(square, cons, prune=prune, want_cover=False)
-        return summary.count
+        return count_and_cover(square, cons, prune=prune).count
     count = 0
     for sol in iter_solutions(square, cons, prune=prune):
         visitor(sol)
@@ -323,12 +325,14 @@ def enumerate_solutions(square: LatinSquare, constraints: SearchConstraints | No
 
 
 def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None = None, *,
-                    prune: bool = True, block_m: int = 0, want_cover: bool = True,
-                    **kwargs) -> EnumerationSummary:
-    """Full enumeration reduced to aggregates: count, cover counts, witnesses.
+                    prune: bool = True, block_m: int = 0, **kwargs) -> EnumerationSummary:
+    """Full enumeration reduced to its count, node total, first solution and block minimum.
 
-    The per-cell cover matrix counts how many solutions use each cell; the
-    witness map keeps the first solution through each covered cell.
+    With ``block_m`` the square splits into 3 x 3 blocks of ``block_m`` rows
+    and columns, and ``min_block_hits`` is the least number of cells any
+    solution has in one block.  Per-cell statuses and witnesses are not
+    tallied here; `classify` takes them from the per-cell phases.  The name,
+    which no longer describes a cover tally, is kept for perfbench's callers.
     """
     cons = _constraints_arg(constraints, kwargs)
     prep = _Prepared(square, cons)
@@ -336,29 +340,18 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
     if block_m < 0 or 0 < 3 * block_m < n:
         raise DomainError(f"block_m {block_m} does not split order {n} into 3 x 3 blocks")
     if not prep.feasible:
-        return EnumerationSummary(count=0, cover=np.zeros((n, n), np.int64) if want_cover else None,
-                                  witness_cols={}, min_block_hits=None, nodes=0, first=None)
+        return EnumerationSummary(count=0, min_block_hits=None, nodes=0, first=None)
     if _use_kernel(n):
-        status, count, nodes, min_block, first_cols, cover, witness, have = _run_kernel(
-            prep, prune=prune, budget=cons.node_budget, enumerate_all=True,
-            block_m=block_m, want_cover=want_cover)
+        status, count, nodes, min_block, first_cols = _run_kernel(
+            prep, prune=prune, budget=cons.node_budget, enumerate_all=True, block_m=block_m)
         if status == -1:
             raise BudgetExceeded(nodes, count)
-        witness_map = {}
-        if want_cover:
-            for cell in np.flatnonzero(have):
-                r, c = divmod(int(cell), n)
-                witness_map[(r, c)] = tuple(int(v) for v in witness[cell])
         return EnumerationSummary(
             count=count,
-            cover=cover if want_cover else None,
-            witness_cols=witness_map,
             min_block_hits=int(min_block) if (block_m and count) else None,
             nodes=nodes,
             first=tuple(int(c) for c in first_cols) if count else None,
         )
-    cover = np.zeros((n, n), np.int64) if want_cover else None
-    witness_map: dict[tuple[int, int], tuple[int, ...]] = {}
     min_block = None
     count = 0
     first = None
@@ -368,10 +361,6 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
             count += 1
             if first is None:
                 first = cols
-            if want_cover:
-                for r, c in enumerate(cols):
-                    cover[r, c] += 1
-                    witness_map.setdefault((r, c), cols)
             if block_m:
                 x = [0] * 9
                 for r, c in enumerate(cols):
@@ -380,8 +369,8 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
                 min_block = mb if min_block is None else min(min_block, mb)
     except BudgetExceeded as exc:
         raise BudgetExceeded(exc.nodes, count) from None
-    return EnumerationSummary(count=count, cover=cover, witness_cols=witness_map,
-                              min_block_hits=min_block, nodes=counter.nodes, first=first)
+    return EnumerationSummary(count=count, min_block_hits=min_block, nodes=counter.nodes,
+                              first=first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,39 +412,6 @@ class ClassificationReport:
         if self.partial:
             out["partial"] = True
         return out
-
-
-def _report_from_summary(square: LatinSquare, summary: EnumerationSummary) -> ClassificationReport:
-    n = square.order
-    count = summary.count
-    cover = summary.cover
-    status = []
-    pinned = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            hits = int(cover[r, c]) if count else 0
-            if hits == 0:
-                row.append(FREE)
-            elif hits == count:
-                row.append(PINNED)
-                pinned.append(square.entry(r, c))
-            else:
-                row.append(COVERED)
-        status.append(tuple(row))
-    tau = sum(row.count(FREE) for row in status)
-    return ClassificationReport(
-        order=n,
-        family=square.family,
-        status=tuple(status),
-        tau=tau,
-        pinned=tuple(pinned),
-        has_transversal=count > 0,
-        transversal_count=count,
-        witnesses=dict(summary.witness_cols),
-        partial=False,
-        nodes=summary.nodes,
-    )
 
 
 def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int | None]]:
@@ -501,62 +457,18 @@ def _map_cells(pool, jobs: int, square: LatinSquare, cells, avoid: bool,
     return [res for part in pool.map(_search_cells, chunks) for res in part]
 
 
-def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int = 1,
-             strategy: str = "auto") -> ClassificationReport:
-    """Classify every cell as FREE / COVERED / PINNED.
-
-    ``strategy='auto'`` first tries one full enumeration with per-cell cover
-    counting, capped at AUTO_ENUM_BUDGET nodes, and falls back to per-cell
-    searches if that cap is exhausted (squares with huge transversal counts
-    classify far faster per cell).  Both strategies produce identical
-    reports.
-
-    Per-cell classification runs in two phases over one preparation of the
-    square.  Phase 1 searches each cell for the lexicographically first
-    transversal through it: none makes the cell FREE, and the one found is
-    the cell's witness, the same one ``strategy='enumerate'`` reports.  A
-    witnessed cell that some phase-1 witness avoids is COVERED.  Phase 2
-    searches only the witnessed cells that lie in every phase-1 witness for a
-    transversal avoiding them: none makes the cell PINNED, one makes it
-    COVERED.  In a complete run the intersection is exactly the pinned set
-    (a transversal T avoiding (a, x) passes through (a, T[a]), whose witness
-    then avoids (a, x) too), so phase 2 is the refutation behind each PINNED
-    verdict.  The intersection is taken after all phase-1 results are
-    merged, and each phase's work can be spread over ``jobs`` worker
-    processes, so the report does not depend on the worker count.  On the
-    compiled kernel each phase is one kernel call per square, or per worker
-    chunk, not one call per cell.
-
-    ``node_budget`` caps each search; a search that runs out leaves its cell
-    UNKNOWN and the report partial, never FREE or PINNED.  A cell whose
-    phase-1 search finished is COVERED as soon as some witness avoids it, so
-    a budgeted run resolves cells whose avoiding search would have run out.
-    """
+def _classify_cells(square: LatinSquare, node_budget: int | None, jobs: int,
+                    transversal_count: int | None = None,
+                    nodes: int = 0) -> ClassificationReport:
+    """The two per-cell phases of `classify`; the report adds ``nodes`` to their own."""
     n = square.order
-    if strategy not in ("auto", "enumerate", "per-cell"):
-        raise DomainError(f"unknown classify strategy {strategy!r}")
-    if strategy in ("auto", "enumerate"):
-        enum_budget = node_budget
-        if strategy == "auto":
-            # the enumeration pass is opportunistic; cap it so the fallback
-            # still has the caller's budget available
-            enum_budget = AUTO_ENUM_BUDGET if node_budget is None \
-                else min(node_budget, AUTO_ENUM_BUDGET)
-        cons = SearchConstraints.make(node_budget=enum_budget)
-        try:
-            summary = count_and_cover(square, cons)
-            return _report_from_summary(square, summary)
-        except BudgetExceeded:
-            if strategy == "enumerate":
-                raise
     status = [[UNKNOWN] * n for _ in range(n)]
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    total_nodes = 0
     cells = [(r, c) for r in range(n) for c in range(n)]
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for r, c, cols, spent in _map_cells(pool, jobs, square, cells, False, node_budget):
             if spent is not None:
-                total_nodes += spent
+                nodes += spent
             elif cols is None:
                 status[r][c] = FREE
             else:
@@ -569,24 +481,87 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
         shared = sorted(cell for cell in witnesses if cell in common)
         for r, c, cols, spent in _map_cells(pool, jobs, square, shared, True, node_budget):
             if spent is not None:
-                total_nodes += spent
+                nodes += spent
             else:
                 status[r][c] = PINNED if cols is None else COVERED
-    partial = any(UNKNOWN in row for row in status)
-    tau = sum(row.count(FREE) for row in status)
     return ClassificationReport(
         order=n,
         family=square.family,
         status=tuple(tuple(row) for row in status),
-        tau=tau,
+        tau=sum(row.count(FREE) for row in status),
         pinned=tuple(square.entry(r, c) for r in range(n) for c in range(n)
                      if status[r][c] == PINNED),
         has_transversal=bool(witnesses),
-        transversal_count=None,
+        transversal_count=transversal_count,
         witnesses=witnesses,
-        partial=partial,
-        nodes=total_nodes,
+        partial=any(UNKNOWN in row for row in status),
+        nodes=nodes,
     )
+
+
+def _report_from_summary(square: LatinSquare, summary: EnumerationSummary) -> ClassificationReport:
+    """The report of a finished unconstrained enumeration of ``square``.
+
+    Statuses and witnesses come from the per-cell phases, run in this process
+    with no node budget; ``transversal_count`` and ``nodes`` come from
+    ``summary``.  No budget is needed: every per-cell search keeps a
+    subsequence of each row's candidates and narrower suffix delta intervals,
+    so it visits a subset of the nodes of the enumeration that already
+    finished and cannot run out where that did not.
+    """
+    return _classify_cells(square, None, 1, summary.count, summary.nodes)
+
+
+def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int = 1,
+             strategy: str = "auto") -> ClassificationReport:
+    """Classify every cell as FREE / COVERED / PINNED.
+
+    Every report's statuses and witnesses come from the per-cell phases
+    below.  ``strategy='enumerate'`` first counts all transversals in one
+    full enumeration under ``node_budget``, which adds ``transversal_count``
+    and puts the enumeration's nodes in ``nodes``, then runs both phases
+    without a budget (see `_report_from_summary`).  ``strategy='auto'`` caps
+    that enumeration at AUTO_ENUM_BUDGET nodes and, when the cap or the budget
+    runs out, classifies per cell under ``node_budget`` instead (squares with
+    huge transversal counts classify far faster per cell).
+
+    Per-cell classification runs in two phases over one preparation of the
+    square.  Phase 1 searches each cell for the lexicographically first
+    transversal through it: none makes the cell FREE, and the one found is
+    the cell's witness.  A witnessed cell that some phase-1 witness avoids is
+    COVERED.  Phase 2 searches only the witnessed cells that lie in every
+    phase-1 witness for a transversal avoiding them: none makes the cell
+    PINNED, one makes it COVERED.  In a complete run the intersection is
+    exactly the pinned set (a transversal T avoiding (a, x) passes through
+    (a, T[a]), whose witness then avoids (a, x) too), so phase 2 is the
+    refutation behind each PINNED verdict.  The intersection is taken after
+    all phase-1 results are merged, and each phase's work can be spread over
+    ``jobs`` worker processes, so the report does not depend on the worker
+    count.  On the compiled kernel each phase is one kernel call per square,
+    or per worker chunk, not one call per cell.
+
+    ``node_budget`` caps each search; a search that runs out leaves its cell
+    UNKNOWN and the report partial, never FREE or PINNED.  A cell whose
+    phase-1 search finished is COVERED as soon as some witness avoids it, so
+    a budgeted run resolves cells whose avoiding search would have run out.
+    """
+    if strategy not in ("auto", "enumerate", "per-cell"):
+        raise DomainError(f"unknown classify strategy {strategy!r}")
+    if strategy in ("auto", "enumerate"):
+        enum_budget = node_budget
+        if strategy == "auto":
+            # the enumeration pass is opportunistic; cap it so the fallback
+            # still has the caller's budget available
+            enum_budget = AUTO_ENUM_BUDGET if node_budget is None \
+                else min(node_budget, AUTO_ENUM_BUDGET)
+        try:
+            summary = count_and_cover(square, SearchConstraints.make(node_budget=enum_budget))
+        except BudgetExceeded:
+            if strategy == "enumerate":
+                raise
+        else:
+            return _report_from_summary(square, summary)
+    return _classify_cells(square, node_budget, jobs)
 
 
 def is_pinned(square: LatinSquare, entry, *, node_budget: int | None = None) -> bool:

@@ -80,6 +80,8 @@ _EX8_FREE = (
 
 def family_k(family: str, n: int) -> int:
     """Validate (family, n) for T/U/V and return k = floor(n/6)."""
+    if family not in ("T", "U", "V"):
+        raise DomainError(f"pinned-entry families are T, U and V, got {family!r}")
     residue = {"T": 0, "U": 2, "V": 4}[family]
     minimum = {"T": 12, "U": 14, "V": 10}[family]
     if n % 6 != residue or n < minimum:

@@ -14,8 +14,9 @@ from latintrav.bounds import (
 )
 from latintrav.cli import main
 from latintrav.delta import delta
+from latintrav.core import DomainError
 from latintrav.engine import ClassificationReport
-from latintrav.families import build_family, claimed_pinned_entries
+from latintrav.families import build_family, claimed_pinned_entries, family_k
 
 ALL_ORDERS = [("T", n) for n in range(12, 101, 6)] + \
              [("U", n) for n in range(14, 101, 6)] + \
@@ -34,6 +35,14 @@ def test_formula_values():
     assert lower_bound("U", 20) == 166
     assert lower_bound("V", 22) == 201
     assert lower_bound("T", 24) == 271
+
+
+@pytest.mark.parametrize("call", [lambda: family_k("L", 9), lambda: lower_bound("L", 9),
+                                  lambda: check_sets_only("EX6", 6)],
+                         ids=["family_k", "lower_bound", "check_sets_only"])
+def test_families_without_a_bound_are_domain_errors(call):
+    with pytest.raises(DomainError, match="T, U and V, got '(L|EX6)'"):
+        call()
 
 
 def test_bound_sets_T12():

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from latintrav import engine
 from latintrav.cli import build_parser, main
 from latintrav.core import KNOWN_FAMILIES, DomainError
 from latintrav.families import FAMILIES, build_family, claimed_pinned_entries
@@ -207,6 +208,36 @@ def test_bounds_budget_falls_back_to_sets_only(capsys):
     _, sets_only, _ = run(capsys, "bounds", "--family", "T", "--order", "12",
                           "--sets-only", "--no-meta")
     assert out == sets_only
+
+
+def test_table1_and_bounds_classify_per_cell(capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("table1 and bounds need no full enumeration")
+
+    monkeypatch.setattr(engine, "count_and_cover", no_enumeration)
+    code, out, _ = run(capsys, "table1", "--max-order", "12", "--no-meta")
+    assert code == 0
+    assert [(r["label"], r["tau"]) for r in json.loads(out)["rows"]] == [("V10", 34), ("T12", 67)]
+    code, out, _ = run(capsys, "bounds", "--family", "U", "--order", "14", "--no-meta")
+    assert code == 0
+    assert json.loads(out)["tau"] == 88
+    code, out, _ = run(capsys, "bounds", "--family", "T", "--order", "12", "--budget", "10",
+                       "--no-meta")
+    assert code == 3
+    assert json.loads(out)["subsetOK"] is None
+
+
+def test_parser_is_built_once_and_parses_afresh(capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run(capsys, "classify", "--family", "EX6", "--no-meta")
+    assert code == 0
+    data = json.loads(out)
+    assert "meta" not in data and data["tau"] == 16
+    code, out, _ = run(capsys, "table1", "--max-order", "10")
+    assert code == 0
+    data = json.loads(out)
+    assert data["meta"]["tool"] == "latintrav"
+    assert [r["tau"] for r in data["rows"]] == [34]
 
 
 def test_jobs_only_where_work_is_spread(capsys):

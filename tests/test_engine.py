@@ -1,10 +1,13 @@
+import ctypes
+import dataclasses
 import logging
 import os
+import re
 import shlex
 import subprocess
 import sys
 import sysconfig
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -198,8 +201,9 @@ def test_failed_build_falls_back_to_pure_twin(broken, monkeypatch, tmp_path, cap
     assert v10.first == find(build_V(10)).cols == (2, 0, 4, 6, 7, 3, 8, 5, 9, 1)
     ex8 = count_and_cover(build_exceptional(8))
     assert ex8.count == 16
-    assert (ex8.cover.sum(axis=1) == 16).all()
     assert ex8.first == find(build_exceptional(8)).cols == (0, 2, 6, 1, 4, 7, 5, 3)
+    ex8_report = classify(build_exceptional(8), strategy="enumerate")
+    assert (ex8_report.transversal_count, ex8_report.tau) == (16, 28)
     t12 = classify(build_T(12), strategy="per-cell")  # jobs=1: the patches stay in this process
     assert t12.tau == 67
     assert [e.as_tuple() for e in t12.pinned] == [(1, 0, 3), (2, 1, 4)]
@@ -257,7 +261,7 @@ def test_kernel_logic_matches_twin(sq, prune, block_m):
     prep = _Prepared(sq, SearchConstraints.make())
     counter = _NodeCounter()
     first = next(_iter_cols(prep, prune, None, counter), None)
-    status, _, nodes, _, first_cols, _, _, _ = _run_kernel(
+    status, _, nodes, _, first_cols = _run_kernel(
         prep, prune=prune, budget=None, enumerate_all=False)
     assert (status, nodes) == (int(first is not None), counter.nodes)
     if first is not None:
@@ -265,14 +269,9 @@ def test_kernel_logic_matches_twin(sq, prune, block_m):
 
     with pure_twin():
         twin = count_and_cover(sq, prune=prune, block_m=block_m)
-    status, count, nodes, min_block, first_cols, cover, witness, have = _run_kernel(
-        prep, prune=prune, budget=None, enumerate_all=True, block_m=block_m,
-        want_cover=True)
+    status, count, nodes, min_block, first_cols = _run_kernel(
+        prep, prune=prune, budget=None, enumerate_all=True, block_m=block_m)
     assert (status, count, nodes) == (int(twin.count > 0), twin.count, twin.nodes)
-    assert np.array_equal(cover, twin.cover)
-    witness_map = {divmod(int(cell), sq.order): tuple(int(v) for v in witness[cell])
-                   for cell in np.flatnonzero(have)}
-    assert witness_map == twin.witness_cols
     if twin.count:
         assert tuple(first_cols) == twin.first
     if block_m:
@@ -297,7 +296,7 @@ def test_kernel_logic_budget_matches_twin():
     prep = _Prepared(build_exceptional(8), SearchConstraints.make())
     with pytest.raises(BudgetExceeded) as exc:
         next(_iter_cols(prep, True, 3, _NodeCounter()))
-    status, _, nodes, _, _, _, _, _ = _run_kernel(
+    status, _, nodes, _, _ = _run_kernel(
         prep, prune=True, budget=3, enumerate_all=False)
     assert (status, nodes) == (-1, exc.value.nodes)
 
@@ -347,6 +346,29 @@ def test_one_library_has_both_entry_points():
     assert lib.dfs.argtypes and lib.search_cells.argtypes
 
 
+def _c_signature(name: str) -> tuple[list, object]:
+    """ctypes argtypes and restype that a function's C definition in _kernel.c calls for."""
+    source = _kernel._SOURCE.read_text()
+    match = re.search(rf"^(int64_t|void)\s+{name}\s*\(([^)]*)\)", source, re.MULTILINE)
+    assert match, f"no definition of {name} in {_kernel._SOURCE.name}"
+    params = [p.strip() for p in match.group(2).split(",")]
+    assert all(re.fullmatch(r"(const )?int64_t (\*\w+|\w+)", p) for p in params), params
+    argtypes = [ctypes.c_void_p if "*" in p else ctypes.c_int64 for p in params]
+    return argtypes, ctypes.c_int64 if match.group(1) == "int64_t" else None
+
+
+@needs_compiler
+@pytest.mark.parametrize("name", ["dfs", "search_cells"])
+def test_ctypes_signatures_match_c(name):
+    """ctypes checks no argtypes against the C source; this test does."""
+    argtypes, restype = _c_signature(name)
+    fn = getattr(_kernel.load(), name)
+    assert fn.argtypes == argtypes
+    assert fn.restype is restype
+    if name == "dfs":
+        assert len(argtypes) == 14
+
+
 @needs_compiler
 def test_kernel_compiles_without_warnings():
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
@@ -378,19 +400,51 @@ def test_classify_V10():
     assert [e.as_tuple() for e in rep.pinned] == [(1, 0, 3)]
 
 
+def _enumerated_classification(sq):
+    """Count, statuses and witnesses from the pure twin's lazy enumeration.
+
+    A cell through no transversal is FREE, through all of them PINNED, else
+    COVERED; the first transversal through a cell is its witness.
+    """
+    n = sq.order
+    through = [[0] * n for _ in range(n)]
+    witnesses = {}
+    count = 0
+    for t in iter_solutions(sq):
+        count += 1
+        for r, c in enumerate(t.cols):
+            through[r][c] += 1
+            witnesses.setdefault((r, c), t.cols)
+    status = tuple(tuple(FREE if k == 0 else PINNED if k == count else COVERED for k in row)
+                   for row in through)
+    return count, status, witnesses
+
+
+def _report_fields(rep) -> dict:
+    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+
+
 @pytest.mark.parametrize("sq", [build_V(10), build_T(12), build_U(14),
                                 build_exceptional(6), build_exceptional(8)],
                          ids=["V10", "T12", "U14", "EX6", "EX8"])
 def test_classify_strategies_agree(sq):
-    enum = classify(sq, strategy="enumerate")
-    cells = classify(sq, strategy="per-cell")
-    assert enum.status == cells.status
-    assert enum.tau == cells.tau
-    assert enum.witnesses == cells.witnesses
-    assert enum.pinned == cells.pinned
-    assert enum.has_transversal == cells.has_transversal
-    assert enum.partial == cells.partial is False
+    """Every strategy, on the kernel and on the twin, against the lazy enumeration."""
+    count, status, witnesses = _enumerated_classification(sq)
+    pinned = tuple(sq.entry(r, c) for r, row in enumerate(status)
+                   for c, st in enumerate(row) if st == PINNED)
+    for twin in (False, True):
+        with pure_twin() if twin else nullcontext():
+            reports = {s: classify(sq, strategy=s) for s in ("auto", "enumerate", "per-cell")}
+        for strategy, rep in reports.items():
+            assert rep.status == status
+            assert rep.tau == sum(row.count(FREE) for row in status)
+            assert rep.witnesses == witnesses
+            assert rep.pinned == pinned
+            assert rep.has_transversal == (count > 0)
+            assert rep.transversal_count == (None if strategy == "per-cell" else count)
+            assert rep.partial is False
     # each per-cell verdict is justified by the report's own witnesses
+    cells = reports["per-cell"]
     witness_cells = [set(enumerate(w)) for w in cells.witnesses.values()]
     for r, row in enumerate(cells.status):
         for c, st in enumerate(row):
@@ -400,6 +454,28 @@ def test_classify_strategies_agree(sq):
                 assert all((r, c) in w for w in witness_cells)
     if witness_cells:
         assert set.intersection(*witness_cells) == {(e.row, e.col) for e in cells.pinned}
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])
+def test_classify_enumeration_budget(twin):
+    """V10's enumeration takes 32,250 nodes: it finishes at that budget and not one below.
+
+    The per-cell phases after it run without a budget, and auto at the smaller
+    budget falls back to per-cell classification, whose searches all fit.
+    """
+    sq = build_V(10)
+    with pure_twin() if twin else nullcontext():
+        full = classify(sq, strategy="enumerate")
+        exact = classify(sq, strategy="enumerate", node_budget=32_250)
+        with pytest.raises(BudgetExceeded) as exc:
+            classify(sq, strategy="enumerate", node_budget=32_249)
+        auto = classify(sq, node_budget=32_249)
+        cells = classify(sq, strategy="per-cell")
+    assert (full.nodes, full.transversal_count, full.partial) == (32_250, 272, False)
+    assert _report_fields(exact) == _report_fields(full)
+    assert exc.value.nodes == 32_250
+    assert _report_fields(auto) == _report_fields(cells)
+    assert auto.transversal_count is None and not auto.partial
 
 
 def test_classify_jobs_do_not_change_report():
