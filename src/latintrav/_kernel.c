@@ -1,9 +1,9 @@
 /* Row-order depth-first search over transversals (or diagonals) with
  * delta-interval pruning.  Two entry points share the one search:
  *
- *   dfs           the compiled twin of engine._iter_cols plus the count, node
- *                 and block tallies of engine.count_and_cover: one search
- *                 over prepared candidates;
+ *   dfs           the compiled twin of engine._iter_cols plus the count and
+ *                 node tallies of engine.count_and_cover: one search over
+ *                 prepared candidates;
  *   search_cells  the compiled twin of engine._search_cells's per-cell loop:
  *                 _Prepared's filter for one required entry or one forbidden
  *                 cell, then a first-hit dfs, for each cell of a batch.
@@ -33,20 +33,22 @@ static inline int64_t pymod(int64_t a, int64_t n)
  * row_start   (n + 1): row r's candidates are cand[row_start[r] .. row_start[r + 1])
  * lo_suf, hi_suf (n + 1): min and max delta sums of rows r..n-1
  * first_cols  (n): columns of the first solution
- * totals      (3): count, nodes, min_block
+ * totals      (2): count, nodes
+ *
+ * The target residue of the delta sum is n/2 for even n and 0 for odd n.
  */
 int64_t dfs(const int64_t *cand, const int64_t *row_start,
             const int64_t *lo_suf, const int64_t *hi_suf,
-            int64_t n, int64_t target, int64_t use_syms, int64_t sd_final,
-            int64_t prune, int64_t budget, int64_t enumerate_all,
-            int64_t block_m, int64_t *first_cols, int64_t *totals)
+            int64_t n, int64_t use_syms, int64_t sd_final, int64_t prune,
+            int64_t budget, int64_t enumerate_all, int64_t *first_cols, int64_t *totals)
 {
     int64_t idx[MAX_ORDER + 1], ucols[MAX_ORDER + 1], usyms[MAX_ORDER + 1];
-    int64_t dsum[MAX_ORDER + 1], sol[MAX_ORDER], x[9];
-    int64_t depth = 0, nodes = 0, count = 0, min_block = BIG, status;
+    int64_t dsum[MAX_ORDER + 1], sol[MAX_ORDER];
+    int64_t depth = 0, nodes = 0, count = 0, status;
 
     if (n < 1 || n > MAX_ORDER)
         return -2;
+    int64_t target = n % 2 ? 0 : n / 2;
     idx[0] = row_start[0];
     ucols[0] = 0;
     usyms[0] = 0;
@@ -65,18 +67,6 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
                 if (!enumerate_all) {
                     status = 1;
                     goto done;
-                }
-                if (block_m > 0) {
-                    for (int t = 0; t < 9; t++)
-                        x[t] = 0;
-                    for (int64_t r = 0; r < n; r++)
-                        x[(r / block_m) * 3 + sol[r] / block_m]++;
-                    int64_t mn = x[0];
-                    for (int t = 1; t < 9; t++)
-                        if (x[t] < mn)
-                            mn = x[t];
-                    if (mn < min_block)
-                        min_block = mn;
                 }
             }
             depth--;
@@ -124,7 +114,6 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
 done:
     totals[0] = count;
     totals[1] = nodes;
-    totals[2] = min_block;
     return status;
 }
 
@@ -150,11 +139,10 @@ void search_cells(const int64_t *base, int64_t n, const int64_t *cells, int64_t 
                   int64_t *lo_suf, int64_t *hi_suf, int64_t *status, int64_t *nodes,
                   int64_t *cols)
 {
-    int64_t target = n % 2 ? 0 : n / 2;
     for (int64_t j = 0; j < k; j++) {
         int64_t fr = cells[2 * j], fc = cells[2 * j + 1];
         int64_t fs = base[3 * (fr * n + fc) + 1];
-        int64_t len = 0, totals[3];
+        int64_t len = 0, totals[2];
         int feasible = 1;
         row_start[0] = 0;
         for (int64_t r = 0; r < n && feasible; r++) {
@@ -195,7 +183,7 @@ void search_cells(const int64_t *base, int64_t n, const int64_t *cells, int64_t 
             lo_suf[r] += lo_suf[r + 1];
             hi_suf[r] += hi_suf[r + 1];
         }
-        status[j] = dfs(cand, row_start, lo_suf, hi_suf, n, target, 1, 0, 1, budget, 0, 0,
+        status[j] = dfs(cand, row_start, lo_suf, hi_suf, n, 1, 0, 1, budget, 0,
                         cols + j * n, totals);
         nodes[j] = totals[1];
     }

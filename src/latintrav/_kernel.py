@@ -2,7 +2,7 @@
 
 The library has two entry points over one search: ``dfs``, wrapped by `run`,
 runs one search over prepared candidates and returns its first solution,
-solution count, node count and least block hits; ``search_cells``, wrapped by
+solution count and node count; ``search_cells``, wrapped by
 `run_cells`, runs per-cell classification's first-hit searches for a whole
 batch of cells, filtering the square's candidates for each cell itself.
 ``dfs`` tallies nothing per cell: classification takes every status and
@@ -98,39 +98,39 @@ def load():
         log.warning("C search kernel unavailable, searches run on the pure-Python twin: %s %s",
                     exc, detail)
         return None
-    lib.dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 8 + [_PTR] * 2
+    lib.dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 6 + [_PTR] * 2
     lib.dfs.restype = _I64
     lib.search_cells.argtypes = [_PTR, _I64, _PTR, _I64, _I64, _I64] + [_PTR] * 7
     lib.search_cells.restype = None
     return lib
 
 
-def run(cand: np.ndarray, row_start: np.ndarray, lo_suf: np.ndarray,
-        hi_suf: np.ndarray, n: int, target: int, use_syms: bool, sd_final: bool,
-        prune: bool, budget: int | None, enumerate_all: bool, block_m: int):
-    """One kernel search.
+def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool):
+    """One kernel search over an ``engine._Prepared`` search's candidates.
 
-    ``cand`` is (k, 3) int64 of (col, sym, delta), row after row, and row r
-    is ``cand[row_start[r]:row_start[r + 1]]``.  Returns (status, count,
-    nodes, min_block, first_cols) with status 1 when at least one solution
-    was found, 0 when the space was exhausted empty, and -1 when the node
-    budget ran out (count, nodes and min_block are still valid for the
-    explored prefix).  The caller has checked that `load` returns the kernel.
+    ``prep.cand`` is (k, 3) int64 of (col, sym, delta), row after row, and
+    row r is ``prep.cand[prep.row_start[r]:prep.row_start[r + 1]]``; the
+    kernel works out the target residue from ``prep.n``.  Returns (status,
+    count, nodes, first_cols) with status 1 when at least one solution was
+    found, 0 when the space was exhausted empty, and -1 when the node budget
+    ran out (count and nodes are still valid for the explored prefix).  The
+    caller has checked that `load` returns the kernel.
     """
+    n = prep.n
     if not 1 <= n <= MAX_KERNEL_ORDER:
         raise ValueError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n}")
-    for arr, shape in ((cand, (int(row_start[-1]), 3)), (row_start, (n + 1,)),
-                       (lo_suf, (n + 1,)), (hi_suf, (n + 1,))):
+    for arr, shape in ((prep.cand, (int(prep.row_start[-1]), 3)), (prep.row_start, (n + 1,)),
+                       (prep.lo_suf, (n + 1,)), (prep.hi_suf, (n + 1,))):
         if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
             raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
-    totals = np.zeros(3 + n, np.int64)  # count, nodes, min_block, then first_cols
-    first_cols = totals[3:]
-    status = load().dfs(cand.ctypes.data, row_start.ctypes.data, lo_suf.ctypes.data,
-                        hi_suf.ctypes.data, n, target, use_syms, sd_final, prune,
-                        -1 if budget is None else budget, enumerate_all, block_m,
-                        first_cols.ctypes.data, totals.ctypes.data)
-    count, nodes, min_block = totals[:3].tolist()
-    return status, count, nodes, min_block, first_cols
+    totals = np.zeros(2 + n, np.int64)  # count, nodes, then first_cols
+    first_cols = totals[2:]
+    status = load().dfs(prep.cand.ctypes.data, prep.row_start.ctypes.data,
+                        prep.lo_suf.ctypes.data, prep.hi_suf.ctypes.data, n, prep.use_syms,
+                        prep.sd_final, prune, -1 if budget is None else budget,
+                        enumerate_all, first_cols.ctypes.data, totals.ctypes.data)
+    count, nodes = totals[:2].tolist()
+    return status, count, nodes, first_cols
 
 
 def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | None):

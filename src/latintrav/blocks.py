@@ -3,10 +3,12 @@
 The square splits into nine m x m subsquares indexed (i, j) in {1,2,3}^2.
 For a transversal, x[i][j] counts its cells inside block (i, j); the row and
 column sums of x all equal m.  The claim checked here is that every
-transversal hits all nine blocks at least once, together with the two
-constrained-search specializations (no transversal misses block (2,2) or
-block (1,1) entirely) and the two isotopisms that transport those blocks onto
-the rest.
+transversal hits all nine blocks at least once.  As in the paper's proof, two
+constrained searches refute a transversal that misses block (2,2) or block
+(1,1) entirely, and the two autotopisms tau and phi carry those two blocks
+onto the other seven: an autotopism maps transversals to transversals, so a
+transversal missing the image of an unavoidable block would map back to one
+missing the block itself.
 """
 
 from __future__ import annotations
@@ -137,7 +139,12 @@ def verify_block_maps(square: LatinSquare, iso: Isotopism, m: int,
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """Outcome of the exhaustive block-hit verification for one m."""
+    """Outcome of the block-hit verification for one m.
+
+    ``min_block_hits`` is 0 when a refutation found a transversal that misses
+    a block, 1 when every block is unavoidable and the first transversal hits
+    some block exactly once, and None otherwise (also when a budget ran out).
+    """
 
     m: int
     transversal_count: int | None
@@ -159,38 +166,64 @@ class TheoremCheck:
         }
 
 
-def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
-    """Enumerate all transversals of build_L(m) and check every block is hit.
+def _carried_blocks(square: LatinSquare, m: int, blocks) -> set[tuple[int, int]]:
+    """The closure of ``blocks`` under the block images of tau and phi.
 
-    Also re-verifies the two block specializations independently: forbidding
-    every cell of block (2,2), or of block (1,1), leaves no transversal.
+    Both are first checked to fix ``square`` (NotAutotopism otherwise), so
+    every block in the closure is unavoidable when ``blocks`` are.
+    """
+    images = []
+    for iso in (automorphism_tau(m), autotopism_phi(m)):
+        verify_block_maps(square, iso, m)
+        images.append(block_image_map(iso, m))
+    reached = set(blocks)
+    while True:
+        grown = reached | {image[block] for image in images for block in reached}
+        if grown == reached:
+            return reached
+        reached = grown
+
+
+def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
+    """Check that every transversal of build_L(m) hits all nine blocks.
+
+    This is the paper's proof run by machine: forbidding every cell of block
+    (2,2), or of block (1,1), leaves no transversal, and the closure of those
+    two blocks under tau and phi is all nine.  A full enumeration adds the
+    transversal count and the first transversal, which shows that at least
+    one transversal exists and, when it hits some block exactly once, that
+    the least number of hits is 1.  ``node_budget`` caps each search.
     """
     square = build_L(m)
     exhausted = False
-    count: int | None = None
-    min_hits: int | None = None
+    first = None
     try:
-        summary = engine.count_and_cover(square, block_m=m, node_budget=node_budget)
-        count = summary.count
-        min_hits = summary.min_block_hits
+        summary = engine.count_and_cover(square, node_budget=node_budget)
+        count, first = summary.count, summary.first
     except engine.BudgetExceeded as exc:
         exhausted = True
         count = exc.count
 
     def block_is_unavoidable(i, j):
+        """Whether no transversal misses block (i, j); None when the budget ran out."""
         try:
-            hit = engine.find(square, forbidden_cells=block_cells(i, j, m),
-                              node_budget=node_budget)
-            return hit is None
+            return engine.find(square, forbidden_cells=block_cells(i, j, m),
+                               node_budget=node_budget) is None
         except engine.BudgetExceeded:
-            nonlocal exhausted
-            exhausted = True
-            return False
+            return None
 
-    block22 = block_is_unavoidable(2, 2)
-    block11 = block_is_unavoidable(1, 1)
-    passed = (not exhausted and count is not None and count > 0
-              and min_hits is not None and min_hits >= 1 and block22 and block11)
+    refuted = (block_is_unavoidable(2, 2), block_is_unavoidable(1, 1))
+    exhausted = exhausted or None in refuted
+    block22, block11 = (verdict is True for verdict in refuted)
+    all_unavoidable = block22 and block11 \
+        and len(_carried_blocks(square, m, [(2, 2), (1, 1)])) == 9
+    passed = not exhausted and bool(count) and all_unavoidable
+    min_hits = None
+    if False in refuted:
+        min_hits = 0
+    elif all_unavoidable and first is not None \
+            and any(1 in row for row in block_hits(square, first, m)):
+        min_hits = 1
     return TheoremCheck(
         m=m,
         transversal_count=count,

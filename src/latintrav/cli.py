@@ -30,7 +30,6 @@ from .engine import BudgetExceeded, SearchMode
 from .families import FAMILIES, build_family, family_of_order
 
 DEFAULT_BUDGET = 1_000_000_000
-TABLE_FAST_MAX = 16
 
 
 def _meta() -> dict:
@@ -187,9 +186,6 @@ def cmd_blocks(args) -> int:
 def cmd_table1(args) -> int:
     if args.max_order % 2 or not 10 <= args.max_order <= 24:
         raise LatinSquareError(f"--max-order must be even in 10..24, got {args.max_order}")
-    if args.max_order > TABLE_FAST_MAX and not args.long:
-        raise LatinSquareError(
-            f"orders above {TABLE_FAST_MAX} take minutes; pass --long to confirm")
     rows = []
     code = 0
     for n in range(10, args.max_order + 2, 2):
@@ -271,9 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_blocks)
 
     p = sub.add_parser("table1", help="lower bound vs computed tau per even order")
-    p.add_argument("--max-order", type=int, default=TABLE_FAST_MAX)
-    p.add_argument("--long", action="store_true",
-                   help="allow the slow orders above 16")
+    p.add_argument("--max-order", type=int, default=16)
     _add_common(p, jobs=True)
     p.set_defaults(fn=cmd_table1)
     return ap

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -236,24 +236,16 @@ def _use_kernel(n: int) -> bool:
     return n <= _kernel.MAX_KERNEL_ORDER and _kernel.load() is not None
 
 
-def _run_kernel(prep: _Prepared, *, prune: bool, budget: int | None,
-                enumerate_all: bool, block_m: int = 0):
-    return _kernel.run(prep.cand, prep.row_start, prep.lo_suf, prep.hi_suf, prep.n,
-                       prep.target, prep.use_syms, prep.sd_final, prune, budget,
-                       enumerate_all, block_m)
-
-
 @dataclass(frozen=True)
 class EnumerationSummary:
     """What a full enumeration gives that per-cell statuses cannot.
 
-    The solution count, the least number of solution cells in one of the 3 x 3
-    blocks (None without ``block_m`` or without solutions), the nodes visited
-    and the first solution's columns.
+    The solution count, the nodes visited and the first solution's columns
+    (None without solutions).  No block hits: `blocks.verify_hit_theorem`
+    proves that every block is hit by two refutations and two autotopisms.
     """
 
     count: int
-    min_block_hits: int | None
     nodes: int
     first: tuple[int, ...] | None
 
@@ -287,7 +279,7 @@ def _first_hit(prep: _Prepared, prune: bool, budget: int | None) -> tuple[int, .
     if not prep.feasible:
         return None
     if _use_kernel(prep.n):
-        status, _, nodes, _, first_cols = _run_kernel(
+        status, _, nodes, first_cols = _kernel.run(
             prep, prune=prune, budget=budget, enumerate_all=False)
         if status == -1:
             raise BudgetExceeded(nodes)
@@ -308,51 +300,36 @@ def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = 
 
 
 def enumerate_solutions(square: LatinSquare, constraints: SearchConstraints | None = None,
-                        visitor: Callable[[Diagonal], None] | None = None, *,
-                        prune: bool = True, **kwargs) -> int:
-    """Visit every solution exactly once in lexicographic order; return the count.
-
-    With a ``visitor`` the lazy iteration runs on the pure twin.
-    """
-    cons = _constraints_arg(constraints, kwargs)
-    if visitor is None:
-        return count_and_cover(square, cons, prune=prune).count
-    count = 0
-    for sol in iter_solutions(square, cons, prune=prune):
-        visitor(sol)
-        count += 1
-    return count
+                        *, prune: bool = True, **kwargs) -> int:
+    """Count every solution; `iter_solutions` visits them one by one."""
+    return count_and_cover(square, constraints, prune=prune, **kwargs).count
 
 
 def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None = None, *,
-                    prune: bool = True, block_m: int = 0, **kwargs) -> EnumerationSummary:
-    """Full enumeration reduced to its count, node total, first solution and block minimum.
+                    prune: bool = True, **kwargs) -> EnumerationSummary:
+    """Full enumeration reduced to its count, node total and first solution.
 
-    With ``block_m`` the square splits into 3 x 3 blocks of ``block_m`` rows
-    and columns, and ``min_block_hits`` is the least number of cells any
-    solution has in one block.  Per-cell statuses and witnesses are not
-    tallied here; `classify` takes them from the per-cell phases.  The name,
-    which no longer describes a cover tally, is kept for perfbench's callers.
+    Per-cell statuses and witnesses are not tallied here; `classify` takes
+    them from the per-cell phases.  Block hits are not tallied either:
+    `blocks.verify_hit_theorem` refutes a transversal missing block (2,2) or
+    (1,1) and carries both blocks onto the rest with the tau and phi
+    autotopisms.  The name, which no longer describes a cover tally, is kept
+    for perfbench's callers.
     """
     cons = _constraints_arg(constraints, kwargs)
     prep = _Prepared(square, cons)
-    n = prep.n
-    if block_m < 0 or 0 < 3 * block_m < n:
-        raise DomainError(f"block_m {block_m} does not split order {n} into 3 x 3 blocks")
     if not prep.feasible:
-        return EnumerationSummary(count=0, min_block_hits=None, nodes=0, first=None)
-    if _use_kernel(n):
-        status, count, nodes, min_block, first_cols = _run_kernel(
-            prep, prune=prune, budget=cons.node_budget, enumerate_all=True, block_m=block_m)
+        return EnumerationSummary(count=0, nodes=0, first=None)
+    if _use_kernel(prep.n):
+        status, count, nodes, first_cols = _kernel.run(
+            prep, prune=prune, budget=cons.node_budget, enumerate_all=True)
         if status == -1:
             raise BudgetExceeded(nodes, count)
         return EnumerationSummary(
             count=count,
-            min_block_hits=int(min_block) if (block_m and count) else None,
             nodes=nodes,
             first=tuple(int(c) for c in first_cols) if count else None,
         )
-    min_block = None
     count = 0
     first = None
     counter = _NodeCounter()
@@ -361,16 +338,9 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
             count += 1
             if first is None:
                 first = cols
-            if block_m:
-                x = [0] * 9
-                for r, c in enumerate(cols):
-                    x[(r // block_m) * 3 + c // block_m] += 1
-                mb = min(x)
-                min_block = mb if min_block is None else min(min_block, mb)
     except BudgetExceeded as exc:
         raise BudgetExceeded(exc.nodes, count) from None
-    return EnumerationSummary(count=count, min_block_hits=min_block, nodes=counter.nodes,
-                              first=first)
+    return EnumerationSummary(count=count, nodes=counter.nodes, first=first)
 
 
 @dataclass(frozen=True, eq=False)

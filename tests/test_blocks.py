@@ -167,9 +167,9 @@ def test_symbol_classes_pin_block_residues(m):
 
 @pytest.mark.long
 def test_L15_transversal_invariants_sampled():
-    # every-transversal block coverage at m=5 is checked exhaustively by the
-    # kernel in verify_hit_theorem; here a lexicographic prefix is run through
-    # the full per-transversal checks (the grid-level residue test above
+    # every-transversal block coverage at m=5 is proved by two refutations and
+    # the tau/phi block maps in verify_hit_theorem; here a lexicographic prefix
+    # is run through the full per-transversal checks (the grid-level residue test above
     # covers the symbol pattern for all of them).
     import itertools
 

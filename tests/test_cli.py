@@ -178,10 +178,10 @@ def test_table1_text_format(capsys):
     assert "V10" in out and "27" in out and "34" in out
 
 
-def test_table1_refuses_large_without_long(capsys):
-    code, _, err = run(capsys, "table1", "--max-order", "18")
-    assert code == 2
-    assert "--long" in err
+def test_table1_runs_every_order_to_24(capsys):
+    code, out, _ = run(capsys, "table1", "--max-order", "24", "--no-meta")
+    assert code == 0
+    assert [r["tau"] for r in json.loads(out)["rows"]] == [34, 67, 88, 107, 159, 190, 217, 287]
 
 
 def test_table1_rejects_bad_order(capsys):

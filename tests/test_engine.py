@@ -31,6 +31,7 @@ from latintrav import (
     iter_solutions,
 )
 from latintrav import engine
+from latintrav.blocks import block_cells, verify_hit_theorem
 from latintrav.delta import OddOrder, delta_sum
 from latintrav.engine import (
     COVERED,
@@ -41,7 +42,6 @@ from latintrav.engine import (
     _iter_cols,
     _NodeCounter,
     _Prepared,
-    _run_kernel,
     _search_cells,
     count_and_cover,
     pinned_verdicts,
@@ -172,8 +172,8 @@ def test_budget_exceeded_compiled_backend():
 def test_unknown_backend_and_block_size_are_rejected():
     with pytest.raises(TypeError, match="backend"):
         find(build_exceptional(6), backend="pure")  # the engine picks the search path itself
-    with pytest.raises(DomainError, match="block_m"):
-        count_and_cover(build_V(10), block_m=3)  # blocks of 3 leave row 9 outside
+    with pytest.raises(TypeError, match="block_m"):
+        count_and_cover(build_V(10), block_m=3)  # the search core tallies no blocks
 
 
 @pytest.fixture
@@ -242,53 +242,60 @@ def test_concurrent_builds_yield_one_library(tmp_path):
         == [_kernel.library_path(_kernel._SOURCE.read_bytes()).name]
 
 
-# (label, square, prune, block_m) for the kernel-logic check below.
+# (label, square, prune) for the kernel-logic check below.
 KERNEL_CASES = (
-    [(f"CAYLEY{n}-{'pruned' if prune else 'unpruned'}", cayley_table(n), prune, 0)
+    [(f"CAYLEY{n}-{'pruned' if prune else 'unpruned'}", cayley_table(n), prune)
      for n in range(1, 9) for prune in (True, False)]
-    + [("EX6", build_exceptional(6), True, 0), ("EX8", build_exceptional(8), True, 0),
-       ("V10", build_V(10), True, 0), ("T12", build_T(12), True, 0),
-       ("L9", build_L(3), True, 3), ("CAYLEY9-blocks", cayley_table(9), True, 3)]
+    + [("EX6", build_exceptional(6), True), ("EX8", build_exceptional(8), True),
+       ("V10", build_V(10), True), ("T12", build_T(12), True),
+       ("L9", build_L(3), True), ("CAYLEY9-blocks", cayley_table(9), True)]
 )
 
 
 @needs_compiler
-@pytest.mark.parametrize("sq, prune, block_m",
-                         [pytest.param(sq, prune, m, id=label)
-                          for label, sq, prune, m in KERNEL_CASES])
-def test_kernel_logic_matches_twin(sq, prune, block_m):
+@pytest.mark.parametrize("sq, prune", [pytest.param(sq, prune, id=label)
+                                       for label, sq, prune in KERNEL_CASES])
+def test_kernel_logic_matches_twin(sq, prune):
     """The C kernel against the pure twin, its oracle."""
     prep = _Prepared(sq, SearchConstraints.make())
     counter = _NodeCounter()
     first = next(_iter_cols(prep, prune, None, counter), None)
-    status, _, nodes, _, first_cols = _run_kernel(
+    status, _, nodes, first_cols = _kernel.run(
         prep, prune=prune, budget=None, enumerate_all=False)
     assert (status, nodes) == (int(first is not None), counter.nodes)
     if first is not None:
         assert tuple(first_cols) == first
 
     with pure_twin():
-        twin = count_and_cover(sq, prune=prune, block_m=block_m)
-    status, count, nodes, min_block, first_cols = _run_kernel(
-        prep, prune=prune, budget=None, enumerate_all=True, block_m=block_m)
+        twin = count_and_cover(sq, prune=prune)
+    status, count, nodes, first_cols = _kernel.run(
+        prep, prune=prune, budget=None, enumerate_all=True)
     assert (status, count, nodes) == (int(twin.count > 0), twin.count, twin.nodes)
     if twin.count:
         assert tuple(first_cols) == twin.first
-    if block_m:
-        assert min_block == twin.min_block_hits
 
 
-def test_min_block_hits_is_a_minimum(oracle):
-    """Cayley 9 with 3 x 3 blocks: some transversal misses a block, and the
-    largest per-transversal minimum is 1, so a maximum would read 1, not 0."""
-    sq = cayley_table(9)
-    minima = [np.bincount(np.arange(9) // 3 * 3 + np.array(p) // 3, minlength=9).min()
-              for p in oracle(sq.grid)]
-    assert (len(minima), min(minima), max(minima)) == (2025, 0, 1)
+def test_hit_theorem_fails_when_a_refutation_finds_a_transversal(monkeypatch):
+    """A transversal missing block (1,1) fails the theorem and makes the least hits 0."""
+    real_find = engine.find
+
+    def find_missing_block11(square, **kwargs):
+        if set(kwargs.get("forbidden_cells", ())) == set(block_cells(1, 1, 3)):
+            return real_find(square)
+        return real_find(square, **kwargs)
+
+    monkeypatch.setattr(engine, "find", find_missing_block11)
+    check = verify_hit_theorem(3)
+    assert check.block22_ok and not check.block11_ok
+    assert not check.passed and not check.budget_exhausted
+    assert check.min_block_hits == 0
+
+
+def test_hit_theorem_kernel_matches_twin():
+    check = verify_hit_theorem(3)
     with pure_twin():
-        twin = count_and_cover(sq, block_m=3)
-    for summary in (count_and_cover(sq, block_m=3), twin):
-        assert (summary.count, summary.min_block_hits) == (2025, 0)
+        assert verify_hit_theorem(3) == check
+    assert (check.transversal_count, check.min_block_hits, check.passed) == (324, 1, True)
 
 
 @needs_compiler
@@ -296,8 +303,7 @@ def test_kernel_logic_budget_matches_twin():
     prep = _Prepared(build_exceptional(8), SearchConstraints.make())
     with pytest.raises(BudgetExceeded) as exc:
         next(_iter_cols(prep, True, 3, _NodeCounter()))
-    status, _, nodes, _, _ = _run_kernel(
-        prep, prune=True, budget=3, enumerate_all=False)
+    status, _, nodes, _ = _kernel.run(prep, prune=True, budget=3, enumerate_all=False)
     assert (status, nodes) == (-1, exc.value.nodes)
 
 
@@ -366,7 +372,7 @@ def test_ctypes_signatures_match_c(name):
     assert fn.argtypes == argtypes
     assert fn.restype is restype
     if name == "dfs":
-        assert len(argtypes) == 14
+        assert len(argtypes) == 12
 
 
 @needs_compiler
@@ -593,12 +599,6 @@ def test_count_parity_check():
     assert ok8 and count8 == 16
     with pytest.raises(OddOrder):
         count_parity_check(cayley_table(5))
-
-
-def test_visitor_enumeration_counts():
-    seen = []
-    total = enumerate_solutions(build_exceptional(6), visitor=seen.append)
-    assert total == len(seen) == 8
 
 
 def test_constraints_object_equivalent_to_kwargs():
