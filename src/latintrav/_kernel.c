@@ -9,13 +9,20 @@
  *                 cell, then a first-hit dfs, for each cell of a batch.
  *
  * It must stay behaviourally identical to the pure twin: rows ascending,
- * candidates in their given order within a row, the same prune, and one node
- * per candidate index visited.  _kernel.py builds and loads this file; the
- * caller checks 1 <= n <= MAX_ORDER, the cell indices and the buffer shapes.
+ * candidates in column order within a row, the same prune, and one node per
+ * candidate index visited.  It gets there by another route (see dfs): each
+ * row is walked as a mask of free columns, jumping straight to the next
+ * candidate whose column and symbol are unused, the node count grows by the
+ * index distance of each jump (clamped to budget + 1 when a jump crosses the
+ * budget), and the delta sum is kept mod n without a division, which needs
+ * |delta| < n.  _kernel.py builds and loads this file; the caller checks
+ * 1 <= n <= MAX_ORDER, the cell indices and the buffer shapes, and dfs
+ * rejects candidates outside its layout.
  */
 #include <stdint.h>
+#include <string.h>
 
-#define MAX_ORDER 62 /* used columns and symbols are bits of one int64 */
+#define MAX_ORDER 62 /* used columns and symbols are bits of one uint64 */
 #define BIG ((int64_t)1 << 62)
 
 /* Python's a % n for n > 0, which is never negative. */
@@ -27,39 +34,93 @@ static inline int64_t pymod(int64_t a, int64_t n)
 
 /* Returns 1 when at least one solution was found, 0 when the space was
  * exhausted empty, -1 when the node budget ran out (the totals are valid for
- * the explored prefix) and -2 when n is out of range.
+ * the explored prefix) and -2, with zero totals, when n or a candidate is out
+ * of range.
  *
- * cand        (row_start[n], 3): col, sym, delta of each candidate, row after row
+ * cand        (row_start[n], 3): col, sym, delta of each candidate, row after
+ *             row, columns strictly ascending within a row, |delta| < n
  * row_start   (n + 1): row r's candidates are cand[row_start[r] .. row_start[r + 1])
  * lo_suf, hi_suf (n + 1): min and max delta sums of rows r..n-1
  * first_cols  (n): columns of the first solution
  * totals      (2): count, nodes
  *
  * The target residue of the delta sum is n/2 for even n and 0 for odd n.
+ *
+ * The walk.  Each row's candidate columns are one bit mask.  Entering a row
+ * keeps the columns not yet used whose symbol is not yet used (the symbol
+ * table maps a row's symbol to its column bit); the lowest set bit is the
+ * next candidate to try, so used columns and symbols cost nothing per node.
+ * Because columns ascend within a row, that is also the twin's next
+ * candidate in index order.
+ *
+ * Node accounting.  The twin counts one node per candidate index it visits,
+ * used or not.  Jumping from index i to the candidate at index k adds
+ * k + 1 - i nodes, and exhausting a row of len candidates adds len - i, so
+ * the totals equal the twin's.  When a jump carries the count past the
+ * budget, nodes is clamped to budget + 1, where the twin stops; the
+ * candidates jumped over yield no solution, so count is the twin's too.
+ *
+ * The prune.  The twin drops a candidate when no value congruent to the
+ * target lies in [lo, hi], the range of delta sums still reachable:
+ * lo + pymod(target - lo, n) > hi.  Here the delta sum is kept mod n, with
+ * one conditional correction per step (|delta| < n), and each depth's
+ * pymod(target - lo_suf, n) and hi_suf - lo_suf are computed on entry, so
+ * the test needs no division; depths whose width is n - 1 or more never
+ * prune and are not tested.
  */
 int64_t dfs(const int64_t *cand, const int64_t *row_start,
             const int64_t *lo_suf, const int64_t *hi_suf,
             int64_t n, int64_t use_syms, int64_t sd_final, int64_t prune,
             int64_t budget, int64_t enumerate_all, int64_t *first_cols, int64_t *totals)
 {
-    int64_t idx[MAX_ORDER + 1], ucols[MAX_ORDER + 1], usyms[MAX_ORDER + 1];
-    int64_t dsum[MAX_ORDER + 1], sol[MAX_ORDER];
+    uint64_t row_cols[MAX_ORDER];            /* candidate columns of each row */
+    uint8_t at[MAX_ORDER * MAX_ORDER];       /* [r * n + col]: index within row r */
+    uint64_t sym_col[MAX_ORDER * MAX_ORDER]; /* [r * n + sym]: its column bit in row r */
+    int64_t res_need[MAX_ORDER + 1], width[MAX_ORDER + 1];
+    uint64_t left[MAX_ORDER], ucols[MAX_ORDER + 1], usyms[MAX_ORDER + 1];
+    int64_t idx[MAX_ORDER], dres[MAX_ORDER + 1], sol[MAX_ORDER];
     int64_t depth = 0, nodes = 0, count = 0, status;
+    int64_t limit = budget < 0 ? INT64_MAX : budget;
 
-    if (n < 1 || n > MAX_ORDER)
-        return -2;
+    if (n < 1 || n > MAX_ORDER) {
+        status = -2;
+        goto done;
+    }
+    if (use_syms)
+        memset(sym_col, 0, (size_t)(n * n) * sizeof sym_col[0]);
+    for (int64_t r = 0; r < n; r++) {
+        int64_t prev = -1;
+        row_cols[r] = 0;
+        for (int64_t i = row_start[r]; i < row_start[r + 1]; i++) {
+            int64_t c = cand[3 * i], s = cand[3 * i + 1], d = cand[3 * i + 2];
+            if (c <= prev || c >= n || d <= -n || d >= n || (use_syms && (s < 0 || s >= n))) {
+                status = -2;
+                goto done;
+            }
+            prev = c;
+            row_cols[r] |= (uint64_t)1 << c;
+            at[r * n + c] = (uint8_t)(i - row_start[r]);
+            if (use_syms)
+                sym_col[r * n + s] |= (uint64_t)1 << c;
+        }
+    }
     int64_t target = n % 2 ? 0 : n / 2;
-    idx[0] = row_start[0];
-    ucols[0] = 0;
-    usyms[0] = 0;
-    dsum[0] = 0;
+    for (int64_t r = 0; r <= n; r++) {
+        res_need[r] = pymod(target - lo_suf[r], n);
+        width[r] = prune && hi_suf[r] - lo_suf[r] < n - 1 ? hi_suf[r] - lo_suf[r] : BIG;
+    }
     if (prune && lo_suf[0] + pymod(target - lo_suf[0], n) > hi_suf[0]) {
         status = 0; /* the target residue is unreachable from the root */
         goto done;
     }
+    ucols[0] = 0;
+    usyms[0] = 0;
+    dres[0] = 0;
+    idx[0] = 0;
+    left[0] = row_cols[0];
     while (depth >= 0) {
         if (depth == n) {
-            if (!sd_final || pymod(dsum[n], n) == target) {
+            if (!sd_final || dres[n] == target) {
                 count++;
                 if (count == 1)
                     for (int64_t r = 0; r < n; r++)
@@ -72,45 +133,58 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
             depth--;
             continue;
         }
+        const int64_t *row = cand + 3 * row_start[depth];
+        const uint8_t *at_row = at + depth * n;
+        uint64_t m = left[depth];
         int64_t i = idx[depth];
-        int64_t end = row_start[depth + 1];
-        int64_t uc = ucols[depth], us = usyms[depth], ds = dsum[depth];
         int moved = 0;
-        while (i < end) {
-            nodes++;
-            if (budget >= 0 && nodes > budget) {
-                status = -1;
-                goto done;
-            }
-            int64_t c = cand[3 * i], s = cand[3 * i + 1], d = cand[3 * i + 2];
-            i++;
-            if ((uc >> c) & 1)
+        while (m) {
+            int c = __builtin_ctzll(m);
+            int64_t k = at_row[c];
+            m &= m - 1;
+            nodes += k + 1 - i;
+            i = k + 1;
+            if (nodes > limit)
+                goto out_of_budget;
+            int64_t nd = dres[depth] + row[3 * k + 2];
+            if (nd < 0)
+                nd += n;
+            else if (nd >= n)
+                nd -= n;
+            int64_t miss = res_need[depth + 1] - nd;
+            if (miss < 0)
+                miss += n;
+            if (miss > width[depth + 1])
                 continue;
-            if (use_syms && ((us >> s) & 1))
-                continue;
-            int64_t nd = ds + d;
-            if (prune) {
-                int64_t lo = nd + lo_suf[depth + 1];
-                int64_t hi = nd + hi_suf[depth + 1];
-                if (lo + pymod(target - lo, n) > hi)
-                    continue;
-            }
+            left[depth] = m;
             idx[depth] = i;
             sol[depth] = c;
-            ucols[depth + 1] = uc | ((int64_t)1 << c);
-            usyms[depth + 1] = use_syms ? us | ((int64_t)1 << s) : us;
-            dsum[depth + 1] = nd;
+            ucols[depth + 1] = ucols[depth] | (uint64_t)1 << c;
+            usyms[depth + 1] = use_syms ? usyms[depth] | (uint64_t)1 << row[3 * k + 1] : 0;
+            dres[depth + 1] = nd;
             depth++;
-            idx[depth] = row_start[depth];
+            if (depth < n) {
+                uint64_t free = row_cols[depth] & ~ucols[depth];
+                for (uint64_t us = usyms[depth]; us; us &= us - 1)
+                    free &= ~sym_col[depth * n + __builtin_ctzll(us)];
+                left[depth] = free;
+                idx[depth] = 0;
+            }
             moved = 1;
             break;
         }
         if (!moved) {
-            idx[depth] = i;
+            nodes += row_start[depth + 1] - row_start[depth] - i;
+            if (nodes > limit)
+                goto out_of_budget;
             depth--;
         }
     }
     status = count > 0;
+    goto done;
+out_of_budget:
+    nodes = limit + 1;
+    status = -1;
 done:
     totals[0] = count;
     totals[1] = nodes;

@@ -11,20 +11,23 @@ witness from ``search_cells``.
 The C kernel and the pure-python generator ``engine._iter_cols`` must stay
 behaviourally identical: same candidate order (rows ascending, columns
 ascending within a row), same pruning rule, same node accounting (one node per
-candidate index visited).  ``search_cells`` must also filter exactly as
-``engine._Prepared`` does.  Equivalence is tested in the suite, with the pure
-twin as the oracle.
+candidate index visited).  ``dfs`` does not visit the candidates one by one:
+it walks each row's free columns as a bit mask and adds the index distance it
+jumps to the node count, clamped to budget + 1 when the budget runs out, and
+it keeps the delta sum modulo n, which needs every delta to lie in (-n, n).
+``search_cells`` must also filter exactly as ``engine._Prepared`` does.
+Equivalence is tested in the suite, with the pure twin as the oracle.
 
 When the kernel loads, the engine runs here every first-hit search and full
 enumeration of order at most ``MAX_KERNEL_ORDER``; lazy enumeration
 (``engine.iter_solutions``) and larger orders run on the pure twin.  The first
 such search compiles ``_kernel.c`` with the C compiler Python was built with
-(``sysconfig`` ``CC``) into ``__pycache__/`` beside this module.  The
-library's name carries a checksum of the C source, so a stale build is never
-loaded, and it is written under a temporary name and moved into place, so
-concurrent worker processes cannot see a partial file.  Without a compiler, a
-writable cache or a successful build, `load` logs one warning and returns
-None, and every search runs on the pure twin.
+(``sysconfig`` ``CC``) and `CFLAGS` into ``__pycache__/`` beside this module.
+The library's name carries a checksum of the C source, so a stale build is
+never loaded, and it is written under a temporary name and moved into place,
+so concurrent worker processes cannot see a partial file.  Without a
+compiler, a writable cache or a successful build, `load` logs one warning and
+returns None, and every search runs on the pure twin.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ HAVE_NUMBA = False
 
 # Column masks are machine words; anything larger goes to the pure path.
 MAX_KERNEL_ORDER = 62
+
+# Flags of every build of _kernel.c; the suite compiles with these plus warnings.
+CFLAGS = ("-O2", "-shared", "-fPIC")
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -75,7 +81,7 @@ def _build(source: bytes, path: Path) -> None:
     fd, tmp = tempfile.mkstemp(prefix=path.stem + "-", suffix=".tmp", dir=path.parent)
     os.close(fd)
     try:
-        subprocess.run([*cc, "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", tmp],
+        subprocess.run([*cc, *CFLAGS, "-x", "c", "-", "-o", tmp],
                        input=source, capture_output=True, check=True)
         os.replace(tmp, path)
     finally:
@@ -113,8 +119,9 @@ def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool):
     kernel works out the target residue from ``prep.n``.  Returns (status,
     count, nodes, first_cols) with status 1 when at least one solution was
     found, 0 when the space was exhausted empty, and -1 when the node budget
-    ran out (count and nodes are still valid for the explored prefix).  The
-    caller has checked that `load` returns the kernel.
+    ran out (count and nodes are still valid for the explored prefix).
+    Raises ValueError when a candidate breaks the layout ``dfs`` relies on.
+    The caller has checked that `load` returns the kernel.
     """
     n = prep.n
     if not 1 <= n <= MAX_KERNEL_ORDER:
@@ -129,6 +136,9 @@ def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool):
                         prep.lo_suf.ctypes.data, prep.hi_suf.ctypes.data, n, prep.use_syms,
                         prep.sd_final, prune, -1 if budget is None else budget,
                         enumerate_all, first_cols.ctypes.data, totals.ctypes.data)
+    if status == -2:
+        raise ValueError("kernel candidates must have columns in 0..n-1, strictly ascending "
+                         "within a row, symbols in 0..n-1 and deltas in (-n, n)")
     count, nodes = totals[:2].tolist()
     return status, count, nodes, first_cols
 

@@ -144,6 +144,8 @@ class TheoremCheck:
     ``min_block_hits`` is 0 when a refutation found a transversal that misses
     a block, 1 when every block is unavoidable and the first transversal hits
     some block exactly once, and None otherwise (also when a budget ran out).
+    ``transversal_count`` is None when the enumeration that counts ran out of
+    budget; ``passed`` rests on the refutations and the block closure alone.
     """
 
     m: int
@@ -193,6 +195,10 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
     transversal count and the first transversal, which shows that at least
     one transversal exists and, when it hits some block exactly once, that
     the least number of hits is 1.  ``node_budget`` caps each search.
+
+    When only the enumeration runs out of budget, the theorem can still
+    pass: the count is then None and ``budget_exhausted`` True, and the
+    transversals the enumeration did find show that one exists.
     """
     square = build_L(m)
     exhausted = False
@@ -200,9 +206,11 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
     try:
         summary = engine.count_and_cover(square, node_budget=node_budget)
         count, first = summary.count, summary.first
+        exists = count > 0
     except engine.BudgetExceeded as exc:
         exhausted = True
-        count = exc.count
+        count = None
+        exists = exc.count > 0
 
     def block_is_unavoidable(i, j):
         """Whether no transversal misses block (i, j); None when the budget ran out."""
@@ -217,7 +225,7 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
     block22, block11 = (verdict is True for verdict in refuted)
     all_unavoidable = block22 and block11 \
         and len(_carried_blocks(square, m, [(2, 2), (1, 1)])) == 9
-    passed = not exhausted and bool(count) and all_unavoidable
+    passed = exists and all_unavoidable
     min_hits = None
     if False in refuted:
         min_hits = 0

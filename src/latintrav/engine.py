@@ -89,6 +89,9 @@ class SearchConstraints:
             syms.add(e.sym)
             if (e.row, e.col) in self.forbidden_cells:
                 raise DomainError(f"required entry {e} is also forbidden")
+        for r, c in sorted(self.forbidden_cells):
+            if not (0 <= r < square.order and 0 <= c < square.order):
+                raise DomainError(f"forbidden cell ({r}, {c}) outside the square")
         if self.mode is SearchMode.SUITABLE_DIAGONAL and square.order % 2:
             raise OddOrder("suitable-diagonal mode needs even order")
 

@@ -123,6 +123,14 @@ def test_hit_theorem_budget_marks_exhausted():
     assert not check.passed
 
 
+def test_hit_theorem_passes_when_only_the_count_runs_out():
+    """50,000 nodes: both refutations finish (31,113 nodes), the count does not (162,981)."""
+    check = verify_hit_theorem(3, node_budget=50_000)
+    assert check.passed and check.block22_ok and check.block11_ok
+    assert check.transversal_count is None
+    assert check.budget_exhausted
+
+
 @pytest.mark.long
 def test_hit_theorem_m5():
     check = verify_hit_theorem(5)

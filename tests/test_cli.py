@@ -104,6 +104,14 @@ def test_transversal_constraints_flags(capsys):
     assert json.loads(out)["found"] is False
 
 
+@pytest.mark.parametrize("spec", [["--forbid", "6,0"], ["--forbid=-1,-1"]])
+def test_forbidden_cell_outside_the_square_exits_2(capsys, spec):
+    code, out, err = run(capsys, "transversal", "find", "--family", "EX6", *spec, "--no-meta")
+    assert code == 2
+    assert out == ""
+    assert "forbidden cell" in err and "outside the square" in err
+
+
 def test_transversal_disjoint_pair(capsys):
     code, out, _ = run(capsys, "transversal", "disjoint-pair", "--family", "CAYLEY",
                        "--order", "5", "--no-meta")

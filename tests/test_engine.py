@@ -141,6 +141,13 @@ def test_constraints_validation():
         find(cayley_table(5), mode=SearchMode.SUITABLE_DIAGONAL)
 
 
+@pytest.mark.parametrize("cell", [(6, 0), (0, 6), (-1, -1), (2, -1)])
+def test_forbidden_cell_outside_the_square_is_rejected(cell):
+    """No IndexError from a row past the end, no wrap-around from a negative index."""
+    with pytest.raises(DomainError, match="outside the square"):
+        find(build_exceptional(6), forbidden_cells=(cell,))
+
+
 def test_suitable_diagonal_mode_is_relaxation():
     sq = build_exceptional(6)
     transversals = {d.cols for d in iter_solutions(sq)}
@@ -307,6 +314,90 @@ def test_kernel_logic_budget_matches_twin():
     assert (status, nodes) == (-1, exc.value.nodes)
 
 
+def _twin_run(prep, prune, budget, enumerate_all):
+    """The pure twin's (status, count, nodes, first solution), shaped as `_kernel.run`'s."""
+    counter = _NodeCounter()
+    count, first = 0, None
+    try:
+        for cols in _iter_cols(prep, prune, budget, counter):
+            count += 1
+            if first is None:
+                first = cols
+            if not enumerate_all:
+                break
+    except BudgetExceeded:
+        return -1, count, counter.nodes, first
+    return int(count > 0), count, counter.nodes, first
+
+
+def _kernel_run(prep, prune, budget, enumerate_all):
+    status, count, nodes, first_cols = _kernel.run(
+        prep, prune=prune, budget=budget, enumerate_all=enumerate_all)
+    return status, count, nodes, tuple(first_cols.tolist()) if count else None
+
+
+# (label, square) of even order, for the suitable-diagonal and budget checks below.
+EVEN_CASES = ([(f"CAYLEY{n}", cayley_table(n)) for n in (2, 4, 6, 8)]
+              + [("EX6", build_exceptional(6)), ("EX8", build_exceptional(8))])
+
+
+@needs_compiler
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+@pytest.mark.parametrize("sq", [pytest.param(sq, id=label) for label, sq in EVEN_CASES])
+def test_kernel_suitable_diagonals_match_twin(sq, prune):
+    """use_syms=0, sd_final=1: the residue test at the leaves, with and without the prune."""
+    prep = _Prepared(sq, SearchConstraints.make(mode=SearchMode.SUITABLE_DIAGONAL))
+    first = _twin_run(prep, prune, None, False)[3]
+    # forbidding a cell of the first suitable diagonal moves the first hit
+    cell = (1, first[1]) if first else (0, 0)
+    for forbidden in ((), (cell,)):
+        prep = _Prepared(sq, SearchConstraints.make(mode=SearchMode.SUITABLE_DIAGONAL,
+                                                    forbidden_cells=forbidden))
+        for enumerate_all in (False, True):
+            assert _kernel_run(prep, prune, None, enumerate_all) \
+                == _twin_run(prep, prune, None, enumerate_all)
+
+
+@needs_compiler
+@pytest.mark.parametrize("break_layout", ["columns-descend", "delta-too-large"])
+def test_kernel_rejects_candidates_outside_its_layout(break_layout):
+    """The mask walk needs ascending columns and the residue step |delta| < n."""
+    prep = _Prepared(build_exceptional(6), SearchConstraints.make())
+    if break_layout == "columns-descend":
+        prep.cand[:2] = prep.cand[1::-1].copy()
+    else:
+        prep.cand[0, 2] = 6
+    with pytest.raises(ValueError, match="strictly ascending"):
+        _kernel.run(prep, prune=True, budget=None, enumerate_all=True)
+
+
+def _budget_sweep(nodes: int) -> list[int]:
+    """About 50 budgets from 0 to nodes + 1, both ends included."""
+    return sorted(set(np.linspace(0, nodes + 1, 50).round().astype(int).tolist()))
+
+
+# The suitable-diagonal trees of EX8 and CAYLEY8 (0.5M nodes each) take about
+# 13 s of twin runs, so they run under --runlong.
+SWEEP_CASES = [
+    pytest.param(sq, mode, id=f"{label}-{mode.value}",
+                 marks=[pytest.mark.long] if sq.order == 8 and mode is SearchMode.SUITABLE_DIAGONAL
+                 else [])
+    for label, sq in EVEN_CASES for mode in SearchMode]
+
+
+@needs_compiler
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+@pytest.mark.parametrize("sq, mode", SWEEP_CASES)
+def test_enumeration_budget_sweep_matches_twin(sq, mode, prune):
+    """Full enumeration stopped at budgets across the whole tree: the kernel's jumps over
+    used candidates must stop at budget + 1 nodes with the twin's count."""
+    prep = _Prepared(sq, SearchConstraints.make(mode=mode))
+    total = _twin_run(prep, prune, None, True)[2]
+    for budget in _budget_sweep(total):
+        assert _kernel_run(prep, prune, budget, True)[:3] \
+            == _twin_run(prep, prune, budget, True)[:3], budget
+
+
 # (label, square, budget) for the batched per-cell check below.
 BATCH_CASES = [
     ("V10", build_V(10), None), ("T12", build_T(12), None), ("U14", build_U(14), None),
@@ -346,6 +437,28 @@ def test_batched_cells_match_twin(sq, budget, avoid):
 
 
 @needs_compiler
+@pytest.mark.parametrize("avoid", [False, True], ids=["through", "avoiding"])
+@pytest.mark.parametrize("sq", [pytest.param(build_exceptional(8), id="EX8"),
+                                pytest.param(build_T(12), id="T12")])
+def test_batched_budget_sweep_matches_twin(sq, avoid):
+    """Every cell's search at budgets up to the largest search's nodes + 1."""
+    n = sq.order
+    cells = np.array([(r, c) for r in range(n) for c in range(n)], np.int64)
+    base = _base_candidates(sq)
+    preps = [_Prepared(sq, SearchConstraints.make(forbidden_cells=((r, c),)) if avoid
+                       else SearchConstraints.make(required=(sq.entry(r, c),)), base)
+             for r, c in cells.tolist()]
+    most = max(_twin_run(prep, True, None, False)[2] for prep in preps)
+    for budget in _budget_sweep(most):
+        status, nodes, cols = _kernel.run_cells(base, cells, avoid, budget)
+        twin = [_twin_run(prep, True, budget, False) for prep in preps]
+        assert list(zip(status.tolist(), nodes.tolist())) \
+            == [(st, spent) for st, _, spent, _ in twin], budget
+        assert [tuple(w) for w, st in zip(cols.tolist(), status) if st == 1] \
+            == [first for st, _, _, first in twin if st == 1], budget
+
+
+@needs_compiler
 def test_one_library_has_both_entry_points():
     lib = _kernel.load()
     assert lib._name == str(_kernel.library_path(_kernel._SOURCE.read_bytes()))
@@ -376,10 +489,12 @@ def test_ctypes_signatures_match_c(name):
 
 
 @needs_compiler
-def test_kernel_compiles_without_warnings():
+def test_kernel_compiles_without_warnings(tmp_path):
+    """The build's own flags, so warnings that only optimisation finds show too."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    proc = subprocess.run([*cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                           str(_kernel._SOURCE)], capture_output=True, text=True)
+    proc = subprocess.run([*cc, *_kernel.CFLAGS, "-Wall", "-Wextra", "-Werror",
+                           str(_kernel._SOURCE), "-o", str(tmp_path / "kernel.so")],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
