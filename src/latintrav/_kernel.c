@@ -11,13 +11,14 @@
  * It must stay behaviourally identical to the pure twin: rows ascending,
  * candidates in column order within a row, the same prune, and one node per
  * candidate index visited.  It gets there by another route (see dfs): each
- * row is walked as a mask of free columns, jumping straight to the next
- * candidate whose column and symbol are unused, the node count grows by the
- * index distance of each jump (clamped to budget + 1 when a jump crosses the
- * budget), and the delta sum is kept mod n without a division, which needs
- * |delta| < n.  _kernel.py builds and loads this file; the caller checks
- * 1 <= n <= MAX_ORDER, the cell indices and the buffer shapes, and dfs
- * rejects candidates outside its layout.
+ * depth keeps, for every row still to fill, the mask of its columns whose
+ * column and symbol are unused, so a row is walked by jumping straight to
+ * its next free candidate; the node count grows by the index distance of
+ * each jump (clamped to budget + 1 when a jump crosses the budget), and the
+ * delta sum is kept mod n without a division, which needs |delta| < n.
+ * _kernel.py builds and loads this file; the caller checks 1 <= n <=
+ * MAX_ORDER, the cell indices and the buffer shapes, and dfs rejects
+ * candidates outside its layout.
  */
 #include <stdint.h>
 #include <string.h>
@@ -46,12 +47,17 @@ static inline int64_t pymod(int64_t a, int64_t n)
  *
  * The target residue of the delta sum is n/2 for even n and 0 for odd n.
  *
- * The walk.  Each row's candidate columns are one bit mask.  Entering a row
- * keeps the columns not yet used whose symbol is not yet used (the symbol
- * table maps a row's symbol to its column bit); the lowest set bit is the
- * next candidate to try, so used columns and symbols cost nothing per node.
- * Because columns ascend within a row, that is also the twin's next
- * candidate in index order.
+ * The walk.  Each row's candidate columns are one bit mask.  The
+ * availability table holds, at depth d and for each row r >= d, the columns
+ * of row r whose column and symbol are both unused by rows 0..d-1.  Choosing
+ * column c and symbol s at depth d writes depth d + 1's entries for rows
+ * d + 1..n-1 from depth d's, less bit c and, when symbols count, less the
+ * column of s in each row (the symbol table, symbol-major, maps a symbol to
+ * its column bit in every row, so the update reads contiguous words).
+ * Entering a row is then one load, and candidates whose column or symbol is
+ * used are never visited.  The lowest set bit of the entered mask is the next
+ * candidate to try; because columns ascend within a row, that is also the
+ * twin's next candidate in index order.
  *
  * Node accounting.  The twin counts one node per candidate index it visits,
  * used or not.  Jumping from index i to the candidate at index k adds
@@ -73,11 +79,11 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
             int64_t n, int64_t use_syms, int64_t sd_final, int64_t prune,
             int64_t budget, int64_t enumerate_all, int64_t *first_cols, int64_t *totals)
 {
-    uint64_t row_cols[MAX_ORDER];            /* candidate columns of each row */
-    uint8_t at[MAX_ORDER * MAX_ORDER];       /* [r * n + col]: index within row r */
-    uint64_t sym_col[MAX_ORDER * MAX_ORDER]; /* [r * n + sym]: its column bit in row r */
+    uint64_t avail[(MAX_ORDER + 1) * MAX_ORDER]; /* [d * n + r]: row r's free columns at depth d */
+    uint8_t at[MAX_ORDER * MAX_ORDER];           /* [r * n + col]: index within row r */
+    uint64_t sym_col[MAX_ORDER * MAX_ORDER];     /* [sym * n + r]: its column bit in row r */
     int64_t res_need[MAX_ORDER + 1], width[MAX_ORDER + 1];
-    uint64_t left[MAX_ORDER], ucols[MAX_ORDER + 1], usyms[MAX_ORDER + 1];
+    uint64_t left[MAX_ORDER];
     int64_t idx[MAX_ORDER], dres[MAX_ORDER + 1], sol[MAX_ORDER];
     int64_t depth = 0, nodes = 0, count = 0, status;
     int64_t limit = budget < 0 ? INT64_MAX : budget;
@@ -90,7 +96,7 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
         memset(sym_col, 0, (size_t)(n * n) * sizeof sym_col[0]);
     for (int64_t r = 0; r < n; r++) {
         int64_t prev = -1;
-        row_cols[r] = 0;
+        avail[r] = 0;
         for (int64_t i = row_start[r]; i < row_start[r + 1]; i++) {
             int64_t c = cand[3 * i], s = cand[3 * i + 1], d = cand[3 * i + 2];
             if (c <= prev || c >= n || d <= -n || d >= n || (use_syms && (s < 0 || s >= n))) {
@@ -98,10 +104,10 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
                 goto done;
             }
             prev = c;
-            row_cols[r] |= (uint64_t)1 << c;
+            avail[r] |= (uint64_t)1 << c;
             at[r * n + c] = (uint8_t)(i - row_start[r]);
             if (use_syms)
-                sym_col[r * n + s] |= (uint64_t)1 << c;
+                sym_col[s * n + r] |= (uint64_t)1 << c;
         }
     }
     int64_t target = n % 2 ? 0 : n / 2;
@@ -113,11 +119,9 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
         status = 0; /* the target residue is unreachable from the root */
         goto done;
     }
-    ucols[0] = 0;
-    usyms[0] = 0;
     dres[0] = 0;
     idx[0] = 0;
-    left[0] = row_cols[0];
+    left[0] = avail[0];
     while (depth >= 0) {
         if (depth == n) {
             if (!sd_final || dres[n] == target) {
@@ -159,15 +163,21 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
             left[depth] = m;
             idx[depth] = i;
             sol[depth] = c;
-            ucols[depth + 1] = ucols[depth] | (uint64_t)1 << c;
-            usyms[depth + 1] = use_syms ? usyms[depth] | (uint64_t)1 << row[3 * k + 1] : 0;
             dres[depth + 1] = nd;
+            const uint64_t *from = avail + depth * n;
+            uint64_t *to = avail + (depth + 1) * n;
+            uint64_t bit = (uint64_t)1 << c;
+            if (use_syms) {
+                const uint64_t *sc = sym_col + row[3 * k + 1] * n;
+                for (int64_t r = depth + 1; r < n; r++)
+                    to[r] = from[r] & ~(bit | sc[r]);
+            } else {
+                for (int64_t r = depth + 1; r < n; r++)
+                    to[r] = from[r] & ~bit;
+            }
             depth++;
             if (depth < n) {
-                uint64_t free = row_cols[depth] & ~ucols[depth];
-                for (uint64_t us = usyms[depth]; us; us &= us - 1)
-                    free &= ~sym_col[depth * n + __builtin_ctzll(us)];
-                left[depth] = free;
+                left[depth] = to[depth];
                 idx[depth] = 0;
             }
             moved = 1;

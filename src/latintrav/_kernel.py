@@ -12,9 +12,11 @@ The C kernel and the pure-python generator ``engine._iter_cols`` must stay
 behaviourally identical: same candidate order (rows ascending, columns
 ascending within a row), same pruning rule, same node accounting (one node per
 candidate index visited).  ``dfs`` does not visit the candidates one by one:
-it walks each row's free columns as a bit mask and adds the index distance it
-jumps to the node count, clamped to budget + 1 when the budget runs out, and
-it keeps the delta sum modulo n, which needs every delta to lie in (-n, n).
+it keeps, per depth, a table of every later row's columns whose column and
+symbol are still unused, updated as each row is placed, walks the entered
+row's mask from that table and adds the index distance it jumps to the node
+count, clamped to budget + 1 when the budget runs out, and it keeps the delta
+sum modulo n, which needs every delta to lie in (-n, n).
 ``search_cells`` must also filter exactly as ``engine._Prepared`` does.
 Equivalence is tested in the suite, with the pure twin as the oracle.
 

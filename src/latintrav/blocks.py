@@ -198,19 +198,22 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
 
     When only the enumeration runs out of budget, the theorem can still
     pass: the count is then None and ``budget_exhausted`` True, and the
-    transversals the enumeration did find show that one exists.
+    first transversal comes from one first-hit search under the same budget,
+    which finds it exactly when the enumeration found any.
     """
     square = build_L(m)
     exhausted = False
-    first = None
     try:
         summary = engine.count_and_cover(square, node_budget=node_budget)
         count, first = summary.count, summary.first
-        exists = count > 0
-    except engine.BudgetExceeded as exc:
+    except engine.BudgetExceeded:
         exhausted = True
         count = None
-        exists = exc.count > 0
+        try:
+            first = engine.find(square, node_budget=node_budget)
+        except engine.BudgetExceeded:
+            first = None
+    exists = first is not None
 
     def block_is_unavoidable(i, j):
         """Whether no transversal misses block (i, j); None when the budget ran out."""

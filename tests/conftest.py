@@ -1,6 +1,9 @@
 import itertools
+import time
 
 import pytest
+
+from latintrav.blocks import verify_hit_theorem
 
 
 def pytest_addoption(parser):
@@ -27,3 +30,11 @@ def naive_transversals(grid):
 @pytest.fixture
 def oracle():
     return naive_transversals
+
+
+@pytest.fixture(scope="session")
+def hit_theorem_m5():
+    """verify_hit_theorem(5) and its wall time in seconds, computed once per session."""
+    t0 = time.perf_counter()
+    check = verify_hit_theorem(5)
+    return check, time.perf_counter() - t0

@@ -169,10 +169,8 @@ def test_criterion_7_block_theorem_m3():
 
 
 @pytest.mark.long
-def test_criterion_7_block_theorem_m5():
-    t0 = time.perf_counter()
-    check = verify_hit_theorem(5)
-    elapsed = time.perf_counter() - t0
+def test_criterion_7_block_theorem_m5(hit_theorem_m5):
+    check, elapsed = hit_theorem_m5
     ok = check.passed and check.min_block_hits >= 1
     report(7, f"block-theorem m=5 ({elapsed:.0f}s)", ok)
 

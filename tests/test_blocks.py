@@ -131,9 +131,16 @@ def test_hit_theorem_passes_when_only_the_count_runs_out():
     assert check.budget_exhausted
 
 
+def test_hit_theorem_least_hits_survive_a_short_count():
+    """The count runs out at 50,000 nodes; one first hit still gives the least hits."""
+    check = verify_hit_theorem(3, node_budget=50_000)
+    assert check.transversal_count is None
+    assert check.min_block_hits == 1
+
+
 @pytest.mark.long
-def test_hit_theorem_m5():
-    check = verify_hit_theorem(5)
+def test_hit_theorem_m5(hit_theorem_m5):
+    check, _ = hit_theorem_m5
     assert check.passed
     assert check.min_block_hits >= 1
 

@@ -398,6 +398,36 @@ def test_enumeration_budget_sweep_matches_twin(sq, mode, prune):
             == _twin_run(prep, prune, budget, True)[:3], budget
 
 
+# (label, square, budget, enumerate_all) of orders near MAX_KERNEL_ORDER, where the
+# kernel's availability table fills nearly all of its (n + 1) * n words.
+NEAR_MAX_CASES = [("CAYLEY61", cayley_table(61), None, False)] + [
+    (f"{label}-{budget}", sq, budget, True)
+    for label, sq in (("U62", build_U(62)), ("T60", build_T(60))) for budget in (1_000, 54_321)]
+
+
+@needs_compiler
+@pytest.mark.parametrize("sq, budget, enumerate_all",
+                         [pytest.param(sq, budget, enumerate_all, id=label)
+                          for label, sq, budget, enumerate_all in NEAR_MAX_CASES])
+def test_kernel_near_max_order_matches_twin(sq, budget, enumerate_all):
+    prep = _Prepared(sq, SearchConstraints.make())
+    assert _kernel_run(prep, True, budget, enumerate_all) \
+        == _twin_run(prep, True, budget, enumerate_all)
+
+
+@needs_compiler
+@pytest.mark.parametrize("sq, count, nodes", [
+    pytest.param(build_V(10), 272, 32_250, id="V10"),
+    pytest.param(build_T(12), 520, 108_120, id="T12"),
+    pytest.param(build_U(14), 4_536, 1_506_414, id="U14"),
+    pytest.param(build_L(3), 324, 162_981, id="L9"),
+])
+def test_kernel_enumeration_totals(sq, count, nodes):
+    """Full enumerations on the kernel: exact counts and node totals, which any new walk must keep."""
+    summary = count_and_cover(sq)
+    assert (summary.count, summary.nodes) == (count, nodes)
+
+
 # (label, square, budget) for the batched per-cell check below.
 BATCH_CASES = [
     ("V10", build_V(10), None), ("T12", build_T(12), None), ("U14", build_U(14), None),
