@@ -8,6 +8,14 @@ batch of cells, filtering the square's candidates for each cell itself.
 ``dfs`` tallies nothing per cell: classification takes every status and
 witness from ``search_cells``.
 
+Both run on every CPU in the process's affinity mask unless told otherwise
+(`cpu_count`).  A full enumeration walks the tree down to a split depth read
+from the tree and hands the subtrees below it to threads; merging their
+totals in search order gives the one-thread walk's count, nodes, status and
+first solution for every budget.  First-hit searches run on one thread, and
+``search_cells`` strides its cells across the threads.  The threads are
+created and joined inside each call, so nothing outlives it or a fork.
+
 The C kernel and the pure-python generator ``engine._iter_cols`` must stay
 behaviourally identical: same candidate order (rows ascending, columns
 ascending within a row), same pruning rule, same node accounting (one node per
@@ -22,12 +30,14 @@ Equivalence is tested in the suite, with the pure twin as the oracle.
 
 When the kernel loads, the engine runs here every first-hit search and full
 enumeration of order at most ``MAX_KERNEL_ORDER``; lazy enumeration
-(``engine.iter_solutions``) and larger orders run on the pure twin.  The first
+(``engine.iter_solutions``) and larger orders run on the pure twin, single
+threaded (the engine logs the larger orders once per process).  The first
 such search compiles ``_kernel.c`` with the C compiler Python was built with
 (``sysconfig`` ``CC``) and `CFLAGS` into ``__pycache__/`` beside this module.
 The library's name carries a checksum of the C source, so a stale build is
 never loaded, and it is written under a temporary name and moved into place,
-so concurrent worker processes cannot see a partial file.  Without a
+so concurrent processes cannot see a partial file; a successful build
+removes the libraries earlier sources left in the cache.  Without a
 compiler, a writable cache or a successful build, `load` logs one warning and
 returns None, and every search runs on the pure twin.
 """
@@ -54,7 +64,7 @@ HAVE_NUMBA = False
 MAX_KERNEL_ORDER = 62
 
 # Flags of every build of _kernel.c; the suite compiles with these plus warnings.
-CFLAGS = ("-O2", "-shared", "-fPIC")
+CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -89,6 +99,14 @@ def _build(source: bytes, path: Path) -> None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _remove_stale(path)
+
+
+def _remove_stale(path: Path) -> None:
+    """Delete the libraries of other sources beside ``path``; another build's ``.tmp`` stays."""
+    for stale in path.parent.glob(f"_kernel-*{path.suffix}"):
+        if stale != path:
+            stale.unlink(missing_ok=True)  # another process may have removed it first
 
 
 @functools.cache
@@ -106,14 +124,31 @@ def load():
         log.warning("C search kernel unavailable, searches run on the pure-Python twin: %s %s",
                     exc, detail)
         return None
-    lib.dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 6 + [_PTR] * 2
+    lib.dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 7 + [_PTR] * 2
     lib.dfs.restype = _I64
-    lib.search_cells.argtypes = [_PTR, _I64, _PTR, _I64, _I64, _I64] + [_PTR] * 7
+    lib.search_cells.argtypes = [_PTR, _I64, _PTR, _I64, _I64, _I64, _I64] + [_PTR] * 3
     lib.search_cells.restype = None
     return lib
 
 
-def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool):
+def cpu_count() -> int:
+    """The CPUs this process may run on: the default thread count of `run` and `run_cells`."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _threads(threads: int | None) -> int:
+    if threads is None:
+        return cpu_count()
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return threads
+
+
+def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool,
+        threads: int | None = None):
     """One kernel search over an ``engine._Prepared`` search's candidates.
 
     ``prep.cand`` is (k, 3) int64 of (col, sym, delta), row after row, and
@@ -121,7 +156,9 @@ def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool):
     kernel works out the target residue from ``prep.n``.  Returns (status,
     count, nodes, first_cols) with status 1 when at least one solution was
     found, 0 when the space was exhausted empty, and -1 when the node budget
-    ran out (count and nodes are still valid for the explored prefix).
+    ran out (count and nodes are still valid for the explored prefix).  A
+    full enumeration runs on ``threads`` threads (default `cpu_count`), with
+    the same results on any number; a first-hit search runs on one.
     Raises ValueError when a candidate breaks the layout ``dfs`` relies on.
     The caller has checked that `load` returns the kernel.
     """
@@ -132,12 +169,13 @@ def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool):
                        (prep.lo_suf, (n + 1,)), (prep.hi_suf, (n + 1,))):
         if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
             raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
+    threads = _threads(threads)
     totals = np.zeros(2 + n, np.int64)  # count, nodes, then first_cols
     first_cols = totals[2:]
     status = load().dfs(prep.cand.ctypes.data, prep.row_start.ctypes.data,
                         prep.lo_suf.ctypes.data, prep.hi_suf.ctypes.data, n, prep.use_syms,
                         prep.sd_final, prune, -1 if budget is None else budget,
-                        enumerate_all, first_cols.ctypes.data, totals.ctypes.data)
+                        enumerate_all, threads, first_cols.ctypes.data, totals.ctypes.data)
     if status == -2:
         raise ValueError("kernel candidates must have columns in 0..n-1, strictly ascending "
                          "within a row, symbols in 0..n-1 and deltas in (-n, n)")
@@ -145,15 +183,18 @@ def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool):
     return status, count, nodes, first_cols
 
 
-def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | None):
+def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | None, *,
+              threads: int | None = None):
     """First-hit transversal searches through, or with ``avoid`` avoiding, each cell.
 
     ``base`` is the square's (n, n, 3) int64 array of (col, sym, delta) and
     ``cells`` a (k, 2) int64 array of (row, col).  Every search prunes and
-    stops at ``budget`` nodes, as `run` does.  Returns (status, nodes, cols):
-    for each cell the status of `run`, the nodes visited, and in ``cols[i]``
-    the columns of the first solution, valid only where the status is 1.
-    The caller has checked that `load` returns the kernel.
+    stops at ``budget`` nodes, as `run` does; the cells are shared out over
+    ``threads`` threads (default `cpu_count`), which changes no result.
+    Returns (status, nodes, cols): for each cell the status of `run`, the
+    nodes visited, and in ``cols[i]`` the columns of the first solution,
+    valid only where the status is 1.  The caller has checked that `load`
+    returns the kernel.
     """
     n = base.shape[0]
     if not 1 <= n <= MAX_KERNEL_ORDER:
@@ -163,14 +204,12 @@ def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | No
             raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
     if ((cells < 0) | (cells >= n)).any():
         raise ValueError(f"cells must lie in 0..{n - 1}")
+    threads = _threads(threads)
     k = len(cells)
     status = np.empty(k, np.int64)
     nodes = np.empty(k, np.int64)
     cols = np.empty((k, n), np.int64)
-    cand = np.empty(3 * n * n, np.int64)
-    row_start, lo_suf, hi_suf = np.empty((3, n + 1), np.int64)
     load().search_cells(base.ctypes.data, n, cells.ctypes.data, k, avoid,
-                        -1 if budget is None else budget, cand.ctypes.data,
-                        row_start.ctypes.data, lo_suf.ctypes.data, hi_suf.ctypes.data,
+                        -1 if budget is None else budget, threads,
                         status.ctypes.data, nodes.ctypes.data, cols.ctypes.data)
     return status, nodes, cols

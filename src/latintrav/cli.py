@@ -73,7 +73,8 @@ def _add_square_source(p: argparse.ArgumentParser, positional: bool = True) -> N
 def _add_common(p: argparse.ArgumentParser, jobs: bool = False) -> None:
     p.add_argument("--budget", type=int, default=None, help="node budget per search")
     if jobs:
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for per-cell work")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="most search threads (default: every CPU this process may use)")
     p.add_argument("--format", choices=["text", "json"], default="json")
     p.add_argument("--no-meta", action="store_true", help="omit timestamp/meta block")
 

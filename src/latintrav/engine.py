@@ -15,8 +15,8 @@ kernel reports how far it got and callers surface the result as unknown.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import functools
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -43,6 +43,8 @@ UNKNOWN = "UNKNOWN"
 
 # Node cap for the opportunistic full-enumeration pass inside classify().
 AUTO_ENUM_BUDGET = 400_000_000
+
+log = logging.getLogger(__name__)
 
 
 class BudgetExceeded(LatinSquareError):
@@ -236,7 +238,16 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None,
 
 def _use_kernel(n: int) -> bool:
     """Whether a search of order n runs on the compiled kernel rather than the pure twin."""
-    return n <= _kernel.MAX_KERNEL_ORDER and _kernel.load() is not None
+    if n > _kernel.MAX_KERNEL_ORDER:
+        _log_large_orders()
+        return False
+    return _kernel.load() is not None
+
+
+@functools.cache
+def _log_large_orders() -> None:
+    """Says once per process that searches above the kernel's largest order run on the twin."""
+    log.info("searches of order above %d run on the pure-Python twin", _kernel.MAX_KERNEL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -317,15 +328,21 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
     `blocks.verify_hit_theorem` refutes a transversal missing block (2,2) or
     (1,1) and carries both blocks onto the rest with the tau and phi
     autotopisms.  The name, which no longer describes a cover tally, is kept
-    for perfbench's callers.
+    for perfbench's callers.  On the kernel the enumeration runs on every
+    CPU in the affinity mask.
     """
     cons = _constraints_arg(constraints, kwargs)
-    prep = _Prepared(square, cons)
+    return _count(_Prepared(square, cons), prune, cons.node_budget, None)
+
+
+def _count(prep: _Prepared, prune: bool, budget: int | None,
+           threads: int | None) -> EnumerationSummary:
+    """`count_and_cover` of a prepared search, on ``threads`` kernel threads (None: every CPU)."""
     if not prep.feasible:
         return EnumerationSummary(count=0, nodes=0, first=None)
     if _use_kernel(prep.n):
         status, count, nodes, first_cols = _kernel.run(
-            prep, prune=prune, budget=cons.node_budget, enumerate_all=True)
+            prep, prune=prune, budget=budget, enumerate_all=True, threads=threads)
         if status == -1:
             raise BudgetExceeded(nodes, count)
         return EnumerationSummary(
@@ -337,7 +354,7 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
     first = None
     counter = _NodeCounter()
     try:
-        for cols in _iter_cols(prep, prune, cons.node_budget, counter):
+        for cols in _iter_cols(prep, prune, budget, counter):
             count += 1
             if first is None:
                 first = cols
@@ -387,21 +404,22 @@ class ClassificationReport:
         return out
 
 
-def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int | None]]:
+def _search_cells(square: LatinSquare, cells, avoid: bool, budget: int | None,
+                  threads: int | None) -> list[tuple[int, int, tuple[int, ...] | None, int | None]]:
     """First transversal through, or with ``avoid`` avoiding, each of ``cells``.
 
     The square's candidates are built once for the whole batch.  On the
-    compiled kernel the whole batch is one `_kernel.run_cells` call, which
-    filters the candidates for each cell in C; on the pure twin each cell gets
-    its own `_Prepared` and `_iter_cols` search.  Each result is (r, c, cols
-    or None, None), or (r, c, None, nodes) when the search ran out of its node
+    compiled kernel the whole batch is one `_kernel.run_cells` call on
+    ``threads`` threads (None: every CPU), which filters the candidates for
+    each cell in C; on the pure twin each cell gets its own `_Prepared` and
+    `_iter_cols` search, one after another.  Each result is (r, c, cols or
+    None, None), or (r, c, None, nodes) when the search ran out of its node
     budget after ``nodes`` nodes.
     """
-    square, cells, avoid, budget = args
     base = _base_candidates(square)
     if _use_kernel(square.order):
         status, nodes, cols = _kernel.run_cells(
-            base, np.array(cells, np.int64).reshape(-1, 2), avoid, budget)
+            base, np.array(cells, np.int64).reshape(-1, 2), avoid, budget, threads=threads)
         return [(r, c, tuple(w) if st == 1 else None, spent if st == -1 else None)
                 for (r, c), st, spent, w in zip(cells, status.tolist(), nodes.tolist(),
                                                 cols.tolist())]
@@ -420,17 +438,7 @@ def _search_cells(args) -> list[tuple[int, int, tuple[int, ...] | None, int | No
     return out
 
 
-def _map_cells(pool, jobs: int, square: LatinSquare, cells, avoid: bool,
-               budget: int | None):
-    """`_search_cells` over ``cells``, in strided chunks on ``pool`` when there is one."""
-    if pool is None:
-        return _search_cells((square, cells, avoid, budget))
-    k = min(len(cells), 4 * jobs)
-    chunks = [(square, cells[i::k], avoid, budget) for i in range(k)]
-    return [res for part in pool.map(_search_cells, chunks) for res in part]
-
-
-def _classify_cells(square: LatinSquare, node_budget: int | None, jobs: int,
+def _classify_cells(square: LatinSquare, node_budget: int | None, threads: int | None,
                     transversal_count: int | None = None,
                     nodes: int = 0) -> ClassificationReport:
     """The two per-cell phases of `classify`; the report adds ``nodes`` to their own."""
@@ -438,25 +446,24 @@ def _classify_cells(square: LatinSquare, node_budget: int | None, jobs: int,
     status = [[UNKNOWN] * n for _ in range(n)]
     witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
     cells = [(r, c) for r in range(n) for c in range(n)]
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for r, c, cols, spent in _map_cells(pool, jobs, square, cells, False, node_budget):
-            if spent is not None:
-                nodes += spent
-            elif cols is None:
-                status[r][c] = FREE
-            else:
-                witnesses[(r, c)] = cols
-        common = set.intersection(*(set(enumerate(w)) for w in witnesses.values())) \
-            if witnesses else set()
-        for r, c in witnesses:
-            if (r, c) not in common:
-                status[r][c] = COVERED
-        shared = sorted(cell for cell in witnesses if cell in common)
-        for r, c, cols, spent in _map_cells(pool, jobs, square, shared, True, node_budget):
-            if spent is not None:
-                nodes += spent
-            else:
-                status[r][c] = PINNED if cols is None else COVERED
+    for r, c, cols, spent in _search_cells(square, cells, False, node_budget, threads):
+        if spent is not None:
+            nodes += spent
+        elif cols is None:
+            status[r][c] = FREE
+        else:
+            witnesses[(r, c)] = cols
+    common = set.intersection(*(set(enumerate(w)) for w in witnesses.values())) \
+        if witnesses else set()
+    for r, c in witnesses:
+        if (r, c) not in common:
+            status[r][c] = COVERED
+    shared = sorted(cell for cell in witnesses if cell in common)
+    for r, c, cols, spent in _search_cells(square, shared, True, node_budget, threads):
+        if spent is not None:
+            nodes += spent
+        else:
+            status[r][c] = PINNED if cols is None else COVERED
     return ClassificationReport(
         order=n,
         family=square.family,
@@ -472,20 +479,22 @@ def _classify_cells(square: LatinSquare, node_budget: int | None, jobs: int,
     )
 
 
-def _report_from_summary(square: LatinSquare, summary: EnumerationSummary) -> ClassificationReport:
+def _report_from_summary(square: LatinSquare, summary: EnumerationSummary,
+                         threads: int | None = None) -> ClassificationReport:
     """The report of a finished unconstrained enumeration of ``square``.
 
-    Statuses and witnesses come from the per-cell phases, run in this process
-    with no node budget; ``transversal_count`` and ``nodes`` come from
-    ``summary``.  No budget is needed: every per-cell search keeps a
-    subsequence of each row's candidates and narrower suffix delta intervals,
-    so it visits a subset of the nodes of the enumeration that already
-    finished and cannot run out where that did not.
+    Statuses and witnesses come from the per-cell phases, run on ``threads``
+    kernel threads (None: every CPU) with no node budget;
+    ``transversal_count`` and ``nodes`` come from ``summary``.  No budget is
+    needed: every per-cell search keeps a subsequence of each row's
+    candidates and narrower suffix delta intervals, so it visits a subset of
+    the nodes of the enumeration that already finished and cannot run out
+    where that did not.
     """
-    return _classify_cells(square, None, 1, summary.count, summary.nodes)
+    return _classify_cells(square, None, threads, summary.count, summary.nodes)
 
 
-def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int = 1,
+def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int | None = None,
              strategy: str = "auto") -> ClassificationReport:
     """Classify every cell as FREE / COVERED / PINNED.
 
@@ -495,8 +504,9 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
     and puts the enumeration's nodes in ``nodes``, then runs both phases
     without a budget (see `_report_from_summary`).  ``strategy='auto'`` caps
     that enumeration at AUTO_ENUM_BUDGET nodes and, when the cap or the budget
-    runs out, classifies per cell under ``node_budget`` instead (squares with
-    huge transversal counts classify far faster per cell).
+    runs out, logs the nodes it spent and classifies per cell under
+    ``node_budget`` instead (squares with huge transversal counts classify
+    far faster per cell).
 
     Per-cell classification runs in two phases over one preparation of the
     square.  Phase 1 searches each cell for the lexicographically first
@@ -507,11 +517,14 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
     PINNED, one makes it COVERED.  In a complete run the intersection is
     exactly the pinned set (a transversal T avoiding (a, x) passes through
     (a, T[a]), whose witness then avoids (a, x) too), so phase 2 is the
-    refutation behind each PINNED verdict.  The intersection is taken after
-    all phase-1 results are merged, and each phase's work can be spread over
-    ``jobs`` worker processes, so the report does not depend on the worker
-    count.  On the compiled kernel each phase is one kernel call per square,
-    or per worker chunk, not one call per cell.
+    refutation behind each PINNED verdict.  On the compiled kernel each phase
+    is one kernel call per square, not one call per cell.
+
+    ``jobs`` caps the kernel's threads, for the enumeration and for each
+    phase; the default is every CPU in the affinity mask.  Each search's
+    result does not depend on the thread count, and the intersection is
+    taken after all phase-1 results are in, so neither does the report.
+    ``jobs`` below 1 is a DomainError.
 
     ``node_budget`` caps each search; a search that runs out leaves its cell
     UNKNOWN and the report partial, never FREE or PINNED.  A cell whose
@@ -520,6 +533,9 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
     """
     if strategy not in ("auto", "enumerate", "per-cell"):
         raise DomainError(f"unknown classify strategy {strategy!r}")
+    if jobs is not None and jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    threads = _kernel.cpu_count() if jobs is None else min(jobs, _kernel.cpu_count())
     if strategy in ("auto", "enumerate"):
         enum_budget = node_budget
         if strategy == "auto":
@@ -528,13 +544,17 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int =
             enum_budget = AUTO_ENUM_BUDGET if node_budget is None \
                 else min(node_budget, AUTO_ENUM_BUDGET)
         try:
-            summary = count_and_cover(square, SearchConstraints.make(node_budget=enum_budget))
-        except BudgetExceeded:
+            summary = _count(_Prepared(square, SearchConstraints(node_budget=enum_budget)),
+                             True, enum_budget, threads)
+        except BudgetExceeded as exc:
             if strategy == "enumerate":
                 raise
+            log.info("%s%d: full enumeration ran out of its %d-node budget after %d nodes; "
+                     "classifying per cell", square.family or "order ", square.order,
+                     enum_budget, exc.nodes)
         else:
-            return _report_from_summary(square, summary)
-    return _classify_cells(square, node_budget, jobs)
+            return _report_from_summary(square, summary, threads)
+    return _classify_cells(square, node_budget, threads)
 
 
 def is_pinned(square: LatinSquare, entry, *, node_budget: int | None = None) -> bool:

@@ -222,7 +222,7 @@ def test_table1_and_bounds_classify_per_cell(capsys, monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("table1 and bounds need no full enumeration")
 
-    monkeypatch.setattr(engine, "count_and_cover", no_enumeration)
+    monkeypatch.setattr(engine, "_count", no_enumeration)  # under count_and_cover and classify
     code, out, _ = run(capsys, "table1", "--max-order", "12", "--no-meta")
     assert code == 0
     assert [(r["label"], r["tau"]) for r in json.loads(out)["rows"]] == [("V10", 34), ("T12", 67)]
@@ -255,6 +255,8 @@ def test_jobs_only_where_work_is_spread(capsys):
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     code, _, _ = run(capsys, "classify", "--family", "EX6", "--jobs", "1", "--no-meta")
     assert code == 0
+    code, _, err = run(capsys, "classify", "--family", "EX6", "--jobs", "0", "--no-meta")
+    assert code == 2 and "jobs must be at least 1" in err
 
 
 def test_one_family_list():

@@ -62,10 +62,7 @@ needs_compiler = pytest.mark.skipif(_kernel.load() is None, reason="no C compile
 
 @contextmanager
 def pure_twin():
-    """Searches inside run on the pure twin, as they do where the kernel cannot be built.
-
-    The patch reaches this process only, so code run inside keeps ``jobs=1``.
-    """
+    """Searches inside run on the pure twin, as they do where the kernel cannot be built."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernel, "load", lambda: None)
         yield
@@ -211,13 +208,53 @@ def test_failed_build_falls_back_to_pure_twin(broken, monkeypatch, tmp_path, cap
     assert ex8.first == find(build_exceptional(8)).cols == (0, 2, 6, 1, 4, 7, 5, 3)
     ex8_report = classify(build_exceptional(8), strategy="enumerate")
     assert (ex8_report.transversal_count, ex8_report.tau) == (16, 28)
-    t12 = classify(build_T(12), strategy="per-cell")  # jobs=1: the patches stay in this process
+    t12 = classify(build_T(12), strategy="per-cell")
     assert t12.tau == 67
     assert [e.as_tuple() for e in t12.pinned] == [(1, 0, 3), (2, 1, 4)]
     warnings = [rec for rec in caplog.records if rec.name == _kernel.__name__]
     assert len(warnings) == 1 and warnings[0].levelno == logging.WARNING
     assert "pure-Python twin" in warnings[0].getMessage()
     assert not list(tmp_path.rglob("_kernel-*"))
+
+
+@needs_compiler
+def test_build_removes_stale_libraries(monkeypatch, tmp_path, fresh_loader):
+    """A build deletes the libraries of other sources; another build's temporary stays."""
+    monkeypatch.setattr(_kernel, "_CACHE_DIR", tmp_path)
+    current = _kernel.library_path(_kernel._SOURCE.read_bytes())
+    stale = tmp_path / ("_kernel-00000000" + current.suffix)
+    foreign = tmp_path / (stale.stem + "-x1y2z3.tmp")
+    assert stale != current
+    stale.write_bytes(b"old build")
+    foreign.write_bytes(b"half-written build")
+    assert _kernel.load() is not None
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([current.name, foreign.name])
+    assert foreign.read_bytes() == b"half-written build"
+
+
+def test_auto_fallback_to_per_cell_is_logged(caplog):
+    """classify(strategy="auto") says when its enumeration runs out, with the nodes it spent."""
+    caplog.set_level(logging.INFO, logger=engine.__name__)
+    rep = classify(build_V(10), node_budget=32_249)  # the enumeration needs 32,250
+    assert rep.transversal_count is None and not rep.partial
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == engine.__name__]
+    assert len(messages) == 1
+    assert "V10" in messages[0] and "after 32250 nodes" in messages[0]
+    assert "classifying per cell" in messages[0]
+    caplog.clear()
+    classify(build_V(10))  # the enumeration finishes: no fallback, nothing logged
+    assert not [rec for rec in caplog.records if rec.name == engine.__name__]
+
+
+def test_large_orders_on_the_twin_are_logged_once(caplog):
+    engine._log_large_orders.cache_clear()  # as in a fresh process
+    caplog.set_level(logging.INFO, logger=engine.__name__)
+    assert find(cayley_table(64)) is None
+    assert find(cayley_table(63)) is not None
+    assert find(cayley_table(62)) is None  # within the kernel's orders
+    messages = [rec.getMessage() for rec in caplog.records if rec.name == engine.__name__]
+    assert messages == [f"searches of order above {_kernel.MAX_KERNEL_ORDER} run on the "
+                        "pure-Python twin"]
 
 
 def test_library_name_follows_source_bytes():
@@ -263,23 +300,24 @@ KERNEL_CASES = (
 @pytest.mark.parametrize("sq, prune", [pytest.param(sq, prune, id=label)
                                        for label, sq, prune in KERNEL_CASES])
 def test_kernel_logic_matches_twin(sq, prune):
-    """The C kernel against the pure twin, its oracle."""
+    """The C kernel against the pure twin, its oracle, on 1, 2 and 3 threads."""
     prep = _Prepared(sq, SearchConstraints.make())
     counter = _NodeCounter()
     first = next(_iter_cols(prep, prune, None, counter), None)
-    status, _, nodes, first_cols = _kernel.run(
-        prep, prune=prune, budget=None, enumerate_all=False)
-    assert (status, nodes) == (int(first is not None), counter.nodes)
-    if first is not None:
-        assert tuple(first_cols) == first
-
     with pure_twin():
         twin = count_and_cover(sq, prune=prune)
-    status, count, nodes, first_cols = _kernel.run(
-        prep, prune=prune, budget=None, enumerate_all=True)
-    assert (status, count, nodes) == (int(twin.count > 0), twin.count, twin.nodes)
-    if twin.count:
-        assert tuple(first_cols) == twin.first
+    for threads in (1, 2, 3):
+        status, _, nodes, first_cols = _kernel.run(
+            prep, prune=prune, budget=None, enumerate_all=False, threads=threads)
+        assert (status, nodes) == (int(first is not None), counter.nodes)
+        if first is not None:
+            assert tuple(first_cols) == first
+
+        status, count, nodes, first_cols = _kernel.run(
+            prep, prune=prune, budget=None, enumerate_all=True, threads=threads)
+        assert (status, count, nodes) == (int(twin.count > 0), twin.count, twin.nodes)
+        if twin.count:
+            assert tuple(first_cols) == twin.first
 
 
 def test_hit_theorem_fails_when_a_refutation_finds_a_transversal(monkeypatch):
@@ -330,10 +368,72 @@ def _twin_run(prep, prune, budget, enumerate_all):
     return int(count > 0), count, counter.nodes, first
 
 
-def _kernel_run(prep, prune, budget, enumerate_all):
+def _kernel_run(prep, prune, budget, enumerate_all, threads=None):
     status, count, nodes, first_cols = _kernel.run(
-        prep, prune=prune, budget=budget, enumerate_all=enumerate_all)
+        prep, prune=prune, budget=budget, enumerate_all=enumerate_all, threads=threads)
     return status, count, nodes, tuple(first_cols.tolist()) if count else None
+
+
+def _c_define(name: str) -> int:
+    """An integer #define of _kernel.c."""
+    match = re.search(rf"^#define {name} (\d+)", _kernel._SOURCE.read_text(), re.MULTILINE)
+    assert match, f"no #define {name} in {_kernel._SOURCE.name}"
+    return int(match.group(1))
+
+
+def _row_entries(prep, prune) -> list[list[int]]:
+    """For each depth, the one-thread walk's node count each time it enters that row.
+
+    Written apart from the twin, with its node accounting (one node per
+    candidate index).  Entering row d at depth d is reaching a depth-d prefix,
+    so these are the counts at which a full enumeration split at depth d
+    passes from its shallow walk into a task, and their number at depth d is
+    the number of tasks.
+    """
+    n, target = prep.n, prep.target
+    rows = [prep.cand[a:b].tolist() for a, b in zip(prep.row_start[:-1], prep.row_start[1:])]
+    lo, hi = prep.lo_suf.tolist(), prep.hi_suf.tolist()
+    entries = [[] for _ in range(n)]
+    nodes = 0
+
+    def enter(d, used_cols, used_syms, dsum):
+        nonlocal nodes
+        if d == n:
+            return
+        entries[d].append(nodes)
+        for c, s, delta in rows[d]:
+            nodes += 1
+            if used_cols >> c & 1 or (prep.use_syms and used_syms >> s & 1):
+                continue
+            low, high = dsum + delta + lo[d + 1], dsum + delta + hi[d + 1]
+            if prune and low + (target - low) % n > high:
+                continue
+            enter(d + 1, used_cols | 1 << c, used_syms | 1 << s, dsum + delta)
+
+    if prep.feasible and not (prune and lo[0] + (target - lo[0]) % n > hi[0]):
+        enter(0, 0, 0, 0)
+    return entries
+
+
+def _split_depth(entries, threads) -> int | None:
+    """The depth the kernel splits a full enumeration at on ``threads`` threads, or None."""
+    want = _c_define("TASKS_PER_THREAD") * threads
+    for depth in range(1, len(entries) if threads > 1 else 1):
+        if len(entries[depth]) >= want:
+            return depth
+        if not entries[depth]:
+            return None
+    return None
+
+
+def _boundary_budgets(entries, depth) -> list[int]:
+    """Budgets at, one below and one above about 16 row entries at ``depth``.
+
+    At one below an entry of the split depth the budget runs out in the
+    shallow walk, as it reaches that prefix; at and above it, inside the task.
+    """
+    return sorted({b for x in entries[depth][::max(1, len(entries[depth]) // 16)]
+                   for b in (x - 1, x, x + 1) if b >= 0})
 
 
 # (label, square) of even order, for the suitable-diagonal and budget checks below.
@@ -390,12 +490,61 @@ SWEEP_CASES = [
 @pytest.mark.parametrize("sq, mode", SWEEP_CASES)
 def test_enumeration_budget_sweep_matches_twin(sq, mode, prune):
     """Full enumeration stopped at budgets across the whole tree: the kernel's jumps over
-    used candidates must stop at budget + 1 nodes with the twin's count."""
+    used candidates must stop at budget + 1 nodes with the twin's count and first
+    solution, on 1, 2 and 3 threads.  The budgets beside row entries make the
+    budget run out in a split enumeration's shallow walk and inside its tasks, and
+    one below the total after its last task."""
     prep = _Prepared(sq, SearchConstraints.make(mode=mode))
     total = _twin_run(prep, prune, None, True)[2]
-    for budget in _budget_sweep(total):
-        assert _kernel_run(prep, prune, budget, True)[:3] \
-            == _twin_run(prep, prune, budget, True)[:3], budget
+    budgets = set(_budget_sweep(total)) | {max(total - 1, 0), total}
+    entries = _row_entries(prep, prune)
+    for threads in (2, 3):
+        depth = _split_depth(entries, threads)
+        if depth is not None:
+            budgets.update(_boundary_budgets(entries, depth))
+    for budget in sorted(budgets):
+        twin = _twin_run(prep, prune, budget, True)
+        for threads in (1, 2, 3):
+            assert _kernel_run(prep, prune, budget, True, threads) == twin, (budget, threads)
+
+
+@needs_compiler
+@pytest.mark.parametrize("sq, splits", [
+    pytest.param(cayley_table(5), False, id="CAYLEY5"),
+    pytest.param(build_exceptional(6), False, id="EX6"),
+    pytest.param(build_exceptional(8), True, id="EX8"),
+    pytest.param(build_V(10), True, id="V10"),
+])
+def test_split_and_unsplit_trees_match_twin(sq, splits):
+    """Trees with too few prefixes at every depth run on one thread; the others split.
+
+    Either way every budget beside a row entry gives the twin's result.
+    """
+    prep = _Prepared(sq, SearchConstraints.make())
+    entries = _row_entries(prep, True)
+    assert sum(len(e) for e in entries) > 0
+    for threads in (2, 3):
+        depth = _split_depth(entries, threads)
+        assert (depth is not None) == splits
+        # beside the entries of every depth, so the split depth's are among them
+        budgets = [b for d in range(1, sq.order) for b in _boundary_budgets(entries, d)[::8]]
+        for budget in budgets + [None]:
+            assert _kernel_run(prep, True, budget, True, threads) \
+                == _twin_run(prep, True, budget, True), budget
+
+
+@needs_compiler
+def test_long_tasks_under_budgets_match_one_thread():
+    """V16's tasks run long enough (about 100k nodes each) for the workers to lower a
+    running task's limit to the exact remainder, to stop one that has passed it and
+    to walk it again; at budgets across the first tenth of the tree (54.4M nodes)
+    every result equals the one-thread walk's."""
+    prep = _Prepared(build_V(16), SearchConstraints.make())
+    for budget in np.linspace(100_000, 5_440_000, 8).round().astype(int).tolist():
+        one = _kernel_run(prep, True, budget, True, 1)
+        assert one[0] == -1 and one[2] == budget + 1
+        for threads in (2, 3):
+            assert _kernel_run(prep, True, budget, True, threads) == one, (budget, threads)
 
 
 # (label, square, budget, enumerate_all) of orders near MAX_KERNEL_ORDER, where the
@@ -411,8 +560,9 @@ NEAR_MAX_CASES = [("CAYLEY61", cayley_table(61), None, False)] + [
                           for label, sq, budget, enumerate_all in NEAR_MAX_CASES])
 def test_kernel_near_max_order_matches_twin(sq, budget, enumerate_all):
     prep = _Prepared(sq, SearchConstraints.make())
-    assert _kernel_run(prep, True, budget, enumerate_all) \
-        == _twin_run(prep, True, budget, enumerate_all)
+    twin = _twin_run(prep, True, budget, enumerate_all)
+    for threads in (1, 2, 3):
+        assert _kernel_run(prep, True, budget, enumerate_all, threads) == twin, threads
 
 
 @needs_compiler
@@ -444,15 +594,15 @@ BATCH_CASES = [
 @pytest.mark.parametrize("sq, budget", [pytest.param(sq, budget, id=label)
                                         for label, sq, budget in BATCH_CASES])
 def test_batched_cells_match_twin(sq, budget, avoid):
-    """Every cell of the square as one kernel batch against the per-cell twin loop."""
+    """Every cell of the square as one kernel batch, on 1, 2 and 3 threads, against the
+    per-cell twin loop."""
     n = sq.order
     cells = [(r, c) for r in range(n) for c in range(n)]
     with pure_twin():
-        twin = _search_cells((sq, cells, avoid, budget))
-    assert _search_cells((sq, cells, avoid, budget)) == twin
+        twin = _search_cells(sq, cells, avoid, budget, None)
+    for threads in (1, 2, 3):
+        assert _search_cells(sq, cells, avoid, budget, threads) == twin, threads
     # node accounting per search, including the searches that finish
-    _, nodes, _ = _kernel.run_cells(_base_candidates(sq), np.array(cells, np.int64),
-                                    avoid, budget)
     twin_nodes = []
     for r, c in cells:
         cons = SearchConstraints.make(forbidden_cells=((r, c),)) if avoid \
@@ -463,7 +613,10 @@ def test_batched_cells_match_twin(sq, budget, avoid):
         except BudgetExceeded:
             pass
         twin_nodes.append(counter.nodes)
-    assert nodes.tolist() == twin_nodes
+    for threads in (1, 2, 3):
+        _, nodes, _ = _kernel.run_cells(_base_candidates(sq), np.array(cells, np.int64),
+                                        avoid, budget, threads=threads)
+        assert nodes.tolist() == twin_nodes, threads
 
 
 @needs_compiler
@@ -471,7 +624,7 @@ def test_batched_cells_match_twin(sq, budget, avoid):
 @pytest.mark.parametrize("sq", [pytest.param(build_exceptional(8), id="EX8"),
                                 pytest.param(build_T(12), id="T12")])
 def test_batched_budget_sweep_matches_twin(sq, avoid):
-    """Every cell's search at budgets up to the largest search's nodes + 1."""
+    """Every cell's search at budgets up to the largest search's nodes + 1, on 1 to 3 threads."""
     n = sq.order
     cells = np.array([(r, c) for r in range(n) for c in range(n)], np.int64)
     base = _base_candidates(sq)
@@ -480,12 +633,13 @@ def test_batched_budget_sweep_matches_twin(sq, avoid):
              for r, c in cells.tolist()]
     most = max(_twin_run(prep, True, None, False)[2] for prep in preps)
     for budget in _budget_sweep(most):
-        status, nodes, cols = _kernel.run_cells(base, cells, avoid, budget)
         twin = [_twin_run(prep, True, budget, False) for prep in preps]
-        assert list(zip(status.tolist(), nodes.tolist())) \
-            == [(st, spent) for st, _, spent, _ in twin], budget
-        assert [tuple(w) for w, st in zip(cols.tolist(), status) if st == 1] \
-            == [first for st, _, _, first in twin if st == 1], budget
+        for threads in (1, 2, 3):
+            status, nodes, cols = _kernel.run_cells(base, cells, avoid, budget, threads=threads)
+            assert list(zip(status.tolist(), nodes.tolist())) \
+                == [(st, spent) for st, _, spent, _ in twin], (budget, threads)
+            assert [tuple(w) for w, st in zip(cols.tolist(), status) if st == 1] \
+                == [first for st, _, _, first in twin if st == 1], (budget, threads)
 
 
 @needs_compiler
@@ -515,7 +669,7 @@ def test_ctypes_signatures_match_c(name):
     assert fn.argtypes == argtypes
     assert fn.restype is restype
     if name == "dfs":
-        assert len(argtypes) == 12
+        assert len(argtypes) == 13
 
 
 @needs_compiler
@@ -526,6 +680,95 @@ def test_kernel_compiles_without_warnings(tmp_path):
                            str(_kernel._SOURCE), "-o", str(tmp_path / "kernel.so")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _c_array(name: str, arr) -> str:
+    values = ", ".join(str(v) for v in np.asarray(arr).ravel().tolist())
+    return f"static const int64_t {name}[] = {{{values}}};\n"
+
+
+def _tsan_program(cases) -> tuple[str, list[str]]:
+    """A C program running the threaded enumeration and batch on each square, and its output.
+
+    Each enumeration runs without a budget and at a third and two thirds of
+    its nodes; each batch searches through and then avoiding every cell.  The
+    expected lines come from the kernel on one thread.
+    """
+    decls, calls, expected = [], [], []
+    for label, sq in cases:
+        n = sq.order
+        prep = _Prepared(sq, SearchConstraints.make())
+        base = _base_candidates(sq)
+        cells = [(r, c) for r in range(n) for c in range(n)]
+        decls += [_c_array(f"{label}_{name}", getattr(prep, name))
+                  for name in ("cand", "row_start", "lo_suf", "hi_suf")]
+        decls += [_c_array(f"{label}_base", base), _c_array(f"{label}_cells", cells)]
+        total = _kernel_run(prep, True, None, True, 1)[2]
+        for budget in (-1, total // 3, 2 * total // 3):
+            calls.append(f"enumerate({label}_cand, {label}_row_start, {label}_lo_suf, "
+                         f"{label}_hi_suf, {n}, {budget});")
+            st, count, nodes, _ = _kernel_run(prep, True, None if budget < 0 else budget, True, 1)
+            expected.append(f"dfs {st} {count} {nodes}")
+        for avoid in (0, 1):
+            calls.append(f"batch({label}_base, {n}, {label}_cells, {avoid});")
+            found = sum(cols is not None
+                        for _, _, cols, _ in _search_cells(sq, cells, bool(avoid), None, 1))
+            expected.append(f"cells {found}")
+    source = "#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
+int64_t dfs(const int64_t *, const int64_t *, const int64_t *, const int64_t *, int64_t,
+            int64_t, int64_t, int64_t, int64_t, int64_t, int64_t, int64_t *, int64_t *);
+void search_cells(const int64_t *, int64_t, const int64_t *, int64_t, int64_t, int64_t,
+                  int64_t, int64_t *, int64_t *, int64_t *);
+static void enumerate(const int64_t *cand, const int64_t *row_start, const int64_t *lo,
+                      const int64_t *hi, int64_t n, int64_t budget)
+{
+    int64_t first[64], totals[2];
+    int64_t st = dfs(cand, row_start, lo, hi, n, 1, 0, 1, budget, 1, 3, first, totals);
+    printf("dfs %lld %lld %lld\\n", (long long)st, (long long)totals[0], (long long)totals[1]);
+}
+static void batch(const int64_t *base, int64_t n, const int64_t *cells, int64_t avoid)
+{
+    int64_t status[64 * 64], nodes[64 * 64], cols[64 * 64 * 64], found = 0;
+    search_cells(base, n, cells, n * n, avoid, -1, 3, status, nodes, cols);
+    for (int64_t j = 0; j < n * n; j++)
+        found += status[j] == 1;
+    printf("cells %lld\\n", (long long)found);
+}
+int main(void)
+{
+""" + "".join(f"    {call}\n" for call in calls) + "    return 0;\n}\n"
+    return source, expected
+
+
+@needs_compiler
+def test_threads_race_free_under_thread_sanitizer(tmp_path):
+    """The threaded enumeration and batch under ThreadSanitizer: no race report.
+
+    V16's tasks are long enough for the workers to lower each other's limits.
+    Skips where the compiler cannot build and run a ThreadSanitizer program.
+    """
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    flags = ["-fsanitize=thread", "-pthread", "-O1", "-g"]
+    probe = tmp_path / "probe.c"
+    probe.write_text("#include <pthread.h>\n"
+                     "static void *f(void *a) { return a; }\n"
+                     "int main(void) { pthread_t t; pthread_create(&t, 0, f, 0); "
+                     "return pthread_join(t, 0); }\n")
+    built = subprocess.run([*cc, *flags, str(probe), "-o", str(tmp_path / "probe")],
+                           capture_output=True)
+    if built.returncode != 0 or subprocess.run([str(tmp_path / "probe")],
+                                               capture_output=True).returncode != 0:
+        pytest.skip("the compiler cannot build and run a ThreadSanitizer program")
+    source, expected = _tsan_program([("V10", build_V(10)), ("EX8", build_exceptional(8)),
+                                     ("V16", build_V(16))])
+    (tmp_path / "program.c").write_text(source)
+    subprocess.run([*cc, *flags, str(tmp_path / "program.c"), str(_kernel._SOURCE),
+                    "-o", str(tmp_path / "program")], check=True, capture_output=True)
+    proc = subprocess.run([str(tmp_path / "program")], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "TSAN_OPTIONS": "exitcode=66"})
+    assert "ThreadSanitizer" not in proc.stderr, proc.stderr
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == expected
 
 
 def test_classify_exceptional_6():
@@ -630,14 +873,16 @@ def test_classify_enumeration_budget(twin):
 
 
 def test_classify_jobs_do_not_change_report():
-    sq = build_V(10)  # has a pinned cell, so both phases run in the pool
-    one = classify(sq, strategy="per-cell", jobs=1)
-    two = classify(sq, strategy="per-cell", jobs=2)
-    assert one.pinned
-    assert one.status == two.status
-    assert one.tau == two.tau
-    assert one.pinned == two.pinned
-    assert one.witnesses == two.witnesses
+    """Every field of every strategy's report, on one thread, two and every CPU."""
+    sq = build_V(10)  # has a pinned cell, so both phases run
+    for strategy in ("auto", "enumerate", "per-cell"):
+        one, two, default = (_report_fields(classify(sq, strategy=strategy, jobs=jobs))
+                             for jobs in (1, 2, None))
+        assert one["pinned"]
+        assert one == two == default
+    for jobs in (0, -1):
+        with pytest.raises(DomainError, match="jobs"):
+            classify(sq, jobs=jobs)
 
 
 @pytest.mark.parametrize("sq, budget", [(build_T(12), 200), (build_T(12), 400),
