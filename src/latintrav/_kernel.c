@@ -18,8 +18,9 @@
  * its next free candidate; the node count grows by the index distance of
  * each jump (clamped to budget + 1 when a jump crosses the budget), and the
  * delta sum is kept mod n without a division, which needs |delta| < n.
- * Threads change no output: every count, node total, status and first
- * solution equals the one-thread walk's, for every budget (see split_walk).
+ * Threads change no status and no node total for any budget, and no count
+ * of an enumeration that finishes: those equal the one-thread walk's (see
+ * split_walk).
  * Threads are created and joined inside each call; nothing outlives it.
  * _kernel.py builds and loads this file; the caller checks 1 <= n <=
  * MAX_ORDER, the cell indices, the buffer shapes and threads >= 1, and dfs
@@ -35,7 +36,7 @@
 #define MAX_THREADS 256
 #define TASKS_PER_THREAD 64          /* the split depth is the first with this many prefixes per thread */
 #define STACK_SIZE ((size_t)1 << 20) /* a worker's largest frame is search_cells's, about 170 KB */
-#define CHECK_EVERY ((int64_t)1 << 14) /* nodes between a task's looks at its shared limit */
+#define CHECK_EVERY ((int64_t)1 << 14) /* nodes between a task's additions to the node pool */
 
 /* Python's a % n for n > 0, which is never negative. */
 static inline int64_t pymod(int64_t a, int64_t n)
@@ -59,8 +60,20 @@ struct tree {
 struct walk {
     uint64_t avail[(MAX_ORDER + 1) * MAX_ORDER]; /* [d * n + r]: row r's free columns at depth d */
     uint64_t left[MAX_ORDER];
-    int64_t idx[MAX_ORDER], dres[MAX_ORDER + 1], sol[MAX_ORDER], first[MAX_ORDER];
+    int64_t idx[MAX_ORDER], dres[MAX_ORDER + 1], sol[MAX_ORDER];
     int64_t count, nodes, emitted;
+};
+
+/* A full enumeration split at one depth: the prefixes are tasks that the
+ * workers take in order.  next, nodes and count are read and written
+ * atomically; the rest is read-only while the workers run. */
+struct split {
+    const struct tree *t;
+    const int64_t *pre; /* ntasks prefix records of n + 1 words */
+    int64_t depth, ntasks, budget;
+    int64_t next;  /* the next task to take */
+    int64_t nodes; /* the node pool: the shallow walk's nodes plus those the tasks have added */
+    int64_t count; /* the tasks' solutions */
 };
 
 /* Fills t; returns 1 to search, 0 when the target residue is unreachable
@@ -107,31 +120,30 @@ static void start(const struct tree *t, struct walk *w)
     w->dres[0] = 0;
 }
 
-/* A prefix record: the shallow nodes when the prefix was reached, the delta
- * residue and the columns of rows 0..depth-1, and the free columns of rows
- * depth..n-1 at that depth.  Its length is n + 2. */
+/* A prefix record: the delta residue and the columns of rows 0..depth-1,
+ * and the free columns of rows depth..n-1 at that depth.  Its length is
+ * n + 1. */
 static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, const int64_t *rec)
 {
-    w->dres[depth] = rec[1];
-    memcpy(w->sol, rec + 2, (size_t)depth * sizeof w->sol[0]);
+    w->dres[depth] = rec[0];
+    memcpy(w->sol, rec + 1, (size_t)depth * sizeof w->sol[0]);
     for (int64_t r = depth; r < t->n; r++)
-        w->avail[depth * t->n + r] = (uint64_t)rec[2 + r];
+        w->avail[depth * t->n + r] = (uint64_t)rec[1 + r];
 }
 
 /* Walks the subtree below the node w holds at depth top, stopping at budget
  * limit.  Returns 1 when at least one solution was found, 0 when the subtree
- * was exhausted without one, and -1 when the budget ran out (w->count and
- * w->nodes are then valid for the explored part, w->nodes clamped to
- * limit + 1).  w->first holds the first solution when w->count > 0.
+ * was exhausted without one, and -1 when the budget ran out (w->nodes is
+ * then limit + 1).  A first-hit walk (enumerate_all = 0) that returns 1
+ * leaves its solution's columns in w->sol.
  *
  * A node at depth stop < n is not entered: it is counted in w->emitted and,
- * when pre is not NULL, written as a prefix record to pre, with the walk's
- * node count so far.  Pass stop = n to walk the whole subtree.
+ * when pre is not NULL, written as a prefix record to pre.  Pass stop = n to
+ * walk the whole subtree.
  *
- * When shared is not NULL, another thread may lower the limit there; the
- * walk looks every CHECK_EVERY nodes or so.  A lower limit it has not yet
- * passed becomes its limit, as if it had been passed in; one it has passed
- * stops the walk with -3 (w->count then counts solutions past that limit).
+ * When s is not NULL, the walk is one of its tasks: it adds its nodes to
+ * s's node pool every CHECK_EVERY nodes or so and when it ends, passing
+ * limit or not, and stops with -1 once the pool is over s's budget.
  *
  * The walk.  Each row's candidate columns are one bit mask.  The
  * availability table holds, at depth d and for each row r >= d, the columns
@@ -161,12 +173,12 @@ static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, con
  * prune and are not tested.
  */
 static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t stop,
-                    int64_t limit, int64_t enumerate_all, int64_t *pre, const int64_t *shared)
+                    int64_t limit, int64_t enumerate_all, int64_t *pre, struct split *s)
 {
     const int64_t n = t->n;
     const int64_t *cand = t->cand, *row_start = t->row_start;
-    int64_t depth = top, nodes = 0, count = 0, status;
-    int64_t check = shared ? CHECK_EVERY : INT64_MAX;
+    int64_t depth = top, nodes = 0, count = 0, pooled = 0, status;
+    int64_t check = s ? CHECK_EVERY : INT64_MAX;
     w->emitted = 0;
     w->left[top] = w->avail[top * n + top];
     w->idx[top] = 0;
@@ -174,8 +186,6 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
         if (depth == n) {
             if (!t->sd_final || w->dres[n] == t->target) {
                 count++;
-                if (count == 1)
-                    memcpy(w->first, w->sol, (size_t)n * sizeof w->first[0]);
                 if (!enumerate_all) {
                     status = 1;
                     goto done;
@@ -186,12 +196,11 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
         }
         if (depth == stop) {
             if (pre) {
-                int64_t *rec = pre + w->emitted * (n + 2);
-                rec[0] = nodes;
-                rec[1] = w->dres[depth];
-                memcpy(rec + 2, w->sol, (size_t)depth * sizeof rec[0]);
+                int64_t *rec = pre + w->emitted * (n + 1);
+                rec[0] = w->dres[depth];
+                memcpy(rec + 1, w->sol, (size_t)depth * sizeof rec[0]);
                 for (int64_t r = depth; r < n; r++)
-                    rec[2 + r] = (int64_t)w->avail[depth * n + r];
+                    rec[1 + r] = (int64_t)w->avail[depth * n + r];
             }
             w->emitted++;
             depth--;
@@ -248,12 +257,10 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
             if (nodes > limit)
                 goto out_of_budget;
             if (nodes >= check) {
-                int64_t lower = __atomic_load_n(shared, __ATOMIC_RELAXED);
-                if (nodes > lower) {
-                    status = -3;
-                    goto done;
-                }
-                limit = lower < limit ? lower : limit;
+                int64_t pool = __atomic_add_fetch(&s->nodes, nodes - pooled, __ATOMIC_RELAXED);
+                pooled = nodes;
+                if (pool > s->budget)
+                    goto out_of_budget;
                 check = nodes + CHECK_EVERY;
             }
             depth--;
@@ -262,11 +269,12 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
     status = count > 0;
     goto done;
 out_of_budget:
-    nodes = limit + 1;
     status = -1;
 done:
+    if (s) /* the unclamped count: every node it adds is a distinct node of the tree */
+        __atomic_add_fetch(&s->nodes, nodes - pooled, __ATOMIC_RELAXED);
     w->count = count;
-    w->nodes = nodes;
+    w->nodes = nodes > limit ? limit + 1 : nodes;
     return status;
 }
 
@@ -294,131 +302,41 @@ static void run_workers(void *(*fn)(void *), char *args, size_t size, int64_t co
         pthread_attr_destroy(&attr);
 }
 
-/* A full enumeration split at one depth: the prefixes are tasks that the
- * workers take in order.  Everything but the limits is read and written
- * under lock; each task's limit is written under lock and read by the
- * worker walking that task, atomically. */
-struct split {
-    const struct tree *t;
-    const int64_t *pre; /* ntasks prefix records of n + 2 words */
-    int64_t (*slot)[3]; /* status, count, nodes of each task; status -4 until it ends */
-    int64_t *limit_of;  /* each task's limit, lowered while it runs */
-    int64_t depth, ntasks, limit;
-    pthread_mutex_t lock;
-    int64_t next;       /* the next task to take */
-    int64_t done_nodes; /* nodes of the ended tasks, all below next */
-    int64_t front;      /* the first task not yet merged */
-    int64_t before;     /* nodes of tasks 0..front-1, which all finished */
-    int64_t count;      /* their solutions */
-    int64_t cut;        /* no task past this one is needed */
-    int64_t first_task; /* the first ended task with a solution, and that solution */
-    int64_t first[MAX_ORDER];
-};
-
-/* Ends every task past c: the one-thread walk stops at or before task c. */
-static void cut_after(struct split *s, int64_t c)
-{
-    if (c >= s->cut)
-        return;
-    s->cut = c;
-    for (int64_t j = c + 1; j < s->next; j++)
-        __atomic_store_n(&s->limit_of[j], -1, __ATOMIC_RELAXED);
-}
-
-/* Merges the tasks that ended in order from the front, as the one-thread
- * walk reaches them at the shallow nodes before the task plus the merged
- * tasks' nodes, until one is still running or the budget runs out before or
- * inside the front task; a running front task gets its exact limit, the
- * budget less the nodes the one-thread walk spends before it. */
-static void advance(struct split *s)
-{
-    const int64_t rec_len = s->t->n + 2;
-    for (; s->front < s->ntasks && s->front <= s->cut; s->front++) {
-        int64_t f = s->front, reached = s->pre[f * rec_len] + s->before;
-        if (reached > s->limit) {
-            cut_after(s, f - 1);
-            return;
-        }
-        if (s->slot[f][0] == -4) {
-            int64_t *lim = &s->limit_of[f];
-            if (s->limit - reached < *lim)
-                __atomic_store_n(lim, s->limit - reached, __ATOMIC_RELAXED);
-            return;
-        }
-        if (s->slot[f][0] < 0 || s->slot[f][2] > s->limit - reached) {
-            cut_after(s, f);
-            return;
-        }
-        s->before += s->slot[f][2];
-        s->count += s->slot[f][1];
-    }
-}
-
-/* Takes tasks in order until none is left or none can be needed.  The
- * ended tasks' nodes, all of tasks below the next, are a lower bound on what
- * the one-thread walk spends in tasks before the next one.  Task i starts
- * with the budget less the shallow nodes before it and less that bound, and
- * its limit falls to the exact remainder once every earlier task has ended.
- * Task i is not taken when the shallow nodes before it plus that bound
- * exceed the budget: the one-thread walk stops before it. */
+/* Takes tasks in order until none is left or the node pool is over the
+ * budget.  A task's limit is the budget less the pool when it is taken: the
+ * pool counts distinct nodes of the tree, none of them the task's, so a task
+ * that passes that limit puts the pool over the budget. */
 static void *split_worker(void *arg)
 {
     struct split *s = arg;
-    const struct tree *t = s->t;
-    const int64_t rec_len = t->n + 2;
     struct walk w;
     for (;;) {
-        int64_t limit = 0;
-        pthread_mutex_lock(&s->lock);
-        int64_t i = s->next;
-        int take = i < s->ntasks && i <= s->cut
-                   && s->pre[i * rec_len] + s->done_nodes <= s->limit;
-        if (take) {
-            s->next++;
-            limit = s->limit - s->pre[i * rec_len] - s->done_nodes;
-            if (limit < s->limit_of[i])
-                __atomic_store_n(&s->limit_of[i], limit, __ATOMIC_RELAXED);
-            limit = s->limit_of[i];
-        }
-        pthread_mutex_unlock(&s->lock);
-        if (!take)
+        int64_t pool = __atomic_load_n(&s->nodes, __ATOMIC_RELAXED);
+        int64_t i = __atomic_fetch_add(&s->next, 1, __ATOMIC_RELAXED);
+        if (i >= s->ntasks || pool > s->budget)
             return NULL;
-        load_prefix(t, &w, s->depth, s->pre + i * rec_len);
-        int64_t status = walk(t, &w, s->depth, t->n, limit, 1, NULL, &s->limit_of[i]);
-        pthread_mutex_lock(&s->lock);
-        s->slot[i][0] = status;
-        s->slot[i][1] = w.count;
-        s->slot[i][2] = w.nodes;
-        s->done_nodes += w.nodes;
-        if (w.count && i < s->first_task) {
-            s->first_task = i;
-            memcpy(s->first, w.first, (size_t)t->n * sizeof s->first[0]);
-        }
-        advance(s);
-        pthread_mutex_unlock(&s->lock);
+        load_prefix(s->t, &w, s->depth, s->pre + i * (s->t->n + 1));
+        walk(s->t, &w, s->depth, s->t->n, s->budget - pool, 1, NULL, s);
+        __atomic_add_fetch(&s->count, w.count, __ATOMIC_RELAXED);
     }
 }
 
 /* The full enumeration on `threads` threads, with the one-thread walk's
- * status and totals in w for every budget.
+ * status and nodes in w for every budget, and its count when it finishes.
  *
  * The same walk first runs down to the split depth, the first depth with
  * TASKS_PER_THREAD prefixes per thread, read from the tree by walking to
  * depth 1, 2, ... in turn; a tree without such a depth, or whose shallow walk
  * runs out of budget, is walked on this thread alone.  The walk to the split
- * depth records each prefix and the shallow nodes so far (S_i for prefix i,
- * S_end at its end); the one-thread walk then reaches prefix i at
- * S_i + P_i nodes, where P_i sums the nodes of tasks 0..i-1, and ends at
- * S_end + P_ntasks.  Merging the tasks in order with those sums finds where
- * the budget runs out: in the shallow walk before task i (S_i + P_i over
- * the budget: nothing of task i is counted), inside task i or after the last
- * task.  A task that ran out at exactly the budget left when it starts is
- * the one-thread walk's; any other task the budget runs out in is walked
- * again, here, with exactly that budget.
+ * depth records each prefix, and its nodes start the node pool.  The tasks
+ * add theirs, so the pool counts distinct nodes of the tree only, and it is
+ * over the budget exactly when the tree has more nodes than the budget,
+ * which is when the one-thread walk runs out.  Otherwise every task ran to
+ * its end and the pool holds the tree's nodes.
  */
 static int64_t split_walk(const struct tree *t, struct walk *w, int64_t limit, int64_t threads)
 {
-    const int64_t n = t->n, want = TASKS_PER_THREAD * threads, rec_len = n + 2;
+    const int64_t n = t->n, want = TASKS_PER_THREAD * threads;
     int64_t depth = 0, ntasks = 0;
     while (ntasks < want && ++depth < n) {
         start(t, w);
@@ -426,60 +344,30 @@ static int64_t split_walk(const struct tree *t, struct walk *w, int64_t limit, i
             break;
         ntasks = w->emitted;
     }
-    /* per task: its prefix record, its slot and its limit */
-    int64_t *pre = ntasks < want ? NULL : malloc((size_t)(ntasks * (rec_len + 4)) * sizeof *pre);
+    int64_t *pre = ntasks < want ? NULL : malloc((size_t)(ntasks * (n + 1)) * sizeof *pre);
     if (!pre) {
         start(t, w);
         return walk(t, w, 0, n, limit, 1, NULL, NULL);
     }
-    int64_t(*slot)[3] = (int64_t(*)[3])(pre + ntasks * rec_len);
-    int64_t *limit_of = pre + ntasks * (rec_len + 3);
     start(t, w);
     walk(t, w, 0, depth, limit, 1, pre, NULL);
-    const int64_t shallow_end = w->nodes;
-    for (int64_t i = 0; i < ntasks; i++) {
-        slot[i][0] = -4;
-        limit_of[i] = INT64_MAX;
-    }
-
-    struct split s = {.t = t, .pre = pre, .slot = slot, .limit_of = limit_of, .depth = depth,
-                      .ntasks = ntasks, .limit = limit, .cut = ntasks, .first_task = ntasks};
-    pthread_mutex_init(&s.lock, NULL);
+    struct split s = {.t = t, .pre = pre, .depth = depth, .ntasks = ntasks, .budget = limit,
+                      .nodes = w->nodes};
     run_workers(split_worker, (char *)&s, 0, threads);
-    pthread_mutex_destroy(&s.lock);
-
-    /* the tasks ended; every one the one-thread walk finishes is merged */
-    int64_t i = s.front, count = s.count, status;
-    int64_t left = i < ntasks ? limit - pre[i * rec_len] - s.before : -1;
-    if (left >= 0) { /* the budget runs out inside task i */
-        if (slot[i][0] == -1 && slot[i][2] == left + 1) {
-            count += slot[i][1]; /* this run stopped where the one-thread walk stops */
-            if (s.first_task == i)
-                memcpy(w->first, s.first, (size_t)n * sizeof w->first[0]);
-        } else {
-            load_prefix(t, w, depth, pre + i * rec_len);
-            walk(t, w, depth, n, left, 1, NULL, NULL);
-            count += w->count; /* w->first is this task's first solution, if any */
-        }
-    }
-    if (s.first_task < i)
-        memcpy(w->first, s.first, (size_t)n * sizeof w->first[0]);
-    if (i == ntasks && shallow_end + s.before <= limit) {
-        w->nodes = shallow_end + s.before;
-        status = count > 0;
-    } else {
-        w->nodes = limit + 1;
-        status = -1;
-    }
-    w->count = count;
     free(pre);
-    return status;
+    w->count = s.count;
+    if (s.nodes > limit) {
+        w->nodes = limit + 1;
+        return -1;
+    }
+    w->nodes = s.nodes;
+    return s.count > 0;
 }
 
 /* Returns 1 when at least one solution was found, 0 when the space was
- * exhausted empty, -1 when the node budget ran out (the totals are valid for
- * the explored prefix) and -2, with zero totals, when n or a candidate is out
- * of range.
+ * exhausted empty, -1 when the node budget ran out (nodes is then
+ * budget + 1, and count is valid only for a search that finished) and -2,
+ * with zero totals, when n or a candidate is out of range.
  *
  * cand        (row_start[n], 3): col, sym, delta of each candidate, row after
  *             row, columns strictly ascending within a row, |delta| < n
@@ -487,7 +375,8 @@ static int64_t split_walk(const struct tree *t, struct walk *w, int64_t limit, i
  * lo_suf, hi_suf (n + 1): min and max delta sums of rows r..n-1
  * threads     threads of a full enumeration (enumerate_all = 1); a first-hit
  *             search runs on the calling thread
- * first_cols  (n): columns of the first solution
+ * first_cols  (n): columns of the solution a first-hit search found, written
+ *             only when it returns 1
  * totals      (2): count, nodes
  *
  * The target residue of the delta sum is n/2 for even n and 0 for odd n.
@@ -512,8 +401,8 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
             start(&t, &w);
             status = walk(&t, &w, 0, n, limit, enumerate_all, NULL, NULL);
         }
-        if (w.count)
-            memcpy(first_cols, w.first, (size_t)n * sizeof first_cols[0]);
+        if (status == 1 && !enumerate_all)
+            memcpy(first_cols, w.sol, (size_t)n * sizeof first_cols[0]);
     }
     totals[0] = w.count;
     totals[1] = w.nodes;

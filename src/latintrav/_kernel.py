@@ -1,8 +1,9 @@
 """Compiled depth-first search kernel, built from ``_kernel.c`` on first use.
 
 The library has two entry points over one search: ``dfs``, wrapped by `run`,
-runs one search over prepared candidates and returns its first solution,
-solution count and node count; ``search_cells``, wrapped by
+runs one search over prepared candidates and returns its status and node
+count, plus the solution of a first-hit search or the solution count of a
+full enumeration; ``search_cells``, wrapped by
 `run_cells`, runs per-cell classification's first-hit searches for a whole
 batch of cells, filtering the square's candidates for each cell itself.
 ``dfs`` tallies nothing per cell: classification takes every status and
@@ -10,9 +11,10 @@ witness from ``search_cells``.
 
 Both run on every CPU in the process's affinity mask unless told otherwise
 (`cpu_count`).  A full enumeration walks the tree down to a split depth read
-from the tree and hands the subtrees below it to threads; merging their
-totals in search order gives the one-thread walk's count, nodes, status and
-first solution for every budget.  First-hit searches run on one thread, and
+from the tree and hands the subtrees below it to threads, which add their
+nodes to one shared pool and stop once it is over the budget.  That gives
+the one-thread walk's status and nodes for every budget, and its count and
+nodes when it finishes.  First-hit searches run on one thread, and
 ``search_cells`` strides its cells across the threads.  The threads are
 created and joined inside each call, so nothing outlives it or a fork.
 
@@ -156,9 +158,12 @@ def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool,
     kernel works out the target residue from ``prep.n``.  Returns (status,
     count, nodes, first_cols) with status 1 when at least one solution was
     found, 0 when the space was exhausted empty, and -1 when the node budget
-    ran out (count and nodes are still valid for the explored prefix).  A
-    full enumeration runs on ``threads`` threads (default `cpu_count`), with
-    the same results on any number; a first-hit search runs on one.
+    ran out (nodes is then budget + 1, and count means nothing).
+    ``first_cols`` holds the solution of a first-hit search with status 1
+    and is not written otherwise.  A full enumeration runs on ``threads``
+    threads (default `cpu_count`), with the same status and nodes on any
+    number, and the same count when it finishes; a first-hit search runs on
+    one.
     Raises ValueError when a candidate breaks the layout ``dfs`` relies on.
     The caller has checked that `load` returns the kernel.
     """

@@ -192,27 +192,26 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
     This is the paper's proof run by machine: forbidding every cell of block
     (2,2), or of block (1,1), leaves no transversal, and the closure of those
     two blocks under tau and phi is all nine.  A full enumeration adds the
-    transversal count and the first transversal, which shows that at least
-    one transversal exists and, when it hits some block exactly once, that
-    the least number of hits is 1.  ``node_budget`` caps each search.
+    transversal count, and a first-hit search the first transversal, which
+    shows that at least one transversal exists and, when it hits some block
+    exactly once, that the least number of hits is 1.  ``node_budget`` caps
+    each search.
 
     When only the enumeration runs out of budget, the theorem can still
-    pass: the count is then None and ``budget_exhausted`` True, and the
-    first transversal comes from one first-hit search under the same budget,
-    which finds it exactly when the enumeration found any.
+    pass: the count is then None and ``budget_exhausted`` True.  The
+    first-hit search visits a prefix of the enumeration's nodes, so it
+    finishes whenever the enumeration does.
     """
     square = build_L(m)
-    exhausted = False
     try:
-        summary = engine.count_and_cover(square, node_budget=node_budget)
-        count, first = summary.count, summary.first
+        count = engine.count_and_cover(square, node_budget=node_budget).count
     except engine.BudgetExceeded:
-        exhausted = True
         count = None
-        try:
-            first = engine.find(square, node_budget=node_budget)
-        except engine.BudgetExceeded:
-            first = None
+    try:
+        first = engine.find(square, node_budget=node_budget)
+    except engine.BudgetExceeded:
+        first = None
+    exhausted = count is None
     exists = first is not None
 
     def block_is_unavoidable(i, j):

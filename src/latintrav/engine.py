@@ -48,11 +48,10 @@ log = logging.getLogger(__name__)
 
 
 class BudgetExceeded(LatinSquareError):
-    """The node budget ran out before the search finished."""
+    """The node budget ran out before the search finished, after ``nodes`` = budget + 1 nodes."""
 
-    def __init__(self, nodes: int, count: int = 0):
+    def __init__(self, nodes: int):
         self.nodes = nodes
-        self.count = count
         super().__init__(f"node budget exceeded after {nodes} nodes")
 
 
@@ -252,16 +251,16 @@ def _log_large_orders() -> None:
 
 @dataclass(frozen=True)
 class EnumerationSummary:
-    """What a full enumeration gives that per-cell statuses cannot.
+    """What a finished full enumeration gives that per-cell statuses cannot.
 
-    The solution count, the nodes visited and the first solution's columns
-    (None without solutions).  No block hits: `blocks.verify_hit_theorem`
-    proves that every block is hit by two refutations and two autotopisms.
+    The solution count and the nodes visited.  No first solution: `find`
+    gives the same lexicographically first one.  No block hits:
+    `blocks.verify_hit_theorem` proves that every block is hit by two
+    refutations and two autotopisms.
     """
 
     count: int
     nodes: int
-    first: tuple[int, ...] | None
 
 
 def _constraints_arg(constraints, kwargs) -> SearchConstraints:
@@ -321,15 +320,16 @@ def enumerate_solutions(square: LatinSquare, constraints: SearchConstraints | No
 
 def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None = None, *,
                     prune: bool = True, **kwargs) -> EnumerationSummary:
-    """Full enumeration reduced to its count, node total and first solution.
+    """Full enumeration reduced to its count and node total.
 
-    Per-cell statuses and witnesses are not tallied here; `classify` takes
-    them from the per-cell phases.  Block hits are not tallied either:
-    `blocks.verify_hit_theorem` refutes a transversal missing block (2,2) or
-    (1,1) and carries both blocks onto the rest with the tau and phi
-    autotopisms.  The name, which no longer describes a cover tally, is kept
-    for perfbench's callers.  On the kernel the enumeration runs on every
-    CPU in the affinity mask.
+    Raises BudgetExceeded, with budget + 1 nodes and no partial count, when
+    the node budget runs out.  Per-cell statuses and witnesses are not
+    tallied here; `classify` takes them from the per-cell phases.  Block
+    hits are not tallied either: `blocks.verify_hit_theorem` refutes a
+    transversal missing block (2,2) or (1,1) and carries both blocks onto
+    the rest with the tau and phi autotopisms.  The name, which no longer
+    describes a cover tally, is kept for perfbench's callers.  On the kernel
+    the enumeration runs on every CPU in the affinity mask.
     """
     cons = _constraints_arg(constraints, kwargs)
     return _count(_Prepared(square, cons), prune, cons.node_budget, None)
@@ -339,28 +339,16 @@ def _count(prep: _Prepared, prune: bool, budget: int | None,
            threads: int | None) -> EnumerationSummary:
     """`count_and_cover` of a prepared search, on ``threads`` kernel threads (None: every CPU)."""
     if not prep.feasible:
-        return EnumerationSummary(count=0, nodes=0, first=None)
+        return EnumerationSummary(count=0, nodes=0)
     if _use_kernel(prep.n):
-        status, count, nodes, first_cols = _kernel.run(
+        status, count, nodes, _ = _kernel.run(
             prep, prune=prune, budget=budget, enumerate_all=True, threads=threads)
         if status == -1:
-            raise BudgetExceeded(nodes, count)
-        return EnumerationSummary(
-            count=count,
-            nodes=nodes,
-            first=tuple(int(c) for c in first_cols) if count else None,
-        )
-    count = 0
-    first = None
+            raise BudgetExceeded(nodes)
+        return EnumerationSummary(count=count, nodes=nodes)
     counter = _NodeCounter()
-    try:
-        for cols in _iter_cols(prep, prune, budget, counter):
-            count += 1
-            if first is None:
-                first = cols
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(exc.nodes, count) from None
-    return EnumerationSummary(count=count, nodes=counter.nodes, first=first)
+    count = sum(1 for _ in _iter_cols(prep, prune, budget, counter))
+    return EnumerationSummary(count=count, nodes=counter.nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,6 +556,8 @@ def pinned_verdicts(square: LatinSquare, entries, *,
     cells = []
     for entry in entries:
         e = Entry(*_as_rcs(entry))
+        if not (0 <= e.row < square.order and 0 <= e.col < square.order):
+            raise DomainError(f"{e} is outside the square")
         if square.grid[e.row][e.col] != e.sym:
             raise DomainError(f"{e} is not an entry of the square")
         cells.append((e.row, e.col))

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from latintrav import engine
+from latintrav import _kernel, engine
 from latintrav.cli import build_parser, main
 from latintrav.core import KNOWN_FAMILIES, DomainError
 from latintrav.families import FAMILIES, build_family, claimed_pinned_entries
@@ -205,6 +205,22 @@ def test_budget_exhaustion_exit_3(capsys):
                          "--budget", "10")
     assert (code, out) == (3, "")
     assert "node budget exceeded" in err
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_count_budget_boundary(capsys, monkeypatch, threads):
+    """V10's enumeration takes 32,250 nodes: one fewer is exit 3, that many is the count.
+
+    It splits across 2 and 3 kernel threads, so this pins the threads' shared
+    node count at the exact budget through the CLI."""
+    monkeypatch.setattr(_kernel, "cpu_count", lambda: threads)
+    argv = ("transversal", "count", "--family", "V", "--order", "10", "--no-meta")
+    code, out, err = run(capsys, *argv, "--budget", "32249")
+    assert (code, out) == (3, "")
+    assert "node budget exceeded after 32250 nodes" in err
+    code, out, _ = run(capsys, *argv, "--budget", "32250")
+    assert code == 0
+    assert json.loads(out)["count"] == 272
 
 
 def test_bounds_budget_falls_back_to_sets_only(capsys):

@@ -202,10 +202,10 @@ def test_failed_build_falls_back_to_pure_twin(broken, monkeypatch, tmp_path, cap
     caplog.set_level(logging.WARNING, logger=_kernel.__name__)
     v10 = count_and_cover(build_V(10))
     assert (v10.count, v10.nodes) == (272, 32_250)
-    assert v10.first == find(build_V(10)).cols == (2, 0, 4, 6, 7, 3, 8, 5, 9, 1)
+    assert find(build_V(10)).cols == (2, 0, 4, 6, 7, 3, 8, 5, 9, 1)
     ex8 = count_and_cover(build_exceptional(8))
     assert ex8.count == 16
-    assert ex8.first == find(build_exceptional(8)).cols == (0, 2, 6, 1, 4, 7, 5, 3)
+    assert find(build_exceptional(8)).cols == (0, 2, 6, 1, 4, 7, 5, 3)
     ex8_report = classify(build_exceptional(8), strategy="enumerate")
     assert (ex8_report.transversal_count, ex8_report.tau) == (16, 28)
     t12 = classify(build_T(12), strategy="per-cell")
@@ -313,11 +313,9 @@ def test_kernel_logic_matches_twin(sq, prune):
         if first is not None:
             assert tuple(first_cols) == first
 
-        status, count, nodes, first_cols = _kernel.run(
+        status, count, nodes, _ = _kernel.run(
             prep, prune=prune, budget=None, enumerate_all=True, threads=threads)
         assert (status, count, nodes) == (int(twin.count > 0), twin.count, twin.nodes)
-        if twin.count:
-            assert tuple(first_cols) == twin.first
 
 
 def test_hit_theorem_fails_when_a_refutation_finds_a_transversal(monkeypatch):
@@ -353,25 +351,27 @@ def test_kernel_logic_budget_matches_twin():
 
 
 def _twin_run(prep, prune, budget, enumerate_all):
-    """The pure twin's (status, count, nodes, first solution), shaped as `_kernel.run`'s."""
+    """The pure twin's (status, count, nodes, first solution), shaped as `_kernel_run`'s."""
     counter = _NodeCounter()
     count, first = 0, None
     try:
         for cols in _iter_cols(prep, prune, budget, counter):
             count += 1
-            if first is None:
-                first = cols
             if not enumerate_all:
+                first = cols
                 break
     except BudgetExceeded:
-        return -1, count, counter.nodes, first
+        return -1, None, counter.nodes, None
     return int(count > 0), count, counter.nodes, first
 
 
 def _kernel_run(prep, prune, budget, enumerate_all, threads=None):
+    """`_kernel.run` reduced to what it promises: status and nodes for every budget,
+    the count when the search finished and the solution of a first-hit search."""
     status, count, nodes, first_cols = _kernel.run(
         prep, prune=prune, budget=budget, enumerate_all=enumerate_all, threads=threads)
-    return status, count, nodes, tuple(first_cols.tolist()) if count else None
+    return (status, count if status >= 0 else None, nodes,
+            tuple(first_cols.tolist()) if status == 1 and not enumerate_all else None)
 
 
 def _c_define(name: str) -> int:
@@ -489,11 +489,12 @@ SWEEP_CASES = [
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 @pytest.mark.parametrize("sq, mode", SWEEP_CASES)
 def test_enumeration_budget_sweep_matches_twin(sq, mode, prune):
-    """Full enumeration stopped at budgets across the whole tree: the kernel's jumps over
-    used candidates must stop at budget + 1 nodes with the twin's count and first
-    solution, on 1, 2 and 3 threads.  The budgets beside row entries make the
-    budget run out in a split enumeration's shallow walk and inside its tasks, and
-    one below the total after its last task."""
+    """Full enumeration stopped at budgets across the whole tree: the kernel must give
+    the twin's status and nodes (budget + 1 when it runs out, however its jumps over
+    used candidates land) and, when it finishes, the twin's count, on 1, 2 and 3
+    threads.  The budgets beside row entries make the budget run out in a split
+    enumeration's shallow walk and inside its tasks, and one below the total after
+    its last task."""
     prep = _Prepared(sq, SearchConstraints.make(mode=mode))
     total = _twin_run(prep, prune, None, True)[2]
     budgets = set(_budget_sweep(total)) | {max(total - 1, 0), total}
@@ -535,16 +536,15 @@ def test_split_and_unsplit_trees_match_twin(sq, splits):
 
 @needs_compiler
 def test_long_tasks_under_budgets_match_one_thread():
-    """V16's tasks run long enough (about 100k nodes each) for the workers to lower a
-    running task's limit to the exact remainder, to stop one that has passed it and
-    to walk it again; at budgets across the first tenth of the tree (54.4M nodes)
-    every result equals the one-thread walk's."""
+    """V16's tasks run long enough (about 100k nodes each) for every worker to add to
+    the node pool many times while the others run; at budgets across the first tenth
+    of the tree (54.4M nodes) each run stops with the one-thread walk's status -1 and
+    budget + 1 nodes."""
     prep = _Prepared(build_V(16), SearchConstraints.make())
     for budget in np.linspace(100_000, 5_440_000, 8).round().astype(int).tolist():
-        one = _kernel_run(prep, True, budget, True, 1)
-        assert one[0] == -1 and one[2] == budget + 1
-        for threads in (2, 3):
-            assert _kernel_run(prep, True, budget, True, threads) == one, (budget, threads)
+        for threads in (1, 2, 3):
+            assert _kernel_run(prep, True, budget, True, threads) \
+                == (-1, None, budget + 1, None), (budget, threads)
 
 
 # (label, square, budget, enumerate_all) of orders near MAX_KERNEL_ORDER, where the
@@ -692,7 +692,8 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
 
     Each enumeration runs without a budget and at a third and two thirds of
     its nodes; each batch searches through and then avoiding every cell.  The
-    expected lines come from the kernel on one thread.
+    expected lines come from the kernel on one thread: status and nodes, and
+    the count only when the enumeration finished.
     """
     decls, calls, expected = [], [], []
     for label, sq in cases:
@@ -708,7 +709,7 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
             calls.append(f"enumerate({label}_cand, {label}_row_start, {label}_lo_suf, "
                          f"{label}_hi_suf, {n}, {budget});")
             st, count, nodes, _ = _kernel_run(prep, True, None if budget < 0 else budget, True, 1)
-            expected.append(f"dfs {st} {count} {nodes}")
+            expected.append(f"dfs {st} {'-' if count is None else count} {nodes}")
         for avoid in (0, 1):
             calls.append(f"batch({label}_base, {n}, {label}_cells, {avoid});")
             found = sum(cols is not None
@@ -724,7 +725,10 @@ static void enumerate(const int64_t *cand, const int64_t *row_start, const int64
 {
     int64_t first[64], totals[2];
     int64_t st = dfs(cand, row_start, lo, hi, n, 1, 0, 1, budget, 1, 3, first, totals);
-    printf("dfs %lld %lld %lld\\n", (long long)st, (long long)totals[0], (long long)totals[1]);
+    if (st < 0)
+        printf("dfs %lld - %lld\\n", (long long)st, (long long)totals[1]);
+    else
+        printf("dfs %lld %lld %lld\\n", (long long)st, (long long)totals[0], (long long)totals[1]);
 }
 static void batch(const int64_t *base, int64_t n, const int64_t *cells, int64_t avoid)
 {
@@ -744,7 +748,8 @@ int main(void)
 def test_threads_race_free_under_thread_sanitizer(tmp_path):
     """The threaded enumeration and batch under ThreadSanitizer: no race report.
 
-    V16's tasks are long enough for the workers to lower each other's limits.
+    V16's tasks are long enough for every worker to add to the node pool while
+    the others take tasks and walk.
     Skips where the compiler cannot build and run a ThreadSanitizer program.
     """
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
@@ -953,6 +958,15 @@ def test_is_pinned():
     assert not is_pinned(cayley_table(6), (0, 0, 0))  # no transversal at all
     with pytest.raises(DomainError):
         is_pinned(sq, (0, 0, 5))
+
+
+@pytest.mark.parametrize("entry", [(10, 0, 0), (0, 10, 0), (-1, 0, 0), (0, -1, 9)])
+def test_is_pinned_rejects_cells_outside_the_square(entry):
+    """A DomainError, not an IndexError from past the end or a wrap-around from -1."""
+    with pytest.raises(DomainError, match="outside the square"):
+        is_pinned(build_V(10), entry)
+    with pytest.raises(DomainError, match="outside the square"):
+        pinned_verdicts(build_V(10), [(1, 0, 3), entry])
 
 
 def test_pinned_verdicts_share_one_search(monkeypatch):
