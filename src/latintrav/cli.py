@@ -100,14 +100,11 @@ def cmd_classify(args) -> int:
 
 
 def _render_classify(payload: dict) -> str:
-    lines = [
+    return "\n".join([
         f"order {payload['order']}  family {payload['family'] or '-'}",
         f"tau {payload['tau']}  hasTransversal {payload['hasTransversal']}",
         f"pinned {payload['pinned']}",
-    ]
-    if "counts" in payload:
-        lines.append(f"transversals {payload['counts']}")
-    return "\n".join(lines)
+    ])
 
 
 def cmd_transversal(args) -> int:
@@ -163,8 +160,7 @@ def cmd_bounds(args) -> int:
         check = bounds.check_sets_only(args.family, args.order)
     else:
         square = build_family(args.family, n=args.order)
-        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs,
-                                 strategy="per-cell")
+        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
         if report.partial:
             check = bounds.check_sets_only(args.family, args.order)
             code = 3
@@ -185,15 +181,14 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    if args.max_order % 2 or not 10 <= args.max_order <= 24:
-        raise LatinSquareError(f"--max-order must be even in 10..24, got {args.max_order}")
+    if args.max_order % 2 or not 10 <= args.max_order <= 32:
+        raise LatinSquareError(f"--max-order must be even in 10..32, got {args.max_order}")
     rows = []
     code = 0
     for n in range(10, args.max_order + 2, 2):
         family = family_of_order(n)
         square = build_family(family, n)
-        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs,
-                                 strategy="per-cell")
+        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
         if report.partial:
             code = 3
             break

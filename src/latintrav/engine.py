@@ -41,9 +41,6 @@ COVERED = "COVERED"
 PINNED = "PINNED"
 UNKNOWN = "UNKNOWN"
 
-# Node cap for the opportunistic full-enumeration pass inside classify().
-AUTO_ENUM_BUDGET = 400_000_000
-
 log = logging.getLogger(__name__)
 
 
@@ -62,7 +59,11 @@ class SearchMode(Enum):
 
 @dataclass(frozen=True)
 class SearchConstraints:
-    """Required entries, forbidden cells, search mode, and an optional budget."""
+    """Required entries, forbidden cells, search mode, and an optional budget.
+
+    A budget of 0 stops at the first node; None means no budget, and a
+    negative budget is a DomainError.
+    """
 
     required: frozenset[Entry] = frozenset()
     forbidden_cells: frozenset[tuple[int, int]] = frozenset()
@@ -77,6 +78,7 @@ class SearchConstraints:
         return cls(req, forb, mode, node_budget)
 
     def validate(self, square: LatinSquare) -> None:
+        _check_budget(self.node_budget)
         rows, cols, syms = set(), set(), set()
         for e in self.required:
             if not (0 <= e.row < square.order and 0 <= e.col < square.order):
@@ -95,6 +97,11 @@ class SearchConstraints:
                 raise DomainError(f"forbidden cell ({r}, {c}) outside the square")
         if self.mode is SearchMode.SUITABLE_DIAGONAL and square.order % 2:
             raise OddOrder("suitable-diagonal mode needs even order")
+
+
+def _check_budget(node_budget: int | None) -> None:
+    if node_budget is not None and node_budget < 0:
+        raise DomainError(f"node budget must be at least 0, got {node_budget}")
 
 
 def _base_candidates(square: LatinSquare) -> np.ndarray:
@@ -483,18 +490,18 @@ def _report_from_summary(square: LatinSquare, summary: EnumerationSummary,
 
 
 def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int | None = None,
-             strategy: str = "auto") -> ClassificationReport:
+             strategy: str = "per-cell") -> ClassificationReport:
     """Classify every cell as FREE / COVERED / PINNED.
 
     Every report's statuses and witnesses come from the per-cell phases
-    below.  ``strategy='enumerate'`` first counts all transversals in one
-    full enumeration under ``node_budget``, which adds ``transversal_count``
-    and puts the enumeration's nodes in ``nodes``, then runs both phases
-    without a budget (see `_report_from_summary`).  ``strategy='auto'`` caps
-    that enumeration at AUTO_ENUM_BUDGET nodes and, when the cap or the budget
-    runs out, logs the nodes it spent and classifies per cell under
-    ``node_budget`` instead (squares with huge transversal counts classify
-    far faster per cell).
+    below, and the default ``strategy='per-cell'`` runs only those, each
+    search under ``node_budget``; its report has no ``transversal_count``
+    (`enumerate_solutions` and ``latintrav transversal count`` give it).
+    ``strategy='enumerate'`` first counts all transversals in one full
+    enumeration under ``node_budget``, which adds ``transversal_count`` and
+    puts the enumeration's nodes in ``nodes``, then runs both phases without
+    a budget (see `_report_from_summary`); it raises BudgetExceeded when the
+    enumeration runs out.  Any other strategy is a DomainError.
 
     Per-cell classification runs in two phases over one preparation of the
     square.  Phase 1 searches each cell for the lexicographically first
@@ -518,30 +525,18 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int |
     UNKNOWN and the report partial, never FREE or PINNED.  A cell whose
     phase-1 search finished is COVERED as soon as some witness avoids it, so
     a budgeted run resolves cells whose avoiding search would have run out.
+    A negative ``node_budget`` is a DomainError.
     """
-    if strategy not in ("auto", "enumerate", "per-cell"):
+    if strategy not in ("per-cell", "enumerate"):
         raise DomainError(f"unknown classify strategy {strategy!r}")
     if jobs is not None and jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
+    _check_budget(node_budget)
     threads = _kernel.cpu_count() if jobs is None else min(jobs, _kernel.cpu_count())
-    if strategy in ("auto", "enumerate"):
-        enum_budget = node_budget
-        if strategy == "auto":
-            # the enumeration pass is opportunistic; cap it so the fallback
-            # still has the caller's budget available
-            enum_budget = AUTO_ENUM_BUDGET if node_budget is None \
-                else min(node_budget, AUTO_ENUM_BUDGET)
-        try:
-            summary = _count(_Prepared(square, SearchConstraints(node_budget=enum_budget)),
-                             True, enum_budget, threads)
-        except BudgetExceeded as exc:
-            if strategy == "enumerate":
-                raise
-            log.info("%s%d: full enumeration ran out of its %d-node budget after %d nodes; "
-                     "classifying per cell", square.family or "order ", square.order,
-                     enum_budget, exc.nodes)
-        else:
-            return _report_from_summary(square, summary, threads)
+    if strategy == "enumerate":
+        summary = _count(_Prepared(square, SearchConstraints(node_budget=node_budget)),
+                         True, node_budget, threads)
+        return _report_from_summary(square, summary, threads)
     return _classify_cells(square, node_budget, threads)
 
 
@@ -553,6 +548,7 @@ def is_pinned(square: LatinSquare, entry, *, node_budget: int | None = None) -> 
 def pinned_verdicts(square: LatinSquare, entries, *,
                     node_budget: int | None = None) -> tuple[bool, ...]:
     """`is_pinned` for each entry, running the unconstrained search once for all."""
+    _check_budget(node_budget)
     cells = []
     for entry in entries:
         e = Entry(*_as_rcs(entry))

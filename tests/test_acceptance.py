@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run the fast set with plain ``pytest``; the long verifications (orders 18-24
+Run the fast set with plain ``pytest``; the long verifications (orders 18-32
 of the tau table, the m=5 block theorem) need ``pytest --runlong``.
 """
 
@@ -32,6 +32,7 @@ from latintrav.families import (
     build_U,
     build_V,
     claimed_free_cells,
+    claimed_pinned_entries,
     family_of_order,
 )
 from latintrav.blocks import PHI_BLOCK_MAP, TAU_BLOCK_MAP, automorphism_tau, autotopism_phi, verify_block_maps
@@ -99,6 +100,26 @@ def test_criterion_3_tau_table_long(n):
     ok = ok and lower_bound(family, n) == EXPECTED_LOWER[n]
     ok = ok and elapsed < 3600.0
     report(3, f"tau-table {family}{n} ({elapsed:.0f}s)", ok)
+
+
+@pytest.mark.long
+def test_criterion_3_tau_table_to_32():
+    """Orders 26..32 past the published table, each row checked by a second path.
+
+    The lower-bound union must lie inside FREE, and the PINNED cells must be
+    the forced-entry certificate's cells.
+    """
+    t0 = time.perf_counter()
+    ok = True
+    for n, tau in ((26, 329), (28, 366), (30, 455), (32, 508)):
+        family = family_of_order(n)
+        rep = classify(build_family(family, n))
+        check = verify_bound(family, n, rep)
+        ok = ok and rep.tau == tau and not rep.partial
+        ok = ok and check.subset_ok and check.size_ok and check.tau_ok
+        ok = ok and set(rep.pinned) == set(claimed_pinned_entries(family, n))
+    elapsed = time.perf_counter() - t0
+    report(3, f"tau-table n=26..32 ({elapsed:.1f}s)", ok)
 
 
 def test_criterion_4_pinned_certificates():

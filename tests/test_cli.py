@@ -80,6 +80,8 @@ def test_classify_no_meta_is_deterministic(capsys):
     _, out1, _ = run(capsys, "classify", "--family", "V", "--order", "10", "--no-meta")
     _, out2, _ = run(capsys, "classify", "--family", "V", "--order", "10", "--no-meta")
     assert out1 == out2
+    assert set(json.loads(out1)) == {"family", "freeCells", "hasTransversal", "order",
+                                     "pinned", "tau"}
     _, with_meta, _ = run(capsys, "classify", "--family", "V", "--order", "10")
     assert "meta" in json.loads(with_meta)
 
@@ -193,8 +195,10 @@ def test_table1_runs_every_order_to_24(capsys):
 
 
 def test_table1_rejects_bad_order(capsys):
-    code, _, _ = run(capsys, "table1", "--max-order", "11")
-    assert code == 2
+    for order in ("11", "34"):
+        code, _, err = run(capsys, "table1", "--max-order", order)
+        assert code == 2
+        assert f"--max-order must be even in 10..32, got {order}" in err
 
 
 def test_budget_exhaustion_exit_3(capsys):
@@ -223,6 +227,27 @@ def test_count_budget_boundary(capsys, monkeypatch, threads):
     assert json.loads(out)["count"] == 272
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--family", "V", "--order", "10"),
+    ("transversal", "find", "--family", "V", "--order", "10"),
+    ("transversal", "count", "--family", "V", "--order", "10"),
+    ("transversal", "enumerate", "--family", "CAYLEY", "--order", "5"),
+    ("transversal", "disjoint-pair", "--family", "CAYLEY", "--order", "5"),
+    ("pinned", "--family", "T", "--order", "12"),
+    ("bounds", "--family", "U", "--order", "14"),
+    ("blocks", "--m", "3"),
+    ("table1", "--max-order", "12"),
+], ids=["classify", "find", "count", "enumerate", "disjoint-pair", "pinned", "bounds", "blocks",
+        "table1"])
+def test_negative_budget_exits_2(capsys, argv):
+    """A negative budget is an input error, not "no budget"; 0 stops at the first node."""
+    code, out, err = run(capsys, *argv, "--budget", "-1", "--no-meta")
+    assert (code, out) == (2, "")
+    assert "node budget must be at least 0, got -1" in err
+    code, _, _ = run(capsys, *argv, "--budget", "0", "--no-meta")
+    assert code == 3
+
+
 def test_bounds_budget_falls_back_to_sets_only(capsys):
     code, out, _ = run(capsys, "bounds", "--family", "T", "--order", "12",
                        "--budget", "10", "--no-meta")
@@ -236,9 +261,12 @@ def test_bounds_budget_falls_back_to_sets_only(capsys):
 
 def test_table1_and_bounds_classify_per_cell(capsys, monkeypatch):
     def no_enumeration(*args, **kwargs):
-        raise AssertionError("table1 and bounds need no full enumeration")
+        raise AssertionError("classify, table1 and bounds need no full enumeration")
 
     monkeypatch.setattr(engine, "_count", no_enumeration)  # under count_and_cover and classify
+    code, out, _ = run(capsys, "classify", "--family", "V", "--order", "10", "--no-meta")
+    assert code == 0
+    assert json.loads(out)["tau"] == 34 and "counts" not in json.loads(out)
     code, out, _ = run(capsys, "table1", "--max-order", "12", "--no-meta")
     assert code == 0
     assert [(r["label"], r["tau"]) for r in json.loads(out)["rows"]] == [("V10", 34), ("T12", 67)]

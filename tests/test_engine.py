@@ -173,6 +173,33 @@ def test_budget_exceeded_compiled_backend():
         find(build_exceptional(8), node_budget=3)
 
 
+@pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])
+def test_negative_budget_is_a_domain_error(twin):
+    """A budget below 0 is rejected, never read as no budget; 0 stops at the first node."""
+    sq = build_V(10)
+    calls = [
+        lambda budget: find(sq, node_budget=budget),
+        lambda budget: next(iter_solutions(sq, node_budget=budget)),
+        lambda budget: count_and_cover(sq, node_budget=budget),
+        lambda budget: classify(build_T(12), node_budget=budget),
+        lambda budget: classify(sq, strategy="enumerate", node_budget=budget),
+        lambda budget: is_pinned(sq, (1, 0, 3), node_budget=budget),
+        lambda budget: pinned_verdicts(sq, (), node_budget=budget),  # runs no search
+        lambda budget: find_disjoint_pair(cayley_table(5), node_budget=budget),
+        lambda budget: verify_hit_theorem(3, node_budget=budget),
+    ]
+    with pure_twin() if twin else nullcontext():
+        for call in calls:
+            for budget in (-1, -3):  # -1 is what the kernel and the twin take for no budget
+                with pytest.raises(DomainError, match="node budget must be at least 0"):
+                    call(budget)
+        for call in calls[:3]:
+            with pytest.raises(BudgetExceeded) as exc:
+                call(0)
+            assert exc.value.nodes == 1
+        assert classify(build_T(12), node_budget=0).partial
+
+
 def test_unknown_backend_and_block_size_are_rejected():
     with pytest.raises(TypeError, match="backend"):
         find(build_exceptional(6), backend="pure")  # the engine picks the search path itself
@@ -230,20 +257,6 @@ def test_build_removes_stale_libraries(monkeypatch, tmp_path, fresh_loader):
     assert _kernel.load() is not None
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([current.name, foreign.name])
     assert foreign.read_bytes() == b"half-written build"
-
-
-def test_auto_fallback_to_per_cell_is_logged(caplog):
-    """classify(strategy="auto") says when its enumeration runs out, with the nodes it spent."""
-    caplog.set_level(logging.INFO, logger=engine.__name__)
-    rep = classify(build_V(10), node_budget=32_249)  # the enumeration needs 32,250
-    assert rep.transversal_count is None and not rep.partial
-    messages = [rec.getMessage() for rec in caplog.records if rec.name == engine.__name__]
-    assert len(messages) == 1
-    assert "V10" in messages[0] and "after 32250 nodes" in messages[0]
-    assert "classifying per cell" in messages[0]
-    caplog.clear()
-    classify(build_V(10))  # the enumeration finishes: no fallback, nothing logged
-    assert not [rec for rec in caplog.records if rec.name == engine.__name__]
 
 
 def test_large_orders_on_the_twin_are_logged_once(caplog):
@@ -782,8 +795,9 @@ def test_classify_exceptional_6():
     assert rep.has_transversal
     assert set(rep.free_cells) == set(claimed_free_cells(6))
     assert rep.pinned == ()
-    assert rep.transversal_count == 8
+    assert rep.transversal_count is None
     assert not rep.partial
+    assert classify(build_exceptional(6), strategy="enumerate").transversal_count == 8
 
 
 def test_classify_cayley6_all_free():
@@ -833,7 +847,7 @@ def test_classify_strategies_agree(sq):
                    for c, st in enumerate(row) if st == PINNED)
     for twin in (False, True):
         with pure_twin() if twin else nullcontext():
-            reports = {s: classify(sq, strategy=s) for s in ("auto", "enumerate", "per-cell")}
+            reports = {s: classify(sq, strategy=s) for s in ("enumerate", "per-cell")}
         for strategy, rep in reports.items():
             assert rep.status == status
             assert rep.tau == sum(row.count(FREE) for row in status)
@@ -859,8 +873,9 @@ def test_classify_strategies_agree(sq):
 def test_classify_enumeration_budget(twin):
     """V10's enumeration takes 32,250 nodes: it finishes at that budget and not one below.
 
-    The per-cell phases after it run without a budget, and auto at the smaller
-    budget falls back to per-cell classification, whose searches all fit.
+    The per-cell phases after it run without a budget, and the default
+    per-cell classification at the smaller budget, whose searches all fit,
+    gives the per-cell report.
     """
     sq = build_V(10)
     with pure_twin() if twin else nullcontext():
@@ -868,19 +883,19 @@ def test_classify_enumeration_budget(twin):
         exact = classify(sq, strategy="enumerate", node_budget=32_250)
         with pytest.raises(BudgetExceeded) as exc:
             classify(sq, strategy="enumerate", node_budget=32_249)
-        auto = classify(sq, node_budget=32_249)
+        default = classify(sq, node_budget=32_249)
         cells = classify(sq, strategy="per-cell")
     assert (full.nodes, full.transversal_count, full.partial) == (32_250, 272, False)
     assert _report_fields(exact) == _report_fields(full)
     assert exc.value.nodes == 32_250
-    assert _report_fields(auto) == _report_fields(cells)
-    assert auto.transversal_count is None and not auto.partial
+    assert _report_fields(default) == _report_fields(cells)
+    assert default.transversal_count is None and not default.partial
 
 
 def test_classify_jobs_do_not_change_report():
     """Every field of every strategy's report, on one thread, two and every CPU."""
     sq = build_V(10)  # has a pinned cell, so both phases run
-    for strategy in ("auto", "enumerate", "per-cell"):
+    for strategy in ("enumerate", "per-cell"):
         one, two, default = (_report_fields(classify(sq, strategy=strategy, jobs=jobs))
                              for jobs in (1, 2, None))
         assert one["pinned"]
@@ -888,6 +903,9 @@ def test_classify_jobs_do_not_change_report():
     for jobs in (0, -1):
         with pytest.raises(DomainError, match="jobs"):
             classify(sq, jobs=jobs)
+    for strategy in ("auto", "count"):
+        with pytest.raises(DomainError, match="strategy"):
+            classify(sq, strategy=strategy)
 
 
 @pytest.mark.parametrize("sq, budget", [(build_T(12), 200), (build_T(12), 400),
@@ -946,9 +964,9 @@ def test_classify_status_partition():
 
 def test_classify_report_json_shape():
     data = classify(build_V(10)).to_json_dict()
-    assert {"order", "family", "tau", "hasTransversal", "pinned", "freeCells"} <= set(data)
+    assert set(data) == {"order", "family", "tau", "hasTransversal", "pinned", "freeCells"}
     assert data["family"] == "V"
-    assert data["counts"] == 272
+    assert classify(build_V(10), strategy="enumerate").to_json_dict()["counts"] == 272
 
 
 def test_is_pinned():
