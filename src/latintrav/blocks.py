@@ -15,16 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     DomainError,
     Isotopism,
     LatinSquare,
     LatinSquareError,
-    apply_isotopism,
+    _isotopism_image,
     diagonal_cols,
 )
 from . import engine
-from .families import build_L
+from .families import build_family
 
 
 class SumViolation(LatinSquareError):
@@ -128,8 +130,14 @@ def block_image_map(iso: Isotopism, m: int) -> dict[tuple[int, int], tuple[int, 
 
 def verify_block_maps(square: LatinSquare, iso: Isotopism, m: int,
                       expected: dict | None = None) -> bool:
-    """Check iso fixes the square and realizes the expected block images."""
-    if apply_isotopism(square, iso) != square:
+    """Check iso fixes the square and realizes the expected block images.
+
+    The image of every cell is compared with the square's own array; the
+    image of a latin square under an isotopism is latin, so it is not
+    validated again.  Raises BadPermutation when iso acts on another order
+    and NotAutotopism when some cell differs.
+    """
+    if not np.array_equal(_isotopism_image(square, iso), square.to_array()):
         raise NotAutotopism("isotopism does not fix the square")
     image = block_image_map(iso, m)
     if expected is None:
@@ -202,7 +210,7 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
     first-hit search visits a prefix of the enumeration's nodes, so it
     finishes whenever the enumeration does.
     """
-    square = build_L(m)
+    square = build_family("L", m=m)
     try:
         count = engine.count_and_cover(square, node_budget=node_budget).count
     except engine.BudgetExceeded:

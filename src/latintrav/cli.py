@@ -276,6 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             "classify", "bounds", "table1", "blocks"):
         args.budget = DEFAULT_BUDGET
     try:
+        engine._check_budget(getattr(args, "budget", None))
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

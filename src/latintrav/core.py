@@ -148,7 +148,7 @@ class LatinSquare:
     concurrent workers; every analysis produces new values.
     """
 
-    __slots__ = ("order", "grid", "family", "_array", "_delta_grid")
+    __slots__ = ("order", "grid", "family", "_array", "_delta_grid", "__weakref__")
 
     def __init__(self, grid, family: str | None = None):
         try:
@@ -282,6 +282,11 @@ class Isotopism:
 
 def apply_isotopism(square: LatinSquare, iso: Isotopism) -> LatinSquare:
     """Return the square with result[alpha(r)][beta(c)] = gamma(square[r][c])."""
+    return LatinSquare(_isotopism_image(square, iso))
+
+
+def _isotopism_image(square: LatinSquare, iso: Isotopism) -> np.ndarray:
+    """The grid of :func:`apply_isotopism` as an array, not validated again."""
     n = square.order
     if iso.order != n:
         raise BadPermutation(f"isotopism acts on 0..{iso.order - 1}, square has order {n}")
@@ -291,7 +296,7 @@ def apply_isotopism(square: LatinSquare, iso: Isotopism) -> LatinSquare:
     gamma = np.asarray(iso.gamma, dtype=np.int64)
     out = np.empty_like(g)
     out[np.ix_(alpha, beta)] = gamma[g]
-    return LatinSquare(out)
+    return out
 
 
 def serialize(square: LatinSquare) -> str:

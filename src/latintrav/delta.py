@@ -198,9 +198,9 @@ def special_symbol_delta_check(square: LatinSquare, transversal, m: int) -> bool
     delta_m = 0 and two with delta_m = m-1; every other symbol s pins
     delta_m to s mod m within its m-block of the symbol range.
     """
-    from .families import build_L  # deferred; families depends on this module
+    from .families import build_family  # deferred; families depends on this module
 
-    if square.order != 3 * m or square.grid != build_L(m).grid:
+    if square.order != 3 * m or square.grid != build_family("L", m=m).grid:
         raise NotBlockSquare(f"square is not the order-{3 * m} block square")
     cols = diagonal_cols(transversal)
     if not is_transversal(square, cols):

@@ -16,24 +16,28 @@ evaluated top to bottom with the first match winning.  The cases are intended
 to be mutually exclusive; builders verify that and fail loudly on overlap.
 All column/symbol arithmetic is reduced mod n after evaluating over the
 integers, while mod-2 / mod-3 guards read the plain representatives 0..n-1.
+
+``build_family`` dispatches on one table of the families (order rule, builder,
+witness columns) and hands out the square some caller already holds for the
+same family and order, so repeated claims about one square build it once.
 """
 
 from __future__ import annotations
 
+import weakref
+from typing import Callable, NamedTuple, Sequence
+
 import numpy as np
 
 from .core import (
-    KNOWN_FAMILIES,
     CaseOverlap,
     DomainError,
     Entry,
     LatinSquare,
     Transversal,
     as_transversal,
+    cayley_table,
 )
-
-# The families build_family constructs: every known tag but a user's own square.
-FAMILIES = tuple(f for f in KNOWN_FAMILIES if f != "CUSTOM")
 
 # Order-6 square: 16 cells are in no transversal, yet transversals exist.
 _EX6_GRID = (
@@ -254,38 +258,6 @@ def claimed_free_cells(n: int) -> frozenset[tuple[int, int]]:
     raise DomainError(f"free-cell claims exist for n in {{6, 8}}, got {n}")
 
 
-def build_family(family: str, n: int | None = None, m: int | None = None) -> LatinSquare:
-    """Dispatch on the family tag; T/U/V/EX*/CAYLEY take n, L takes m."""
-    if family == "CAYLEY":
-        from .core import cayley_table
-
-        return cayley_table(_need(n, "order"))
-    if family == "T":
-        return build_T(_need(n, "order"))
-    if family == "U":
-        return build_U(_need(n, "order"))
-    if family == "V":
-        return build_V(_need(n, "order"))
-    if family == "L":
-        if m is None and n is not None:
-            if n % 3 or (n // 3) % 2 == 0 or n < 9:
-                raise DomainError(f"family L covers orders 3m for odd m >= 3, got {n}")
-            m = n // 3
-        return build_L(_need(m, "m"))
-    if family in ("EX6", "EX8"):
-        fixed = 6 if family == "EX6" else 8
-        if n is not None and n != fixed:
-            raise DomainError(f"family {family} has order {fixed}, got {n}")
-        return build_exceptional(fixed)
-    raise DomainError(f"unknown family {family!r} (use one of {FAMILIES})")
-
-
-def _need(value, name):
-    if value is None:
-        raise DomainError(f"missing required parameter --{name}")
-    return value
-
-
 def _cols_T(n: int) -> list[int]:
     k = n // 6
     cols = []
@@ -401,22 +373,92 @@ def _cols_L(m: int) -> list[int]:
     return cols
 
 
-# Columns of each family's explicit transversal; build_family checks the order.
-_WITNESS_COLS = {
-    "T": _cols_T,
-    "U": _cols_U,
-    "V": _cols_V,
-    "L": lambda n: _cols_L(n // 3),
-    "EX6": lambda n: _EX6_TRANSVERSAL,
-    "EX8": lambda n: _EX8_TRANSVERSAL,
+def _need(value, name):
+    if value is None:
+        raise DomainError(f"missing required parameter --{name}")
+    return value
+
+
+def _no_m(family: str, m: int | None) -> None:
+    if m is not None:
+        raise DomainError(f"--m applies to family L only, got family {family}")
+
+
+def _given_order(family: str, n: int | None, m: int | None) -> int:
+    """T, U, V and CAYLEY take the order as given; their builders check it."""
+    _no_m(family, m)
+    return _need(n, "order")
+
+
+def _block_order(family: str, n: int | None, m: int | None) -> int:
+    """L takes m, or an order 3m; both only when they agree."""
+    if m is not None:
+        if n is not None and n != 3 * m:
+            raise DomainError(f"family L with m = {m} has order {3 * m}, got {n}")
+        return 3 * m
+    if n is not None and (n % 3 or (n // 3) % 2 == 0 or n < 9):
+        raise DomainError(f"family L covers orders 3m for odd m >= 3, got {n}")
+    return _need(n, "m")
+
+
+def _fixed_order(order: int):
+    def rule(family: str, n: int | None, m: int | None) -> int:
+        _no_m(family, m)
+        if n is not None and n != order:
+            raise DomainError(f"family {family} has order {order}, got {n}")
+        return order
+    return rule
+
+
+class _Family(NamedTuple):
+    order: Callable[[str, int | None, int | None], int]  # (family, n, m) -> the order
+    build: Callable[[int], LatinSquare]                   # the square of that order
+    witness_cols: Callable[[int], Sequence[int]] | None   # its explicit transversal
+
+
+_FAMILIES = {
+    "T": _Family(_given_order, build_T, _cols_T),
+    "U": _Family(_given_order, build_U, _cols_U),
+    "V": _Family(_given_order, build_V, _cols_V),
+    "L": _Family(_block_order, lambda n: build_L(n // 3), lambda n: _cols_L(n // 3)),
+    "EX6": _Family(_fixed_order(6), build_exceptional, lambda n: _EX6_TRANSVERSAL),
+    "EX8": _Family(_fixed_order(8), build_exceptional, lambda n: _EX8_TRANSVERSAL),
+    "CAYLEY": _Family(_given_order, cayley_table, None),
 }
+# The families build_family constructs: every known tag but a user's own square.
+FAMILIES = tuple(_FAMILIES)
+
+# The squares some caller still holds, by (family, order).  Two threads that
+# miss at once each build a valid square; the later one is kept.
+_LIVE = weakref.WeakValueDictionary()
+
+
+def build_family(family: str, n: int | None = None, m: int | None = None) -> LatinSquare:
+    """The family's square: T/U/V/EX*/CAYLEY take the order n, L takes m or n = 3m.
+
+    While a caller holds the square of the same family and order, that square
+    is returned; otherwise a new one is built and validated.  Squares are
+    immutable, so sharing one is safe, and none outlives its last holder.
+    Raises DomainError for an unknown family, an order the family does not
+    cover, ``m`` for a family other than L, or an ``n`` and ``m`` that disagree.
+    """
+    spec = _FAMILIES.get(family)
+    if spec is None:
+        raise DomainError(f"unknown family {family!r} (use one of {FAMILIES})")
+    order = spec.order(family, n, m)
+    square = _LIVE.get((family, order))
+    if square is None:
+        square = _LIVE[family, order] = spec.build(order)
+    return square
 
 
 def witness_transversal(family: str, n: int) -> Transversal:
     """The family's explicit transversal, verified against the built square."""
-    if family not in _WITNESS_COLS:
+    spec = _FAMILIES.get(family)
+    if spec is None or spec.witness_cols is None:
         raise DomainError(f"unknown family {family!r}")
-    return as_transversal(build_family(family, n), _WITNESS_COLS[family](n))
+    square = build_family(family, n)
+    return as_transversal(square, spec.witness_cols(square.order))
 
 
 def claimed_pinned_entries(family: str, n: int) -> tuple[Entry, ...]:

@@ -1,6 +1,7 @@
 import pytest
 
 from latintrav import (
+    BadPermutation,
     DomainError,
     Isotopism,
     apply_isotopism,
@@ -100,6 +101,21 @@ def test_verify_block_maps_rejects_non_autotopism():
     shift = tuple((i + 1) % 9 for i in range(9))
     with pytest.raises(NotAutotopism):
         verify_block_maps(sq, Isotopism(shift, shift, shift), 3)
+
+
+def test_verify_block_maps_compares_every_cell():
+    """Swapping the last two rows, or columns, changes only those 18 cells of L9."""
+    sq = build_L(3)
+    ident = tuple(range(9))
+    swap = (0, 1, 2, 3, 4, 5, 6, 8, 7)
+    for iso in (Isotopism(swap, ident, ident), Isotopism(ident, swap, ident)):
+        with pytest.raises(NotAutotopism):
+            verify_block_maps(sq, iso, 3)
+
+
+def test_verify_block_maps_rejects_an_isotopism_of_another_order():
+    with pytest.raises(BadPermutation):
+        verify_block_maps(build_L(3), automorphism_tau(5), 3)
 
 
 def test_block_image_map_rejects_band_breaker():

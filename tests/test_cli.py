@@ -248,6 +248,28 @@ def test_negative_budget_exits_2(capsys, argv):
     assert code == 3
 
 
+def test_negative_budget_exits_2_with_sets_only(capsys):
+    """--sets-only runs no search, yet a negative budget is still an input error."""
+    code, out, err = run(capsys, "bounds", "--family", "T", "--order", "12", "--sets-only",
+                         "--budget", "-1", "--no-meta")
+    assert (code, out) == (2, "")
+    assert "node budget must be at least 0, got -1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("classify", "--family", "L", "--order", "9", "--m", "5", "--no-meta"),
+     "family L with m = 5 has order 15, got 9"),
+    (("construct", "--family", "T", "--order", "12", "--m", "3"),
+     "--m applies to family L only, got family T"),
+    (("pinned", "--family", "U", "--order", "14", "--m", "3", "--no-meta"),
+     "--m applies to family L only, got family U"),
+], ids=["classify-L", "construct-T", "pinned-U"])
+def test_conflicting_order_and_m_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_bounds_budget_falls_back_to_sets_only(capsys):
     code, out, _ = run(capsys, "bounds", "--family", "T", "--order", "12",
                        "--budget", "10", "--no-meta")

@@ -1,11 +1,17 @@
+import gc
+import weakref
+
 import pytest
 
 from latintrav import (
     DomainError,
+    bounds,
     claimed_pinned_entries,
+    families,
     is_transversal,
     witness_transversal,
 )
+from latintrav.cli import main
 from latintrav.families import (
     build_exceptional,
     build_family,
@@ -223,3 +229,60 @@ def test_witness_rejects_orders_a_family_does_not_cover(family, n, message):
     with pytest.raises(DomainError) as info:
         witness_transversal(family, n)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("family, n, m, message", [
+    ("L", 9, 5, "family L with m = 5 has order 15, got 9"),
+    ("T", 12, 3, "--m applies to family L only, got family T"),
+    ("EX6", None, 3, "--m applies to family L only, got family EX6"),
+    ("CAYLEY", 5, 1, "--m applies to family L only, got family CAYLEY"),
+])
+def test_build_family_rejects_conflicting_arguments(family, n, m, message):
+    with pytest.raises(DomainError) as info:
+        build_family(family, n, m)
+    assert str(info.value) == message
+
+
+def _count_grids(monkeypatch) -> list[int]:
+    """Patch the T/U/V grid maker, which each build_T/U/V call runs once; returns its orders."""
+    orders = []
+    real = families._first_match_grid
+    monkeypatch.setattr(families, "_first_match_grid",
+                        lambda n, *rest: orders.append(n) or real(n, *rest))
+    return orders
+
+
+def test_a_held_square_is_built_once(monkeypatch, capsys):
+    gc.collect()
+    builds = _count_grids(monkeypatch)
+    square = build_family("T", 300)
+    assert witness_transversal("T", 300).order == 300
+    assert len(claimed_pinned_entries("T", 300)) == 50
+    assert bounds.check_sets_only("T", 300).size_ok
+    assert len(bounds.bound_sets("T", 300).pinned) == 50
+    assert main(["bounds", "--family", "T", "--order", "300", "--sets-only", "--no-meta"]) == 0
+    assert '"n": 300' in capsys.readouterr().out
+    assert builds == [300]
+    assert build_family("T", 300) is square
+
+
+def test_a_square_is_shared_only_while_it_is_held(monkeypatch):
+    builds = _count_grids(monkeypatch)
+    square = build_family("U", 20)
+    assert build_family("U", 20) is square
+    assert build_family("L", n=9) is build_family("L", m=3) is build_family("L", 9, 3)
+    ref = weakref.ref(square)
+    del square
+    gc.collect()
+    assert ref() is None
+    fresh = build_family("U", 20)
+    assert builds == [20, 20]
+    assert fresh.family == "U" and fresh == build_U(20)
+
+
+def test_with_family_leaves_the_shared_square_unchanged():
+    square = build_family("V", 16)
+    renamed = square.with_family(None)
+    assert renamed is not square and renamed == square and renamed.family is None
+    assert square.family == "V"
+    assert build_family("V", 16) is square
