@@ -6,17 +6,21 @@
  *                 prepared candidates, a full enumeration split across
  *                 threads;
  *   search_cells  the compiled twin of engine._search_cells's per-cell loop:
- *                 _Prepared's filter for one required entry or one forbidden
- *                 cell, then a first-hit dfs, for each cell of a batch, the
- *                 cells strided across threads.
+ *                 the square's tables built and checked once per call, then
+ *                 for each cell of a batch its own row masks (_Prepared's
+ *                 filter for one required entry or one forbidden cell) and a
+ *                 first-hit walk, the cells strided across threads that share
+ *                 the square's tables.
  *
  * It must stay behaviourally identical to the pure twin: rows ascending,
  * candidates in column order within a row, the same prune, and one node per
  * candidate index visited.  It gets there by another route (see walk): each
  * depth keeps, for every row still to fill, the mask of its columns whose
  * column and symbol are unused, so a row is walked by jumping straight to
- * its next free candidate; the node count grows by the index distance of
- * each jump (clamped to budget + 1 when a jump crosses the budget), and the
+ * its next free candidate; entering a row adds its whole candidate count to
+ * the node count, and the path gives back the twin's count where it differs
+ * (at a first-hit solution, and when a first-hit walk passes its budget).
+ * Symbols and deltas are read by (row, column) from byte tables, and the
  * delta sum is kept mod n without a division, which needs |delta| < n.
  * Threads change no status and no node total for any budget, and no count
  * of an enumeration that finishes: those equal the one-thread walk's (see
@@ -24,7 +28,7 @@
  * Threads are created and joined inside each call; nothing outlives it.
  * _kernel.py builds and loads this file; the caller checks 1 <= n <=
  * MAX_ORDER, the cell indices, the buffer shapes and threads >= 1, and dfs
- * rejects candidates outside its layout.
+ * and search_cells reject candidates outside their layout.
  */
 #include <pthread.h>
 #include <stdint.h>
@@ -35,7 +39,7 @@
 #define BIG ((int64_t)1 << 62)
 #define MAX_THREADS 256
 #define TASKS_PER_THREAD 64          /* the split depth is the first with this many prefixes per thread */
-#define STACK_SIZE ((size_t)1 << 20) /* a worker's largest frame is search_cells's, about 170 KB */
+#define STACK_SIZE ((size_t)1 << 20) /* a worker's largest frame is cells_worker's, about 40 KB */
 #define CHECK_EVERY ((int64_t)1 << 14) /* nodes between a task's additions to the node pool */
 
 /* Python's a % n for n > 0, which is never negative. */
@@ -45,15 +49,23 @@ static inline int64_t pymod(int64_t a, int64_t n)
     return r < 0 ? r + n : r;
 }
 
-/* One search's candidates and the tables built from them, read-only once
- * built and shared by every thread of the search. */
+/* A square's entries by (row, column), read-only once built and shared by
+ * every search over it and every thread. */
+struct grid {
+    uint8_t sym[MAX_ORDER * MAX_ORDER];      /* [r * n + c]: the symbol */
+    int8_t delta[MAX_ORDER * MAX_ORDER];     /* [r * n + c]: the delta, |delta| < n */
+    uint64_t sym_col[MAX_ORDER * MAX_ORDER]; /* [sym * n + r]: its column bit in row r */
+};
+
+/* One search: the cells of a grid it keeps and the tables that follow from
+ * them, read-only once built and shared by every thread of the search. */
 struct tree {
-    const int64_t *cand, *row_start;
+    const struct grid *g;
     int64_t n, use_syms, sd_final, target;
     int64_t res_need[MAX_ORDER + 1], width[MAX_ORDER + 1];
-    uint64_t root[MAX_ORDER];               /* row r's candidate columns */
-    uint8_t at[MAX_ORDER * MAX_ORDER];      /* [r * n + col]: index within row r */
-    uint64_t sym_col[MAX_ORDER * MAX_ORDER]; /* [sym * n + r]: its column bit in row r */
+    int64_t len[MAX_ORDER];            /* row r's candidate count */
+    uint64_t root[MAX_ORDER];          /* row r's candidate columns */
+    uint8_t at[MAX_ORDER * MAX_ORDER]; /* [r * n + col]: index within row r */
 };
 
 /* One walk's state; each thread keeps its own. */
@@ -76,25 +88,39 @@ struct split {
     int64_t count; /* the tasks' solutions */
 };
 
-/* Fills t; returns 1 to search, 0 when the target residue is unreachable
- * from the root and -2 when n or a candidate is out of range. */
-static int64_t build_tree(struct tree *t, const int64_t *cand, const int64_t *row_start,
-                          const int64_t *lo_suf, const int64_t *hi_suf, int64_t n,
-                          int64_t use_syms, int64_t sd_final, int64_t prune)
+/* Sets t's residue tables from the suffix delta bounds of its rows; returns
+ * 1 to search and 0 when the target residue is unreachable from the root. */
+static int64_t set_residues(struct tree *t, const int64_t *lo_suf, const int64_t *hi_suf,
+                            int64_t prune)
+{
+    const int64_t n = t->n;
+    for (int64_t r = 0; r <= n; r++) {
+        t->res_need[r] = pymod(t->target - lo_suf[r], n);
+        t->width[r] = prune && hi_suf[r] - lo_suf[r] < n - 1 ? hi_suf[r] - lo_suf[r] : BIG;
+    }
+    return prune && lo_suf[0] + pymod(t->target - lo_suf[0], n) > hi_suf[0] ? 0 : 1;
+}
+
+/* Fills g and t from dfs's candidate list; returns 1 to search, 0 when the
+ * target residue is unreachable from the root and -2 when n or a candidate
+ * is out of range. */
+static int64_t build_tree(struct grid *g, struct tree *t, const int64_t *cand,
+                          const int64_t *row_start, const int64_t *lo_suf, const int64_t *hi_suf,
+                          int64_t n, int64_t use_syms, int64_t sd_final, int64_t prune)
 {
     if (n < 1 || n > MAX_ORDER)
         return -2;
-    t->cand = cand;
-    t->row_start = row_start;
+    t->g = g;
     t->n = n;
     t->use_syms = use_syms;
     t->sd_final = sd_final;
     t->target = n % 2 ? 0 : n / 2;
     if (use_syms)
-        memset(t->sym_col, 0, (size_t)(n * n) * sizeof t->sym_col[0]);
+        memset(g->sym_col, 0, (size_t)(n * n) * sizeof g->sym_col[0]);
     for (int64_t r = 0; r < n; r++) {
         int64_t prev = -1;
         t->root[r] = 0;
+        t->len[r] = row_start[r + 1] - row_start[r];
         for (int64_t i = row_start[r]; i < row_start[r + 1]; i++) {
             int64_t c = cand[3 * i], s = cand[3 * i + 1], d = cand[3 * i + 2];
             if (c <= prev || c >= n || d <= -n || d >= n || (use_syms && (s < 0 || s >= n)))
@@ -102,15 +128,77 @@ static int64_t build_tree(struct tree *t, const int64_t *cand, const int64_t *ro
             prev = c;
             t->root[r] |= (uint64_t)1 << c;
             t->at[r * n + c] = (uint8_t)(i - row_start[r]);
-            if (use_syms)
-                t->sym_col[s * n + r] |= (uint64_t)1 << c;
+            g->delta[r * n + c] = (int8_t)d;
+            if (use_syms) {
+                g->sym[r * n + c] = (uint8_t)s;
+                g->sym_col[s * n + r] |= (uint64_t)1 << c;
+            }
         }
     }
-    for (int64_t r = 0; r <= n; r++) {
-        t->res_need[r] = pymod(t->target - lo_suf[r], n);
-        t->width[r] = prune && hi_suf[r] - lo_suf[r] < n - 1 ? hi_suf[r] - lo_suf[r] : BIG;
+    return set_residues(t, lo_suf, hi_suf, prune);
+}
+
+/* Fills g from base, the square's (n, n, 3) candidates; returns 0, or -2
+ * when n or an entry is out of range: the entry at (r, c) must have column
+ * c, a symbol in 0..n-1 and |delta| < n. */
+static int64_t build_grid(struct grid *g, const int64_t *base, int64_t n)
+{
+    if (n < 1 || n > MAX_ORDER)
+        return -2;
+    memset(g->sym_col, 0, (size_t)(n * n) * sizeof g->sym_col[0]);
+    for (int64_t r = 0; r < n; r++)
+        for (int64_t c = 0; c < n; c++) {
+            const int64_t *e = base + 3 * (r * n + c);
+            if (e[0] != c || e[1] < 0 || e[1] >= n || e[2] <= -n || e[2] >= n)
+                return -2;
+            g->sym[r * n + c] = (uint8_t)e[1];
+            g->delta[r * n + c] = (int8_t)e[2];
+            g->sym_col[e[1] * n + r] |= (uint64_t)1 << c;
+        }
+    return 0;
+}
+
+/* Sets t's rows to _Prepared's filter for one cell of its grid and returns
+ * 1 to search, or 0 when a row is left without candidates or the target
+ * residue is unreachable from the root.  The required entry (fr, fc, fs)
+ * keeps only (fr, fc) in row fr and drops column fc and symbol fs from
+ * every other row; the forbidden cell (fr, fc) drops that cell alone. */
+static int64_t cell_tree(struct tree *t, int64_t fr, int64_t fc, int64_t avoid)
+{
+    const struct grid *g = t->g;
+    const int64_t n = t->n;
+    const uint64_t all = ((uint64_t)1 << n) - 1, bit = (uint64_t)1 << fc;
+    const uint64_t *fs_col = g->sym_col + g->sym[fr * n + fc] * n;
+    int64_t lo_suf[MAX_ORDER + 1], hi_suf[MAX_ORDER + 1];
+    for (int64_t r = 0; r < n; r++) {
+        uint64_t m;
+        if (avoid)
+            m = r == fr ? all & ~bit : all;
+        else
+            m = r == fr ? bit : all & ~(bit | fs_col[r]);
+        t->root[r] = m;
+        int64_t k = 0, lo = BIG, hi = -BIG;
+        for (; m; m &= m - 1) {
+            int c = __builtin_ctzll(m);
+            int64_t d = g->delta[r * n + c];
+            t->at[r * n + c] = (uint8_t)k++;
+            if (d < lo)
+                lo = d;
+            if (d > hi)
+                hi = d;
+        }
+        if (k == 0)
+            return 0;
+        t->len[r] = k;
+        lo_suf[r] = lo;
+        hi_suf[r] = hi;
     }
-    return prune && lo_suf[0] + pymod(t->target - lo_suf[0], n) > hi_suf[0] ? 0 : 1;
+    lo_suf[n] = hi_suf[n] = 0;
+    for (int64_t r = n - 1; r >= 0; r--) {
+        lo_suf[r] += lo_suf[r + 1];
+        hi_suf[r] += hi_suf[r + 1];
+    }
+    return set_residues(t, lo_suf, hi_suf, 1);
 }
 
 /* Sets w at the root: depth 0 with every row's candidate columns free. */
@@ -129,6 +217,27 @@ static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, con
     memcpy(w->sol, rec + 1, (size_t)depth * sizeof w->sol[0]);
     for (int64_t r = depth; r < t->n; r++)
         w->avail[depth * t->n + r] = (uint64_t)rec[1 + r];
+}
+
+/* The twin's node count for a walk from top that has counted `nodes` by
+ * rows, at depth: n at a solution, else a row just entered.  Each path row
+ * d above depth has reached its candidate sol[d], at index at[sol[d]], so
+ * its len - at[sol[d]] - 1 later candidates are not reached yet, and the
+ * row at depth has reached none.  Also sets idx[] from sol[], so the walk
+ * can go on candidate by candidate. */
+static int64_t exact_nodes(const struct tree *t, struct walk *w, int64_t top, int64_t depth,
+                           int64_t nodes)
+{
+    const int64_t n = t->n;
+    for (int64_t d = top; d < depth; d++) {
+        w->idx[d] = t->at[d * n + w->sol[d]] + 1;
+        nodes -= t->len[d] - w->idx[d];
+    }
+    if (depth < n) {
+        w->idx[depth] = 0;
+        nodes -= t->len[depth];
+    }
+    return nodes;
 }
 
 /* Walks the subtree below the node w holds at depth top, stopping at budget
@@ -158,11 +267,23 @@ static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, con
  * twin's next candidate in index order.
  *
  * Node accounting.  The twin counts one node per candidate index it visits,
- * used or not.  Jumping from index i to the candidate at index k adds
- * k + 1 - i nodes, and exhausting a row of len candidates adds len - i, so
- * the totals equal the twin's.  When a jump carries the count past the
- * budget, nodes is clamped to budget + 1, where the twin stops; the
- * candidates jumped over yield no solution, so count is the twin's too.
+ * used or not, and visits every candidate of a row it enters unless it
+ * stops first.  So entering a row adds the row's len candidates at once, and
+ * the count runs ahead of the twin's by the candidates not reached yet in
+ * the path's rows: len - at[sol[d]] - 1 for each row d above the current
+ * one and len - reached for the current row, at most n * n in all.  When
+ * the walk ends without stopping, every row has been reached to its end and
+ * the count is the twin's.  Otherwise the path gives it back (exact_nodes):
+ *   - a first-hit walk that finds its solution sets the twin's count;
+ *   - when entering a row takes the count past the budget, the tree has
+ *     more nodes than the budget, so an enumeration or a task stops at once
+ *     with -1 (a task's count so far is all distinct nodes, and goes to the
+ *     pool).  A first-hit walk may still find a solution before the twin
+ *     would stop, so it sets the twin's count and from there on counts
+ *     candidate by candidate: jumping from index i to the candidate at index
+ *     k adds k + 1 - i nodes, exhausting a row adds len - i, and a jump past
+ *     the budget stops the walk with nodes clamped to budget + 1, where the
+ *     twin stops.
  *
  * The prune.  The twin drops a candidate when no value congruent to the
  * target lies in [lo, hi], the range of delta sums still reachable:
@@ -176,17 +297,21 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
                     int64_t limit, int64_t enumerate_all, int64_t *pre, struct split *s)
 {
     const int64_t n = t->n;
-    const int64_t *cand = t->cand, *row_start = t->row_start;
+    const int8_t *delta = t->g->delta;
+    const uint8_t *sym = t->g->sym;
     int64_t depth = top, nodes = 0, count = 0, pooled = 0, status;
     int64_t check = s ? CHECK_EVERY : INT64_MAX;
+    int entered = 1; /* the row at depth is new: its candidates are not counted yet */
+    int exact = 0;   /* counting candidate by candidate */
     w->emitted = 0;
     w->left[top] = w->avail[top * n + top];
-    w->idx[top] = 0;
     while (depth >= top) {
         if (depth == n) {
             if (!t->sd_final || w->dres[n] == t->target) {
                 count++;
                 if (!enumerate_all) {
+                    if (!exact)
+                        nodes = exact_nodes(t, w, top, n, nodes);
                     status = 1;
                     goto done;
                 }
@@ -206,20 +331,42 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
             depth--;
             continue;
         }
-        const int64_t *row = cand + 3 * row_start[depth];
+        if (entered) {
+            entered = 0;
+            if (exact) {
+                w->idx[depth] = 0;
+            } else {
+                nodes += t->len[depth];
+                if (nodes > limit) {
+                    if (enumerate_all)
+                        goto out_of_budget;
+                    nodes = exact_nodes(t, w, top, depth, nodes);
+                    exact = 1;
+                } else if (nodes >= check) {
+                    int64_t pool = __atomic_add_fetch(&s->nodes, nodes - pooled, __ATOMIC_RELAXED);
+                    pooled = nodes;
+                    if (pool > s->budget)
+                        goto out_of_budget;
+                    check = nodes + CHECK_EVERY;
+                }
+            }
+        }
+        const int8_t *delta_row = delta + depth * n;
         const uint8_t *at_row = t->at + depth * n;
         uint64_t m = w->left[depth];
-        int64_t i = w->idx[depth];
+        int64_t i = exact ? w->idx[depth] : 0;
         int moved = 0;
         while (m) {
             int c = __builtin_ctzll(m);
-            int64_t k = at_row[c];
             m &= m - 1;
-            nodes += k + 1 - i;
-            i = k + 1;
-            if (nodes > limit)
-                goto out_of_budget;
-            int64_t nd = w->dres[depth] + row[3 * k + 2];
+            if (exact) {
+                int64_t k = at_row[c];
+                nodes += k + 1 - i;
+                i = k + 1;
+                if (nodes > limit)
+                    goto out_of_budget;
+            }
+            int64_t nd = w->dres[depth] + delta_row[c];
             if (nd < 0)
                 nd += n;
             else if (nd >= n)
@@ -237,7 +384,7 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
             uint64_t *to = w->avail + (depth + 1) * n;
             uint64_t bit = (uint64_t)1 << c;
             if (t->use_syms) {
-                const uint64_t *sc = t->sym_col + row[3 * k + 1] * n;
+                const uint64_t *sc = t->g->sym_col + sym[depth * n + c] * n;
                 for (int64_t r = depth + 1; r < n; r++)
                     to[r] = from[r] & ~(bit | sc[r]);
             } else {
@@ -245,23 +392,18 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
                     to[r] = from[r] & ~bit;
             }
             depth++;
-            if (depth < n) {
+            if (depth < stop) {
                 w->left[depth] = to[depth];
-                w->idx[depth] = 0;
+                entered = 1;
             }
             moved = 1;
             break;
         }
         if (!moved) {
-            nodes += row_start[depth + 1] - row_start[depth] - i;
-            if (nodes > limit)
-                goto out_of_budget;
-            if (nodes >= check) {
-                int64_t pool = __atomic_add_fetch(&s->nodes, nodes - pooled, __ATOMIC_RELAXED);
-                pooled = nodes;
-                if (pool > s->budget)
+            if (exact) {
+                nodes += t->len[depth] - i;
+                if (nodes > limit)
                     goto out_of_budget;
-                check = nodes + CHECK_EVERY;
             }
             depth--;
         }
@@ -387,11 +529,13 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
             int64_t budget, int64_t enumerate_all, int64_t threads,
             int64_t *first_cols, int64_t *totals)
 {
+    struct grid g;
     struct tree t;
-    struct walk w; /* not zeroed: about 32 KB, and search_cells calls dfs once per cell */
+    struct walk w; /* not zeroed: about 32 KB */
     w.count = w.nodes = 0;
     int64_t limit = budget < 0 ? INT64_MAX : budget;
-    int64_t status = build_tree(&t, cand, row_start, lo_suf, hi_suf, n, use_syms, sd_final, prune);
+    int64_t status = build_tree(&g, &t, cand, row_start, lo_suf, hi_suf, n, use_syms, sd_final,
+                                prune);
     if (status == 1) {
         if (threads > MAX_THREADS)
             threads = MAX_THREADS;
@@ -411,8 +555,9 @@ int64_t dfs(const int64_t *cand, const int64_t *row_start,
 
 /* The arguments of search_cells, shared by its workers. */
 struct cells {
-    const int64_t *base, *cells;
-    int64_t n, k, avoid, budget, threads;
+    const struct grid *g;
+    const int64_t *cells;
+    int64_t n, k, avoid, limit, threads;
     int64_t *status, *nodes, *cols;
 };
 
@@ -426,90 +571,59 @@ static void *cells_worker(void *arg)
 {
     const struct cells_part *part = arg;
     const struct cells *a = part->c;
-    const int64_t n = a->n, *base = a->base;
-    int64_t cand[3 * MAX_ORDER * MAX_ORDER], row_start[MAX_ORDER + 1];
-    int64_t lo_suf[MAX_ORDER + 1], hi_suf[MAX_ORDER + 1];
+    const int64_t n = a->n;
+    struct tree t = {.g = a->g, .n = n, .use_syms = 1, .sd_final = 0, .target = n % 2 ? 0 : n / 2};
+    struct walk w;
     for (int64_t j = part->first; j < a->k; j += a->threads) {
-        int64_t fr = a->cells[2 * j], fc = a->cells[2 * j + 1];
-        int64_t fs = base[3 * (fr * n + fc) + 1];
-        int64_t len = 0, totals[2];
-        int feasible = 1;
-        row_start[0] = 0;
-        for (int64_t r = 0; r < n && feasible; r++) {
-            int64_t lo = BIG, hi = -BIG;
-            for (int64_t c = 0; c < n; c++) {
-                const int64_t *e = base + 3 * (r * n + c);
-                int keep;
-                if (a->avoid)
-                    keep = r != fr || c != fc;
-                else if (r == fr)
-                    keep = c == fc;
-                else
-                    keep = c != fc && e[1] != fs;
-                if (!keep)
-                    continue;
-                cand[3 * len] = e[0];
-                cand[3 * len + 1] = e[1];
-                cand[3 * len + 2] = e[2];
-                len++;
-                if (e[2] < lo)
-                    lo = e[2];
-                if (e[2] > hi)
-                    hi = e[2];
-            }
-            row_start[r + 1] = len;
-            feasible = len > row_start[r];
-            lo_suf[r] = lo;
-            hi_suf[r] = hi;
+        int64_t status = cell_tree(&t, a->cells[2 * j], a->cells[2 * j + 1], a->avoid);
+        w.nodes = 0;
+        if (status == 1) {
+            start(&t, &w);
+            status = walk(&t, &w, 0, n, a->limit, 0, NULL, NULL);
+            if (status == 1)
+                memcpy(a->cols + j * n, w.sol, (size_t)n * sizeof w.sol[0]);
         }
-        if (!feasible) {
-            a->status[j] = 0;
-            a->nodes[j] = 0;
-            continue;
-        }
-        lo_suf[n] = 0;
-        hi_suf[n] = 0;
-        for (int64_t r = n - 1; r >= 0; r--) {
-            lo_suf[r] += lo_suf[r + 1];
-            hi_suf[r] += hi_suf[r + 1];
-        }
-        a->status[j] = dfs(cand, row_start, lo_suf, hi_suf, n, 1, 0, 1, a->budget, 0, 1,
-                           a->cols + j * n, totals);
-        a->nodes[j] = totals[1];
+        a->status[j] = status;
+        a->nodes[j] = w.nodes;
     }
     return NULL;
 }
 
 /* One first-hit transversal search through (avoid == 0) or avoiding
  * (avoid == 1) each of k cells, with delta-interval pruning, the cells
- * strided across `threads` threads, each with its own scratch.
+ * strided across `threads` threads.  The square's tables are built from
+ * base and checked once, and every thread reads them; each cell's search
+ * sets only its own row masks, index and residue tables (cell_tree).
+ * Returns 0, or -2 with nothing searched when base is out of range.
  *
- * base        (n, n, 3): col, sym, delta of every cell, row after row
+ * base        (n, n, 3): col, sym, delta of every cell, row after row; the
+ *             cell (r, c) must have column c, a symbol in 0..n-1 and
+ *             |delta| < n
  * cells       (k, 2): row and column of each cell
  * status      (k): dfs's status for each cell, or 0 when the filter leaves a
  *             row without candidates (no search runs then)
  * nodes       (k): nodes each search visited
  * cols        (k, n): columns of each cell's first solution, written only
  *             where status is 1
- *
- * The filter is _Prepared's.  The required entry (fr, fc, fs) keeps only
- * (fr, fc) in row fr and drops column fc and symbol fs from every other row;
- * the forbidden cell (fr, fc) drops that cell alone.
  */
-void search_cells(const int64_t *base, int64_t n, const int64_t *cells, int64_t k,
-                  int64_t avoid, int64_t budget, int64_t threads, int64_t *status,
-                  int64_t *nodes, int64_t *cols)
+int64_t search_cells(const int64_t *base, int64_t n, const int64_t *cells, int64_t k,
+                     int64_t avoid, int64_t budget, int64_t threads, int64_t *status,
+                     int64_t *nodes, int64_t *cols)
 {
+    struct grid g;
     struct cells_part parts[MAX_THREADS];
+    if (build_grid(&g, base, n) != 0)
+        return -2;
     if (threads > MAX_THREADS)
         threads = MAX_THREADS;
     if (threads > k)
         threads = k;
-    struct cells a = {.base = base, .cells = cells, .n = n, .k = k, .avoid = avoid,
-                      .budget = budget, .threads = threads, .status = status,
-                      .nodes = nodes, .cols = cols};
+    struct cells a = {.g = &g, .cells = cells, .n = n, .k = k, .avoid = avoid,
+                      .limit = budget < 0 ? INT64_MAX : budget, .threads = threads,
+                      .status = status, .nodes = nodes, .cols = cols};
     for (int64_t i = 0; i < threads; i++)
         parts[i] = (struct cells_part){.c = &a, .first = i};
     if (threads > 0)
         run_workers(cells_worker, (char *)parts, sizeof parts[0], threads);
+    return 0;
 }

@@ -5,9 +5,10 @@ runs one search over prepared candidates and returns its status and node
 count, plus the solution of a first-hit search or the solution count of a
 full enumeration; ``search_cells``, wrapped by
 `run_cells`, runs per-cell classification's first-hit searches for a whole
-batch of cells, filtering the square's candidates for each cell itself.
-``dfs`` tallies nothing per cell: classification takes every status and
-witness from ``search_cells``.
+batch of cells: it builds and checks the square's symbol and delta tables
+once per call, and each cell's search sets only its own row masks, index
+and residue tables.  ``dfs`` tallies nothing per cell: classification takes
+every status and witness from ``search_cells``.
 
 Both run on every CPU in the process's affinity mask unless told otherwise
 (`cpu_count`).  A full enumeration walks the tree down to a split depth read
@@ -21,12 +22,17 @@ created and joined inside each call, so nothing outlives it or a fork.
 The C kernel and the pure-python generator ``engine._iter_cols`` must stay
 behaviourally identical: same candidate order (rows ascending, columns
 ascending within a row), same pruning rule, same node accounting (one node per
-candidate index visited).  ``dfs`` does not visit the candidates one by one:
-it keeps, per depth, a table of every later row's columns whose column and
-symbol are still unused, updated as each row is placed, walks the entered
-row's mask from that table and adds the index distance it jumps to the node
-count, clamped to budget + 1 when the budget runs out, and it keeps the delta
-sum modulo n, which needs every delta to lie in (-n, n).
+candidate index visited).  The kernel does not visit the candidates one by
+one: it keeps, per depth, a table of every later row's columns whose column
+and symbol are still unused, updated as each row is placed, and walks the
+entered row's mask from that table.  Entering a row adds the row's whole
+candidate count to the node count, which runs at most n * n nodes ahead of
+the twin's; the path gives back the twin's count when a first-hit search
+finds its solution, and when the count passes the budget an enumeration
+stops at once (its tree has more nodes than the budget) while a first-hit
+search goes on counting candidate by candidate, so every status and node
+total is the twin's for every budget (budget + 1 when it runs out).  The
+delta sum is kept modulo n, which needs every delta to lie in (-n, n).
 ``search_cells`` must also filter exactly as ``engine._Prepared`` does.
 Equivalence is tested in the suite, with the pure twin as the oracle.
 
@@ -129,7 +135,7 @@ def load():
     lib.dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 7 + [_PTR] * 2
     lib.dfs.restype = _I64
     lib.search_cells.argtypes = [_PTR, _I64, _PTR, _I64, _I64, _I64, _I64] + [_PTR] * 3
-    lib.search_cells.restype = None
+    lib.search_cells.restype = _I64
     return lib
 
 
@@ -198,8 +204,10 @@ def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | No
     ``threads`` threads (default `cpu_count`), which changes no result.
     Returns (status, nodes, cols): for each cell the status of `run`, the
     nodes visited, and in ``cols[i]`` the columns of the first solution,
-    valid only where the status is 1.  The caller has checked that `load`
-    returns the kernel.
+    valid only where the status is 1.  Raises ValueError when ``base`` is
+    outside the kernel's layout (cell (r, c) must hold column c, a symbol in
+    0..n-1 and a delta in (-n, n)), which the kernel checks once per call.
+    The caller has checked that `load` returns the kernel.
     """
     n = base.shape[0]
     if not 1 <= n <= MAX_KERNEL_ORDER:
@@ -214,7 +222,9 @@ def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | No
     status = np.empty(k, np.int64)
     nodes = np.empty(k, np.int64)
     cols = np.empty((k, n), np.int64)
-    load().search_cells(base.ctypes.data, n, cells.ctypes.data, k, avoid,
-                        -1 if budget is None else budget, threads,
-                        status.ctypes.data, nodes.ctypes.data, cols.ctypes.data)
+    if load().search_cells(base.ctypes.data, n, cells.ctypes.data, k, avoid,
+                           -1 if budget is None else budget, threads,
+                           status.ctypes.data, nodes.ctypes.data, cols.ctypes.data) == -2:
+        raise ValueError("kernel base must hold column c at cell (r, c), symbols in 0..n-1 "
+                         "and deltas in (-n, n)")
     return status, nodes, cols

@@ -9,6 +9,7 @@ that triple view.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -120,7 +121,7 @@ def diagonal_cols(diag) -> tuple[int, ...]:
     """Accept a Diagonal/Transversal or a plain column sequence."""
     if isinstance(diag, Diagonal):
         return diag.cols
-    return tuple(int(c) for c in diag)
+    return tuple(map(int, diag))
 
 
 def is_transversal(square: "LatinSquare", diag) -> bool:
@@ -128,7 +129,7 @@ def is_transversal(square: "LatinSquare", diag) -> bool:
     n = square.order
     if len(cols) != n or set(cols) != set(range(n)):
         return False
-    return len({square.grid[r][cols[r]] for r in range(n)}) == n
+    return len(set(map(operator.getitem, square.grid, cols))) == n
 
 
 def as_transversal(square: "LatinSquare", diag) -> Transversal:

@@ -400,76 +400,89 @@ class ClassificationReport:
 
 
 def _search_cells(square: LatinSquare, cells, avoid: bool, budget: int | None,
-                  threads: int | None) -> list[tuple[int, int, tuple[int, ...] | None, int | None]]:
+                  threads: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First transversal through, or with ``avoid`` avoiding, each of ``cells``.
 
-    The square's candidates are built once for the whole batch.  On the
-    compiled kernel the whole batch is one `_kernel.run_cells` call on
-    ``threads`` threads (None: every CPU), which filters the candidates for
-    each cell in C; on the pure twin each cell gets its own `_Prepared` and
-    `_iter_cols` search, one after another.  Each result is (r, c, cols or
-    None, None), or (r, c, None, nodes) when the search ran out of its node
-    budget after ``nodes`` nodes.
+    Returns `_kernel.run_cells`'s arrays (status, nodes, cols) for the cells
+    in order: status 1 with the first solution's columns in that cell's row
+    of ``cols``, 0 when there is none, or -1 when the search ran out of its
+    node budget; nodes is what each search visited (budget + 1 when it ran
+    out).  The square's candidates are built once for the whole batch.  On
+    the compiled kernel the whole batch is one `_kernel.run_cells` call on
+    ``threads`` threads (None: every CPU), which builds the square's tables
+    once and gives each cell's search only its own row masks; on the pure
+    twin each cell gets its own `_Prepared` and `_iter_cols` search, one
+    after another, with the same results.
     """
     base = _base_candidates(square)
+    cells = np.ascontiguousarray(np.reshape(cells, (-1, 2)), np.int64)
     if _use_kernel(square.order):
-        status, nodes, cols = _kernel.run_cells(
-            base, np.array(cells, np.int64).reshape(-1, 2), avoid, budget, threads=threads)
-        return [(r, c, tuple(w) if st == 1 else None, spent if st == -1 else None)
-                for (r, c), st, spent, w in zip(cells, status.tolist(), nodes.tolist(),
-                                                cols.tolist())]
-    out = []
-    for r, c in cells:
+        return _kernel.run_cells(base, cells, avoid, budget, threads=threads)
+    n = square.order
+    status = np.zeros(len(cells), np.int64)
+    nodes = np.zeros(len(cells), np.int64)
+    cols = np.zeros((len(cells), n), np.int64)
+    for j, (r, c) in enumerate(cells.tolist()):
         if avoid:
             cons = SearchConstraints(forbidden_cells=frozenset({(r, c)}), node_budget=budget)
         else:
             cons = SearchConstraints(required=frozenset({square.entry(r, c)}), node_budget=budget)
+        counter = _NodeCounter()
         try:
-            cols = _first_hit(_Prepared(square, cons, base), True, budget)
-        except BudgetExceeded as exc:
-            out.append((r, c, None, exc.nodes))
+            first = next(_iter_cols(_Prepared(square, cons, base), True, budget, counter), None)
+        except BudgetExceeded:
+            status[j] = -1
         else:
-            out.append((r, c, cols, None))
-    return out
+            if first is not None:
+                status[j] = 1
+                cols[j] = first
+        nodes[j] = counter.nodes
+    return status, nodes, cols
+
+
+# Status names by code: a phase-1 status of 0 makes a cell FREE, -1 leaves it UNKNOWN.
+_STATUS_NAMES = (UNKNOWN, FREE, COVERED, PINNED)
+_UNKNOWN, _FREE, _COVERED, _PINNED = range(4)
 
 
 def _classify_cells(square: LatinSquare, node_budget: int | None, threads: int | None,
                     transversal_count: int | None = None,
                     nodes: int = 0) -> ClassificationReport:
-    """The two per-cell phases of `classify`; the report adds ``nodes`` to their own."""
+    """The two per-cell phases of `classify`; the report adds ``nodes`` to their own.
+
+    Statuses, witnesses and the nodes of budget-exhausted searches are read
+    from the phases' arrays; the status strings are built once, at the end.
+    """
     n = square.order
-    status = [[UNKNOWN] * n for _ in range(n)]
-    witnesses: dict[tuple[int, int], tuple[int, ...]] = {}
-    cells = [(r, c) for r in range(n) for c in range(n)]
-    for r, c, cols, spent in _search_cells(square, cells, False, node_budget, threads):
-        if spent is not None:
-            nodes += spent
-        elif cols is None:
-            status[r][c] = FREE
-        else:
-            witnesses[(r, c)] = cols
-    common = set.intersection(*(set(enumerate(w)) for w in witnesses.values())) \
-        if witnesses else set()
-    for r, c in witnesses:
-        if (r, c) not in common:
-            status[r][c] = COVERED
-    shared = sorted(cell for cell in witnesses if cell in common)
-    for r, c, cols, spent in _search_cells(square, shared, True, node_budget, threads):
-        if spent is not None:
-            nodes += spent
-        else:
-            status[r][c] = PINNED if cols is None else COVERED
+    cells = np.indices((n, n)).reshape(2, -1).T
+    found, spent, cols = _search_cells(square, cells, False, node_budget, threads)
+    code = np.choose(found + 1, (_UNKNOWN, _FREE, _COVERED))
+    nodes += int(spent[found == -1].sum())
+    witnessed = np.flatnonzero(found == 1)
+    witness_cols = cols[witnessed]
+    # a cell lies in every witness when every witness has its column in its row
+    common = np.zeros(n * n, bool)
+    if len(witnessed):
+        rows = np.flatnonzero((witness_cols == witness_cols[0]).all(axis=0))
+        common[rows * n + witness_cols[0, rows]] = True
+    shared = np.flatnonzero(common & (found == 1))
+    if len(shared):
+        avoided, spent, _ = _search_cells(square, cells[shared], True, node_budget, threads)
+        code[shared] = np.choose(avoided + 1, (_UNKNOWN, _PINNED, _COVERED))
+        nodes += int(spent[avoided == -1].sum())
+    status = tuple(tuple(map(_STATUS_NAMES.__getitem__, row))
+                   for row in code.reshape(n, n).tolist())
     return ClassificationReport(
         order=n,
         family=square.family,
-        status=tuple(tuple(row) for row in status),
-        tau=sum(row.count(FREE) for row in status),
-        pinned=tuple(square.entry(r, c) for r in range(n) for c in range(n)
-                     if status[r][c] == PINNED),
-        has_transversal=bool(witnesses),
+        status=status,
+        tau=int((code == _FREE).sum()),
+        pinned=tuple(square.entry(r, c) for r, c in cells[code == _PINNED].tolist()),
+        has_transversal=bool(len(witnessed)),
         transversal_count=transversal_count,
-        witnesses=witnesses,
-        partial=any(UNKNOWN in row for row in status),
+        witnesses=dict(zip(map(tuple, cells[witnessed].tolist()),
+                           map(tuple, witness_cols.tolist()))),
+        partial=bool((code == _UNKNOWN).any()),
         nodes=nodes,
     )
 

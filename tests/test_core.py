@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +169,22 @@ def test_as_transversal_rejects_symbol_repeat():
     sq = cayley_table(4)
     with pytest.raises(NotTransversal):
         as_transversal(sq, (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("cols, expected", [
+    ((0, 1, 2), True),
+    (np.array([0, 1, 2], np.int64), True),
+    (Diagonal((0, 1, 2)), True),
+    (np.array([0, 2, 1], np.int64), False),  # every symbol is 0
+    ((0, 0, 1), False),                      # repeated column
+    ((0, 1, 3), False),                      # column n
+    ((0, 1), False),                         # short diagonal
+    ((0, 2, 1), False),                      # repeated symbol
+], ids=["tuple", "int64", "diagonal", "int64-repeated-symbol", "repeated-column",
+        "column-n", "short", "repeated-symbol"])
+def test_is_transversal_answers(cols, expected):
+    """Z3's cells (r, c) hold r + c mod 3: columns 0, 1, 2 read symbols 0, 2, 1."""
+    assert is_transversal(cayley_table(3), cols) is expected
 
 
 def test_entry_ordering_and_tuple():

@@ -591,6 +591,26 @@ def test_kernel_enumeration_totals(sq, count, nodes):
     assert (summary.count, summary.nodes) == (count, nodes)
 
 
+def _assert_same_batch(got, want, msg=None):
+    """Two batches' (status, nodes, cols) arrays agree: status and nodes of every cell,
+    and the columns of every found witness (the rest of ``cols`` means nothing)."""
+    assert got[0].tolist() == want[0].tolist(), msg
+    assert got[1].tolist() == want[1].tolist(), msg
+    found = want[0] == 1
+    assert got[2][found].tolist() == want[2][found].tolist(), msg
+
+
+def _assert_batch_matches_twin(base, cells, avoid, budget, twin):
+    """The kernel batch over ``cells`` at ``budget``, on 1, 2 and 3 threads, against the
+    twin's `_twin_run` result for each cell."""
+    for threads in (1, 2, 3):
+        status, nodes, cols = _kernel.run_cells(base, cells, avoid, budget, threads=threads)
+        assert list(zip(status.tolist(), nodes.tolist())) \
+            == [(st, spent) for st, _, spent, _ in twin], (budget, threads)
+        assert [tuple(w) for w, st in zip(cols.tolist(), status) if st == 1] \
+            == [first for st, _, _, first in twin if st == 1], (budget, threads)
+
+
 # (label, square, budget) for the batched per-cell check below.
 BATCH_CASES = [
     ("V10", build_V(10), None), ("T12", build_T(12), None), ("U14", build_U(14), None),
@@ -608,28 +628,14 @@ BATCH_CASES = [
                                         for label, sq, budget in BATCH_CASES])
 def test_batched_cells_match_twin(sq, budget, avoid):
     """Every cell of the square as one kernel batch, on 1, 2 and 3 threads, against the
-    per-cell twin loop."""
+    per-cell twin loop: each search's status and nodes, the searches that finish
+    included, and every found witness."""
     n = sq.order
     cells = [(r, c) for r in range(n) for c in range(n)]
     with pure_twin():
         twin = _search_cells(sq, cells, avoid, budget, None)
     for threads in (1, 2, 3):
-        assert _search_cells(sq, cells, avoid, budget, threads) == twin, threads
-    # node accounting per search, including the searches that finish
-    twin_nodes = []
-    for r, c in cells:
-        cons = SearchConstraints.make(forbidden_cells=((r, c),)) if avoid \
-            else SearchConstraints.make(required=(sq.entry(r, c),))
-        counter = _NodeCounter()
-        try:
-            next(_iter_cols(_Prepared(sq, cons), True, budget, counter), None)
-        except BudgetExceeded:
-            pass
-        twin_nodes.append(counter.nodes)
-    for threads in (1, 2, 3):
-        _, nodes, _ = _kernel.run_cells(_base_candidates(sq), np.array(cells, np.int64),
-                                        avoid, budget, threads=threads)
-        assert nodes.tolist() == twin_nodes, threads
+        _assert_same_batch(_search_cells(sq, cells, avoid, budget, threads), twin, threads)
 
 
 @needs_compiler
@@ -647,12 +653,73 @@ def test_batched_budget_sweep_matches_twin(sq, avoid):
     most = max(_twin_run(prep, True, None, False)[2] for prep in preps)
     for budget in _budget_sweep(most):
         twin = [_twin_run(prep, True, budget, False) for prep in preps]
-        for threads in (1, 2, 3):
-            status, nodes, cols = _kernel.run_cells(base, cells, avoid, budget, threads=threads)
-            assert list(zip(status.tolist(), nodes.tolist())) \
-                == [(st, spent) for st, _, spent, _ in twin], (budget, threads)
-            assert [tuple(w) for w, st in zip(cols.tolist(), status) if st == 1] \
-                == [first for st, _, _, first in twin if st == 1], (budget, threads)
+        _assert_batch_matches_twin(base, cells, avoid, budget, twin)
+
+
+def _edge_budgets(costs, n) -> list[list[int]]:
+    """For each search, whose twin visits c nodes: budgets c - 1, c and c + 1, and for
+    the five largest c every budget in [c - n * n, c].
+
+    The kernel counts a row's candidates when it enters the row, up to n * n nodes
+    ahead of the twin, so these budgets fall between its row-by-row count and the
+    twin's, where a first-hit walk must give back the exact count and go on
+    candidate by candidate.
+    """
+    top = set(sorted(range(len(costs)), key=costs.__getitem__)[-5:])
+    return [sorted({b for b in (c - 1, c, c + 1) if b >= 0}
+                   | (set(range(max(c - n * n, 0), c + 1)) if j in top else set()))
+            for j, c in enumerate(costs)]
+
+
+@needs_compiler
+@pytest.mark.parametrize("avoid", [False, True], ids=["through", "avoiding"])
+@pytest.mark.parametrize("sq", [pytest.param(build_exceptional(8), id="EX8"),
+                                pytest.param(build_T(12), id="T12")])
+def test_batched_budget_edges_match_twin(sq, avoid):
+    """Every cell's search at the budgets beside its own node count (`_edge_budgets`),
+    each budget run as one batch of the cells it concerns, on 1 to 3 threads."""
+    n = sq.order
+    cells = [(r, c) for r in range(n) for c in range(n)]
+    base = _base_candidates(sq)
+    preps = [_Prepared(sq, SearchConstraints.make(forbidden_cells=((r, c),)) if avoid
+                       else SearchConstraints.make(required=(sq.entry(r, c),)), base)
+             for r, c in cells]
+    costs = [_twin_run(prep, True, None, False)[2] for prep in preps]
+    by_budget = {}
+    for j, budgets in enumerate(_edge_budgets(costs, n)):
+        for budget in budgets:
+            by_budget.setdefault(budget, []).append(j)
+    for budget, js in sorted(by_budget.items()):
+        twin = [_twin_run(preps[j], True, budget, False) for j in js]
+        _assert_batch_matches_twin(base, np.array([cells[j] for j in js], np.int64), avoid,
+                                   budget, twin)
+
+
+@needs_compiler
+def test_first_hit_budget_edges_match_twin():
+    """`find`'s path through dfs with each required entry of V10, at the budgets beside
+    each search's node count (`_edge_budgets`), on 1 to 3 threads."""
+    sq = build_V(10)
+    preps = [_Prepared(sq, SearchConstraints.make(required=(sq.entry(r, c),)))
+             for r in range(sq.order) for c in range(sq.order)]
+    costs = [_twin_run(prep, True, None, False)[2] for prep in preps]
+    for prep, budgets in zip(preps, _edge_budgets(costs, sq.order)):
+        for budget in budgets:
+            twin = _twin_run(prep, True, budget, False)
+            for threads in (1, 2, 3):
+                assert _kernel_run(prep, True, budget, False, threads) == twin, (budget, threads)
+
+
+@needs_compiler
+@pytest.mark.parametrize("break_layout", ["delta-n", "column-moved", "symbol-n"])
+def test_batch_rejects_a_base_outside_its_layout(break_layout):
+    """A bad base table is an error, never a batch of "no transversal" (FREE) statuses."""
+    base = _base_candidates(build_V(10))
+    base[3, 4, {"delta-n": 2, "column-moved": 0, "symbol-n": 1}[break_layout]] = 10
+    cells = np.array([(0, 0), (3, 4)], np.int64)
+    for avoid in (False, True):
+        with pytest.raises(ValueError, match="kernel base"):
+            _kernel.run_cells(base, cells, avoid, None)
 
 
 @needs_compiler
@@ -704,9 +771,12 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
     """A C program running the threaded enumeration and batch on each square, and its output.
 
     Each enumeration runs without a budget and at a third and two thirds of
-    its nodes; each batch searches through and then avoiding every cell.  The
+    its nodes; each batch searches through and then avoiding every cell,
+    without a budget and at a third of that batch's largest search, so the
+    shared tables and the switch to exact counting run on every thread.  The
     expected lines come from the kernel on one thread: status and nodes, and
-    the count only when the enumeration finished.
+    the count only when the enumeration finished; each batch's found
+    witnesses and summed nodes.
     """
     decls, calls, expected = [], [], []
     for label, sq in cases:
@@ -724,15 +794,17 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
             st, count, nodes, _ = _kernel_run(prep, True, None if budget < 0 else budget, True, 1)
             expected.append(f"dfs {st} {'-' if count is None else count} {nodes}")
         for avoid in (0, 1):
-            calls.append(f"batch({label}_base, {n}, {label}_cells, {avoid});")
-            found = sum(cols is not None
-                        for _, _, cols, _ in _search_cells(sq, cells, bool(avoid), None, 1))
-            expected.append(f"cells {found}")
+            most = int(_search_cells(sq, cells, bool(avoid), None, 1)[1].max())
+            for budget in (-1, most // 3):
+                calls.append(f"batch({label}_base, {n}, {label}_cells, {avoid}, {budget});")
+                status, nodes, _ = _search_cells(sq, cells, bool(avoid),
+                                                 None if budget < 0 else budget, 1)
+                expected.append(f"cells {(status == 1).sum()} {nodes.sum()}")
     source = "#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
 int64_t dfs(const int64_t *, const int64_t *, const int64_t *, const int64_t *, int64_t,
             int64_t, int64_t, int64_t, int64_t, int64_t, int64_t, int64_t *, int64_t *);
-void search_cells(const int64_t *, int64_t, const int64_t *, int64_t, int64_t, int64_t,
-                  int64_t, int64_t *, int64_t *, int64_t *);
+int64_t search_cells(const int64_t *, int64_t, const int64_t *, int64_t, int64_t, int64_t,
+                     int64_t, int64_t *, int64_t *, int64_t *);
 static void enumerate(const int64_t *cand, const int64_t *row_start, const int64_t *lo,
                       const int64_t *hi, int64_t n, int64_t budget)
 {
@@ -743,13 +815,17 @@ static void enumerate(const int64_t *cand, const int64_t *row_start, const int64
     else
         printf("dfs %lld %lld %lld\\n", (long long)st, (long long)totals[0], (long long)totals[1]);
 }
-static void batch(const int64_t *base, int64_t n, const int64_t *cells, int64_t avoid)
+static void batch(const int64_t *base, int64_t n, const int64_t *cells, int64_t avoid,
+                  int64_t budget)
 {
-    int64_t status[64 * 64], nodes[64 * 64], cols[64 * 64 * 64], found = 0;
-    search_cells(base, n, cells, n * n, avoid, -1, 3, status, nodes, cols);
-    for (int64_t j = 0; j < n * n; j++)
+    int64_t status[64 * 64], nodes[64 * 64], cols[64 * 64 * 64], found = 0, spent = 0;
+    if (search_cells(base, n, cells, n * n, avoid, budget, 3, status, nodes, cols) != 0)
+        printf("bad base\\n");
+    for (int64_t j = 0; j < n * n; j++) {
         found += status[j] == 1;
-    printf("cells %lld\\n", (long long)found);
+        spent += nodes[j];
+    }
+    printf("cells %lld %lld\\n", (long long)found, (long long)spent);
 }
 int main(void)
 {
