@@ -17,9 +17,8 @@
  * candidate index visited.  It gets there by another route (see walk): each
  * depth keeps, for every row still to fill, the mask of its columns whose
  * column and symbol are unused, so a row is walked by jumping straight to
- * its next free candidate; entering a row adds its whole candidate count to
- * the node count, and the path gives back the twin's count where it differs
- * (at a first-hit solution, and when a first-hit walk passes its budget).
+ * its next free candidate; the node count grows by the index distance of
+ * each jump (clamped to budget + 1 when a jump crosses the budget).
  * Symbols and deltas are read by (row, column) from byte tables, and the
  * delta sum is kept mod n without a division, which needs |delta| < n.
  * Threads change no status and no node total for any budget, and no count
@@ -219,27 +218,6 @@ static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, con
         w->avail[depth * t->n + r] = (uint64_t)rec[1 + r];
 }
 
-/* The twin's node count for a walk from top that has counted `nodes` by
- * rows, at depth: n at a solution, else a row just entered.  Each path row
- * d above depth has reached its candidate sol[d], at index at[sol[d]], so
- * its len - at[sol[d]] - 1 later candidates are not reached yet, and the
- * row at depth has reached none.  Also sets idx[] from sol[], so the walk
- * can go on candidate by candidate. */
-static int64_t exact_nodes(const struct tree *t, struct walk *w, int64_t top, int64_t depth,
-                           int64_t nodes)
-{
-    const int64_t n = t->n;
-    for (int64_t d = top; d < depth; d++) {
-        w->idx[d] = t->at[d * n + w->sol[d]] + 1;
-        nodes -= t->len[d] - w->idx[d];
-    }
-    if (depth < n) {
-        w->idx[depth] = 0;
-        nodes -= t->len[depth];
-    }
-    return nodes;
-}
-
 /* Walks the subtree below the node w holds at depth top, stopping at budget
  * limit.  Returns 1 when at least one solution was found, 0 when the subtree
  * was exhausted without one, and -1 when the budget ran out (w->nodes is
@@ -267,23 +245,11 @@ static int64_t exact_nodes(const struct tree *t, struct walk *w, int64_t top, in
  * twin's next candidate in index order.
  *
  * Node accounting.  The twin counts one node per candidate index it visits,
- * used or not, and visits every candidate of a row it enters unless it
- * stops first.  So entering a row adds the row's len candidates at once, and
- * the count runs ahead of the twin's by the candidates not reached yet in
- * the path's rows: len - at[sol[d]] - 1 for each row d above the current
- * one and len - reached for the current row, at most n * n in all.  When
- * the walk ends without stopping, every row has been reached to its end and
- * the count is the twin's.  Otherwise the path gives it back (exact_nodes):
- *   - a first-hit walk that finds its solution sets the twin's count;
- *   - when entering a row takes the count past the budget, the tree has
- *     more nodes than the budget, so an enumeration or a task stops at once
- *     with -1 (a task's count so far is all distinct nodes, and goes to the
- *     pool).  A first-hit walk may still find a solution before the twin
- *     would stop, so it sets the twin's count and from there on counts
- *     candidate by candidate: jumping from index i to the candidate at index
- *     k adds k + 1 - i nodes, exhausting a row adds len - i, and a jump past
- *     the budget stops the walk with nodes clamped to budget + 1, where the
- *     twin stops.
+ * used or not.  Jumping from index i to the candidate at index k adds
+ * k + 1 - i nodes, and exhausting a row of len candidates adds len - i, so
+ * the totals equal the twin's.  When a jump carries the count past the
+ * budget, nodes is clamped to budget + 1, where the twin stops; the
+ * candidates jumped over yield no solution, so count is the twin's too.
  *
  * The prune.  The twin drops a candidate when no value congruent to the
  * target lies in [lo, hi], the range of delta sums still reachable:
@@ -301,17 +267,14 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
     const uint8_t *sym = t->g->sym;
     int64_t depth = top, nodes = 0, count = 0, pooled = 0, status;
     int64_t check = s ? CHECK_EVERY : INT64_MAX;
-    int entered = 1; /* the row at depth is new: its candidates are not counted yet */
-    int exact = 0;   /* counting candidate by candidate */
     w->emitted = 0;
     w->left[top] = w->avail[top * n + top];
+    w->idx[top] = 0;
     while (depth >= top) {
         if (depth == n) {
             if (!t->sd_final || w->dres[n] == t->target) {
                 count++;
                 if (!enumerate_all) {
-                    if (!exact)
-                        nodes = exact_nodes(t, w, top, n, nodes);
                     status = 1;
                     goto done;
                 }
@@ -331,41 +294,19 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
             depth--;
             continue;
         }
-        if (entered) {
-            entered = 0;
-            if (exact) {
-                w->idx[depth] = 0;
-            } else {
-                nodes += t->len[depth];
-                if (nodes > limit) {
-                    if (enumerate_all)
-                        goto out_of_budget;
-                    nodes = exact_nodes(t, w, top, depth, nodes);
-                    exact = 1;
-                } else if (nodes >= check) {
-                    int64_t pool = __atomic_add_fetch(&s->nodes, nodes - pooled, __ATOMIC_RELAXED);
-                    pooled = nodes;
-                    if (pool > s->budget)
-                        goto out_of_budget;
-                    check = nodes + CHECK_EVERY;
-                }
-            }
-        }
         const int8_t *delta_row = delta + depth * n;
         const uint8_t *at_row = t->at + depth * n;
         uint64_t m = w->left[depth];
-        int64_t i = exact ? w->idx[depth] : 0;
+        int64_t i = w->idx[depth];
         int moved = 0;
         while (m) {
             int c = __builtin_ctzll(m);
+            int64_t k = at_row[c];
             m &= m - 1;
-            if (exact) {
-                int64_t k = at_row[c];
-                nodes += k + 1 - i;
-                i = k + 1;
-                if (nodes > limit)
-                    goto out_of_budget;
-            }
+            nodes += k + 1 - i;
+            i = k + 1;
+            if (nodes > limit)
+                goto out_of_budget;
             int64_t nd = w->dres[depth] + delta_row[c];
             if (nd < 0)
                 nd += n;
@@ -392,18 +333,23 @@ static int64_t walk(const struct tree *t, struct walk *w, int64_t top, int64_t s
                     to[r] = from[r] & ~bit;
             }
             depth++;
-            if (depth < stop) {
+            if (depth < n) {
                 w->left[depth] = to[depth];
-                entered = 1;
+                w->idx[depth] = 0;
             }
             moved = 1;
             break;
         }
         if (!moved) {
-            if (exact) {
-                nodes += t->len[depth] - i;
-                if (nodes > limit)
+            nodes += t->len[depth] - i;
+            if (nodes > limit)
+                goto out_of_budget;
+            if (nodes >= check) {
+                int64_t pool = __atomic_add_fetch(&s->nodes, nodes - pooled, __ATOMIC_RELAXED);
+                pooled = nodes;
+                if (pool > s->budget)
                     goto out_of_budget;
+                check = nodes + CHECK_EVERY;
             }
             depth--;
         }

@@ -25,14 +25,11 @@ ascending within a row), same pruning rule, same node accounting (one node per
 candidate index visited).  The kernel does not visit the candidates one by
 one: it keeps, per depth, a table of every later row's columns whose column
 and symbol are still unused, updated as each row is placed, and walks the
-entered row's mask from that table.  Entering a row adds the row's whole
-candidate count to the node count, which runs at most n * n nodes ahead of
-the twin's; the path gives back the twin's count when a first-hit search
-finds its solution, and when the count passes the budget an enumeration
-stops at once (its tree has more nodes than the budget) while a first-hit
-search goes on counting candidate by candidate, so every status and node
-total is the twin's for every budget (budget + 1 when it runs out).  The
-delta sum is kept modulo n, which needs every delta to lie in (-n, n).
+entered row's mask from that table, adding the index distance of each jump
+to the node count, so every status and node total is the twin's for every
+budget (budget + 1 when it runs out).  Symbols and deltas are read by (row,
+column) from byte tables.  The delta sum is kept modulo n, which needs every
+delta to lie in (-n, n).
 ``search_cells`` must also filter exactly as ``engine._Prepared`` does.
 Equivalence is tested in the suite, with the pure twin as the oracle.
 

@@ -84,10 +84,10 @@ _EX8_FREE = (
 
 def family_k(family: str, n: int) -> int:
     """Validate (family, n) for T/U/V and return k = floor(n/6)."""
-    spec = _FAMILIES.get(family)
-    if spec is None or spec.residue is None:
+    if family not in ("T", "U", "V"):
         raise DomainError(f"pinned-entry families are T, U and V, got {family!r}")
-    residue, minimum = spec.residue, spec.min_order
+    residue = {"T": 0, "U": 2, "V": 4}[family]
+    minimum = {"T": 12, "U": 14, "V": 10}[family]
     if n % 6 != residue or n < minimum:
         raise DomainError(
             f"family {family} needs order n ≡ {residue} (mod 6), n >= {minimum}; got {n}"
@@ -99,7 +99,7 @@ def family_of_order(n: int) -> str:
     """The T/U/V family covering an even order n >= 10."""
     if n < 10 or n % 2:
         raise DomainError(f"pinned-entry families cover even orders >= 10, got {n}")
-    return next(family for family, spec in _FAMILIES.items() if spec.residue == n % 6)
+    return {0: "T", 2: "U", 4: "V"}[n % 6]
 
 
 def _cells(n: int, coords) -> np.ndarray:
@@ -414,14 +414,12 @@ class _Family(NamedTuple):
     order: Callable[[str, int | None, int | None], int]  # (family, n, m) -> the order
     build: Callable[[int], LatinSquare]                   # the square of that order
     witness_cols: Callable[[int], Sequence[int]] | None   # its explicit transversal
-    residue: int | None = None    # T/U/V: the order's residue mod 6
-    min_order: int | None = None  # T/U/V: the least order the construction covers
 
 
 _FAMILIES = {
-    "T": _Family(_given_order, build_T, _cols_T, residue=0, min_order=12),
-    "U": _Family(_given_order, build_U, _cols_U, residue=2, min_order=14),
-    "V": _Family(_given_order, build_V, _cols_V, residue=4, min_order=10),
+    "T": _Family(_given_order, build_T, _cols_T),
+    "U": _Family(_given_order, build_U, _cols_U),
+    "V": _Family(_given_order, build_V, _cols_V),
     "L": _Family(_block_order, lambda n: build_L(n // 3), lambda n: _cols_L(n // 3)),
     "EX6": _Family(_fixed_order(6), build_exceptional, lambda n: _EX6_TRANSVERSAL),
     "EX8": _Family(_fixed_order(8), build_exceptional, lambda n: _EX8_TRANSVERSAL),

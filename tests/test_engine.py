@@ -656,19 +656,10 @@ def test_batched_budget_sweep_matches_twin(sq, avoid):
         _assert_batch_matches_twin(base, cells, avoid, budget, twin)
 
 
-def _edge_budgets(costs, n) -> list[list[int]]:
-    """For each search, whose twin visits c nodes: budgets c - 1, c and c + 1, and for
-    the five largest c every budget in [c - n * n, c].
-
-    The kernel counts a row's candidates when it enters the row, up to n * n nodes
-    ahead of the twin, so these budgets fall between its row-by-row count and the
-    twin's, where a first-hit walk must give back the exact count and go on
-    candidate by candidate.
-    """
-    top = set(sorted(range(len(costs)), key=costs.__getitem__)[-5:])
-    return [sorted({b for b in (c - 1, c, c + 1) if b >= 0}
-                   | (set(range(max(c - n * n, 0), c + 1)) if j in top else set()))
-            for j, c in enumerate(costs)]
+def _edge_budgets(costs) -> list[list[int]]:
+    """For each search, whose twin visits c nodes: budgets c - 1, c and c + 1, where the
+    search runs out one node short, just finishes and has one node to spare."""
+    return [[b for b in (c - 1, c, c + 1) if b >= 0] for c in costs]
 
 
 @needs_compiler
@@ -686,7 +677,7 @@ def test_batched_budget_edges_match_twin(sq, avoid):
              for r, c in cells]
     costs = [_twin_run(prep, True, None, False)[2] for prep in preps]
     by_budget = {}
-    for j, budgets in enumerate(_edge_budgets(costs, n)):
+    for j, budgets in enumerate(_edge_budgets(costs)):
         for budget in budgets:
             by_budget.setdefault(budget, []).append(j)
     for budget, js in sorted(by_budget.items()):
@@ -703,7 +694,7 @@ def test_first_hit_budget_edges_match_twin():
     preps = [_Prepared(sq, SearchConstraints.make(required=(sq.entry(r, c),)))
              for r in range(sq.order) for c in range(sq.order)]
     costs = [_twin_run(prep, True, None, False)[2] for prep in preps]
-    for prep, budgets in zip(preps, _edge_budgets(costs, sq.order)):
+    for prep, budgets in zip(preps, _edge_budgets(costs)):
         for budget in budgets:
             twin = _twin_run(prep, True, budget, False)
             for threads in (1, 2, 3):
@@ -773,7 +764,7 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
     Each enumeration runs without a budget and at a third and two thirds of
     its nodes; each batch searches through and then avoiding every cell,
     without a budget and at a third of that batch's largest search, so the
-    shared tables and the switch to exact counting run on every thread.  The
+    shared tables and the budget's exits run on every thread.  The
     expected lines come from the kernel on one thread: status and nodes, and
     the count only when the enumeration finished; each batch's found
     witnesses and summed nodes.
