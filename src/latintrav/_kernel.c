@@ -1,16 +1,19 @@
 /* Row-order depth-first search over transversals (or diagonals) with
- * delta-interval pruning.  Two entry points share the one search:
+ * delta-interval pruning.  Both entry points take the square's (n, n, 3)
+ * base table and fill one search tree from row masks (mask_tree):
  *
  *   dfs           the compiled twin of engine._iter_cols plus the count and
  *                 node tallies of engine.count_and_cover: one search over
- *                 prepared candidates, a full enumeration split across
- *                 threads;
+ *                 one candidate mask per row (engine._Prepared's rows), a
+ *                 full enumeration split across threads;
  *   search_cells  the compiled twin of engine._search_cells's per-cell loop:
- *                 the square's tables built and checked once per call, then
- *                 for each cell of a batch its own row masks (_Prepared's
- *                 filter for one required entry or one forbidden cell) and a
- *                 first-hit walk, the cells strided across threads that share
- *                 the square's tables.
+ *                 for each cell of a batch its own row masks (cell_tree,
+ *                 which must filter exactly as _Prepared does for one
+ *                 required entry or one forbidden cell) and a first-hit
+ *                 walk, the cells strided across threads.
+ *
+ * Each call builds and checks the square's tables once (build_grid), and
+ * every thread reads them.
  *
  * It must stay behaviourally identical to the pure twin: rows ascending,
  * candidates in column order within a row, the same prune, and one node per
@@ -27,7 +30,8 @@
  * Threads are created and joined inside each call; nothing outlives it.
  * _kernel.py builds and loads this file; the caller checks 1 <= n <=
  * MAX_ORDER, the cell indices, the buffer shapes and threads >= 1, and dfs
- * and search_cells reject candidates outside their layout.
+ * and search_cells reject a base table, and dfs a row mask, outside their
+ * layout.
  */
 #include <pthread.h>
 #include <stdint.h>
@@ -87,56 +91,6 @@ struct split {
     int64_t count; /* the tasks' solutions */
 };
 
-/* Sets t's residue tables from the suffix delta bounds of its rows; returns
- * 1 to search and 0 when the target residue is unreachable from the root. */
-static int64_t set_residues(struct tree *t, const int64_t *lo_suf, const int64_t *hi_suf,
-                            int64_t prune)
-{
-    const int64_t n = t->n;
-    for (int64_t r = 0; r <= n; r++) {
-        t->res_need[r] = pymod(t->target - lo_suf[r], n);
-        t->width[r] = prune && hi_suf[r] - lo_suf[r] < n - 1 ? hi_suf[r] - lo_suf[r] : BIG;
-    }
-    return prune && lo_suf[0] + pymod(t->target - lo_suf[0], n) > hi_suf[0] ? 0 : 1;
-}
-
-/* Fills g and t from dfs's candidate list; returns 1 to search, 0 when the
- * target residue is unreachable from the root and -2 when n or a candidate
- * is out of range. */
-static int64_t build_tree(struct grid *g, struct tree *t, const int64_t *cand,
-                          const int64_t *row_start, const int64_t *lo_suf, const int64_t *hi_suf,
-                          int64_t n, int64_t use_syms, int64_t sd_final, int64_t prune)
-{
-    if (n < 1 || n > MAX_ORDER)
-        return -2;
-    t->g = g;
-    t->n = n;
-    t->use_syms = use_syms;
-    t->sd_final = sd_final;
-    t->target = n % 2 ? 0 : n / 2;
-    if (use_syms)
-        memset(g->sym_col, 0, (size_t)(n * n) * sizeof g->sym_col[0]);
-    for (int64_t r = 0; r < n; r++) {
-        int64_t prev = -1;
-        t->root[r] = 0;
-        t->len[r] = row_start[r + 1] - row_start[r];
-        for (int64_t i = row_start[r]; i < row_start[r + 1]; i++) {
-            int64_t c = cand[3 * i], s = cand[3 * i + 1], d = cand[3 * i + 2];
-            if (c <= prev || c >= n || d <= -n || d >= n || (use_syms && (s < 0 || s >= n)))
-                return -2;
-            prev = c;
-            t->root[r] |= (uint64_t)1 << c;
-            t->at[r * n + c] = (uint8_t)(i - row_start[r]);
-            g->delta[r * n + c] = (int8_t)d;
-            if (use_syms) {
-                g->sym[r * n + c] = (uint8_t)s;
-                g->sym_col[s * n + r] |= (uint64_t)1 << c;
-            }
-        }
-    }
-    return set_residues(t, lo_suf, hi_suf, prune);
-}
-
 /* Fills g from base, the square's (n, n, 3) candidates; returns 0, or -2
  * when n or an entry is out of range: the entry at (r, c) must have column
  * c, a symbol in 0..n-1 and |delta| < n. */
@@ -157,29 +111,22 @@ static int64_t build_grid(struct grid *g, const int64_t *base, int64_t n)
     return 0;
 }
 
-/* Sets t's rows to _Prepared's filter for one cell of its grid and returns
- * 1 to search, or 0 when a row is left without candidates or the target
- * residue is unreachable from the root.  The required entry (fr, fc, fs)
- * keeps only (fr, fc) in row fr and drops column fc and symbol fs from
- * every other row; the forbidden cell (fr, fc) drops that cell alone. */
-static int64_t cell_tree(struct tree *t, int64_t fr, int64_t fc, int64_t avoid)
+/* Sets t's rows to the candidate columns in rows and fills its index table,
+ * row lengths and residue tables from them and t's grid; returns 1 to search,
+ * or 0 when a row has no candidates or the target residue is unreachable
+ * from the root. */
+static int64_t mask_tree(struct tree *t, const uint64_t *rows, int64_t prune)
 {
-    const struct grid *g = t->g;
+    const int8_t *delta = t->g->delta;
     const int64_t n = t->n;
-    const uint64_t all = ((uint64_t)1 << n) - 1, bit = (uint64_t)1 << fc;
-    const uint64_t *fs_col = g->sym_col + g->sym[fr * n + fc] * n;
     int64_t lo_suf[MAX_ORDER + 1], hi_suf[MAX_ORDER + 1];
     for (int64_t r = 0; r < n; r++) {
-        uint64_t m;
-        if (avoid)
-            m = r == fr ? all & ~bit : all;
-        else
-            m = r == fr ? bit : all & ~(bit | fs_col[r]);
+        uint64_t m = rows[r];
         t->root[r] = m;
         int64_t k = 0, lo = BIG, hi = -BIG;
         for (; m; m &= m - 1) {
             int c = __builtin_ctzll(m);
-            int64_t d = g->delta[r * n + c];
+            int64_t d = delta[r * n + c];
             t->at[r * n + c] = (uint8_t)k++;
             if (d < lo)
                 lo = d;
@@ -197,7 +144,31 @@ static int64_t cell_tree(struct tree *t, int64_t fr, int64_t fc, int64_t avoid)
         lo_suf[r] += lo_suf[r + 1];
         hi_suf[r] += hi_suf[r + 1];
     }
-    return set_residues(t, lo_suf, hi_suf, 1);
+    for (int64_t r = 0; r <= n; r++) {
+        t->res_need[r] = pymod(t->target - lo_suf[r], n);
+        t->width[r] = prune && hi_suf[r] - lo_suf[r] < n - 1 ? hi_suf[r] - lo_suf[r] : BIG;
+    }
+    return prune && lo_suf[0] + pymod(t->target - lo_suf[0], n) > hi_suf[0] ? 0 : 1;
+}
+
+/* Sets t's rows to _Prepared's filter for one cell of its grid and returns
+ * mask_tree's result.  The required entry (fr, fc, fs) keeps only (fr, fc)
+ * in row fr and drops column fc and symbol fs from every other row; the
+ * forbidden cell (fr, fc) drops that cell alone. */
+static int64_t cell_tree(struct tree *t, int64_t fr, int64_t fc, int64_t avoid)
+{
+    const struct grid *g = t->g;
+    const int64_t n = t->n;
+    const uint64_t all = ((uint64_t)1 << n) - 1, bit = (uint64_t)1 << fc;
+    const uint64_t *fs_col = g->sym_col + g->sym[fr * n + fc] * n;
+    uint64_t rows[MAX_ORDER];
+    for (int64_t r = 0; r < n; r++) {
+        if (avoid)
+            rows[r] = r == fr ? all & ~bit : all;
+        else
+            rows[r] = r == fr ? bit : all & ~(bit | fs_col[r]);
+    }
+    return mask_tree(t, rows, 1);
 }
 
 /* Sets w at the root: depth 0 with every row's candidate columns free. */
@@ -452,15 +423,16 @@ static int64_t split_walk(const struct tree *t, struct walk *w, int64_t limit, i
     return s.count > 0;
 }
 
-/* Returns 1 when at least one solution was found, 0 when the space was
- * exhausted empty, -1 when the node budget ran out (nodes is then
- * budget + 1, and count is valid only for a search that finished) and -2,
- * with zero totals, when n or a candidate is out of range.
+/* One search over the square's base table with one candidate mask per row.
+ * Returns 1 when at least one solution was found, 0 when the space was
+ * exhausted empty (with no node when a row has no candidates), -1 when the
+ * node budget ran out (nodes is then budget + 1, and count is valid only for
+ * a search that finished) and -2, with zero totals, when n, base or a row
+ * mask is out of range.
  *
- * cand        (row_start[n], 3): col, sym, delta of each candidate, row after
- *             row, columns strictly ascending within a row, |delta| < n
- * row_start   (n + 1): row r's candidates are cand[row_start[r] .. row_start[r + 1])
- * lo_suf, hi_suf (n + 1): min and max delta sums of rows r..n-1
+ * base        (n, n, 3): col, sym, delta of every cell, row after row, as
+ *             search_cells takes it
+ * rows        (n): row r's candidate columns as bits 0..n-1
  * threads     threads of a full enumeration (enumerate_all = 1); a first-hit
  *             search runs on the calling thread
  * first_cols  (n): columns of the solution a first-hit search found, written
@@ -469,19 +441,22 @@ static int64_t split_walk(const struct tree *t, struct walk *w, int64_t limit, i
  *
  * The target residue of the delta sum is n/2 for even n and 0 for odd n.
  */
-int64_t dfs(const int64_t *cand, const int64_t *row_start,
-            const int64_t *lo_suf, const int64_t *hi_suf,
-            int64_t n, int64_t use_syms, int64_t sd_final, int64_t prune,
-            int64_t budget, int64_t enumerate_all, int64_t threads,
-            int64_t *first_cols, int64_t *totals)
+int64_t dfs(const int64_t *base, int64_t n, const int64_t *rows, int64_t use_syms,
+            int64_t sd_final, int64_t prune, int64_t budget, int64_t enumerate_all,
+            int64_t threads, int64_t *first_cols, int64_t *totals)
 {
     struct grid g;
-    struct tree t;
+    struct tree t = {.g = &g, .n = n, .use_syms = use_syms, .sd_final = sd_final,
+                     .target = n % 2 ? 0 : n / 2};
     struct walk w; /* not zeroed: about 32 KB */
     w.count = w.nodes = 0;
     int64_t limit = budget < 0 ? INT64_MAX : budget;
-    int64_t status = build_tree(&g, &t, cand, row_start, lo_suf, hi_suf, n, use_syms, sd_final,
-                                prune);
+    int64_t status = build_grid(&g, base, n);
+    for (int64_t r = 0; status == 0 && r < n; r++)
+        if ((uint64_t)rows[r] >> n)
+            status = -2;
+    if (status == 0)
+        status = mask_tree(&t, (const uint64_t *)rows, prune);
     if (status == 1) {
         if (threads > MAX_THREADS)
             threads = MAX_THREADS;

@@ -1,14 +1,14 @@
 """Compiled depth-first search kernel, built from ``_kernel.c`` on first use.
 
-The library has two entry points over one search: ``dfs``, wrapped by `run`,
-runs one search over prepared candidates and returns its status and node
-count, plus the solution of a first-hit search or the solution count of a
-full enumeration; ``search_cells``, wrapped by
-`run_cells`, runs per-cell classification's first-hit searches for a whole
-batch of cells: it builds and checks the square's symbol and delta tables
-once per call, and each cell's search sets only its own row masks, index
-and residue tables.  ``dfs`` tallies nothing per cell: classification takes
-every status and witness from ``search_cells``.
+The library has two entry points over one search, both taking the square's
+(n, n, 3) base table, whose symbol and delta tables each call builds and
+checks once.  ``dfs``, wrapped by `run`, runs one search over one candidate
+mask per row and returns its status and node count, plus the solution of a
+first-hit search or the solution count of a full enumeration;
+``search_cells``, wrapped by `run_cells`, runs per-cell classification's
+first-hit searches for a whole batch of cells, each setting only its own
+row masks.  ``dfs`` tallies nothing per cell: classification takes every
+status and witness from ``search_cells``.
 
 Both run on every CPU in the process's affinity mask unless told otherwise
 (`cpu_count`).  A full enumeration walks the tree down to a split depth read
@@ -30,8 +30,9 @@ to the node count, so every status and node total is the twin's for every
 budget (budget + 1 when it runs out).  Symbols and deltas are read by (row,
 column) from byte tables.  The delta sum is kept modulo n, which needs every
 delta to lie in (-n, n).
-``search_cells`` must also filter exactly as ``engine._Prepared`` does.
-Equivalence is tested in the suite, with the pure twin as the oracle.
+``search_cells``'s per-cell row masks must also filter exactly as
+``engine._Prepared`` does.  Equivalence is tested in the suite, with the
+pure twin as the oracle.
 
 When the kernel loads, the engine runs here every first-hit search and full
 enumeration of order at most ``MAX_KERNEL_ORDER``; lazy enumeration
@@ -129,7 +130,7 @@ def load():
         log.warning("C search kernel unavailable, searches run on the pure-Python twin: %s %s",
                     exc, detail)
         return None
-    lib.dfs.argtypes = [_PTR, _PTR, _PTR, _PTR] + [_I64] * 7 + [_PTR] * 2
+    lib.dfs.argtypes = [_PTR, _I64, _PTR] + [_I64] * 6 + [_PTR] * 2
     lib.dfs.restype = _I64
     lib.search_cells.argtypes = [_PTR, _I64, _PTR, _I64, _I64, _I64, _I64] + [_PTR] * 3
     lib.search_cells.restype = _I64
@@ -152,41 +153,54 @@ def _threads(threads: int | None) -> int:
     return threads
 
 
+_BASE_LAYOUT = "kernel base must hold column c at cell (r, c), symbols in 0..n-1 and " \
+               "deltas in (-n, n)"
+
+
+def _check(arr: np.ndarray, shape: tuple[int, ...]) -> None:
+    if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
+        raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
+
+
+def _check_base(base: np.ndarray) -> int:
+    """The order of ``base``, after checking it and the table's shape, dtype and contiguity."""
+    n = base.shape[0]
+    if not 1 <= n <= MAX_KERNEL_ORDER:
+        raise ValueError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n}")
+    _check(base, (n, n, 3))
+    return n
+
+
 def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool,
         threads: int | None = None):
-    """One kernel search over an ``engine._Prepared`` search's candidates.
+    """One kernel search over an ``engine._Prepared`` search's row masks.
 
-    ``prep.cand`` is (k, 3) int64 of (col, sym, delta), row after row, and
-    row r is ``prep.cand[prep.row_start[r]:prep.row_start[r + 1]]``; the
-    kernel works out the target residue from ``prep.n``.  Returns (status,
+    ``prep.base`` is the square's (n, n, 3) int64 array of (col, sym, delta)
+    and ``prep.rows`` the (n,) int64 masks of each row's candidate columns;
+    the kernel works out the target residue from n.  Returns (status,
     count, nodes, first_cols) with status 1 when at least one solution was
-    found, 0 when the space was exhausted empty, and -1 when the node budget
-    ran out (nodes is then budget + 1, and count means nothing).
+    found, 0 when the space was exhausted empty (with 0 nodes when a row has
+    no candidates), and -1 when the node budget ran out (nodes is then
+    budget + 1, and count means nothing).
     ``first_cols`` holds the solution of a first-hit search with status 1
     and is not written otherwise.  A full enumeration runs on ``threads``
     threads (default `cpu_count`), with the same status and nodes on any
     number, and the same count when it finishes; a first-hit search runs on
     one.
-    Raises ValueError when a candidate breaks the layout ``dfs`` relies on.
-    The caller has checked that `load` returns the kernel.
+    Raises ValueError when the base table breaks the layout `run_cells`
+    checks or a row mask has a column outside 0..n-1.  The caller has
+    checked that `load` returns the kernel.
     """
-    n = prep.n
-    if not 1 <= n <= MAX_KERNEL_ORDER:
-        raise ValueError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n}")
-    for arr, shape in ((prep.cand, (int(prep.row_start[-1]), 3)), (prep.row_start, (n + 1,)),
-                       (prep.lo_suf, (n + 1,)), (prep.hi_suf, (n + 1,))):
-        if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
-            raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
+    n = _check_base(prep.base)
+    _check(prep.rows, (n,))
     threads = _threads(threads)
     totals = np.zeros(2 + n, np.int64)  # count, nodes, then first_cols
     first_cols = totals[2:]
-    status = load().dfs(prep.cand.ctypes.data, prep.row_start.ctypes.data,
-                        prep.lo_suf.ctypes.data, prep.hi_suf.ctypes.data, n, prep.use_syms,
+    status = load().dfs(prep.base.ctypes.data, n, prep.rows.ctypes.data, prep.use_syms,
                         prep.sd_final, prune, -1 if budget is None else budget,
                         enumerate_all, threads, first_cols.ctypes.data, totals.ctypes.data)
     if status == -2:
-        raise ValueError("kernel candidates must have columns in 0..n-1, strictly ascending "
-                         "within a row, symbols in 0..n-1 and deltas in (-n, n)")
+        raise ValueError(f"{_BASE_LAYOUT}, and row masks columns in 0..n-1")
     count, nodes = totals[:2].tolist()
     return status, count, nodes, first_cols
 
@@ -206,12 +220,8 @@ def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | No
     0..n-1 and a delta in (-n, n)), which the kernel checks once per call.
     The caller has checked that `load` returns the kernel.
     """
-    n = base.shape[0]
-    if not 1 <= n <= MAX_KERNEL_ORDER:
-        raise ValueError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n}")
-    for arr, shape in ((base, (n, n, 3)), (cells, (len(cells), 2))):
-        if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
-            raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
+    n = _check_base(base)
+    _check(cells, (len(cells), 2))
     if ((cells < 0) | (cells >= n)).any():
         raise ValueError(f"cells must lie in 0..{n - 1}")
     threads = _threads(threads)
@@ -222,6 +232,5 @@ def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | No
     if load().search_cells(base.ctypes.data, n, cells.ctypes.data, k, avoid,
                            -1 if budget is None else budget, threads,
                            status.ctypes.data, nodes.ctypes.data, cols.ctypes.data) == -2:
-        raise ValueError("kernel base must hold column c at cell (r, c), symbols in 0..n-1 "
-                         "and deltas in (-n, n)")
+        raise ValueError(_BASE_LAYOUT)
     return status, nodes, cols

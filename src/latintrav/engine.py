@@ -119,15 +119,17 @@ def _base_candidates(square: LatinSquare) -> np.ndarray:
 
 
 class _Prepared:
-    """One search's candidates, laid out for the compiled kernel.
+    """One search's candidates: the square's base table and the cells it keeps.
 
-    ``cand`` is (k, 3) int64 of (col, sym, delta), row after row and columns
-    ascending within a row; row r is ``cand[row_start[r]:row_start[r + 1]]``.
-    ``lo_suf[r]`` and ``hi_suf[r]`` bound the delta sum of rows r..n-1.
+    ``base`` is `_base_candidates`'s (n, n, 3) table and ``keep`` the (n, n)
+    mask of each row's candidate cells; ``rows[r]`` is row r's mask as bits
+    of one int64, the kernel's layout, and ``rows`` is None above the
+    kernel's largest order.  ``lo_suf[r]`` and
+    ``hi_suf[r]`` bound the delta sum of rows r..n-1.
     """
 
-    __slots__ = ("n", "target", "use_syms", "sd_final", "cand", "row_start",
-                 "lo_suf", "hi_suf", "feasible")
+    __slots__ = ("n", "target", "use_syms", "sd_final", "base", "keep", "rows",
+                 "lo_suf", "hi_suf")
 
     def __init__(self, square: LatinSquare, constraints: SearchConstraints,
                  base: np.ndarray | None = None):
@@ -146,7 +148,6 @@ class _Prepared:
         for e in constraints.required:
             keep[e.row] = False
             keep[e.row, e.col] = True
-        lengths = keep.sum(axis=1)
         deltas = base[:, :, 2]
         # deltas lie in (-n/2, n/2], so n and -n never win a min or max over a kept cell
         lo = np.zeros(n + 1, np.int64)
@@ -157,10 +158,9 @@ class _Prepared:
         self.use_syms = transversal
         self.sd_final = constraints.mode is SearchMode.SUITABLE_DIAGONAL
         self.target = (n // 2) if n % 2 == 0 else 0
-        self.cand = base[keep]
-        self.row_start = np.zeros(n + 1, np.int64)
-        np.cumsum(lengths, out=self.row_start[1:])
-        self.feasible = bool(lengths.all())
+        self.base = base
+        self.keep = keep
+        self.rows = keep @ (1 << np.arange(n)) if n <= _kernel.MAX_KERNEL_ORDER else None
         self.lo_suf = lo
         self.hi_suf = hi
 
@@ -175,13 +175,11 @@ class _NodeCounter:
 def _iter_cols(prep: _Prepared, prune: bool, budget: int | None,
                counter: _NodeCounter) -> Iterator[tuple[int, ...]]:
     """Pure-python twin of the compiled kernel; yields column tuples lazily."""
-    if not prep.feasible:
-        return
+    cand = [row[keep].tolist() for row, keep in zip(prep.base, prep.keep)]
+    if not all(cand):
+        return  # a row without candidates
     n = prep.n
     target = prep.target
-    flat = prep.cand.tolist()
-    bounds = prep.row_start.tolist()
-    cand = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
     lo_suf = prep.lo_suf.tolist()
     hi_suf = prep.hi_suf.tolist()
     use_syms = prep.use_syms
@@ -296,8 +294,6 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
 
 def _first_hit(prep: _Prepared, prune: bool, budget: int | None) -> tuple[int, ...] | None:
     """Columns of a prepared search's first solution, or None; BudgetExceeded if it runs out."""
-    if not prep.feasible:
-        return None
     if _use_kernel(prep.n):
         status, _, nodes, first_cols = _kernel.run(
             prep, prune=prune, budget=budget, enumerate_all=False)
@@ -345,8 +341,6 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
 def _count(prep: _Prepared, prune: bool, budget: int | None,
            threads: int | None) -> EnumerationSummary:
     """`count_and_cover` of a prepared search, on ``threads`` kernel threads (None: every CPU)."""
-    if not prep.feasible:
-        return EnumerationSummary(count=0, nodes=0)
     if _use_kernel(prep.n):
         status, count, nodes, _ = _kernel.run(
             prep, prune=prune, budget=budget, enumerate_all=True, threads=threads)

@@ -82,12 +82,15 @@ _EX8_FREE = (
 )
 
 
+# The pinned-entry families: each one's order residue mod 6 and least order.
+_TUV = {"T": (0, 12), "U": (2, 14), "V": (4, 10)}
+
+
 def family_k(family: str, n: int) -> int:
     """Validate (family, n) for T/U/V and return k = floor(n/6)."""
-    if family not in ("T", "U", "V"):
+    if family not in _TUV:
         raise DomainError(f"pinned-entry families are T, U and V, got {family!r}")
-    residue = {"T": 0, "U": 2, "V": 4}[family]
-    minimum = {"T": 12, "U": 14, "V": 10}[family]
+    residue, minimum = _TUV[family]
     if n % 6 != residue or n < minimum:
         raise DomainError(
             f"family {family} needs order n ≡ {residue} (mod 6), n >= {minimum}; got {n}"
@@ -99,7 +102,7 @@ def family_of_order(n: int) -> str:
     """The T/U/V family covering an even order n >= 10."""
     if n < 10 or n % 2:
         raise DomainError(f"pinned-entry families cover even orders >= 10, got {n}")
-    return {0: "T", 2: "U", 4: "V"}[n % 6]
+    return next(f for f, (residue, _) in _TUV.items() if n % 6 == residue)
 
 
 def _cells(n: int, coords) -> np.ndarray:

@@ -404,7 +404,7 @@ def _row_entries(prep, prune) -> list[list[int]]:
     the number of tasks.
     """
     n, target = prep.n, prep.target
-    rows = [prep.cand[a:b].tolist() for a, b in zip(prep.row_start[:-1], prep.row_start[1:])]
+    rows = [row[keep].tolist() for row, keep in zip(prep.base, prep.keep)]
     lo, hi = prep.lo_suf.tolist(), prep.hi_suf.tolist()
     entries = [[] for _ in range(n)]
     nodes = 0
@@ -423,7 +423,7 @@ def _row_entries(prep, prune) -> list[list[int]]:
                 continue
             enter(d + 1, used_cols | 1 << c, used_syms | 1 << s, dsum + delta)
 
-    if prep.feasible and not (prune and lo[0] + (target - lo[0]) % n > hi[0]):
+    if all(rows) and not (prune and lo[0] + (target - lo[0]) % n > hi[0]):
         enter(0, 0, 0, 0)
     return entries
 
@@ -472,16 +472,29 @@ def test_kernel_suitable_diagonals_match_twin(sq, prune):
 
 
 @needs_compiler
-@pytest.mark.parametrize("break_layout", ["columns-descend", "delta-too-large"])
+@pytest.mark.parametrize("break_layout", ["row-mask-bit-n", "delta-too-large"])
 def test_kernel_rejects_candidates_outside_its_layout(break_layout):
-    """The mask walk needs ascending columns and the residue step |delta| < n."""
+    """The mask walk needs row masks inside the square and the residue step |delta| < n."""
     prep = _Prepared(build_exceptional(6), SearchConstraints.make())
-    if break_layout == "columns-descend":
-        prep.cand[:2] = prep.cand[1::-1].copy()
+    if break_layout == "row-mask-bit-n":
+        prep.rows[0] |= 1 << 6
     else:
-        prep.cand[0, 2] = 6
-    with pytest.raises(ValueError, match="strictly ascending"):
+        prep.base[0, 0, 2] = 6
+    with pytest.raises(ValueError, match="kernel base"):
         _kernel.run(prep, prune=True, budget=None, enumerate_all=True)
+
+
+@needs_compiler
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+@pytest.mark.parametrize("enumerate_all", [False, True], ids=["first-hit", "enumerate"])
+def test_kernel_row_without_candidates_matches_twin(enumerate_all, prune):
+    """A row with no candidates is an empty search with no node, on the kernel as on the twin."""
+    prep = _Prepared(build_V(10), SearchConstraints.make(
+        forbidden_cells=[(3, c) for c in range(10)]))
+    twin = _twin_run(prep, prune, None, enumerate_all)
+    assert twin == (0, 0, 0, None)
+    for threads in (1, 2, 3):
+        assert _kernel_run(prep, prune, None, enumerate_all, threads) == twin, threads
 
 
 def _budget_sweep(nodes: int) -> list[int]:
@@ -740,7 +753,7 @@ def test_ctypes_signatures_match_c(name):
     assert fn.argtypes == argtypes
     assert fn.restype is restype
     if name == "dfs":
-        assert len(argtypes) == 13
+        assert len(argtypes) == 11
 
 
 @needs_compiler
@@ -773,15 +786,12 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
     for label, sq in cases:
         n = sq.order
         prep = _Prepared(sq, SearchConstraints.make())
-        base = _base_candidates(sq)
         cells = [(r, c) for r in range(n) for c in range(n)]
-        decls += [_c_array(f"{label}_{name}", getattr(prep, name))
-                  for name in ("cand", "row_start", "lo_suf", "hi_suf")]
-        decls += [_c_array(f"{label}_base", base), _c_array(f"{label}_cells", cells)]
+        decls += [_c_array(f"{label}_base", prep.base), _c_array(f"{label}_rows", prep.rows),
+                  _c_array(f"{label}_cells", cells)]
         total = _kernel_run(prep, True, None, True, 1)[2]
         for budget in (-1, total // 3, 2 * total // 3):
-            calls.append(f"enumerate({label}_cand, {label}_row_start, {label}_lo_suf, "
-                         f"{label}_hi_suf, {n}, {budget});")
+            calls.append(f"enumerate({label}_base, {n}, {label}_rows, {budget});")
             st, count, nodes, _ = _kernel_run(prep, True, None if budget < 0 else budget, True, 1)
             expected.append(f"dfs {st} {'-' if count is None else count} {nodes}")
         for avoid in (0, 1):
@@ -792,15 +802,14 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
                                                  None if budget < 0 else budget, 1)
                 expected.append(f"cells {(status == 1).sum()} {nodes.sum()}")
     source = "#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
-int64_t dfs(const int64_t *, const int64_t *, const int64_t *, const int64_t *, int64_t,
-            int64_t, int64_t, int64_t, int64_t, int64_t, int64_t, int64_t *, int64_t *);
+int64_t dfs(const int64_t *, int64_t, const int64_t *, int64_t, int64_t, int64_t, int64_t,
+            int64_t, int64_t, int64_t *, int64_t *);
 int64_t search_cells(const int64_t *, int64_t, const int64_t *, int64_t, int64_t, int64_t,
                      int64_t, int64_t *, int64_t *, int64_t *);
-static void enumerate(const int64_t *cand, const int64_t *row_start, const int64_t *lo,
-                      const int64_t *hi, int64_t n, int64_t budget)
+static void enumerate(const int64_t *base, int64_t n, const int64_t *rows, int64_t budget)
 {
     int64_t first[64], totals[2];
-    int64_t st = dfs(cand, row_start, lo, hi, n, 1, 0, 1, budget, 1, 3, first, totals);
+    int64_t st = dfs(base, n, rows, 1, 0, 1, budget, 1, 3, first, totals);
     if (st < 0)
         printf("dfs %lld - %lld\\n", (long long)st, (long long)totals[1]);
     else
