@@ -1,19 +1,14 @@
 /* Row-order depth-first search over transversals (or diagonals) with
- * delta-interval pruning.  Both entry points take the square's (n, n, 3)
- * base table and fill one search tree from row masks (mask_tree):
- *
- *   dfs           the compiled twin of engine._iter_cols plus the count and
- *                 node tallies of engine.count_and_cover: one search over
- *                 one candidate mask per row (engine._Prepared's rows), a
- *                 full enumeration split across threads;
- *   search_cells  the compiled twin of engine._search_cells's per-cell loop:
- *                 for each cell of a batch its own row masks (cell_tree,
- *                 which must filter exactly as _Prepared does for one
- *                 required entry or one forbidden cell) and a first-hit
- *                 walk, the cells strided across threads.
- *
- * Each call builds and checks the square's tables once (build_grid), and
- * every thread reads them.
+ * delta-interval pruning: the compiled twin of engine._iter_cols plus the
+ * count and node tallies of engine.count_and_cover.  The one entry point,
+ * search, runs a batch of searches over one square: it builds and checks the
+ * square's (n, n, 3) base table once (build_grid), every search of the batch
+ * reads those tables, and each fills its own search tree from its own
+ * candidate mask per row (mask_tree).  What a search keeps, say for one
+ * required entry or one forbidden cell, is decided by the caller
+ * (engine._Prepared, engine._cell_rows); the kernel only walks the masks.
+ * A batch of one full enumeration is split across threads (split_walk); any
+ * other batch strides its searches across threads, one thread per search.
  *
  * It must stay behaviourally identical to the pure twin: rows ascending,
  * candidates in column order within a row, the same prune, and one node per
@@ -29,9 +24,8 @@
  * split_walk).
  * Threads are created and joined inside each call; nothing outlives it.
  * _kernel.py builds and loads this file; the caller checks 1 <= n <=
- * MAX_ORDER, the cell indices, the buffer shapes and threads >= 1, and dfs
- * and search_cells reject a base table, and dfs a row mask, outside their
- * layout.
+ * MAX_ORDER, the buffer shapes and threads >= 1, and search rejects a base
+ * table or a row mask outside its layout.
  */
 #include <pthread.h>
 #include <stdint.h>
@@ -42,7 +36,7 @@
 #define BIG ((int64_t)1 << 62)
 #define MAX_THREADS 256
 #define TASKS_PER_THREAD 64          /* the split depth is the first with this many prefixes per thread */
-#define STACK_SIZE ((size_t)1 << 20) /* a worker's largest frame is cells_worker's, about 40 KB */
+#define STACK_SIZE ((size_t)1 << 20) /* a worker's largest frame is batch_worker's, about 40 KB */
 #define CHECK_EVERY ((int64_t)1 << 14) /* nodes between a task's additions to the node pool */
 
 /* Python's a % n for n > 0, which is never negative. */
@@ -149,26 +143,6 @@ static int64_t mask_tree(struct tree *t, const uint64_t *rows, int64_t prune)
         t->width[r] = prune && hi_suf[r] - lo_suf[r] < n - 1 ? hi_suf[r] - lo_suf[r] : BIG;
     }
     return prune && lo_suf[0] + pymod(t->target - lo_suf[0], n) > hi_suf[0] ? 0 : 1;
-}
-
-/* Sets t's rows to _Prepared's filter for one cell of its grid and returns
- * mask_tree's result.  The required entry (fr, fc, fs) keeps only (fr, fc)
- * in row fr and drops column fc and symbol fs from every other row; the
- * forbidden cell (fr, fc) drops that cell alone. */
-static int64_t cell_tree(struct tree *t, int64_t fr, int64_t fc, int64_t avoid)
-{
-    const struct grid *g = t->g;
-    const int64_t n = t->n;
-    const uint64_t all = ((uint64_t)1 << n) - 1, bit = (uint64_t)1 << fc;
-    const uint64_t *fs_col = g->sym_col + g->sym[fr * n + fc] * n;
-    uint64_t rows[MAX_ORDER];
-    for (int64_t r = 0; r < n; r++) {
-        if (avoid)
-            rows[r] = r == fr ? all & ~bit : all;
-        else
-            rows[r] = r == fr ? bit : all & ~(bit | fs_col[r]);
-    }
-    return mask_tree(t, rows, 1);
 }
 
 /* Sets w at the root: depth 0 with every row's candidate columns free. */
@@ -423,128 +397,86 @@ static int64_t split_walk(const struct tree *t, struct walk *w, int64_t limit, i
     return s.count > 0;
 }
 
-/* One search over the square's base table with one candidate mask per row.
- * Returns 1 when at least one solution was found, 0 when the space was
- * exhausted empty (with no node when a row has no candidates), -1 when the
- * node budget ran out (nodes is then budget + 1, and count is valid only for
- * a search that finished) and -2, with zero totals, when n, base or a row
- * mask is out of range.
- *
- * base        (n, n, 3): col, sym, delta of every cell, row after row, as
- *             search_cells takes it
- * rows        (n): row r's candidate columns as bits 0..n-1
- * threads     threads of a full enumeration (enumerate_all = 1); a first-hit
- *             search runs on the calling thread
- * first_cols  (n): columns of the solution a first-hit search found, written
- *             only when it returns 1
- * totals      (2): count, nodes
- *
- * The target residue of the delta sum is n/2 for even n and 0 for odd n.
- */
-int64_t dfs(const int64_t *base, int64_t n, const int64_t *rows, int64_t use_syms,
-            int64_t sd_final, int64_t prune, int64_t budget, int64_t enumerate_all,
-            int64_t threads, int64_t *first_cols, int64_t *totals)
+/* The arguments of search, one copy per worker, which takes searches first,
+ * first + workers, ... of the batch; split is the threads of a batch of one
+ * full enumeration, 1 otherwise. */
+struct batch {
+    const struct grid *g;
+    const int64_t *rows;
+    int64_t *out;
+    int64_t n, k, use_syms, sd_final, prune, limit, enumerate_all, split, first, workers;
+};
+
+static void *batch_worker(void *arg)
 {
-    struct grid g;
-    struct tree t = {.g = &g, .n = n, .use_syms = use_syms, .sd_final = sd_final,
+    const struct batch *b = arg;
+    const int64_t n = b->n;
+    struct tree t = {.g = b->g, .n = n, .use_syms = b->use_syms, .sd_final = b->sd_final,
                      .target = n % 2 ? 0 : n / 2};
     struct walk w; /* not zeroed: about 32 KB */
-    w.count = w.nodes = 0;
-    int64_t limit = budget < 0 ? INT64_MAX : budget;
-    int64_t status = build_grid(&g, base, n);
-    for (int64_t r = 0; status == 0 && r < n; r++)
-        if ((uint64_t)rows[r] >> n)
-            status = -2;
-    if (status == 0)
-        status = mask_tree(&t, (const uint64_t *)rows, prune);
-    if (status == 1) {
-        if (threads > MAX_THREADS)
-            threads = MAX_THREADS;
-        if (enumerate_all && threads > 1) {
-            status = split_walk(&t, &w, limit, threads);
-        } else {
-            start(&t, &w);
-            status = walk(&t, &w, 0, n, limit, enumerate_all, NULL, NULL);
-        }
-        if (status == 1 && !enumerate_all)
-            memcpy(first_cols, w.sol, (size_t)n * sizeof first_cols[0]);
-    }
-    totals[0] = w.count;
-    totals[1] = w.nodes;
-    return status;
-}
-
-/* The arguments of search_cells, shared by its workers. */
-struct cells {
-    const struct grid *g;
-    const int64_t *cells;
-    int64_t n, k, avoid, limit, threads;
-    int64_t *status, *nodes, *cols;
-};
-
-/* One worker of search_cells: cells first, first + threads, ... */
-struct cells_part {
-    const struct cells *c;
-    int64_t first;
-};
-
-static void *cells_worker(void *arg)
-{
-    const struct cells_part *part = arg;
-    const struct cells *a = part->c;
-    const int64_t n = a->n;
-    struct tree t = {.g = a->g, .n = n, .use_syms = 1, .sd_final = 0, .target = n % 2 ? 0 : n / 2};
-    struct walk w;
-    for (int64_t j = part->first; j < a->k; j += a->threads) {
-        int64_t status = cell_tree(&t, a->cells[2 * j], a->cells[2 * j + 1], a->avoid);
-        w.nodes = 0;
+    for (int64_t j = b->first; j < b->k; j += b->workers) {
+        int64_t *out = b->out + j * (n + 3);
+        int64_t status = mask_tree(&t, (const uint64_t *)b->rows + j * n, b->prune);
+        w.count = w.nodes = 0;
         if (status == 1) {
-            start(&t, &w);
-            status = walk(&t, &w, 0, n, a->limit, 0, NULL, NULL);
-            if (status == 1)
-                memcpy(a->cols + j * n, w.sol, (size_t)n * sizeof w.sol[0]);
+            if (b->split > 1) {
+                status = split_walk(&t, &w, b->limit, b->split);
+            } else {
+                start(&t, &w);
+                status = walk(&t, &w, 0, n, b->limit, b->enumerate_all, NULL, NULL);
+            }
+            if (status == 1 && !b->enumerate_all)
+                memcpy(out + 3, w.sol, (size_t)n * sizeof out[0]);
         }
-        a->status[j] = status;
-        a->nodes[j] = w.nodes;
+        out[0] = status;
+        out[1] = w.count;
+        out[2] = w.nodes;
     }
     return NULL;
 }
 
-/* One first-hit transversal search through (avoid == 0) or avoiding
- * (avoid == 1) each of k cells, with delta-interval pruning, the cells
- * strided across `threads` threads.  The square's tables are built from
- * base and checked once, and every thread reads them; each cell's search
- * sets only its own row masks, index and residue tables (cell_tree).
- * Returns 0, or -2 with nothing searched when base is out of range.
+/* k searches over the square's base table, search j over the candidate
+ * masks rows[j * n .. j * n + n - 1].  Returns 0, or -2 with nothing searched
+ * or written when n, base or a row mask is out of range.
  *
- * base        (n, n, 3): col, sym, delta of every cell, row after row; the
- *             cell (r, c) must have column c, a symbol in 0..n-1 and
- *             |delta| < n
- * cells       (k, 2): row and column of each cell
- * status      (k): dfs's status for each cell, or 0 when the filter leaves a
- *             row without candidates (no search runs then)
- * nodes       (k): nodes each search visited
- * cols        (k, n): columns of each cell's first solution, written only
- *             where status is 1
+ * base     (n, n, 3): col, sym, delta of every cell, row after row; the cell
+ *          (r, c) must have column c, a symbol in 0..n-1 and |delta| < n
+ * rows     (k, n): each search's candidate columns of row r as bits 0..n-1
+ * threads  a batch of one full enumeration (enumerate_all = 1) is split
+ *          across them; any other batch runs its searches on min(threads, k)
+ *          threads, each search on one
+ * out      (k, n + 3): for each search its status, count and nodes, then the
+ *          columns of the solution a first-hit search found, written only
+ *          when its status is 1
+ *
+ * A search's status is 1 when it found at least one solution, 0 when the
+ * space was exhausted empty (with no node when a row has no candidates) and
+ * -1 when the node budget ran out (nodes is then budget + 1, and count is
+ * valid only for a search that finished).  The target residue of the delta
+ * sum is n/2 for even n and 0 for odd n.
  */
-int64_t search_cells(const int64_t *base, int64_t n, const int64_t *cells, int64_t k,
-                     int64_t avoid, int64_t budget, int64_t threads, int64_t *status,
-                     int64_t *nodes, int64_t *cols)
+int64_t search(const int64_t *base, int64_t n, const int64_t *rows, int64_t k,
+               int64_t use_syms, int64_t sd_final, int64_t prune, int64_t budget,
+               int64_t enumerate_all, int64_t threads, int64_t *out)
 {
     struct grid g;
-    struct cells_part parts[MAX_THREADS];
+    struct batch parts[MAX_THREADS];
     if (build_grid(&g, base, n) != 0)
         return -2;
+    for (int64_t i = 0; i < k * n; i++)
+        if ((uint64_t)rows[i] >> n)
+            return -2;
     if (threads > MAX_THREADS)
         threads = MAX_THREADS;
-    if (threads > k)
-        threads = k;
-    struct cells a = {.g = &g, .cells = cells, .n = n, .k = k, .avoid = avoid,
-                      .limit = budget < 0 ? INT64_MAX : budget, .threads = threads,
-                      .status = status, .nodes = nodes, .cols = cols};
-    for (int64_t i = 0; i < threads; i++)
-        parts[i] = (struct cells_part){.c = &a, .first = i};
-    if (threads > 0)
-        run_workers(cells_worker, (char *)parts, sizeof parts[0], threads);
+    int64_t split = enumerate_all && k == 1 ? threads : 1;
+    int64_t workers = split > 1 ? 1 : threads < k ? threads : k;
+    for (int64_t i = 0; i < workers; i++)
+        parts[i] = (struct batch){.g = &g, .rows = rows, .out = out, .n = n, .k = k,
+                                  .use_syms = use_syms, .sd_final = sd_final, .prune = prune,
+                                  .limit = budget < 0 ? INT64_MAX : budget,
+                                  .enumerate_all = enumerate_all, .split = split, .first = i,
+                                  .workers = workers};
+    if (workers > 0)
+        run_workers(batch_worker, (char *)parts, sizeof parts[0], workers);
     return 0;
 }

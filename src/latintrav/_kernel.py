@@ -1,22 +1,21 @@
 """Compiled depth-first search kernel, built from ``_kernel.c`` on first use.
 
-The library has two entry points over one search, both taking the square's
-(n, n, 3) base table, whose symbol and delta tables each call builds and
-checks once.  ``dfs``, wrapped by `run`, runs one search over one candidate
-mask per row and returns its status and node count, plus the solution of a
-first-hit search or the solution count of a full enumeration;
-``search_cells``, wrapped by `run_cells`, runs per-cell classification's
-first-hit searches for a whole batch of cells, each setting only its own
-row masks.  ``dfs`` tallies nothing per cell: classification takes every
-status and witness from ``search_cells``.
+The library has one entry point, ``search``, wrapped by `run`.  One call runs
+a batch of searches over one square: it builds and checks the square's
+(n, n, 3) base table once, and each search of the batch walks its own
+candidate mask per row.  It returns every search's status, count, nodes and
+first-hit columns in one array.  The engine passes one search's masks
+(``engine._Prepared``'s rows) for `engine.find` and full enumeration, and a
+batch of per-cell masks (``engine._cell_rows``) for each phase of per-cell
+classification.  The kernel tallies nothing per cell.
 
-Both run on every CPU in the process's affinity mask unless told otherwise
-(`cpu_count`).  A full enumeration walks the tree down to a split depth read
-from the tree and hands the subtrees below it to threads, which add their
-nodes to one shared pool and stop once it is over the budget.  That gives
-the one-thread walk's status and nodes for every budget, and its count and
-nodes when it finishes.  First-hit searches run on one thread, and
-``search_cells`` strides its cells across the threads.  The threads are
+A call runs on every CPU in the process's affinity mask unless told
+otherwise (`cpu_count`).  A batch of one full enumeration walks the tree down
+to a split depth read from the tree and hands the subtrees below it to
+threads, which add their nodes to one shared pool and stop once it is over
+the budget.  That gives the one-thread walk's status and nodes for every
+budget, and its count and nodes when it finishes.  Any other batch strides
+its searches across the threads, each search on one.  The threads are
 created and joined inside each call, so nothing outlives it or a fork.
 
 The C kernel and the pure-python generator ``engine._iter_cols`` must stay
@@ -30,9 +29,9 @@ to the node count, so every status and node total is the twin's for every
 budget (budget + 1 when it runs out).  Symbols and deltas are read by (row,
 column) from byte tables.  The delta sum is kept modulo n, which needs every
 delta to lie in (-n, n).
-``search_cells``'s per-cell row masks must also filter exactly as
-``engine._Prepared`` does.  Equivalence is tested in the suite, with the
-pure twin as the oracle.
+``engine._cell_rows``'s per-cell row masks must filter exactly as
+``engine._Prepared`` does.  Both equivalences are tested in the suite, with
+the pure twin and ``_Prepared`` as the oracles.
 
 When the kernel loads, the engine runs here every first-hit search and full
 enumeration of order at most ``MAX_KERNEL_ORDER``; lazy enumeration
@@ -117,7 +116,7 @@ def _remove_stale(path: Path) -> None:
 
 @functools.cache
 def load():
-    """The compiled library, ``dfs`` and ``search_cells`` typed, built on first call; else None."""
+    """The compiled library, ``search`` typed, built on first call; else None."""
     try:
         source = _SOURCE.read_bytes()
         path = library_path(source)
@@ -130,15 +129,13 @@ def load():
         log.warning("C search kernel unavailable, searches run on the pure-Python twin: %s %s",
                     exc, detail)
         return None
-    lib.dfs.argtypes = [_PTR, _I64, _PTR] + [_I64] * 6 + [_PTR] * 2
-    lib.dfs.restype = _I64
-    lib.search_cells.argtypes = [_PTR, _I64, _PTR, _I64, _I64, _I64, _I64] + [_PTR] * 3
-    lib.search_cells.restype = _I64
+    lib.search.argtypes = [_PTR, _I64, _PTR] + [_I64] * 7 + [_PTR]
+    lib.search.restype = _I64
     return lib
 
 
 def cpu_count() -> int:
-    """The CPUs this process may run on: the default thread count of `run` and `run_cells`."""
+    """The CPUs this process may run on: the default thread count of `run`."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
@@ -153,84 +150,44 @@ def _threads(threads: int | None) -> int:
     return threads
 
 
-_BASE_LAYOUT = "kernel base must hold column c at cell (r, c), symbols in 0..n-1 and " \
-               "deltas in (-n, n)"
-
-
 def _check(arr: np.ndarray, shape: tuple[int, ...]) -> None:
     if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
         raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
 
 
-def _check_base(base: np.ndarray) -> int:
-    """The order of ``base``, after checking it and the table's shape, dtype and contiguity."""
+def run(base: np.ndarray, rows: np.ndarray, *, use_syms: bool, sd_final: bool, prune: bool,
+        budget: int | None, enumerate_all: bool, threads: int | None = None):
+    """A batch of kernel searches over one square, search j over the masks ``rows[j]``.
+
+    ``base`` is the square's (n, n, 3) int64 array of (col, sym, delta) and
+    ``rows`` a (k, n) int64 array: ``rows[j, r]`` holds search j's candidate
+    columns of row r as bits; the kernel works out the target residue from n.
+    Returns (status, count, nodes, cols), views of one (k, n + 3) array:
+    for each search status 1 when it found at least one solution, 0 when
+    the space was exhausted empty (with 0 nodes when a row has no
+    candidates), and -1 when the node budget ran out (nodes is then
+    budget + 1, and count means nothing); ``cols[j]`` holds the solution of
+    a first-hit search with status 1 and is not written otherwise.
+    A batch of one full enumeration runs on ``threads`` threads (default
+    `cpu_count`), with the same status and nodes on any number, and the
+    same count when it finishes; any other batch shares its searches out
+    over them, one thread per search, which changes no result.
+    Raises ValueError when the base table breaks the kernel's layout (cell
+    (r, c) must hold column c, a symbol in 0..n-1 and a delta in (-n, n)) or
+    a row mask has a column outside 0..n-1.  The caller has checked that
+    `load` returns the kernel.
+    """
     n = base.shape[0]
     if not 1 <= n <= MAX_KERNEL_ORDER:
         raise ValueError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n}")
     _check(base, (n, n, 3))
-    return n
-
-
-def run(prep, *, prune: bool, budget: int | None, enumerate_all: bool,
-        threads: int | None = None):
-    """One kernel search over an ``engine._Prepared`` search's row masks.
-
-    ``prep.base`` is the square's (n, n, 3) int64 array of (col, sym, delta)
-    and ``prep.rows`` the (n,) int64 masks of each row's candidate columns;
-    the kernel works out the target residue from n.  Returns (status,
-    count, nodes, first_cols) with status 1 when at least one solution was
-    found, 0 when the space was exhausted empty (with 0 nodes when a row has
-    no candidates), and -1 when the node budget ran out (nodes is then
-    budget + 1, and count means nothing).
-    ``first_cols`` holds the solution of a first-hit search with status 1
-    and is not written otherwise.  A full enumeration runs on ``threads``
-    threads (default `cpu_count`), with the same status and nodes on any
-    number, and the same count when it finishes; a first-hit search runs on
-    one.
-    Raises ValueError when the base table breaks the layout `run_cells`
-    checks or a row mask has a column outside 0..n-1.  The caller has
-    checked that `load` returns the kernel.
-    """
-    n = _check_base(prep.base)
-    _check(prep.rows, (n,))
+    k = len(rows)
+    _check(rows, (k, n))
     threads = _threads(threads)
-    totals = np.zeros(2 + n, np.int64)  # count, nodes, then first_cols
-    first_cols = totals[2:]
-    status = load().dfs(prep.base.ctypes.data, n, prep.rows.ctypes.data, prep.use_syms,
-                        prep.sd_final, prune, -1 if budget is None else budget,
-                        enumerate_all, threads, first_cols.ctypes.data, totals.ctypes.data)
-    if status == -2:
-        raise ValueError(f"{_BASE_LAYOUT}, and row masks columns in 0..n-1")
-    count, nodes = totals[:2].tolist()
-    return status, count, nodes, first_cols
-
-
-def run_cells(base: np.ndarray, cells: np.ndarray, avoid: bool, budget: int | None, *,
-              threads: int | None = None):
-    """First-hit transversal searches through, or with ``avoid`` avoiding, each cell.
-
-    ``base`` is the square's (n, n, 3) int64 array of (col, sym, delta) and
-    ``cells`` a (k, 2) int64 array of (row, col).  Every search prunes and
-    stops at ``budget`` nodes, as `run` does; the cells are shared out over
-    ``threads`` threads (default `cpu_count`), which changes no result.
-    Returns (status, nodes, cols): for each cell the status of `run`, the
-    nodes visited, and in ``cols[i]`` the columns of the first solution,
-    valid only where the status is 1.  Raises ValueError when ``base`` is
-    outside the kernel's layout (cell (r, c) must hold column c, a symbol in
-    0..n-1 and a delta in (-n, n)), which the kernel checks once per call.
-    The caller has checked that `load` returns the kernel.
-    """
-    n = _check_base(base)
-    _check(cells, (len(cells), 2))
-    if ((cells < 0) | (cells >= n)).any():
-        raise ValueError(f"cells must lie in 0..{n - 1}")
-    threads = _threads(threads)
-    k = len(cells)
-    status = np.empty(k, np.int64)
-    nodes = np.empty(k, np.int64)
-    cols = np.empty((k, n), np.int64)
-    if load().search_cells(base.ctypes.data, n, cells.ctypes.data, k, avoid,
-                           -1 if budget is None else budget, threads,
-                           status.ctypes.data, nodes.ctypes.data, cols.ctypes.data) == -2:
-        raise ValueError(_BASE_LAYOUT)
-    return status, nodes, cols
+    out = np.empty((k, n + 3), np.int64)
+    if load().search(base.ctypes.data, n, rows.ctypes.data, k, use_syms, sd_final, prune,
+                     -1 if budget is None else budget, enumerate_all, threads,
+                     out.ctypes.data) == -2:
+        raise ValueError("kernel base must hold column c at cell (r, c), symbols in 0..n-1 and "
+                         "deltas in (-n, n), and row masks only columns in 0..n-1")
+    return out[:, 0], out[:, 1], out[:, 2], out[:, 3:]

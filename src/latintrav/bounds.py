@@ -29,14 +29,15 @@ class PartialReport(LatinSquareError):
     """The classification report is incomplete; subset checks need all cells."""
 
 
+# (b, c) of each family's closed form (19n^2 - bn + c)/36.
+_CLOSED_FORMS = {"T": (51, 36), "U": (73, -182), "V": (86, -68)}
+
+
 def lower_bound_formula(family: str, n: int) -> Fraction:
     """The family's closed-form lower bound on tau; may be half-integral."""
     family_k(family, n)  # DomainError unless T, U or V at a valid order
-    if family == "T":
-        return Fraction(19 * n * n - 51 * n + 36, 36)
-    if family == "V":
-        return Fraction(19 * n * n - 86 * n - 68, 36)
-    return Fraction(19 * n * n - 73 * n - 182, 36)
+    b, c = _CLOSED_FORMS[family]
+    return Fraction(19 * n * n - b * n + c, 36)
 
 
 def lower_bound(family: str, n: int) -> int:

@@ -295,11 +295,12 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
 def _first_hit(prep: _Prepared, prune: bool, budget: int | None) -> tuple[int, ...] | None:
     """Columns of a prepared search's first solution, or None; BudgetExceeded if it runs out."""
     if _use_kernel(prep.n):
-        status, _, nodes, first_cols = _kernel.run(
-            prep, prune=prune, budget=budget, enumerate_all=False)
-        if status == -1:
-            raise BudgetExceeded(nodes)
-        return tuple(int(c) for c in first_cols) if status == 1 else None
+        status, _, nodes, cols = _kernel.run(
+            prep.base, prep.rows[None], use_syms=prep.use_syms, sd_final=prep.sd_final,
+            prune=prune, budget=budget, enumerate_all=False)
+        if status[0] == -1:
+            raise BudgetExceeded(int(nodes[0]))
+        return tuple(cols[0].tolist()) if status[0] == 1 else None
     return next(_iter_cols(prep, prune, budget, _NodeCounter()), None)
 
 
@@ -343,10 +344,11 @@ def _count(prep: _Prepared, prune: bool, budget: int | None,
     """`count_and_cover` of a prepared search, on ``threads`` kernel threads (None: every CPU)."""
     if _use_kernel(prep.n):
         status, count, nodes, _ = _kernel.run(
-            prep, prune=prune, budget=budget, enumerate_all=True, threads=threads)
-        if status == -1:
-            raise BudgetExceeded(nodes)
-        return EnumerationSummary(count=count, nodes=nodes)
+            prep.base, prep.rows[None], use_syms=prep.use_syms, sd_final=prep.sd_final,
+            prune=prune, budget=budget, enumerate_all=True, threads=threads)
+        if status[0] == -1:
+            raise BudgetExceeded(int(nodes[0]))
+        return EnumerationSummary(count=int(count[0]), nodes=int(nodes[0]))
     counter = _NodeCounter()
     count = sum(1 for _ in _iter_cols(prep, prune, budget, counter))
     return EnumerationSummary(count=count, nodes=counter.nodes)
@@ -393,25 +395,53 @@ class ClassificationReport:
         return out
 
 
+def _cell_rows(base: np.ndarray, cells: np.ndarray, avoid: bool) -> np.ndarray:
+    """`_Prepared`'s row masks for a transversal search through, or with ``avoid``
+    avoiding, each of ``cells``: a (k, n) int64 array, row j for ``cells[j]``.
+
+    A required entry (r, c, s) keeps only column c in row r and drops column
+    c and the cell of symbol s from every other row; a forbidden cell (r, c)
+    drops that cell alone.  ``base`` is `_base_candidates`'s table of a
+    latin square, so each row holds each symbol in exactly one column.
+    """
+    n = len(base)
+    everything = (1 << n) - 1
+    r, c = cells.T
+    bit = np.left_shift(1, c)
+    k = np.arange(len(cells))
+    if avoid:
+        rows = np.full((len(cells), n), everything, np.int64)
+        rows[k, r] = everything ^ bit
+        return rows
+    # others[s, i]: the columns of row i other than the one holding symbol s
+    others = everything ^ np.left_shift(1, np.argsort(base[:, :, 1], axis=1)).T
+    rows = others[base[r, c, 1]]
+    rows &= ~bit[:, None]
+    rows[k, r] = bit
+    return rows
+
+
 def _search_cells(square: LatinSquare, cells, avoid: bool, budget: int | None,
                   threads: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First transversal through, or with ``avoid`` avoiding, each of ``cells``.
 
-    Returns `_kernel.run_cells`'s arrays (status, nodes, cols) for the cells
-    in order: status 1 with the first solution's columns in that cell's row
-    of ``cols``, 0 when there is none, or -1 when the search ran out of its
-    node budget; nodes is what each search visited (budget + 1 when it ran
-    out).  The square's candidates are built once for the whole batch.  On
-    the compiled kernel the whole batch is one `_kernel.run_cells` call on
+    Returns (status, nodes, cols) arrays for the cells in order: status 1
+    with the first solution's columns in that cell's row of ``cols``, 0 when
+    there is none, or -1 when the search ran out of its node budget; nodes
+    is what each search visited (budget + 1 when it ran out).  The square's
+    candidates are built once for the whole batch.  On the compiled kernel
+    the whole batch is one `_kernel.run` call over `_cell_rows`'s masks on
     ``threads`` threads (None: every CPU), which builds the square's tables
-    once and gives each cell's search only its own row masks; on the pure
-    twin each cell gets its own `_Prepared` and `_iter_cols` search, one
-    after another, with the same results.
+    once; on the pure twin each cell gets its own `_Prepared` and
+    `_iter_cols` search, one after another, with the same results.
     """
     base = _base_candidates(square)
-    cells = np.ascontiguousarray(np.reshape(cells, (-1, 2)), np.int64)
+    cells = np.reshape(np.asarray(cells, np.int64), (-1, 2))
     if _use_kernel(square.order):
-        return _kernel.run_cells(base, cells, avoid, budget, threads=threads)
+        status, _, nodes, cols = _kernel.run(
+            base, _cell_rows(base, cells, avoid), use_syms=True, sd_final=False, prune=True,
+            budget=budget, enumerate_all=False, threads=threads)
+        return status, nodes, cols
     n = square.order
     status = np.zeros(len(cells), np.int64)
     nodes = np.zeros(len(cells), np.int64)

@@ -39,6 +39,7 @@ from latintrav.engine import (
     PINNED,
     UNKNOWN,
     _base_candidates,
+    _cell_rows,
     _iter_cols,
     _NodeCounter,
     _Prepared,
@@ -320,14 +321,12 @@ def test_kernel_logic_matches_twin(sq, prune):
     with pure_twin():
         twin = count_and_cover(sq, prune=prune)
     for threads in (1, 2, 3):
-        status, _, nodes, first_cols = _kernel.run(
-            prep, prune=prune, budget=None, enumerate_all=False, threads=threads)
+        status, _, nodes, first_cols = _run_one(prep, prune, None, False, threads)
         assert (status, nodes) == (int(first is not None), counter.nodes)
         if first is not None:
             assert tuple(first_cols) == first
 
-        status, count, nodes, _ = _kernel.run(
-            prep, prune=prune, budget=None, enumerate_all=True, threads=threads)
+        status, count, nodes, _ = _run_one(prep, prune, None, True, threads)
         assert (status, count, nodes) == (int(twin.count > 0), twin.count, twin.nodes)
 
 
@@ -359,7 +358,7 @@ def test_kernel_logic_budget_matches_twin():
     prep = _Prepared(build_exceptional(8), SearchConstraints.make())
     with pytest.raises(BudgetExceeded) as exc:
         next(_iter_cols(prep, True, 3, _NodeCounter()))
-    status, _, nodes, _ = _kernel.run(prep, prune=True, budget=3, enumerate_all=False)
+    status, _, nodes, _ = _run_one(prep, True, 3, False)
     assert (status, nodes) == (-1, exc.value.nodes)
 
 
@@ -378,11 +377,18 @@ def _twin_run(prep, prune, budget, enumerate_all):
     return int(count > 0), count, counter.nodes, first
 
 
+def _run_one(prep, prune, budget, enumerate_all, threads=None):
+    """`_kernel.run` on a batch of one prepared search: its (status, count, nodes, cols)."""
+    status, count, nodes, cols = _kernel.run(
+        prep.base, prep.rows[None], use_syms=prep.use_syms, sd_final=prep.sd_final,
+        prune=prune, budget=budget, enumerate_all=enumerate_all, threads=threads)
+    return int(status[0]), int(count[0]), int(nodes[0]), cols[0]
+
+
 def _kernel_run(prep, prune, budget, enumerate_all, threads=None):
-    """`_kernel.run` reduced to what it promises: status and nodes for every budget,
+    """`_run_one` reduced to what it promises: status and nodes for every budget,
     the count when the search finished and the solution of a first-hit search."""
-    status, count, nodes, first_cols = _kernel.run(
-        prep, prune=prune, budget=budget, enumerate_all=enumerate_all, threads=threads)
+    status, count, nodes, first_cols = _run_one(prep, prune, budget, enumerate_all, threads)
     return (status, count if status >= 0 else None, nodes,
             tuple(first_cols.tolist()) if status == 1 and not enumerate_all else None)
 
@@ -472,16 +478,20 @@ def test_kernel_suitable_diagonals_match_twin(sq, prune):
 
 
 @needs_compiler
-@pytest.mark.parametrize("break_layout", ["row-mask-bit-n", "delta-too-large"])
+@pytest.mark.parametrize("break_layout", ["row-mask-bit-n", "delta-too-large",
+                                          "row-mask-bit-n-last-of-batch"])
 def test_kernel_rejects_candidates_outside_its_layout(break_layout):
-    """The mask walk needs row masks inside the square and the residue step |delta| < n."""
+    """The mask walk needs row masks inside the square and the residue step |delta| < n;
+    every mask of a batch is checked, the last search's too."""
     prep = _Prepared(build_exceptional(6), SearchConstraints.make())
-    if break_layout == "row-mask-bit-n":
-        prep.rows[0] |= 1 << 6
+    rows = np.repeat(prep.rows[None], 3 if break_layout.endswith("batch") else 1, axis=0)
+    if break_layout.startswith("row-mask-bit-n"):
+        rows[-1, 0] |= 1 << 6
     else:
         prep.base[0, 0, 2] = 6
     with pytest.raises(ValueError, match="kernel base"):
-        _kernel.run(prep, prune=True, budget=None, enumerate_all=True)
+        _kernel.run(prep.base, rows, use_syms=True, sd_final=False, prune=True, budget=None,
+                    enumerate_all=len(rows) == 1)
 
 
 @needs_compiler
@@ -616,8 +626,11 @@ def _assert_same_batch(got, want, msg=None):
 def _assert_batch_matches_twin(base, cells, avoid, budget, twin):
     """The kernel batch over ``cells`` at ``budget``, on 1, 2 and 3 threads, against the
     twin's `_twin_run` result for each cell."""
+    rows = _cell_rows(base, cells, avoid)
     for threads in (1, 2, 3):
-        status, nodes, cols = _kernel.run_cells(base, cells, avoid, budget, threads=threads)
+        status, _, nodes, cols = _kernel.run(base, rows, use_syms=True, sd_final=False,
+                                             prune=True, budget=budget, enumerate_all=False,
+                                             threads=threads)
         assert list(zip(status.tolist(), nodes.tolist())) \
             == [(st, spent) for st, _, spent, _ in twin], (budget, threads)
         assert [tuple(w) for w, st in zip(cols.tolist(), status) if st == 1] \
@@ -701,7 +714,7 @@ def test_batched_budget_edges_match_twin(sq, avoid):
 
 @needs_compiler
 def test_first_hit_budget_edges_match_twin():
-    """`find`'s path through dfs with each required entry of V10, at the budgets beside
+    """`find`'s path through the kernel with each required entry of V10, at the budgets beside
     each search's node count (`_edge_budgets`), on 1 to 3 threads."""
     sq = build_V(10)
     preps = [_Prepared(sq, SearchConstraints.make(required=(sq.entry(r, c),)))
@@ -717,20 +730,52 @@ def test_first_hit_budget_edges_match_twin():
 @needs_compiler
 @pytest.mark.parametrize("break_layout", ["delta-n", "column-moved", "symbol-n"])
 def test_batch_rejects_a_base_outside_its_layout(break_layout):
-    """A bad base table is an error, never a batch of "no transversal" (FREE) statuses."""
+    """A bad base table is an error, never a batch of "no transversal" (FREE) statuses.
+
+    The masks come from the unbroken base: `_cell_rows` indexes by symbol, so a
+    symbol of n would fail there before the kernel's check ran."""
     base = _base_candidates(build_V(10))
-    base[3, 4, {"delta-n": 2, "column-moved": 0, "symbol-n": 1}[break_layout]] = 10
     cells = np.array([(0, 0), (3, 4)], np.int64)
-    for avoid in (False, True):
+    masks = [_cell_rows(base, cells, avoid) for avoid in (False, True)]
+    base[3, 4, {"delta-n": 2, "column-moved": 0, "symbol-n": 1}[break_layout]] = 10
+    for rows in masks:
         with pytest.raises(ValueError, match="kernel base"):
-            _kernel.run_cells(base, cells, avoid, None)
+            _kernel.run(base, rows, use_syms=True, sd_final=False, prune=True, budget=None,
+                        enumerate_all=False)
+
+
+# (label, square) for the per-cell filter check below.
+FILTER_CASES = [("V10", build_V(10)), ("T12", build_T(12)), ("EX8", build_exceptional(8)),
+                ("L9", build_L(3)),  # odd order
+                ("CAYLEY8", cayley_table(8))]
+
+
+@pytest.mark.parametrize("avoid", [False, True], ids=["through", "avoiding"])
+@pytest.mark.parametrize("sq", [pytest.param(sq, id=label) for label, sq in FILTER_CASES])
+def test_cell_rows_filter_as_prepared(sq, avoid):
+    """The kernel batch's per-cell masks are exactly `_Prepared`'s rows for a required
+    entry (through) or a forbidden cell (avoiding), for every cell."""
+    n = sq.order
+    base = _base_candidates(sq)
+    cells = np.indices((n, n)).reshape(2, -1).T
+    rows = _cell_rows(base, cells, avoid)
+    assert rows.shape == (n * n, n) and rows.dtype == np.int64
+    for j, (r, c) in enumerate(cells.tolist()):
+        cons = SearchConstraints.make(forbidden_cells=((r, c),)) if avoid \
+            else SearchConstraints.make(required=(sq.entry(r, c),))
+        assert rows[j].tolist() == _Prepared(sq, cons, base).rows.tolist(), (r, c)
+
+
+def test_kernel_order_limits_agree():
+    """The C kernel's MAX_ORDER is the largest order the engine sends it."""
+    assert _c_define("MAX_ORDER") == _kernel.MAX_KERNEL_ORDER
 
 
 @needs_compiler
-def test_one_library_has_both_entry_points():
+def test_one_library_has_the_entry_point():
     lib = _kernel.load()
     assert lib._name == str(_kernel.library_path(_kernel._SOURCE.read_bytes()))
-    assert lib.dfs.argtypes and lib.search_cells.argtypes
+    assert lib.search.argtypes
 
 
 def _c_signature(name: str) -> tuple[list, object]:
@@ -745,15 +790,13 @@ def _c_signature(name: str) -> tuple[list, object]:
 
 
 @needs_compiler
-@pytest.mark.parametrize("name", ["dfs", "search_cells"])
-def test_ctypes_signatures_match_c(name):
+def test_ctypes_signatures_match_c():
     """ctypes checks no argtypes against the C source; this test does."""
-    argtypes, restype = _c_signature(name)
-    fn = getattr(_kernel.load(), name)
+    argtypes, restype = _c_signature("search")
+    fn = _kernel.load().search
     assert fn.argtypes == argtypes
     assert fn.restype is restype
-    if name == "dfs":
-        assert len(argtypes) == 11
+    assert len(argtypes) == 11
 
 
 @needs_compiler
@@ -772,58 +815,56 @@ def _c_array(name: str, arr) -> str:
 
 
 def _tsan_program(cases) -> tuple[str, list[str]]:
-    """A C program running the threaded enumeration and batch on each square, and its output.
+    """A C program driving `search` in two ways on each square, and its output.
 
-    Each enumeration runs without a budget and at a third and two thirds of
-    its nodes; each batch searches through and then avoiding every cell,
-    without a budget and at a third of that batch's largest search, so the
-    shared tables and the budget's exits run on every thread.  The
-    expected lines come from the kernel on one thread: status and nodes, and
-    the count only when the enumeration finished; each batch's found
-    witnesses and summed nodes.
+    A batch of one full enumeration runs on 3 threads without a budget and at
+    a third and two thirds of its nodes; batches of one search through, and
+    then avoiding, each cell run without a budget and at a third of that
+    batch's largest search, so the shared tables and the budget's exits run
+    on every thread.  The expected lines come from the kernel on one thread:
+    status and nodes, and the count only when the enumeration finished; each
+    batch's found witnesses and summed nodes.
     """
     decls, calls, expected = [], [], []
     for label, sq in cases:
         n = sq.order
         prep = _Prepared(sq, SearchConstraints.make())
-        cells = [(r, c) for r in range(n) for c in range(n)]
-        decls += [_c_array(f"{label}_base", prep.base), _c_array(f"{label}_rows", prep.rows),
-                  _c_array(f"{label}_cells", cells)]
+        cells = np.indices((n, n)).reshape(2, -1).T
+        decls += [_c_array(f"{label}_base", prep.base), _c_array(f"{label}_rows", prep.rows)]
         total = _kernel_run(prep, True, None, True, 1)[2]
         for budget in (-1, total // 3, 2 * total // 3):
             calls.append(f"enumerate({label}_base, {n}, {label}_rows, {budget});")
             st, count, nodes, _ = _kernel_run(prep, True, None if budget < 0 else budget, True, 1)
             expected.append(f"dfs {st} {'-' if count is None else count} {nodes}")
         for avoid in (0, 1):
+            decls.append(_c_array(f"{label}_cells{avoid}", _cell_rows(prep.base, cells, avoid)))
             most = int(_search_cells(sq, cells, bool(avoid), None, 1)[1].max())
             for budget in (-1, most // 3):
-                calls.append(f"batch({label}_base, {n}, {label}_cells, {avoid}, {budget});")
+                calls.append(f"batch({label}_base, {n}, {label}_cells{avoid}, {budget});")
                 status, nodes, _ = _search_cells(sq, cells, bool(avoid),
                                                  None if budget < 0 else budget, 1)
                 expected.append(f"cells {(status == 1).sum()} {nodes.sum()}")
     source = "#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
-int64_t dfs(const int64_t *, int64_t, const int64_t *, int64_t, int64_t, int64_t, int64_t,
-            int64_t, int64_t, int64_t *, int64_t *);
-int64_t search_cells(const int64_t *, int64_t, const int64_t *, int64_t, int64_t, int64_t,
-                     int64_t, int64_t *, int64_t *, int64_t *);
+int64_t search(const int64_t *, int64_t, const int64_t *, int64_t, int64_t, int64_t, int64_t,
+               int64_t, int64_t, int64_t, int64_t *);
+static int64_t out[64 * 64 * 67];
 static void enumerate(const int64_t *base, int64_t n, const int64_t *rows, int64_t budget)
 {
-    int64_t first[64], totals[2];
-    int64_t st = dfs(base, n, rows, 1, 0, 1, budget, 1, 3, first, totals);
-    if (st < 0)
-        printf("dfs %lld - %lld\\n", (long long)st, (long long)totals[1]);
+    if (search(base, n, rows, 1, 1, 0, 1, budget, 1, 3, out) != 0)
+        printf("bad input\\n");
+    else if (out[0] < 0)
+        printf("dfs %lld - %lld\\n", (long long)out[0], (long long)out[2]);
     else
-        printf("dfs %lld %lld %lld\\n", (long long)st, (long long)totals[0], (long long)totals[1]);
+        printf("dfs %lld %lld %lld\\n", (long long)out[0], (long long)out[1], (long long)out[2]);
 }
-static void batch(const int64_t *base, int64_t n, const int64_t *cells, int64_t avoid,
-                  int64_t budget)
+static void batch(const int64_t *base, int64_t n, const int64_t *rows, int64_t budget)
 {
-    int64_t status[64 * 64], nodes[64 * 64], cols[64 * 64 * 64], found = 0, spent = 0;
-    if (search_cells(base, n, cells, n * n, avoid, budget, 3, status, nodes, cols) != 0)
-        printf("bad base\\n");
+    int64_t found = 0, spent = 0;
+    if (search(base, n, rows, n * n, 1, 0, 1, budget, 0, 3, out) != 0)
+        printf("bad input\\n");
     for (int64_t j = 0; j < n * n; j++) {
-        found += status[j] == 1;
-        spent += nodes[j];
+        found += out[j * (n + 3)] == 1;
+        spent += out[j * (n + 3) + 2];
     }
     printf("cells %lld %lld\\n", (long long)found, (long long)spent);
 }
