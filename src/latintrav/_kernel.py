@@ -20,15 +20,19 @@ created and joined inside each call, so nothing outlives it or a fork.
 
 The C kernel and the pure-python generator ``engine._iter_cols`` must stay
 behaviourally identical: same candidate order (rows ascending, columns
-ascending within a row), same pruning rule, same node accounting (one node per
-candidate index visited).  The kernel does not visit the candidates one by
-one: it keeps, per depth, a table of every later row's columns whose column
-and symbol are still unused, updated as each row is placed, and walks the
-entered row's mask from that table, adding the index distance of each jump
-to the node count, so every status and node total is the twin's for every
-budget (budget + 1 when it runs out).  Symbols and deltas are read by (row,
-column) from byte tables.  The delta sum is kept modulo n, which needs every
-delta to lie in (-n, n).
+ascending within a row), same pruning rules, same node accounting (one node
+per candidate index visited).  With ``prune`` on, both drop a candidate whose
+delta sum can no longer reach the target residue, and a first-hit search
+(``enumerate_all`` False) also drops one whose placement leaves a later row
+with no free column (forward checking); a full enumeration walks the tree of
+the delta prune alone, so its node totals do not move.  The kernel does not
+visit the candidates one by one: it keeps, per depth, a table of every later
+row's columns whose column and symbol are still unused, updated as each row is
+placed, and walks the entered row's mask from that table, adding the index
+distance of each jump to the node count, so every status and node total is the
+twin's for every budget (budget + 1 when it runs out).  Symbols and deltas are
+read by (row, column) from byte tables.  The delta sum is kept modulo n, which
+needs every delta to lie in (-n, n).
 ``engine._cell_rows``'s per-cell row masks must filter exactly as
 ``engine._Prepared`` does.  Both equivalences are tested in the suite, with
 the pure twin and ``_Prepared`` as the oracles.

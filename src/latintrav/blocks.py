@@ -207,8 +207,9 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
 
     When only the enumeration runs out of budget, the theorem can still
     pass: the count is then None and ``budget_exhausted`` True.  The
-    first-hit search visits a prefix of the enumeration's nodes, so it
-    finishes whenever the enumeration does.
+    first-hit search visits a subset of the enumeration's nodes (a prefix of
+    its walk, less the subtrees its forward check drops), so it finishes
+    whenever the enumeration does.
     """
     square = build_family("L", m=m)
     try:

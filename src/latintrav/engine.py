@@ -6,8 +6,14 @@ are produced in lexicographic order of the column sequence and enumeration is
 deterministic.  At every node the partial delta sum plus the remaining rows'
 min/max delta suffix sums brackets every reachable total; if no integer in
 that interval hits the target residue (n/2 mod n for even order, 0 for odd)
-the subtree is pruned.  Pruning never removes a real solution, which the test
-suite checks by comparing against pruning-disabled runs.
+the subtree is pruned.  A search that wants only the first solution
+(`find`, each per-cell search of `classify`) also forward-checks: it drops a
+candidate whose placement leaves some later row with no candidate whose column
+(and symbol) is free.  Full and lazy enumeration do not, so their node totals
+are those of the delta prune alone.  Pruning never removes a real solution,
+which the test suite checks by comparing against pruning-disabled runs; the
+forward check drops only subtrees without one, so the first solution found is
+the same with and without it.
 
 "Budget exceeded" is a first-class outcome distinct from "no solution": the
 kernel reports how far it got and callers surface the result as unknown.
@@ -172,9 +178,16 @@ class _NodeCounter:
         self.nodes = 0
 
 
-def _iter_cols(prep: _Prepared, prune: bool, budget: int | None,
-               counter: _NodeCounter) -> Iterator[tuple[int, ...]]:
-    """Pure-python twin of the compiled kernel; yields column tuples lazily."""
+def _iter_cols(prep: _Prepared, prune: bool, budget: int | None, counter: _NodeCounter,
+               first_hit: bool) -> Iterator[tuple[int, ...]]:
+    """Pure-python twin of the compiled kernel; yields column tuples lazily.
+
+    A ``first_hit`` caller, which takes at most the first solution, also
+    gets the forward check when ``prune`` is on: a candidate is dropped,
+    after its node is counted, when placing it leaves a later row without a
+    candidate whose column (and, in a transversal search, symbol) is free.
+    The kernel makes the same check at the same point.
+    """
     cand = [row[keep].tolist() for row, keep in zip(prep.base, prep.keep)]
     if not all(cand):
         return  # a row without candidates
@@ -184,6 +197,7 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None,
     hi_suf = prep.hi_suf.tolist()
     use_syms = prep.use_syms
     sd_final = prep.sd_final
+    forward = prune and first_hit
     if prune and lo_suf[0] + ((target - lo_suf[0]) % n) > hi_suf[0]:
         return  # the target residue is unreachable from the root
     limit = -1 if budget is None else budget
@@ -225,10 +239,16 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None,
                 hi = nd + hi_suf[depth + 1]
                 if lo + ((target - lo) % n) > hi:
                     continue
+            uc_next = uc | 1 << c
+            us_next = us | 1 << s if use_syms else us
+            if forward and not all(
+                    any(not (uc_next >> c2 & 1 or us_next >> s2 & 1) for c2, s2, _ in cand[r])
+                    for r in range(depth + 1, n)):
+                continue
             idx[depth] = i
             sol[depth] = c
-            ucols[depth + 1] = uc | 1 << c
-            usyms[depth + 1] = us | 1 << s if use_syms else us
+            ucols[depth + 1] = uc_next
+            usyms[depth + 1] = us_next
             dsum[depth + 1] = nd
             depth += 1
             idx[depth] = 0
@@ -301,7 +321,7 @@ def _first_hit(prep: _Prepared, prune: bool, budget: int | None) -> tuple[int, .
         if status[0] == -1:
             raise BudgetExceeded(int(nodes[0]))
         return tuple(cols[0].tolist()) if status[0] == 1 else None
-    return next(_iter_cols(prep, prune, budget, _NodeCounter()), None)
+    return next(_iter_cols(prep, prune, budget, _NodeCounter(), True), None)
 
 
 def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = None, *,
@@ -312,7 +332,7 @@ def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = 
     counter = _NodeCounter()
     wrap = (lambda c: as_transversal(square, c)) \
         if cons.mode is SearchMode.TRANSVERSAL else Diagonal
-    for cols in _iter_cols(prep, prune, cons.node_budget, counter):
+    for cols in _iter_cols(prep, prune, cons.node_budget, counter, False):
         yield wrap(cols)
 
 
@@ -350,7 +370,7 @@ def _count(prep: _Prepared, prune: bool, budget: int | None,
             raise BudgetExceeded(int(nodes[0]))
         return EnumerationSummary(count=int(count[0]), nodes=int(nodes[0]))
     counter = _NodeCounter()
-    count = sum(1 for _ in _iter_cols(prep, prune, budget, counter))
+    count = sum(1 for _ in _iter_cols(prep, prune, budget, counter, False))
     return EnumerationSummary(count=count, nodes=counter.nodes)
 
 
@@ -453,7 +473,8 @@ def _search_cells(square: LatinSquare, cells, avoid: bool, budget: int | None,
             cons = SearchConstraints(required=frozenset({square.entry(r, c)}), node_budget=budget)
         counter = _NodeCounter()
         try:
-            first = next(_iter_cols(_Prepared(square, cons, base), True, budget, counter), None)
+            first = next(_iter_cols(_Prepared(square, cons, base), True, budget, counter, True),
+                         None)
         except BudgetExceeded:
             status[j] = -1
         else:
@@ -519,9 +540,10 @@ def _report_from_summary(square: LatinSquare, summary: EnumerationSummary,
     kernel threads (None: every CPU) with no node budget;
     ``transversal_count`` and ``nodes`` come from ``summary``.  No budget is
     needed: every per-cell search keeps a subsequence of each row's
-    candidates and narrower suffix delta intervals, so it visits a subset of
-    the nodes of the enumeration that already finished and cannot run out
-    where that did not.
+    candidates and narrower suffix delta intervals, and its forward check
+    only drops more, so it visits a subset (not a prefix) of the nodes of
+    the enumeration that already finished and cannot run out where that
+    did not.
     """
     return _classify_cells(square, None, threads, summary.count, summary.nodes)
 

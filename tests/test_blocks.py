@@ -140,7 +140,8 @@ def test_hit_theorem_budget_marks_exhausted():
 
 
 def test_hit_theorem_passes_when_only_the_count_runs_out():
-    """50,000 nodes: both refutations finish (31,113 nodes), the count does not (162,981)."""
+    """50,000 nodes: both refutations finish (13,020 and 8,772 nodes), the count does not
+    (162,981)."""
     check = verify_hit_theorem(3, node_budget=50_000)
     assert check.passed and check.block22_ok and check.block11_ok
     assert check.transversal_count is None

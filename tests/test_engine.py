@@ -317,7 +317,7 @@ def test_kernel_logic_matches_twin(sq, prune):
     """The C kernel against the pure twin, its oracle, on 1, 2 and 3 threads."""
     prep = _Prepared(sq, SearchConstraints.make())
     counter = _NodeCounter()
-    first = next(_iter_cols(prep, prune, None, counter), None)
+    first = next(_iter_cols(prep, prune, None, counter, True), None)
     with pure_twin():
         twin = count_and_cover(sq, prune=prune)
     for threads in (1, 2, 3):
@@ -357,7 +357,7 @@ def test_hit_theorem_kernel_matches_twin():
 def test_kernel_logic_budget_matches_twin():
     prep = _Prepared(build_exceptional(8), SearchConstraints.make())
     with pytest.raises(BudgetExceeded) as exc:
-        next(_iter_cols(prep, True, 3, _NodeCounter()))
+        next(_iter_cols(prep, True, 3, _NodeCounter(), True))
     status, _, nodes, _ = _run_one(prep, True, 3, False)
     assert (status, nodes) == (-1, exc.value.nodes)
 
@@ -367,7 +367,7 @@ def _twin_run(prep, prune, budget, enumerate_all):
     counter = _NodeCounter()
     count, first = 0, None
     try:
-        for cols in _iter_cols(prep, prune, budget, counter):
+        for cols in _iter_cols(prep, prune, budget, counter, not enumerate_all):
             count += 1
             if not enumerate_all:
                 first = cols
@@ -623,6 +623,14 @@ def _assert_same_batch(got, want, msg=None):
     assert got[2][found].tolist() == want[2][found].tolist(), msg
 
 
+def _cell_preps(sq, avoid):
+    """One `_Prepared` per cell, row by row: through it, or with ``avoid`` avoiding it."""
+    base = _base_candidates(sq)
+    return [_Prepared(sq, SearchConstraints.make(forbidden_cells=((r, c),)) if avoid
+                      else SearchConstraints.make(required=(sq.entry(r, c),)), base)
+            for r in range(sq.order) for c in range(sq.order)]
+
+
 def _assert_batch_matches_twin(base, cells, avoid, budget, twin):
     """The kernel batch over ``cells`` at ``budget``, on 1, 2 and 3 threads, against the
     twin's `_twin_run` result for each cell."""
@@ -672,10 +680,8 @@ def test_batched_budget_sweep_matches_twin(sq, avoid):
     """Every cell's search at budgets up to the largest search's nodes + 1, on 1 to 3 threads."""
     n = sq.order
     cells = np.array([(r, c) for r in range(n) for c in range(n)], np.int64)
-    base = _base_candidates(sq)
-    preps = [_Prepared(sq, SearchConstraints.make(forbidden_cells=((r, c),)) if avoid
-                       else SearchConstraints.make(required=(sq.entry(r, c),)), base)
-             for r, c in cells.tolist()]
+    preps = _cell_preps(sq, avoid)
+    base = preps[0].base
     most = max(_twin_run(prep, True, None, False)[2] for prep in preps)
     for budget in _budget_sweep(most):
         twin = [_twin_run(prep, True, budget, False) for prep in preps]
@@ -697,10 +703,8 @@ def test_batched_budget_edges_match_twin(sq, avoid):
     each budget run as one batch of the cells it concerns, on 1 to 3 threads."""
     n = sq.order
     cells = [(r, c) for r in range(n) for c in range(n)]
-    base = _base_candidates(sq)
-    preps = [_Prepared(sq, SearchConstraints.make(forbidden_cells=((r, c),)) if avoid
-                       else SearchConstraints.make(required=(sq.entry(r, c),)), base)
-             for r, c in cells]
+    preps = _cell_preps(sq, avoid)
+    base = preps[0].base
     costs = [_twin_run(prep, True, None, False)[2] for prep in preps]
     by_budget = {}
     for j, budgets in enumerate(_edge_budgets(costs)):
@@ -764,6 +768,59 @@ def test_cell_rows_filter_as_prepared(sq, avoid):
         cons = SearchConstraints.make(forbidden_cells=((r, c),)) if avoid \
             else SearchConstraints.make(required=(sq.entry(r, c),))
         assert rows[j].tolist() == _Prepared(sq, cons, base).rows.tolist(), (r, c)
+
+
+def _twin_first(prep, prune, first_hit):
+    """The twin's first solution (or None) and its nodes, under ``first_hit``'s rule."""
+    counter = _NodeCounter()
+    first = next(_iter_cols(prep, prune, None, counter, first_hit), None)
+    return first, counter.nodes
+
+
+# (label, square, per-cell first-hit node totals through and avoiding every cell):
+# with the forward check, and under the enumeration's rule (the delta prune alone).
+FORWARD_CASES = [
+    ("V10", build_V(10), (4_225, 12_815), (9_930, 47_662)),
+    ("T12", build_T(12), (12_196, 28_599), (29_695, 57_267)),
+    ("EX8", build_exceptional(8), (41_956, 23_184), (108_469, 55_728)),
+    ("L9", build_L(3), None, None),  # odd order: target residue 0
+]
+
+
+@pytest.mark.parametrize("avoid", [False, True], ids=["through", "avoiding"])
+@pytest.mark.parametrize("sq, forward, plain", [pytest.param(sq, forward, plain, id=label)
+                                                for label, sq, forward, plain in FORWARD_CASES])
+def test_forward_check_changes_only_nodes(sq, forward, plain, avoid):
+    """Every cell's first-hit search on the twin finds the first solution that the
+    enumeration's rule finds, in no more nodes; the node totals of both rules are pinned."""
+    totals = [0, 0]
+    for prep in _cell_preps(sq, avoid):
+        checked, spent = _twin_first(prep, True, True)
+        first, nodes = _twin_first(prep, True, False)
+        assert checked == first and spent <= nodes
+        totals[0] += spent
+        totals[1] += nodes
+    if forward is not None:
+        assert totals == [forward[avoid], plain[avoid]]
+
+
+@needs_compiler
+@pytest.mark.parametrize("avoid", [False, True], ids=["through", "avoiding"])
+@pytest.mark.parametrize("sq, nodes", [
+    pytest.param(build_V(10), (3_776_336, 17_914_224), id="V10"),
+    pytest.param(build_exceptional(8), (110_642, 56_704), id="EX8"),
+])
+def test_unpruned_first_hit_nodes_unchanged(sq, nodes, avoid):
+    """prune=False turns the forward check off too: every cell's first-hit search visits
+    the nodes it visited before the check existed, on the kernel and, for EX8, the twin."""
+    base = _base_candidates(sq)
+    cells = np.indices((sq.order, sq.order)).reshape(2, -1).T
+    spent = _kernel.run(base, _cell_rows(base, cells, avoid), use_syms=True, sd_final=False,
+                        prune=False, budget=None, enumerate_all=False)[2]
+    assert int(spent.sum()) == nodes[avoid]
+    if sq.order == 8:
+        assert sum(_twin_first(prep, False, True)[1]
+                   for prep in _cell_preps(sq, avoid)) == nodes[avoid]
 
 
 def test_kernel_order_limits_agree():
