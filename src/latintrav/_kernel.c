@@ -3,10 +3,11 @@
  * placement that leaves a later row with no free column is dropped): the
  * compiled twin of engine._iter_cols plus the count and node tallies of
  * engine.count_and_cover.  The one entry point, search, runs a batch of
- * searches over one square: it builds and checks the square's (n, n, 3) base
- * table once (build_grid), every search of the batch reads those tables, and
- * each fills its own search tree from its own candidate mask per row
- * (mask_tree).  What a search keeps, say for one required entry or one
+ * transversal (or suitable-diagonal) searches over one square: it checks the
+ * square's (n, n) symbol and delta arrays and builds its tables from them
+ * once (build_grid), every search of the batch reads those tables, and each
+ * fills its own search tree from its own candidate mask per row (mask_tree).
+ * What a search keeps, say for one required entry or one
  * forbidden cell, is decided by the caller (engine._Prepared,
  * engine._cell_rows); the kernel only walks the masks.  A batch of one full
  * enumeration is split across threads (split_walk); any other batch strides
@@ -26,8 +27,8 @@
  * split_walk).
  * Threads are created and joined inside each call; nothing outlives it.
  * _kernel.py builds and loads this file; the caller checks 1 <= n <=
- * MAX_ORDER, the buffer shapes and threads >= 1, and search rejects a base
- * table or a row mask outside its layout.
+ * MAX_ORDER, the buffer shapes and threads >= 1, and search rejects a symbol,
+ * a delta or a row mask outside its layout.
  */
 #include <pthread.h>
 #include <stdint.h>
@@ -60,7 +61,7 @@ struct grid {
  * them, read-only once built and shared by every thread of the search. */
 struct tree {
     const struct grid *g;
-    int64_t n, use_syms, sd_final, prune, target;
+    int64_t n, transversal, prune, target;
     int64_t res_need[MAX_ORDER + 1], width[MAX_ORDER + 1];
     int64_t len[MAX_ORDER];            /* row r's candidate count */
     uint64_t root[MAX_ORDER];          /* row r's candidate columns */
@@ -87,22 +88,25 @@ struct split {
     int64_t count; /* the tasks' solutions */
 };
 
-/* Fills g from base, the square's (n, n, 3) candidates; returns 0, or -2
- * when n or an entry is out of range: the entry at (r, c) must have column
- * c, a symbol in 0..n-1 and |delta| < n. */
-static int64_t build_grid(struct grid *g, const int64_t *base, int64_t n)
+/* Fills g from the square's (n, n) sym and delta arrays, and its symbol
+ * table only for a transversal search, so a diagonal search's stays 0 and
+ * its walk frees no symbol; returns 0, or -2 when n or a cell is out of
+ * range: each symbol must lie in 0..n-1 and each |delta| < n. */
+static int64_t build_grid(struct grid *g, const int64_t *sym, const int64_t *delta, int64_t n,
+                          int64_t transversal)
 {
     if (n < 1 || n > MAX_ORDER)
         return -2;
     memset(g->sym_col, 0, (size_t)(n * n) * sizeof g->sym_col[0]);
     for (int64_t r = 0; r < n; r++)
         for (int64_t c = 0; c < n; c++) {
-            const int64_t *e = base + 3 * (r * n + c);
-            if (e[0] != c || e[1] < 0 || e[1] >= n || e[2] <= -n || e[2] >= n)
+            int64_t s = sym[r * n + c], d = delta[r * n + c];
+            if (s < 0 || s >= n || d <= -n || d >= n)
                 return -2;
-            g->sym[r * n + c] = (uint8_t)e[1];
-            g->delta[r * n + c] = (int8_t)e[2];
-            g->sym_col[e[1] * n + r] |= (uint64_t)1 << c;
+            g->sym[r * n + c] = (uint8_t)s;
+            g->delta[r * n + c] = (int8_t)d;
+            if (transversal)
+                g->sym_col[s * n + r] |= (uint64_t)1 << c;
         }
     return 0;
 }
@@ -186,9 +190,10 @@ static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, con
  * availability table holds, at depth d and for each row r >= d, the columns
  * of row r whose column and symbol are both unused by rows 0..d-1.  Choosing
  * column c and symbol s at depth d writes depth d + 1's entries for rows
- * d + 1..n-1 from depth d's, less bit c and, when symbols count, less the
- * column of s in each row (the symbol table, symbol-major, maps a symbol to
- * its column bit in every row, so the update reads contiguous words).
+ * d + 1..n-1 from depth d's, less bit c and the column of s in each row (the
+ * symbol table, symbol-major, maps a symbol to its column bit in every row,
+ * so the update reads contiguous words; in a diagonal search it is all 0, so
+ * the same update frees the symbol).
  * Entering a row is then one load, and candidates whose column or symbol is
  * used are never visited.  The lowest set bit of the entered mask is the next
  * candidate to try; because columns ascend within a row, that is also the
@@ -235,7 +240,7 @@ walk_body(const struct tree *t, struct walk *w, int64_t top, int64_t stop, int64
     w->idx[top] = 0;
     while (depth >= top) {
         if (depth == n) {
-            if (!t->sd_final || w->dres[n] == t->target) {
+            if (t->transversal || w->dres[n] == t->target) {
                 count++;
                 if (!enumerate_all) {
                     status = 1;
@@ -283,31 +288,19 @@ walk_body(const struct tree *t, struct walk *w, int64_t top, int64_t stop, int64
             const uint64_t *from = w->avail + depth * n;
             uint64_t *to = w->avail + (depth + 1) * n;
             uint64_t bit = (uint64_t)1 << c;
+            const uint64_t *sc = t->g->sym_col + sym[depth * n + c] * n;
             if (forward) { /* drop c when it leaves a later row no free column */
                 int64_t empty = 0;
-                if (t->use_syms) {
-                    const uint64_t *sc = t->g->sym_col + sym[depth * n + c] * n;
-                    for (int64_t r = depth + 1; r < n; r++) {
-                        uint64_t row_free = from[r] & ~(bit | sc[r]);
-                        to[r] = row_free;
-                        empty |= row_free == 0;
-                    }
-                } else {
-                    for (int64_t r = depth + 1; r < n; r++) {
-                        uint64_t row_free = from[r] & ~bit;
-                        to[r] = row_free;
-                        empty |= row_free == 0;
-                    }
+                for (int64_t r = depth + 1; r < n; r++) {
+                    uint64_t row_free = from[r] & ~(bit | sc[r]);
+                    to[r] = row_free;
+                    empty |= row_free == 0;
                 }
                 if (empty)
                     continue;
-            } else if (t->use_syms) {
-                const uint64_t *sc = t->g->sym_col + sym[depth * n + c] * n;
-                for (int64_t r = depth + 1; r < n; r++)
-                    to[r] = from[r] & ~(bit | sc[r]);
             } else {
                 for (int64_t r = depth + 1; r < n; r++)
-                    to[r] = from[r] & ~bit;
+                    to[r] = from[r] & ~(bit | sc[r]);
             }
             w->left[depth] = m;
             w->idx[depth] = i;
@@ -453,14 +446,14 @@ struct batch {
     const struct grid *g;
     const int64_t *rows;
     int64_t *out;
-    int64_t n, k, use_syms, sd_final, prune, limit, enumerate_all, split, first, workers;
+    int64_t n, k, transversal, prune, limit, enumerate_all, split, first, workers;
 };
 
 static void *batch_worker(void *arg)
 {
     const struct batch *b = arg;
     const int64_t n = b->n;
-    struct tree t = {.g = b->g, .n = n, .use_syms = b->use_syms, .sd_final = b->sd_final,
+    struct tree t = {.g = b->g, .n = n, .transversal = b->transversal,
                      .target = n % 2 ? 0 : n / 2};
     struct walk w; /* not zeroed: about 32 KB */
     for (int64_t j = b->first; j < b->k; j += b->workers) {
@@ -485,13 +478,16 @@ static void *batch_worker(void *arg)
     return NULL;
 }
 
-/* k searches over the square's base table, search j over the candidate
- * masks rows[j * n .. j * n + n - 1].  Returns 0, or -2 with nothing searched
- * or written when n, base or a row mask is out of range.
+/* k searches over one square, search j over the candidate masks
+ * rows[j * n .. j * n + n - 1].  Returns 0, or -2 with nothing searched or
+ * written when n, a symbol, a delta or a row mask is out of range.
  *
- * base     (n, n, 3): col, sym, delta of every cell, row after row; the cell
- *          (r, c) must have column c, a symbol in 0..n-1 and |delta| < n
+ * sym      (n, n): the symbol of every cell, row after row, in 0..n-1
+ * delta    (n, n): the delta of every cell, row after row, |delta| < n
  * rows     (k, n): each search's candidate columns of row r as bits 0..n-1
+ * transversal  1: symbols must be distinct (transversals); 0: they need not,
+ *          and a diagonal counts when its delta sum is the target residue
+ *          (suitable diagonals)
  * prune    the delta-interval prune, and in first-hit searches
  *          (enumerate_all = 0) the forward check too
  * threads  a batch of one full enumeration (enumerate_all = 1) is split
@@ -507,13 +503,13 @@ static void *batch_worker(void *arg)
  * valid only for a search that finished).  The target residue of the delta
  * sum is n/2 for even n and 0 for odd n.
  */
-int64_t search(const int64_t *base, int64_t n, const int64_t *rows, int64_t k,
-               int64_t use_syms, int64_t sd_final, int64_t prune, int64_t budget,
+int64_t search(const int64_t *sym, const int64_t *delta, int64_t n, const int64_t *rows,
+               int64_t k, int64_t transversal, int64_t prune, int64_t budget,
                int64_t enumerate_all, int64_t threads, int64_t *out)
 {
     struct grid g;
     struct batch parts[MAX_THREADS];
-    if (build_grid(&g, base, n) != 0)
+    if (build_grid(&g, sym, delta, n, transversal) != 0)
         return -2;
     for (int64_t i = 0; i < k * n; i++)
         if ((uint64_t)rows[i] >> n)
@@ -524,7 +520,7 @@ int64_t search(const int64_t *base, int64_t n, const int64_t *rows, int64_t k,
     int64_t workers = split > 1 ? 1 : threads < k ? threads : k;
     for (int64_t i = 0; i < workers; i++)
         parts[i] = (struct batch){.g = &g, .rows = rows, .out = out, .n = n, .k = k,
-                                  .use_syms = use_syms, .sd_final = sd_final, .prune = prune,
+                                  .transversal = transversal, .prune = prune,
                                   .limit = budget < 0 ? INT64_MAX : budget,
                                   .enumerate_all = enumerate_all, .split = split, .first = i,
                                   .workers = workers};

@@ -1,13 +1,14 @@
 """Compiled depth-first search kernel, built from ``_kernel.c`` on first use.
 
 The library has one entry point, ``search``, wrapped by `run`.  One call runs
-a batch of searches over one square: it builds and checks the square's
-(n, n, 3) base table once, and each search of the batch walks its own
-candidate mask per row.  It returns every search's status, count, nodes and
-first-hit columns in one array.  The engine passes one search's masks
-(``engine._Prepared``'s rows) for `engine.find` and full enumeration, and a
-batch of per-cell masks (``engine._cell_rows``) for each phase of per-cell
-classification.  The kernel tallies nothing per cell.
+a batch of transversal (or suitable-diagonal) searches over one square: it
+checks the square's own (n, n) symbol and delta arrays and builds its tables
+from them once, and each search of the batch walks its own candidate mask per
+row.  It returns every search's status, count, nodes and first-hit columns in
+one array.  The engine passes one search's masks (``engine._Prepared``'s
+rows) for `engine.find` and full enumeration, and a batch of per-cell masks
+(``engine._cell_rows``) for each phase of per-cell classification and for
+`engine.pinned_verdicts`.  The kernel tallies nothing per cell.
 
 A call runs on every CPU in the process's affinity mask unless told
 otherwise (`cpu_count`).  A batch of one full enumeration walks the tree down
@@ -27,10 +28,11 @@ delta sum can no longer reach the target residue, and a first-hit search
 with no free column (forward checking); a full enumeration walks the tree of
 the delta prune alone, so its node totals do not move.  The kernel does not
 visit the candidates one by one: it keeps, per depth, a table of every later
-row's columns whose column and symbol are still unused, updated as each row is
-placed, and walks the entered row's mask from that table, adding the index
-distance of each jump to the node count, so every status and node total is the
-twin's for every budget (budget + 1 when it runs out).  Symbols and deltas are
+row's columns whose column and (in a transversal search) symbol are unused,
+updated as each row is placed, and walks the entered row's mask from that
+table, adding the index distance of each jump to the node count, so every
+status and node total is the twin's for every budget (budget + 1 when it runs
+out).  Symbols and deltas are
 read by (row, column) from byte tables.  The delta sum is kept modulo n, which
 needs every delta to lie in (-n, n).
 ``engine._cell_rows``'s per-cell row masks must filter exactly as
@@ -133,7 +135,7 @@ def load():
         log.warning("C search kernel unavailable, searches run on the pure-Python twin: %s %s",
                     exc, detail)
         return None
-    lib.search.argtypes = [_PTR, _I64, _PTR] + [_I64] * 7 + [_PTR]
+    lib.search.argtypes = [_PTR, _PTR, _I64, _PTR] + [_I64] * 6 + [_PTR]
     lib.search.restype = _I64
     return lib
 
@@ -159,13 +161,15 @@ def _check(arr: np.ndarray, shape: tuple[int, ...]) -> None:
         raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
 
 
-def run(base: np.ndarray, rows: np.ndarray, *, use_syms: bool, sd_final: bool, prune: bool,
-        budget: int | None, enumerate_all: bool, threads: int | None = None):
+def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
+        prune: bool, budget: int | None, enumerate_all: bool, threads: int | None = None):
     """A batch of kernel searches over one square, search j over the masks ``rows[j]``.
 
-    ``base`` is the square's (n, n, 3) int64 array of (col, sym, delta) and
-    ``rows`` a (k, n) int64 array: ``rows[j, r]`` holds search j's candidate
-    columns of row r as bits; the kernel works out the target residue from n.
+    ``sym`` and ``delta`` are the square's (n, n) int64 arrays and ``rows``
+    a (k, n) int64 array: ``rows[j, r]`` holds search j's candidate columns
+    of row r as bits.  A ``transversal`` search needs distinct symbols; any
+    other counts a diagonal whose delta sum hits the target residue, which
+    the kernel works out from n.
     Returns (status, count, nodes, cols), views of one (k, n + 3) array:
     for each search status 1 when it found at least one solution, 0 when
     the space was exhausted empty (with 0 nodes when a row has no
@@ -176,22 +180,22 @@ def run(base: np.ndarray, rows: np.ndarray, *, use_syms: bool, sd_final: bool, p
     `cpu_count`), with the same status and nodes on any number, and the
     same count when it finishes; any other batch shares its searches out
     over them, one thread per search, which changes no result.
-    Raises ValueError when the base table breaks the kernel's layout (cell
-    (r, c) must hold column c, a symbol in 0..n-1 and a delta in (-n, n)) or
-    a row mask has a column outside 0..n-1.  The caller has checked that
-    `load` returns the kernel.
+    Raises ValueError when an array breaks the kernel's layout (each symbol
+    in 0..n-1, each delta in (-n, n)) or a row mask has a column outside
+    0..n-1.  The caller has checked that `load` returns the kernel.
     """
-    n = base.shape[0]
+    n = sym.shape[0]
     if not 1 <= n <= MAX_KERNEL_ORDER:
         raise ValueError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n}")
-    _check(base, (n, n, 3))
+    _check(sym, (n, n))
+    _check(delta, (n, n))
     k = len(rows)
     _check(rows, (k, n))
     threads = _threads(threads)
     out = np.empty((k, n + 3), np.int64)
-    if load().search(base.ctypes.data, n, rows.ctypes.data, k, use_syms, sd_final, prune,
-                     -1 if budget is None else budget, enumerate_all, threads,
+    if load().search(sym.ctypes.data, delta.ctypes.data, n, rows.ctypes.data, k, transversal,
+                     prune, -1 if budget is None else budget, enumerate_all, threads,
                      out.ctypes.data) == -2:
-        raise ValueError("kernel base must hold column c at cell (r, c), symbols in 0..n-1 and "
-                         "deltas in (-n, n), and row masks only columns in 0..n-1")
+        raise ValueError("kernel square must hold symbols in 0..n-1 and deltas in (-n, n), "
+                         "and row masks only columns in 0..n-1")
     return out[:, 0], out[:, 1], out[:, 2], out[:, 3:]

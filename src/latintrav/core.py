@@ -153,7 +153,7 @@ class LatinSquare:
 
     def __init__(self, grid, family: str | None = None):
         try:
-            arr = np.asarray(grid, dtype=np.int64)
+            arr = np.array(grid, dtype=np.int64, order="C")  # the square's own copy
         except (ValueError, TypeError) as exc:
             raise DomainError(f"grid is not a rectangular integer array: {exc}") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
@@ -173,7 +173,7 @@ class LatinSquare:
         self._delta_grid = None
 
     def to_array(self) -> np.ndarray:
-        """Read-only int64 view of the grid."""
+        """The grid as a read-only, C-contiguous int64 array owned by the square."""
         return self._array
 
     def entry(self, row: int, col: int) -> Entry:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BadPermutation,
     Diagonal,
     DomainError,
     Entry,
@@ -69,6 +70,8 @@ def delta_sum(square: LatinSquare, diag) -> int:
     """Sum of delta over a diagonal's cells, reduced mod n into 0..n-1."""
     cols = diagonal_cols(diag)
     Diagonal(cols)  # raises BadPermutation on invalid input
+    if len(cols) != square.order:
+        raise BadPermutation(f"{len(cols)} columns for a square of order {square.order}")
     dg = delta_grid(square)
     return int(sum(dg[r, c] for r, c in enumerate(cols)) % square.order)
 

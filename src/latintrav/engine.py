@@ -110,61 +110,45 @@ def _check_budget(node_budget: int | None) -> None:
         raise DomainError(f"node budget must be at least 0, got {node_budget}")
 
 
-def _base_candidates(square: LatinSquare) -> np.ndarray:
-    """Every cell as a (col, sym, delta) candidate: an (n, n, 3) int64 array.
-
-    Unconstrained and independent of the search mode, so one build serves
-    every search on the square; `_Prepared` filters it per search.
-    """
-    n = square.order
-    base = np.empty((n, n, 3), np.int64)
-    base[:, :, 0] = np.arange(n)
-    base[:, :, 1] = square.to_array()
-    base[:, :, 2] = delta_grid(square)
-    return base
-
-
 class _Prepared:
-    """One search's candidates: the square's base table and the cells it keeps.
+    """One search's candidates: the square's own arrays and the cells it keeps.
 
-    ``base`` is `_base_candidates`'s (n, n, 3) table and ``keep`` the (n, n)
-    mask of each row's candidate cells; ``rows[r]`` is row r's mask as bits
-    of one int64, the kernel's layout, and ``rows`` is None above the
-    kernel's largest order.  ``lo_suf[r]`` and
-    ``hi_suf[r]`` bound the delta sum of rows r..n-1.
+    ``sym`` and ``delta`` are `to_array` and the cached `delta_grid`, and
+    ``keep`` the (n, n) mask of each row's candidate cells; ``rows[r]`` is
+    row r's mask as bits of one int64, the kernel's layout, and ``rows`` is
+    None above the kernel's largest order.  ``lo_suf[r]`` and ``hi_suf[r]``
+    bound the delta sum of rows r..n-1.
     """
 
-    __slots__ = ("n", "target", "use_syms", "sd_final", "base", "keep", "rows",
+    __slots__ = ("n", "target", "transversal", "sym", "delta", "keep", "rows",
                  "lo_suf", "hi_suf")
 
-    def __init__(self, square: LatinSquare, constraints: SearchConstraints,
-                 base: np.ndarray | None = None):
+    def __init__(self, square: LatinSquare, constraints: SearchConstraints):
         constraints.validate(square)
         n = square.order
-        if base is None:
-            base = _base_candidates(square)
+        sym = square.to_array()
+        deltas = delta_grid(square)
         transversal = constraints.mode is SearchMode.TRANSVERSAL
         keep = np.ones((n, n), bool)
         for e in constraints.required:
             keep[:, e.col] = False
             if transversal:
-                keep &= base[:, :, 1] != e.sym
+                keep &= sym != e.sym
         for r, c in constraints.forbidden_cells:
             keep[r, c] = False
         for e in constraints.required:
             keep[e.row] = False
             keep[e.row, e.col] = True
-        deltas = base[:, :, 2]
         # deltas lie in (-n/2, n/2], so n and -n never win a min or max over a kept cell
         lo = np.zeros(n + 1, np.int64)
         hi = np.zeros(n + 1, np.int64)
         lo[:n] = np.cumsum(np.where(keep, deltas, n).min(axis=1)[::-1])[::-1]
         hi[:n] = np.cumsum(np.where(keep, deltas, -n).max(axis=1)[::-1])[::-1]
         self.n = n
-        self.use_syms = transversal
-        self.sd_final = constraints.mode is SearchMode.SUITABLE_DIAGONAL
+        self.transversal = transversal
         self.target = (n // 2) if n % 2 == 0 else 0
-        self.base = base
+        self.sym = sym
+        self.delta = deltas
         self.keep = keep
         self.rows = keep @ (1 << np.arange(n)) if n <= _kernel.MAX_KERNEL_ORDER else None
         self.lo_suf = lo
@@ -188,15 +172,16 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None, counter: _NodeC
     candidate whose column (and, in a transversal search, symbol) is free.
     The kernel makes the same check at the same point.
     """
-    cand = [row[keep].tolist() for row, keep in zip(prep.base, prep.keep)]
+    n = prep.n
+    # each row's kept cells as (col, sym, delta), columns ascending
+    cand = [list(zip(np.flatnonzero(keep).tolist(), sym[keep].tolist(), delta[keep].tolist()))
+            for keep, sym, delta in zip(prep.keep, prep.sym, prep.delta)]
     if not all(cand):
         return  # a row without candidates
-    n = prep.n
     target = prep.target
     lo_suf = prep.lo_suf.tolist()
     hi_suf = prep.hi_suf.tolist()
-    use_syms = prep.use_syms
-    sd_final = prep.sd_final
+    transversal = prep.transversal
     forward = prune and first_hit
     if prune and lo_suf[0] + ((target - lo_suf[0]) % n) > hi_suf[0]:
         return  # the target residue is unreachable from the root
@@ -210,7 +195,7 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None, counter: _NodeC
     nodes = counter.nodes
     while depth >= 0:
         if depth == n:
-            if not sd_final or dsum[n] % n == target:
+            if transversal or dsum[n] % n == target:
                 counter.nodes = nodes
                 yield tuple(sol)
             depth -= 1
@@ -231,7 +216,7 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None, counter: _NodeC
             i += 1
             if uc >> c & 1:
                 continue
-            if use_syms and us >> s & 1:
+            if transversal and us >> s & 1:
                 continue
             nd = ds + d
             if prune:
@@ -240,7 +225,7 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None, counter: _NodeC
                 if lo + ((target - lo) % n) > hi:
                     continue
             uc_next = uc | 1 << c
-            us_next = us | 1 << s if use_syms else us
+            us_next = us | 1 << s if transversal else us
             if forward and not all(
                     any(not (uc_next >> c2 & 1 or us_next >> s2 & 1) for c2, s2, _ in cand[r])
                     for r in range(depth + 1, n)):
@@ -316,8 +301,8 @@ def _first_hit(prep: _Prepared, prune: bool, budget: int | None) -> tuple[int, .
     """Columns of a prepared search's first solution, or None; BudgetExceeded if it runs out."""
     if _use_kernel(prep.n):
         status, _, nodes, cols = _kernel.run(
-            prep.base, prep.rows[None], use_syms=prep.use_syms, sd_final=prep.sd_final,
-            prune=prune, budget=budget, enumerate_all=False)
+            prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, prune=prune,
+            budget=budget, enumerate_all=False)
         if status[0] == -1:
             raise BudgetExceeded(int(nodes[0]))
         return tuple(cols[0].tolist()) if status[0] == 1 else None
@@ -364,8 +349,8 @@ def _count(prep: _Prepared, prune: bool, budget: int | None,
     """`count_and_cover` of a prepared search, on ``threads`` kernel threads (None: every CPU)."""
     if _use_kernel(prep.n):
         status, count, nodes, _ = _kernel.run(
-            prep.base, prep.rows[None], use_syms=prep.use_syms, sd_final=prep.sd_final,
-            prune=prune, budget=budget, enumerate_all=True, threads=threads)
+            prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, prune=prune,
+            budget=budget, enumerate_all=True, threads=threads)
         if status[0] == -1:
             raise BudgetExceeded(int(nodes[0]))
         return EnumerationSummary(count=int(count[0]), nodes=int(nodes[0]))
@@ -415,16 +400,16 @@ class ClassificationReport:
         return out
 
 
-def _cell_rows(base: np.ndarray, cells: np.ndarray, avoid: bool) -> np.ndarray:
+def _cell_rows(sym: np.ndarray, cells: np.ndarray, avoid: bool) -> np.ndarray:
     """`_Prepared`'s row masks for a transversal search through, or with ``avoid``
     avoiding, each of ``cells``: a (k, n) int64 array, row j for ``cells[j]``.
 
     A required entry (r, c, s) keeps only column c in row r and drops column
     c and the cell of symbol s from every other row; a forbidden cell (r, c)
-    drops that cell alone.  ``base`` is `_base_candidates`'s table of a
-    latin square, so each row holds each symbol in exactly one column.
+    drops that cell alone.  ``sym`` is a latin square's (n, n) symbol array,
+    so each row holds each symbol in exactly one column.
     """
-    n = len(base)
+    n = len(sym)
     everything = (1 << n) - 1
     r, c = cells.T
     bit = np.left_shift(1, c)
@@ -434,8 +419,8 @@ def _cell_rows(base: np.ndarray, cells: np.ndarray, avoid: bool) -> np.ndarray:
         rows[k, r] = everything ^ bit
         return rows
     # others[s, i]: the columns of row i other than the one holding symbol s
-    others = everything ^ np.left_shift(1, np.argsort(base[:, :, 1], axis=1)).T
-    rows = others[base[r, c, 1]]
+    others = everything ^ np.left_shift(1, np.argsort(sym, axis=1)).T
+    rows = others[sym[r, c]]
     rows &= ~bit[:, None]
     rows[k, r] = bit
     return rows
@@ -448,19 +433,19 @@ def _search_cells(square: LatinSquare, cells, avoid: bool, budget: int | None,
     Returns (status, nodes, cols) arrays for the cells in order: status 1
     with the first solution's columns in that cell's row of ``cols``, 0 when
     there is none, or -1 when the search ran out of its node budget; nodes
-    is what each search visited (budget + 1 when it ran out).  The square's
-    candidates are built once for the whole batch.  On the compiled kernel
-    the whole batch is one `_kernel.run` call over `_cell_rows`'s masks on
-    ``threads`` threads (None: every CPU), which builds the square's tables
-    once; on the pure twin each cell gets its own `_Prepared` and
-    `_iter_cols` search, one after another, with the same results.
+    is what each search visited (budget + 1 when it ran out).  On the
+    compiled kernel the whole batch is one `_kernel.run` call over the
+    square's arrays and `_cell_rows`'s masks on ``threads`` threads (None:
+    every CPU), which builds the square's tables once; on the pure twin each
+    cell gets its own `_Prepared` and `_iter_cols` search, one after
+    another, with the same results.
     """
-    base = _base_candidates(square)
     cells = np.reshape(np.asarray(cells, np.int64), (-1, 2))
     if _use_kernel(square.order):
+        sym = square.to_array()
         status, _, nodes, cols = _kernel.run(
-            base, _cell_rows(base, cells, avoid), use_syms=True, sd_final=False, prune=True,
-            budget=budget, enumerate_all=False, threads=threads)
+            sym, delta_grid(square), _cell_rows(sym, cells, avoid), transversal=True,
+            prune=True, budget=budget, enumerate_all=False, threads=threads)
         return status, nodes, cols
     n = square.order
     status = np.zeros(len(cells), np.int64)
@@ -473,8 +458,7 @@ def _search_cells(square: LatinSquare, cells, avoid: bool, budget: int | None,
             cons = SearchConstraints(required=frozenset({square.entry(r, c)}), node_budget=budget)
         counter = _NodeCounter()
         try:
-            first = next(_iter_cols(_Prepared(square, cons, base), True, budget, counter, True),
-                         None)
+            first = next(_iter_cols(_Prepared(square, cons), True, budget, counter, True), None)
         except BudgetExceeded:
             status[j] = -1
         else:
@@ -606,7 +590,7 @@ def is_pinned(square: LatinSquare, entry, *, node_budget: int | None = None) -> 
 
 def pinned_verdicts(square: LatinSquare, entries, *,
                     node_budget: int | None = None) -> tuple[bool, ...]:
-    """`is_pinned` for each entry, running the unconstrained search once for all."""
+    """`is_pinned` for each entry: one unconstrained search, then one batch avoiding each cell."""
     _check_budget(node_budget)
     cells = []
     for entry in entries:
@@ -618,8 +602,10 @@ def pinned_verdicts(square: LatinSquare, entries, *,
         cells.append((e.row, e.col))
     if not cells or find(square, node_budget=node_budget) is None:
         return (False,) * len(cells)
-    return tuple(find(square, forbidden_cells=(cell,), node_budget=node_budget) is None
-                 for cell in cells)
+    status, nodes, _ = _search_cells(square, cells, True, node_budget, None)
+    if (status == -1).any():
+        raise BudgetExceeded(int(nodes[status == -1][0]))
+    return tuple((status == 0).tolist())
 
 
 def find_disjoint_pair(square: LatinSquare, *,

@@ -16,6 +16,7 @@ from latintrav import (
     apply_isotopism,
     as_transversal,
     cayley_table,
+    classify,
     from_json,
     is_transversal,
     new_square,
@@ -205,3 +206,21 @@ def test_grid_is_tuples_of_exact_ints(build, arg):
     from_array = LatinSquare(sq.to_array())
     assert from_array == sq and hash(from_array) == hash(sq)
     assert sq != LatinSquare(sq.to_array()[::-1])
+
+
+def test_square_owns_a_copy_of_its_grid():
+    """The caller's array stays writeable, writing to it later changes neither view of
+    the square, and a square built from a transposed view searches as its copy does."""
+    a = build_V(10).to_array().copy()
+    LatinSquare(a)
+    assert a.flags.writeable
+    b = build_V(10).to_array().copy()
+    sq = LatinSquare(b.T)
+    b[0, 0] = 5
+    arr = sq.to_array()
+    assert arr.tolist() == [list(row) for row in sq.grid] == build_V(10).to_array().T.tolist()
+    assert arr.flags.c_contiguous and not arr.flags.writeable
+    contiguous = LatinSquare(np.ascontiguousarray(build_V(10).to_array().T))
+    rep, want = classify(sq), classify(contiguous)
+    assert (rep.status, rep.witnesses, rep.pinned, rep.nodes) \
+        == (want.status, want.witnesses, want.pinned, want.nodes)

@@ -59,6 +59,8 @@ def test_delta_sum_examples(oracle):
 def test_delta_sum_rejects_non_diagonal():
     with pytest.raises(BadPermutation):
         delta_sum(cayley_table(4), (0, 0, 1, 2))
+    with pytest.raises(BadPermutation):
+        delta_sum(build_V(10), (0, 1, 2))  # a permutation, but of the wrong order
 
 
 def test_suitable_diagonal():

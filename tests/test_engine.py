@@ -32,13 +32,12 @@ from latintrav import (
 )
 from latintrav import engine
 from latintrav.blocks import block_cells, verify_hit_theorem
-from latintrav.delta import OddOrder, delta_sum
+from latintrav.delta import OddOrder, delta_grid, delta_sum
 from latintrav.engine import (
     COVERED,
     FREE,
     PINNED,
     UNKNOWN,
-    _base_candidates,
     _cell_rows,
     _iter_cols,
     _NodeCounter,
@@ -380,8 +379,8 @@ def _twin_run(prep, prune, budget, enumerate_all):
 def _run_one(prep, prune, budget, enumerate_all, threads=None):
     """`_kernel.run` on a batch of one prepared search: its (status, count, nodes, cols)."""
     status, count, nodes, cols = _kernel.run(
-        prep.base, prep.rows[None], use_syms=prep.use_syms, sd_final=prep.sd_final,
-        prune=prune, budget=budget, enumerate_all=enumerate_all, threads=threads)
+        prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, prune=prune,
+        budget=budget, enumerate_all=enumerate_all, threads=threads)
     return int(status[0]), int(count[0]), int(nodes[0]), cols[0]
 
 
@@ -410,7 +409,8 @@ def _row_entries(prep, prune) -> list[list[int]]:
     the number of tasks.
     """
     n, target = prep.n, prep.target
-    rows = [row[keep].tolist() for row, keep in zip(prep.base, prep.keep)]
+    rows = [[(c, sym[c], delta[c]) for c in np.flatnonzero(keep).tolist()]
+            for keep, sym, delta in zip(prep.keep, prep.sym.tolist(), prep.delta.tolist())]
     lo, hi = prep.lo_suf.tolist(), prep.hi_suf.tolist()
     entries = [[] for _ in range(n)]
     nodes = 0
@@ -422,7 +422,7 @@ def _row_entries(prep, prune) -> list[list[int]]:
         entries[d].append(nodes)
         for c, s, delta in rows[d]:
             nodes += 1
-            if used_cols >> c & 1 or (prep.use_syms and used_syms >> s & 1):
+            if used_cols >> c & 1 or (prep.transversal and used_syms >> s & 1):
                 continue
             low, high = dsum + delta + lo[d + 1], dsum + delta + hi[d + 1]
             if prune and low + (target - low) % n > high:
@@ -464,7 +464,8 @@ EVEN_CASES = ([(f"CAYLEY{n}", cayley_table(n)) for n in (2, 4, 6, 8)]
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 @pytest.mark.parametrize("sq", [pytest.param(sq, id=label) for label, sq in EVEN_CASES])
 def test_kernel_suitable_diagonals_match_twin(sq, prune):
-    """use_syms=0, sd_final=1: the residue test at the leaves, with and without the prune."""
+    """transversal=False: the residue test at the leaves, with and without the prune, and
+    no symbol test, so every suitable diagonal counts, not only the transversals."""
     prep = _Prepared(sq, SearchConstraints.make(mode=SearchMode.SUITABLE_DIAGONAL))
     first = _twin_run(prep, prune, None, False)[3]
     # forbidding a cell of the first suitable diagonal moves the first hit
@@ -485,12 +486,13 @@ def test_kernel_rejects_candidates_outside_its_layout(break_layout):
     every mask of a batch is checked, the last search's too."""
     prep = _Prepared(build_exceptional(6), SearchConstraints.make())
     rows = np.repeat(prep.rows[None], 3 if break_layout.endswith("batch") else 1, axis=0)
+    delta = prep.delta.copy()
     if break_layout.startswith("row-mask-bit-n"):
         rows[-1, 0] |= 1 << 6
     else:
-        prep.base[0, 0, 2] = 6
-    with pytest.raises(ValueError, match="kernel base"):
-        _kernel.run(prep.base, rows, use_syms=True, sd_final=False, prune=True, budget=None,
+        delta[0, 0] = 6
+    with pytest.raises(ValueError, match="kernel square"):
+        _kernel.run(prep.sym, delta, rows, transversal=True, prune=True, budget=None,
                     enumerate_all=len(rows) == 1)
 
 
@@ -625,20 +627,19 @@ def _assert_same_batch(got, want, msg=None):
 
 def _cell_preps(sq, avoid):
     """One `_Prepared` per cell, row by row: through it, or with ``avoid`` avoiding it."""
-    base = _base_candidates(sq)
     return [_Prepared(sq, SearchConstraints.make(forbidden_cells=((r, c),)) if avoid
-                      else SearchConstraints.make(required=(sq.entry(r, c),)), base)
+                      else SearchConstraints.make(required=(sq.entry(r, c),)))
             for r in range(sq.order) for c in range(sq.order)]
 
 
-def _assert_batch_matches_twin(base, cells, avoid, budget, twin):
+def _assert_batch_matches_twin(sq, cells, avoid, budget, twin):
     """The kernel batch over ``cells`` at ``budget``, on 1, 2 and 3 threads, against the
     twin's `_twin_run` result for each cell."""
-    rows = _cell_rows(base, cells, avoid)
+    rows = _cell_rows(sq.to_array(), cells, avoid)
     for threads in (1, 2, 3):
-        status, _, nodes, cols = _kernel.run(base, rows, use_syms=True, sd_final=False,
-                                             prune=True, budget=budget, enumerate_all=False,
-                                             threads=threads)
+        status, _, nodes, cols = _kernel.run(sq.to_array(), delta_grid(sq), rows,
+                                             transversal=True, prune=True, budget=budget,
+                                             enumerate_all=False, threads=threads)
         assert list(zip(status.tolist(), nodes.tolist())) \
             == [(st, spent) for st, _, spent, _ in twin], (budget, threads)
         assert [tuple(w) for w, st in zip(cols.tolist(), status) if st == 1] \
@@ -681,11 +682,10 @@ def test_batched_budget_sweep_matches_twin(sq, avoid):
     n = sq.order
     cells = np.array([(r, c) for r in range(n) for c in range(n)], np.int64)
     preps = _cell_preps(sq, avoid)
-    base = preps[0].base
     most = max(_twin_run(prep, True, None, False)[2] for prep in preps)
     for budget in _budget_sweep(most):
         twin = [_twin_run(prep, True, budget, False) for prep in preps]
-        _assert_batch_matches_twin(base, cells, avoid, budget, twin)
+        _assert_batch_matches_twin(sq, cells, avoid, budget, twin)
 
 
 def _edge_budgets(costs) -> list[list[int]]:
@@ -704,7 +704,6 @@ def test_batched_budget_edges_match_twin(sq, avoid):
     n = sq.order
     cells = [(r, c) for r in range(n) for c in range(n)]
     preps = _cell_preps(sq, avoid)
-    base = preps[0].base
     costs = [_twin_run(prep, True, None, False)[2] for prep in preps]
     by_budget = {}
     for j, budgets in enumerate(_edge_budgets(costs)):
@@ -712,7 +711,7 @@ def test_batched_budget_edges_match_twin(sq, avoid):
             by_budget.setdefault(budget, []).append(j)
     for budget, js in sorted(by_budget.items()):
         twin = [_twin_run(preps[j], True, budget, False) for j in js]
-        _assert_batch_matches_twin(base, np.array([cells[j] for j in js], np.int64), avoid,
+        _assert_batch_matches_twin(sq, np.array([cells[j] for j in js], np.int64), avoid,
                                    budget, twin)
 
 
@@ -732,20 +731,22 @@ def test_first_hit_budget_edges_match_twin():
 
 
 @needs_compiler
-@pytest.mark.parametrize("break_layout", ["delta-n", "column-moved", "symbol-n"])
+@pytest.mark.parametrize("break_layout", ["delta-n", "symbol-n"])
 def test_batch_rejects_a_base_outside_its_layout(break_layout):
-    """A bad base table is an error, never a batch of "no transversal" (FREE) statuses.
+    """A bad symbol or delta array is an error, never a batch of "no transversal" (FREE)
+    statuses.
 
-    The masks come from the unbroken base: `_cell_rows` indexes by symbol, so a
+    The masks come from the unbroken symbols: `_cell_rows` indexes by symbol, so a
     symbol of n would fail there before the kernel's check ran."""
-    base = _base_candidates(build_V(10))
+    sq = build_V(10)
+    arrays = {"symbol-n": sq.to_array().copy(), "delta-n": delta_grid(sq).copy()}
     cells = np.array([(0, 0), (3, 4)], np.int64)
-    masks = [_cell_rows(base, cells, avoid) for avoid in (False, True)]
-    base[3, 4, {"delta-n": 2, "column-moved": 0, "symbol-n": 1}[break_layout]] = 10
+    masks = [_cell_rows(arrays["symbol-n"], cells, avoid) for avoid in (False, True)]
+    arrays[break_layout][3, 4] = 10
     for rows in masks:
-        with pytest.raises(ValueError, match="kernel base"):
-            _kernel.run(base, rows, use_syms=True, sd_final=False, prune=True, budget=None,
-                        enumerate_all=False)
+        with pytest.raises(ValueError, match="kernel square"):
+            _kernel.run(arrays["symbol-n"], arrays["delta-n"], rows, transversal=True,
+                        prune=True, budget=None, enumerate_all=False)
 
 
 # (label, square) for the per-cell filter check below.
@@ -760,14 +761,13 @@ def test_cell_rows_filter_as_prepared(sq, avoid):
     """The kernel batch's per-cell masks are exactly `_Prepared`'s rows for a required
     entry (through) or a forbidden cell (avoiding), for every cell."""
     n = sq.order
-    base = _base_candidates(sq)
     cells = np.indices((n, n)).reshape(2, -1).T
-    rows = _cell_rows(base, cells, avoid)
+    rows = _cell_rows(sq.to_array(), cells, avoid)
     assert rows.shape == (n * n, n) and rows.dtype == np.int64
     for j, (r, c) in enumerate(cells.tolist()):
         cons = SearchConstraints.make(forbidden_cells=((r, c),)) if avoid \
             else SearchConstraints.make(required=(sq.entry(r, c),))
-        assert rows[j].tolist() == _Prepared(sq, cons, base).rows.tolist(), (r, c)
+        assert rows[j].tolist() == _Prepared(sq, cons).rows.tolist(), (r, c)
 
 
 def _twin_first(prep, prune, first_hit):
@@ -813,10 +813,9 @@ def test_forward_check_changes_only_nodes(sq, forward, plain, avoid):
 def test_unpruned_first_hit_nodes_unchanged(sq, nodes, avoid):
     """prune=False turns the forward check off too: every cell's first-hit search visits
     the nodes it visited before the check existed, on the kernel and, for EX8, the twin."""
-    base = _base_candidates(sq)
     cells = np.indices((sq.order, sq.order)).reshape(2, -1).T
-    spent = _kernel.run(base, _cell_rows(base, cells, avoid), use_syms=True, sd_final=False,
-                        prune=False, budget=None, enumerate_all=False)[2]
+    spent = _kernel.run(sq.to_array(), delta_grid(sq), _cell_rows(sq.to_array(), cells, avoid),
+                        transversal=True, prune=False, budget=None, enumerate_all=False)[2]
     assert int(spent.sum()) == nodes[avoid]
     if sq.order == 8:
         assert sum(_twin_first(prep, False, True)[1]
@@ -887,37 +886,41 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
         n = sq.order
         prep = _Prepared(sq, SearchConstraints.make())
         cells = np.indices((n, n)).reshape(2, -1).T
-        decls += [_c_array(f"{label}_base", prep.base), _c_array(f"{label}_rows", prep.rows)]
+        decls += [_c_array(f"{label}_sym", prep.sym), _c_array(f"{label}_delta", prep.delta),
+                  _c_array(f"{label}_rows", prep.rows)]
+        square = f"{label}_sym, {label}_delta, {n}"
         total = _kernel_run(prep, True, None, True, 1)[2]
         for budget in (-1, total // 3, 2 * total // 3):
-            calls.append(f"enumerate({label}_base, {n}, {label}_rows, {budget});")
+            calls.append(f"enumerate({square}, {label}_rows, {budget});")
             st, count, nodes, _ = _kernel_run(prep, True, None if budget < 0 else budget, True, 1)
             expected.append(f"dfs {st} {'-' if count is None else count} {nodes}")
         for avoid in (0, 1):
-            decls.append(_c_array(f"{label}_cells{avoid}", _cell_rows(prep.base, cells, avoid)))
+            decls.append(_c_array(f"{label}_cells{avoid}", _cell_rows(prep.sym, cells, avoid)))
             most = int(_search_cells(sq, cells, bool(avoid), None, 1)[1].max())
             for budget in (-1, most // 3):
-                calls.append(f"batch({label}_base, {n}, {label}_cells{avoid}, {budget});")
+                calls.append(f"batch({square}, {label}_cells{avoid}, {budget});")
                 status, nodes, _ = _search_cells(sq, cells, bool(avoid),
                                                  None if budget < 0 else budget, 1)
                 expected.append(f"cells {(status == 1).sum()} {nodes.sum()}")
     source = "#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
-int64_t search(const int64_t *, int64_t, const int64_t *, int64_t, int64_t, int64_t, int64_t,
-               int64_t, int64_t, int64_t, int64_t *);
+int64_t search(const int64_t *, const int64_t *, int64_t, const int64_t *, int64_t, int64_t,
+               int64_t, int64_t, int64_t, int64_t, int64_t *);
 static int64_t out[64 * 64 * 67];
-static void enumerate(const int64_t *base, int64_t n, const int64_t *rows, int64_t budget)
+static void enumerate(const int64_t *sym, const int64_t *delta, int64_t n, const int64_t *rows,
+                      int64_t budget)
 {
-    if (search(base, n, rows, 1, 1, 0, 1, budget, 1, 3, out) != 0)
+    if (search(sym, delta, n, rows, 1, 1, 1, budget, 1, 3, out) != 0)
         printf("bad input\\n");
     else if (out[0] < 0)
         printf("dfs %lld - %lld\\n", (long long)out[0], (long long)out[2]);
     else
         printf("dfs %lld %lld %lld\\n", (long long)out[0], (long long)out[1], (long long)out[2]);
 }
-static void batch(const int64_t *base, int64_t n, const int64_t *rows, int64_t budget)
+static void batch(const int64_t *sym, const int64_t *delta, int64_t n, const int64_t *rows,
+                  int64_t budget)
 {
     int64_t found = 0, spent = 0;
-    if (search(base, n, rows, n * n, 1, 0, 1, budget, 0, 3, out) != 0)
+    if (search(sym, delta, n, rows, n * n, 1, 1, budget, 0, 3, out) != 0)
         printf("bad input\\n");
     for (int64_t j = 0; j < n * n; j++) {
         found += out[j * (n + 3)] == 1;
@@ -1162,19 +1165,42 @@ def test_is_pinned_rejects_cells_outside_the_square(entry):
 
 
 def test_pinned_verdicts_share_one_search(monkeypatch):
+    """One unconstrained `find`, then one batch of avoiding searches over the cells in order."""
     sq = build_T(12)
     entries = [(1, 0, 3), (0, 0, 0), (2, 1, 4)]
     calls = []
-    real_find = engine.find
-    monkeypatch.setattr(engine, "find", lambda *a, **kw: calls.append(kw) or real_find(*a, **kw))
+    real_find, real_search_cells = engine.find, engine._search_cells
+
+    def search_cells(square, cells, avoid, budget, threads):
+        calls.append(("cells", [tuple(cell) for cell in cells], avoid))
+        return real_search_cells(square, cells, avoid, budget, threads)
+
+    monkeypatch.setattr(engine, "find",
+                        lambda *a, **kw: calls.append(("find", kw)) or real_find(*a, **kw))
+    monkeypatch.setattr(engine, "_search_cells", search_cells)
     assert pinned_verdicts(sq, entries) == (True, False, True)
-    assert [kw.get("forbidden_cells") for kw in calls] \
-        == [None, ((1, 0),), ((0, 0),), ((2, 1),)]
+    assert calls == [("find", {"node_budget": None}),
+                     ("cells", [(1, 0), (0, 0), (2, 1)], True)]
     assert pinned_verdicts(sq, []) == ()
     assert pinned_verdicts(cayley_table(6), [(0, 0, 0), (1, 1, 2)]) == (False, False)
-    assert len(calls) == 5  # no search without entries; one for the transversal-free square
+    assert len(calls) == 3  # no search without entries; one for the transversal-free square
     with pytest.raises(DomainError):
         pinned_verdicts(sq, [(1, 0, 3), (0, 0, 5)])
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])
+def test_pinned_verdicts_budget(twin):
+    """On EX8 the unconstrained search takes 172 nodes and the one avoiding (6, 5) 6,107:
+    at budget 1,000 the verdict is unknown, BudgetExceeded with the avoiding search's
+    1,001 nodes, never a "not pinned"; at 6,107 both searches finish."""
+    sq = build_exceptional(8)
+    entry = sq.entry(6, 5)
+    with pure_twin() if twin else nullcontext():
+        with pytest.raises(BudgetExceeded) as exc:
+            is_pinned(sq, entry, node_budget=1_000)
+        assert exc.value.nodes == 1_001
+        assert pinned_verdicts(sq, [entry], node_budget=6_107) \
+            == pinned_verdicts(sq, [entry])
 
 
 def test_find_disjoint_pair():
