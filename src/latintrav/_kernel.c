@@ -1,15 +1,15 @@
 /* Row-order depth-first search over transversals (or diagonals) with
  * delta-interval pruning and, in first-hit searches, forward checking (a
  * placement that leaves a later row with no free column is dropped): the
- * compiled twin of engine._iter_cols plus the count and node tallies of
- * engine.count_and_cover.  The one entry point, search, runs a batch of
- * transversal (or suitable-diagonal) searches over one square: it checks the
- * square's (n, n) symbol and delta arrays and builds its tables from them
- * once (build_grid), every search of the batch reads those tables, and each
- * fills its own search tree from its own candidate mask per row (mask_tree).
- * What a search keeps, say for one required entry or one
- * forbidden cell, is decided by the caller (engine._Prepared,
- * engine._cell_rows); the kernel only walks the masks.  A batch of one full
+ * compiled twin of engine._twin_run, which takes the same arrays and fills the
+ * same output.  The one entry point, search, runs a batch of transversal (or
+ * suitable-diagonal) searches over one square: it checks the square's (n, n)
+ * symbol and delta arrays and builds its tables from them once (build_grid),
+ * every search of the batch reads those tables, and each fills its own
+ * search tree from its own candidate mask per row (mask_tree).  What a
+ * search keeps, say for one required entry or one forbidden cell, is decided
+ * by the caller (engine._Prepared, engine._cell_rows); the kernel only walks
+ * the masks.  A batch of one full
  * enumeration is split across threads (split_walk); any other batch strides
  * its searches across threads, one thread per search.
  *

@@ -5,7 +5,7 @@ a batch of transversal (or suitable-diagonal) searches over one square: it
 checks the square's own (n, n) symbol and delta arrays and builds its tables
 from them once, and each search of the batch walks its own candidate mask per
 row.  It returns every search's status, count, nodes and first-hit columns in
-one array.  The engine passes one search's masks (``engine._Prepared``'s
+one array.  ``engine._run`` passes one search's masks (``engine._Prepared``'s
 rows) for `engine.find` and full enumeration, and a batch of per-cell masks
 (``engine._cell_rows``) for each phase of per-cell classification and for
 `engine.pinned_verdicts`.  The kernel tallies nothing per cell.
@@ -19,10 +19,10 @@ budget, and its count and nodes when it finishes.  Any other batch strides
 its searches across the threads, each search on one.  The threads are
 created and joined inside each call, so nothing outlives it or a fork.
 
-The C kernel and the pure-python generator ``engine._iter_cols`` must stay
-behaviourally identical: same candidate order (rows ascending, columns
-ascending within a row), same pruning rules, same node accounting (one node
-per candidate index visited).  With ``prune`` on, both drop a candidate whose
+The C kernel and the pure-python twin ``engine._twin_run``, which takes `run`'s
+arguments and returns its arrays, must stay behaviourally identical: same
+candidate order (rows ascending, columns ascending within a row), same
+pruning rules, same node accounting (one node per candidate index visited).  With ``prune`` on, both drop a candidate whose
 delta sum can no longer reach the target residue, and a first-hit search
 (``enumerate_all`` False) also drops one whose placement leaves a later row
 with no free column (forward checking); a full enumeration walks the tree of
@@ -39,8 +39,8 @@ needs every delta to lie in (-n, n).
 ``engine._Prepared`` does.  Both equivalences are tested in the suite, with
 the pure twin and ``_Prepared`` as the oracles.
 
-When the kernel loads, the engine runs here every first-hit search and full
-enumeration of order at most ``MAX_KERNEL_ORDER``; lazy enumeration
+When the kernel loads, ``engine._run`` sends here every first-hit search and
+full enumeration of order at most ``MAX_KERNEL_ORDER``; lazy enumeration
 (``engine.iter_solutions``) and larger orders run on the pure twin, single
 threaded (the engine logs the larger orders once per process).  The first
 such search compiles ``_kernel.c`` with the C compiler Python was built with

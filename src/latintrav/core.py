@@ -81,6 +81,11 @@ def _as_rcs(entry) -> tuple[int, int, int]:
     return (int(r), int(c), int(s))
 
 
+def _check_family(family: str | None) -> None:
+    if family is not None and family not in KNOWN_FAMILIES:
+        raise DomainError(f"unknown family tag {family!r}")
+
+
 def _check_permutation(seq: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     vals = tuple(int(v) for v in seq)
     if len(vals) != n or set(vals) != set(range(n)):
@@ -159,8 +164,7 @@ class LatinSquare:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DomainError(f"grid must be square and non-empty, got shape {arr.shape}")
         n = int(arr.shape[0])
-        if family is not None and family not in KNOWN_FAMILIES:
-            raise DomainError(f"unknown family tag {family!r}")
+        _check_family(family)
         if ((arr < 0) | (arr >= n)).any():
             r, c = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
             raise BadSymbol(f"value {int(arr[r, c])} at ({r},{c}) outside 0..{n - 1}")
@@ -185,6 +189,7 @@ class LatinSquare:
                 yield Entry(r, c, s)
 
     def with_family(self, family: str | None) -> "LatinSquare":
+        _check_family(family)
         sq = LatinSquare.__new__(LatinSquare)
         sq.order = self.order
         sq.grid = self.grid

@@ -15,8 +15,14 @@ which the test suite checks by comparing against pruning-disabled runs; the
 forward check drops only subtrees without one, so the first solution found is
 the same with and without it.
 
-"Budget exceeded" is a first-class outcome distinct from "no solution": the
-kernel reports how far it got and callers surface the result as unknown.
+A search reads the square's symbol and delta arrays and one candidate mask
+per row (`_Prepared`, or `_cell_rows` for a batch of per-cell searches).
+`_run` alone picks the backend: the compiled `_kernel.run` up to its largest
+order when it loads, else `_twin_run`, the pure-Python twin with the same
+interface, which is the kernel's oracle in the tests.
+
+"Budget exceeded" is a first-class outcome distinct from "no solution": a
+search reports how far it got and callers surface the result as unknown.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import functools
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -110,24 +117,26 @@ def _check_budget(node_budget: int | None) -> None:
         raise DomainError(f"node budget must be at least 0, got {node_budget}")
 
 
-class _Prepared:
-    """One search's candidates: the square's own arrays and the cells it keeps.
+def _column_bits(n: int) -> np.ndarray:
+    """Each column's row-mask bit: int64 up to the kernel's orders, Python ints above."""
+    if n <= _kernel.MAX_KERNEL_ORDER:
+        return np.left_shift(1, np.arange(n, dtype=np.int64))
+    return np.array([1 << c for c in range(n)], object)
 
-    ``sym`` and ``delta`` are `to_array` and the cached `delta_grid`, and
-    ``keep`` the (n, n) mask of each row's candidate cells; ``rows[r]`` is
-    row r's mask as bits of one int64, the kernel's layout, and ``rows`` is
-    None above the kernel's largest order.  ``lo_suf[r]`` and ``hi_suf[r]``
-    bound the delta sum of rows r..n-1.
+
+class _Prepared:
+    """One search's input: the square's own arrays and the cells it keeps.
+
+    ``sym`` and ``delta`` are `to_array` and the cached `delta_grid`;
+    ``rows[r]`` holds row r's candidate columns as bits (`_column_bits`).
     """
 
-    __slots__ = ("n", "target", "transversal", "sym", "delta", "keep", "rows",
-                 "lo_suf", "hi_suf")
+    __slots__ = ("n", "transversal", "sym", "delta", "rows")
 
     def __init__(self, square: LatinSquare, constraints: SearchConstraints):
         constraints.validate(square)
         n = square.order
         sym = square.to_array()
-        deltas = delta_grid(square)
         transversal = constraints.mode is SearchMode.TRANSVERSAL
         keep = np.ones((n, n), bool)
         for e in constraints.required:
@@ -139,20 +148,11 @@ class _Prepared:
         for e in constraints.required:
             keep[e.row] = False
             keep[e.row, e.col] = True
-        # deltas lie in (-n/2, n/2], so n and -n never win a min or max over a kept cell
-        lo = np.zeros(n + 1, np.int64)
-        hi = np.zeros(n + 1, np.int64)
-        lo[:n] = np.cumsum(np.where(keep, deltas, n).min(axis=1)[::-1])[::-1]
-        hi[:n] = np.cumsum(np.where(keep, deltas, -n).max(axis=1)[::-1])[::-1]
         self.n = n
         self.transversal = transversal
-        self.target = (n // 2) if n % 2 == 0 else 0
         self.sym = sym
-        self.delta = deltas
-        self.keep = keep
-        self.rows = keep @ (1 << np.arange(n)) if n <= _kernel.MAX_KERNEL_ORDER else None
-        self.lo_suf = lo
-        self.hi_suf = hi
+        self.delta = delta_grid(square)
+        self.rows = keep @ _column_bits(n)
 
 
 class _NodeCounter:
@@ -162,26 +162,28 @@ class _NodeCounter:
         self.nodes = 0
 
 
-def _iter_cols(prep: _Prepared, prune: bool, budget: int | None, counter: _NodeCounter,
+def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, transversal: bool,
+               prune: bool, budget: int | None, counter: _NodeCounter,
                first_hit: bool) -> Iterator[tuple[int, ...]]:
-    """Pure-python twin of the compiled kernel; yields column tuples lazily.
+    """Pure-python twin of one kernel search over the masks ``rows``; yields column tuples lazily.
 
-    A ``first_hit`` caller, which takes at most the first solution, also
-    gets the forward check when ``prune`` is on: a candidate is dropped,
-    after its node is counted, when placing it leaves a later row without a
-    candidate whose column (and, in a transversal search, symbol) is free.
-    The kernel makes the same check at the same point.
+    Like the kernel's ``mask_tree``, it works out the target residue and the
+    delta sum's suffix bounds from the masks.  A ``first_hit`` caller, which
+    takes at most the first solution, also gets the forward check when
+    ``prune`` is on: a candidate is dropped, after its node is counted, when
+    placing it leaves a later row without a candidate whose column (and, in
+    a transversal search, symbol) is free, as in the kernel.
     """
-    n = prep.n
-    # each row's kept cells as (col, sym, delta), columns ascending
-    cand = [list(zip(np.flatnonzero(keep).tolist(), sym[keep].tolist(), delta[keep].tolist()))
-            for keep, sym, delta in zip(prep.keep, prep.sym, prep.delta)]
+    n = len(sym)
+    # each row's candidates as (col, sym, delta), columns ascending
+    cand = [[(c, s[c], d[c]) for c in range(n) if mask >> c & 1]
+            for mask, s, d in zip(rows.tolist(), sym.tolist(), delta.tolist())]
     if not all(cand):
         return  # a row without candidates
-    target = prep.target
-    lo_suf = prep.lo_suf.tolist()
-    hi_suf = prep.hi_suf.tolist()
-    transversal = prep.transversal
+    target = (n // 2) if n % 2 == 0 else 0
+    # lo_suf[r] and hi_suf[r] bound the delta sum of rows r..n-1
+    lo_suf = list(accumulate((min(d for *_, d in row) for row in reversed(cand)), initial=0))[::-1]
+    hi_suf = list(accumulate((max(d for *_, d in row) for row in reversed(cand)), initial=0))[::-1]
     forward = prune and first_hit
     if prune and lo_suf[0] + ((target - lo_suf[0]) % n) > hi_suf[0]:
         return  # the target residue is unreachable from the root
@@ -245,12 +247,39 @@ def _iter_cols(prep: _Prepared, prune: bool, budget: int | None, counter: _NodeC
     counter.nodes = nodes
 
 
-def _use_kernel(n: int) -> bool:
-    """Whether a search of order n runs on the compiled kernel rather than the pure twin."""
-    if n > _kernel.MAX_KERNEL_ORDER:
+def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
+              prune: bool, budget: int | None, enumerate_all: bool, threads: int | None = None):
+    """`_kernel.run` on the pure twin, at every order: the same arguments and the same
+    (status, count, nodes, cols) views of one (k, n + 3) array.  The searches run one
+    after another, each an `_iter_cols` walk of its ``rows[j]``; ``threads`` is ignored."""
+    out = np.zeros((len(rows), len(sym) + 3), np.int64)
+    for search, masks in zip(out, rows):
+        counter = _NodeCounter()
+        try:
+            for cols in _iter_cols(sym, delta, masks, transversal, prune, budget, counter,
+                                   not enumerate_all):
+                search[1] += 1
+                if not enumerate_all:
+                    search[3:] = cols
+                    break
+        except BudgetExceeded:
+            search[0] = -1
+        else:
+            search[0] = search[1] > 0
+        search[2] = counter.nodes
+    return out[:, 0], out[:, 1], out[:, 2], out[:, 3:]
+
+
+def _run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
+         prune: bool, budget: int | None, enumerate_all: bool, threads: int | None = None):
+    """`_kernel.run` where the kernel takes the order and loads, else `_twin_run`."""
+    if len(sym) > _kernel.MAX_KERNEL_ORDER:
         _log_large_orders()
-        return False
-    return _kernel.load() is not None
+    elif _kernel.load() is not None:
+        return _kernel.run(sym, delta, rows, transversal=transversal, prune=prune,
+                           budget=budget, enumerate_all=enumerate_all, threads=threads)
+    return _twin_run(sym, delta, rows, transversal=transversal, prune=prune, budget=budget,
+                     enumerate_all=enumerate_all, threads=threads)
 
 
 @functools.cache
@@ -289,7 +318,7 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
     outcome, never a "no".
     """
     cons = _constraints_arg(constraints, kwargs)
-    cols = _first_hit(_Prepared(square, cons), prune, cons.node_budget)
+    _, _, cols = _search(_Prepared(square, cons), prune, cons.node_budget, False)
     if cols is None:
         return None
     if cons.mode is SearchMode.TRANSVERSAL:
@@ -297,16 +326,18 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
     return Diagonal(cols)
 
 
-def _first_hit(prep: _Prepared, prune: bool, budget: int | None) -> tuple[int, ...] | None:
-    """Columns of a prepared search's first solution, or None; BudgetExceeded if it runs out."""
-    if _use_kernel(prep.n):
-        status, _, nodes, cols = _kernel.run(
-            prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, prune=prune,
-            budget=budget, enumerate_all=False)
-        if status[0] == -1:
-            raise BudgetExceeded(int(nodes[0]))
-        return tuple(cols[0].tolist()) if status[0] == 1 else None
-    return next(_iter_cols(prep, prune, budget, _NodeCounter(), True), None)
+def _search(prep: _Prepared, prune: bool, budget: int | None, enumerate_all: bool,
+            threads: int | None = None) -> tuple[int, int, tuple[int, ...] | None]:
+    """A prepared search's count, nodes and, from a first-hit search that found one, the
+    first solution's columns (else None), on ``threads`` kernel threads (None: every
+    CPU); BudgetExceeded when the budget runs out."""
+    status, count, nodes, cols = _run(
+        prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, prune=prune,
+        budget=budget, enumerate_all=enumerate_all, threads=threads)
+    if status[0] == -1:
+        raise BudgetExceeded(int(nodes[0]))
+    first = tuple(cols[0].tolist()) if status[0] == 1 and not enumerate_all else None
+    return int(count[0]), int(nodes[0]), first
 
 
 def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = None, *,
@@ -317,7 +348,8 @@ def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = 
     counter = _NodeCounter()
     wrap = (lambda c: as_transversal(square, c)) \
         if cons.mode is SearchMode.TRANSVERSAL else Diagonal
-    for cols in _iter_cols(prep, prune, cons.node_budget, counter, False):
+    for cols in _iter_cols(prep.sym, prep.delta, prep.rows, prep.transversal, prune,
+                           cons.node_budget, counter, False):
         yield wrap(cols)
 
 
@@ -341,22 +373,8 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
     the enumeration runs on every CPU in the affinity mask.
     """
     cons = _constraints_arg(constraints, kwargs)
-    return _count(_Prepared(square, cons), prune, cons.node_budget, None)
-
-
-def _count(prep: _Prepared, prune: bool, budget: int | None,
-           threads: int | None) -> EnumerationSummary:
-    """`count_and_cover` of a prepared search, on ``threads`` kernel threads (None: every CPU)."""
-    if _use_kernel(prep.n):
-        status, count, nodes, _ = _kernel.run(
-            prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, prune=prune,
-            budget=budget, enumerate_all=True, threads=threads)
-        if status[0] == -1:
-            raise BudgetExceeded(int(nodes[0]))
-        return EnumerationSummary(count=int(count[0]), nodes=int(nodes[0]))
-    counter = _NodeCounter()
-    count = sum(1 for _ in _iter_cols(prep, prune, budget, counter, False))
-    return EnumerationSummary(count=count, nodes=counter.nodes)
+    count, nodes, _ = _search(_Prepared(square, cons), prune, cons.node_budget, True)
+    return EnumerationSummary(count=count, nodes=nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,7 +420,7 @@ class ClassificationReport:
 
 def _cell_rows(sym: np.ndarray, cells: np.ndarray, avoid: bool) -> np.ndarray:
     """`_Prepared`'s row masks for a transversal search through, or with ``avoid``
-    avoiding, each of ``cells``: a (k, n) int64 array, row j for ``cells[j]``.
+    avoiding, each of ``cells``: a (k, n) array of `_column_bits`, row j for ``cells[j]``.
 
     A required entry (r, c, s) keeps only column c in row r and drops column
     c and the cell of symbol s from every other row; a forbidden cell (r, c)
@@ -410,16 +428,17 @@ def _cell_rows(sym: np.ndarray, cells: np.ndarray, avoid: bool) -> np.ndarray:
     so each row holds each symbol in exactly one column.
     """
     n = len(sym)
+    bits = _column_bits(n)
     everything = (1 << n) - 1
     r, c = cells.T
-    bit = np.left_shift(1, c)
+    bit = bits[c]
     k = np.arange(len(cells))
     if avoid:
-        rows = np.full((len(cells), n), everything, np.int64)
+        rows = np.full((len(cells), n), everything, bits.dtype)
         rows[k, r] = everything ^ bit
         return rows
     # others[s, i]: the columns of row i other than the one holding symbol s
-    others = everything ^ np.left_shift(1, np.argsort(sym, axis=1)).T
+    others = everything ^ bits[np.argsort(sym, axis=1)].T
     rows = others[sym[r, c]]
     rows &= ~bit[:, None]
     rows[k, r] = bit
@@ -433,39 +452,15 @@ def _search_cells(square: LatinSquare, cells, avoid: bool, budget: int | None,
     Returns (status, nodes, cols) arrays for the cells in order: status 1
     with the first solution's columns in that cell's row of ``cols``, 0 when
     there is none, or -1 when the search ran out of its node budget; nodes
-    is what each search visited (budget + 1 when it ran out).  On the
-    compiled kernel the whole batch is one `_kernel.run` call over the
-    square's arrays and `_cell_rows`'s masks on ``threads`` threads (None:
-    every CPU), which builds the square's tables once; on the pure twin each
-    cell gets its own `_Prepared` and `_iter_cols` search, one after
-    another, with the same results.
+    is what each search visited (budget + 1 when it ran out).  The whole
+    batch is one `_run` call over the square's arrays and `_cell_rows`'s
+    masks, on ``threads`` kernel threads (None: every CPU).
     """
     cells = np.reshape(np.asarray(cells, np.int64), (-1, 2))
-    if _use_kernel(square.order):
-        sym = square.to_array()
-        status, _, nodes, cols = _kernel.run(
-            sym, delta_grid(square), _cell_rows(sym, cells, avoid), transversal=True,
-            prune=True, budget=budget, enumerate_all=False, threads=threads)
-        return status, nodes, cols
-    n = square.order
-    status = np.zeros(len(cells), np.int64)
-    nodes = np.zeros(len(cells), np.int64)
-    cols = np.zeros((len(cells), n), np.int64)
-    for j, (r, c) in enumerate(cells.tolist()):
-        if avoid:
-            cons = SearchConstraints(forbidden_cells=frozenset({(r, c)}), node_budget=budget)
-        else:
-            cons = SearchConstraints(required=frozenset({square.entry(r, c)}), node_budget=budget)
-        counter = _NodeCounter()
-        try:
-            first = next(_iter_cols(_Prepared(square, cons), True, budget, counter, True), None)
-        except BudgetExceeded:
-            status[j] = -1
-        else:
-            if first is not None:
-                status[j] = 1
-                cols[j] = first
-        nodes[j] = counter.nodes
+    sym = square.to_array()
+    status, _, nodes, cols = _run(
+        sym, delta_grid(square), _cell_rows(sym, cells, avoid), transversal=True, prune=True,
+        budget=budget, enumerate_all=False, threads=threads)
     return status, nodes, cols
 
 
@@ -577,9 +572,9 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int |
     _check_budget(node_budget)
     threads = _kernel.cpu_count() if jobs is None else min(jobs, _kernel.cpu_count())
     if strategy == "enumerate":
-        summary = _count(_Prepared(square, SearchConstraints(node_budget=node_budget)),
-                         True, node_budget, threads)
-        return _report_from_summary(square, summary, threads)
+        count, nodes, _ = _search(_Prepared(square, SearchConstraints(node_budget=node_budget)),
+                                  True, node_budget, True, threads)
+        return _report_from_summary(square, EnumerationSummary(count, nodes), threads)
     return _classify_cells(square, node_budget, threads)
 
 
@@ -594,12 +589,8 @@ def pinned_verdicts(square: LatinSquare, entries, *,
     _check_budget(node_budget)
     cells = []
     for entry in entries:
-        e = Entry(*_as_rcs(entry))
-        if not (0 <= e.row < square.order and 0 <= e.col < square.order):
-            raise DomainError(f"{e} is outside the square")
-        if square.grid[e.row][e.col] != e.sym:
-            raise DomainError(f"{e} is not an entry of the square")
-        cells.append((e.row, e.col))
+        SearchConstraints.make(required=(entry,)).validate(square)
+        cells.append(_as_rcs(entry)[:2])
     if not cells or find(square, node_budget=node_budget) is None:
         return (False,) * len(cells)
     status, nodes, _ = _search_cells(square, cells, True, node_budget, None)

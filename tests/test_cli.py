@@ -96,6 +96,18 @@ def test_transversal_find_and_count(capsys):
     assert json.loads(out)["count"] == 3
 
 
+@pytest.mark.skipif(_kernel.load() is None, reason="no C compiler")
+def test_suitable_diagonals_on_the_kernel(capsys):
+    """EX8's 4,872 suitable diagonals and the first of them, which a raw scan of all 8!
+    permutations confirms; a walk that tested symbols here would find fewer."""
+    code, out, _ = run(capsys, "transversal", "count", "--family", "EX8", "--mode", "suitable",
+                       "--format", "text")
+    assert (code, out) == (0, "4872\n")
+    code, out, _ = run(capsys, "transversal", "find", "--family", "EX8", "--mode", "suitable",
+                       "--format", "text")
+    assert (code, out) == (0, "[0, 1, 2, 3, 5, 4, 7, 6]\n")
+
+
 def test_transversal_constraints_flags(capsys):
     code, out, _ = run(capsys, "transversal", "find", "--family", "T", "--order", "12",
                        "--require", "1,0,3", "--no-meta")
@@ -282,10 +294,13 @@ def test_bounds_budget_falls_back_to_sets_only(capsys):
 
 
 def test_table1_and_bounds_classify_per_cell(capsys, monkeypatch):
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("classify, table1 and bounds need no full enumeration")
+    real_run = engine._run
 
-    monkeypatch.setattr(engine, "_count", no_enumeration)  # under count_and_cover and classify
+    def no_enumeration(*args, enumerate_all, **kwargs):
+        assert not enumerate_all, "classify, table1 and bounds need no full enumeration"
+        return real_run(*args, enumerate_all=enumerate_all, **kwargs)
+
+    monkeypatch.setattr(engine, "_run", no_enumeration)  # under every search
     code, out, _ = run(capsys, "classify", "--family", "V", "--order", "10", "--no-meta")
     assert code == 0
     assert json.loads(out)["tau"] == 34 and "counts" not in json.loads(out)

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import inspect
 import logging
 import os
 import re
@@ -313,20 +314,13 @@ KERNEL_CASES = (
 @pytest.mark.parametrize("sq, prune", [pytest.param(sq, prune, id=label)
                                        for label, sq, prune in KERNEL_CASES])
 def test_kernel_logic_matches_twin(sq, prune):
-    """The C kernel against the pure twin, its oracle, on 1, 2 and 3 threads."""
+    """The C kernel against the pure twin, its oracle, on 1, 2 and 3 threads: the first
+    hit and the full enumeration."""
     prep = _Prepared(sq, SearchConstraints.make())
-    counter = _NodeCounter()
-    first = next(_iter_cols(prep, prune, None, counter, True), None)
-    with pure_twin():
-        twin = count_and_cover(sq, prune=prune)
-    for threads in (1, 2, 3):
-        status, _, nodes, first_cols = _run_one(prep, prune, None, False, threads)
-        assert (status, nodes) == (int(first is not None), counter.nodes)
-        if first is not None:
-            assert tuple(first_cols) == first
-
-        status, count, nodes, _ = _run_one(prep, prune, None, True, threads)
-        assert (status, count, nodes) == (int(twin.count > 0), twin.count, twin.nodes)
+    for enumerate_all in (False, True):
+        twin = _reduced(engine._twin_run, prep, prune, None, enumerate_all)
+        for threads in (1, 2, 3):
+            assert _reduced(_kernel.run, prep, prune, None, enumerate_all, threads) == twin
 
 
 def test_hit_theorem_fails_when_a_refutation_finds_a_transversal(monkeypatch):
@@ -355,41 +349,23 @@ def test_hit_theorem_kernel_matches_twin():
 @needs_compiler
 def test_kernel_logic_budget_matches_twin():
     prep = _Prepared(build_exceptional(8), SearchConstraints.make())
-    with pytest.raises(BudgetExceeded) as exc:
-        next(_iter_cols(prep, True, 3, _NodeCounter(), True))
-    status, _, nodes, _ = _run_one(prep, True, 3, False)
-    assert (status, nodes) == (-1, exc.value.nodes)
+    assert _reduced(_kernel.run, prep, True, 3, False) \
+        == _reduced(engine._twin_run, prep, True, 3, False) == [(-1, None, 4, None)]
 
 
-def _twin_run(prep, prune, budget, enumerate_all):
-    """The pure twin's (status, count, nodes, first solution), shaped as `_kernel_run`'s."""
-    counter = _NodeCounter()
-    count, first = 0, None
-    try:
-        for cols in _iter_cols(prep, prune, budget, counter, not enumerate_all):
-            count += 1
-            if not enumerate_all:
-                first = cols
-                break
-    except BudgetExceeded:
-        return -1, None, counter.nodes, None
-    return int(count > 0), count, counter.nodes, first
-
-
-def _run_one(prep, prune, budget, enumerate_all, threads=None):
-    """`_kernel.run` on a batch of one prepared search: its (status, count, nodes, cols)."""
-    status, count, nodes, cols = _kernel.run(
-        prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, prune=prune,
-        budget=budget, enumerate_all=enumerate_all, threads=threads)
-    return int(status[0]), int(count[0]), int(nodes[0]), cols[0]
-
-
-def _kernel_run(prep, prune, budget, enumerate_all, threads=None):
-    """`_run_one` reduced to what it promises: status and nodes for every budget,
-    the count when the search finished and the solution of a first-hit search."""
-    status, count, nodes, first_cols = _run_one(prep, prune, budget, enumerate_all, threads)
-    return (status, count if status >= 0 else None, nodes,
-            tuple(first_cols.tolist()) if status == 1 and not enumerate_all else None)
+def _reduced(run, prep, prune, budget, enumerate_all, threads=None, rows=None):
+    """``run``, `_kernel.run` or `engine._twin_run`, over ``prep``'s square and masks (or the
+    batch ``rows``), reduced to what both promise for each search: status and nodes for
+    every budget, the count when the search finished and the solution of a first-hit
+    search that found one."""
+    status, count, nodes, cols = run(
+        prep.sym, prep.delta, prep.rows[None] if rows is None else rows,
+        transversal=prep.transversal, prune=prune, budget=budget, enumerate_all=enumerate_all,
+        threads=threads)
+    return [(st, ct if st >= 0 else None, spent,
+             tuple(sol) if st == 1 and not enumerate_all else None)
+            for st, ct, spent, sol in zip(status.tolist(), count.tolist(), nodes.tolist(),
+                                          cols.tolist())]
 
 
 def _c_define(name: str) -> int:
@@ -408,11 +384,16 @@ def _row_entries(prep, prune) -> list[list[int]]:
     passes from its shallow walk into a task, and their number at depth d is
     the number of tasks.
     """
-    n, target = prep.n, prep.target
-    rows = [[(c, sym[c], delta[c]) for c in np.flatnonzero(keep).tolist()]
-            for keep, sym, delta in zip(prep.keep, prep.sym.tolist(), prep.delta.tolist())]
-    lo, hi = prep.lo_suf.tolist(), prep.hi_suf.tolist()
+    n = prep.n
+    target = n // 2 if n % 2 == 0 else 0
+    rows = [[(c, sym[c], delta[c]) for c in range(n) if mask >> c & 1]
+            for mask, sym, delta in zip(prep.rows.tolist(), prep.sym.tolist(),
+                                        prep.delta.tolist())]
     entries = [[] for _ in range(n)]
+    if not all(rows):
+        return entries
+    lo = [sum(min(d for *_, d in row) for row in rows[r:]) for r in range(n + 1)]
+    hi = [sum(max(d for *_, d in row) for row in rows[r:]) for r in range(n + 1)]
     nodes = 0
 
     def enter(d, used_cols, used_syms, dsum):
@@ -429,7 +410,7 @@ def _row_entries(prep, prune) -> list[list[int]]:
                 continue
             enter(d + 1, used_cols | 1 << c, used_syms | 1 << s, dsum + delta)
 
-    if all(rows) and not (prune and lo[0] + (target - lo[0]) % n > hi[0]):
+    if not (prune and lo[0] + (target - lo[0]) % n > hi[0]):
         enter(0, 0, 0, 0)
     return entries
 
@@ -467,15 +448,15 @@ def test_kernel_suitable_diagonals_match_twin(sq, prune):
     """transversal=False: the residue test at the leaves, with and without the prune, and
     no symbol test, so every suitable diagonal counts, not only the transversals."""
     prep = _Prepared(sq, SearchConstraints.make(mode=SearchMode.SUITABLE_DIAGONAL))
-    first = _twin_run(prep, prune, None, False)[3]
+    first = _reduced(engine._twin_run, prep, prune, None, False)[0][3]
     # forbidding a cell of the first suitable diagonal moves the first hit
     cell = (1, first[1]) if first else (0, 0)
     for forbidden in ((), (cell,)):
         prep = _Prepared(sq, SearchConstraints.make(mode=SearchMode.SUITABLE_DIAGONAL,
                                                     forbidden_cells=forbidden))
         for enumerate_all in (False, True):
-            assert _kernel_run(prep, prune, None, enumerate_all) \
-                == _twin_run(prep, prune, None, enumerate_all)
+            assert _reduced(_kernel.run, prep, prune, None, enumerate_all) \
+                == _reduced(engine._twin_run, prep, prune, None, enumerate_all)
 
 
 @needs_compiler
@@ -503,10 +484,10 @@ def test_kernel_row_without_candidates_matches_twin(enumerate_all, prune):
     """A row with no candidates is an empty search with no node, on the kernel as on the twin."""
     prep = _Prepared(build_V(10), SearchConstraints.make(
         forbidden_cells=[(3, c) for c in range(10)]))
-    twin = _twin_run(prep, prune, None, enumerate_all)
-    assert twin == (0, 0, 0, None)
+    twin = _reduced(engine._twin_run, prep, prune, None, enumerate_all)
+    assert twin == [(0, 0, 0, None)]
     for threads in (1, 2, 3):
-        assert _kernel_run(prep, prune, None, enumerate_all, threads) == twin, threads
+        assert _reduced(_kernel.run, prep, prune, None, enumerate_all, threads) == twin, threads
 
 
 def _budget_sweep(nodes: int) -> list[int]:
@@ -534,7 +515,7 @@ def test_enumeration_budget_sweep_matches_twin(sq, mode, prune):
     enumeration's shallow walk and inside its tasks, and one below the total after
     its last task."""
     prep = _Prepared(sq, SearchConstraints.make(mode=mode))
-    total = _twin_run(prep, prune, None, True)[2]
+    total = _reduced(engine._twin_run, prep, prune, None, True)[0][2]
     budgets = set(_budget_sweep(total)) | {max(total - 1, 0), total}
     entries = _row_entries(prep, prune)
     for threads in (2, 3):
@@ -542,9 +523,10 @@ def test_enumeration_budget_sweep_matches_twin(sq, mode, prune):
         if depth is not None:
             budgets.update(_boundary_budgets(entries, depth))
     for budget in sorted(budgets):
-        twin = _twin_run(prep, prune, budget, True)
+        twin = _reduced(engine._twin_run, prep, prune, budget, True)
         for threads in (1, 2, 3):
-            assert _kernel_run(prep, prune, budget, True, threads) == twin, (budget, threads)
+            assert _reduced(_kernel.run, prep, prune, budget, True, threads) == twin, \
+                (budget, threads)
 
 
 @needs_compiler
@@ -568,8 +550,8 @@ def test_split_and_unsplit_trees_match_twin(sq, splits):
         # beside the entries of every depth, so the split depth's are among them
         budgets = [b for d in range(1, sq.order) for b in _boundary_budgets(entries, d)[::8]]
         for budget in budgets + [None]:
-            assert _kernel_run(prep, True, budget, True, threads) \
-                == _twin_run(prep, True, budget, True), budget
+            assert _reduced(_kernel.run, prep, True, budget, True, threads) \
+                == _reduced(engine._twin_run, prep, True, budget, True), budget
 
 
 @needs_compiler
@@ -581,8 +563,8 @@ def test_long_tasks_under_budgets_match_one_thread():
     prep = _Prepared(build_V(16), SearchConstraints.make())
     for budget in np.linspace(100_000, 5_440_000, 8).round().astype(int).tolist():
         for threads in (1, 2, 3):
-            assert _kernel_run(prep, True, budget, True, threads) \
-                == (-1, None, budget + 1, None), (budget, threads)
+            assert _reduced(_kernel.run, prep, True, budget, True, threads) \
+                == [(-1, None, budget + 1, None)], (budget, threads)
 
 
 # (label, square, budget, enumerate_all) of orders near MAX_KERNEL_ORDER, where the
@@ -598,31 +580,27 @@ NEAR_MAX_CASES = [("CAYLEY61", cayley_table(61), None, False)] + [
                           for label, sq, budget, enumerate_all in NEAR_MAX_CASES])
 def test_kernel_near_max_order_matches_twin(sq, budget, enumerate_all):
     prep = _Prepared(sq, SearchConstraints.make())
-    twin = _twin_run(prep, True, budget, enumerate_all)
+    twin = _reduced(engine._twin_run, prep, True, budget, enumerate_all)
     for threads in (1, 2, 3):
-        assert _kernel_run(prep, True, budget, enumerate_all, threads) == twin, threads
+        assert _reduced(_kernel.run, prep, True, budget, enumerate_all, threads) == twin, threads
 
 
 @needs_compiler
-@pytest.mark.parametrize("sq, count, nodes", [
-    pytest.param(build_V(10), 272, 32_250, id="V10"),
-    pytest.param(build_T(12), 520, 108_120, id="T12"),
-    pytest.param(build_U(14), 4_536, 1_506_414, id="U14"),
-    pytest.param(build_L(3), 324, 162_981, id="L9"),
+@pytest.mark.parametrize("sq, mode, count, nodes", [
+    pytest.param(build_V(10), SearchMode.TRANSVERSAL, 272, 32_250, id="V10"),
+    pytest.param(build_T(12), SearchMode.TRANSVERSAL, 520, 108_120, id="T12"),
+    pytest.param(build_U(14), SearchMode.TRANSVERSAL, 4_536, 1_506_414, id="U14"),
+    pytest.param(build_L(3), SearchMode.TRANSVERSAL, 324, 162_981, id="L9"),
+    pytest.param(build_exceptional(8), SearchMode.SUITABLE_DIAGONAL, 4_872, 512_968,
+                 id="EX8-suitable"),
+    pytest.param(build_V(10), SearchMode.SUITABLE_DIAGONAL, 90_720, 1_558_930,
+                 id="V10-suitable"),
 ])
-def test_kernel_enumeration_totals(sq, count, nodes):
-    """Full enumerations on the kernel: exact counts and node totals, which any new walk must keep."""
-    summary = count_and_cover(sq)
+def test_kernel_enumeration_totals(sq, mode, count, nodes):
+    """Full enumerations on the kernel: exact counts and node totals, which any new walk
+    must keep.  The suitable-diagonal totals fail a walk that tests symbols there."""
+    summary = count_and_cover(sq, mode=mode)
     assert (summary.count, summary.nodes) == (count, nodes)
-
-
-def _assert_same_batch(got, want, msg=None):
-    """Two batches' (status, nodes, cols) arrays agree: status and nodes of every cell,
-    and the columns of every found witness (the rest of ``cols`` means nothing)."""
-    assert got[0].tolist() == want[0].tolist(), msg
-    assert got[1].tolist() == want[1].tolist(), msg
-    found = want[0] == 1
-    assert got[2][found].tolist() == want[2][found].tolist(), msg
 
 
 def _cell_preps(sq, avoid):
@@ -632,18 +610,20 @@ def _cell_preps(sq, avoid):
             for r in range(sq.order) for c in range(sq.order)]
 
 
-def _assert_batch_matches_twin(sq, cells, avoid, budget, twin):
-    """The kernel batch over ``cells`` at ``budget``, on 1, 2 and 3 threads, against the
-    twin's `_twin_run` result for each cell."""
-    rows = _cell_rows(sq.to_array(), cells, avoid)
+def _cell_batch(sq, avoid):
+    """The unconstrained `_Prepared` of ``sq`` and `_cell_rows`'s masks through, or with
+    ``avoid`` avoiding, each of its cells, row by row."""
+    prep = _Prepared(sq, SearchConstraints.make())
+    return prep, _cell_rows(prep.sym, np.indices((sq.order, sq.order)).reshape(2, -1).T, avoid)
+
+
+def _assert_batch_matches_twin(prep, rows, budget):
+    """The kernel batch over the masks ``rows`` at ``budget``, on 1, 2 and 3 threads,
+    against the twin on the same masks."""
+    twin = _reduced(engine._twin_run, prep, True, budget, False, rows=rows)
     for threads in (1, 2, 3):
-        status, _, nodes, cols = _kernel.run(sq.to_array(), delta_grid(sq), rows,
-                                             transversal=True, prune=True, budget=budget,
-                                             enumerate_all=False, threads=threads)
-        assert list(zip(status.tolist(), nodes.tolist())) \
-            == [(st, spent) for st, _, spent, _ in twin], (budget, threads)
-        assert [tuple(w) for w, st in zip(cols.tolist(), status) if st == 1] \
-            == [first for st, _, _, first in twin if st == 1], (budget, threads)
+        assert _reduced(_kernel.run, prep, True, budget, False, threads, rows) == twin, \
+            (budget, threads)
 
 
 # (label, square, budget) for the batched per-cell check below.
@@ -662,15 +642,10 @@ BATCH_CASES = [
 @pytest.mark.parametrize("sq, budget", [pytest.param(sq, budget, id=label)
                                         for label, sq, budget in BATCH_CASES])
 def test_batched_cells_match_twin(sq, budget, avoid):
-    """Every cell of the square as one kernel batch, on 1, 2 and 3 threads, against the
-    per-cell twin loop: each search's status and nodes, the searches that finish
-    included, and every found witness."""
-    n = sq.order
-    cells = [(r, c) for r in range(n) for c in range(n)]
-    with pure_twin():
-        twin = _search_cells(sq, cells, avoid, budget, None)
-    for threads in (1, 2, 3):
-        _assert_same_batch(_search_cells(sq, cells, avoid, budget, threads), twin, threads)
+    """Every cell of the square as one batch, the kernel on 1, 2 and 3 threads against
+    the twin: each search's status and nodes, the searches that finish included, and
+    every found witness."""
+    _assert_batch_matches_twin(*_cell_batch(sq, avoid), budget)
 
 
 @needs_compiler
@@ -679,13 +654,11 @@ def test_batched_cells_match_twin(sq, budget, avoid):
                                 pytest.param(build_T(12), id="T12")])
 def test_batched_budget_sweep_matches_twin(sq, avoid):
     """Every cell's search at budgets up to the largest search's nodes + 1, on 1 to 3 threads."""
-    n = sq.order
-    cells = np.array([(r, c) for r in range(n) for c in range(n)], np.int64)
-    preps = _cell_preps(sq, avoid)
-    most = max(_twin_run(prep, True, None, False)[2] for prep in preps)
+    prep, rows = _cell_batch(sq, avoid)
+    most = max(spent for _, _, spent, _ in
+               _reduced(engine._twin_run, prep, True, None, False, rows=rows))
     for budget in _budget_sweep(most):
-        twin = [_twin_run(prep, True, budget, False) for prep in preps]
-        _assert_batch_matches_twin(sq, cells, avoid, budget, twin)
+        _assert_batch_matches_twin(prep, rows, budget)
 
 
 def _edge_budgets(costs) -> list[list[int]]:
@@ -701,18 +674,15 @@ def _edge_budgets(costs) -> list[list[int]]:
 def test_batched_budget_edges_match_twin(sq, avoid):
     """Every cell's search at the budgets beside its own node count (`_edge_budgets`),
     each budget run as one batch of the cells it concerns, on 1 to 3 threads."""
-    n = sq.order
-    cells = [(r, c) for r in range(n) for c in range(n)]
-    preps = _cell_preps(sq, avoid)
-    costs = [_twin_run(prep, True, None, False)[2] for prep in preps]
+    prep, rows = _cell_batch(sq, avoid)
+    costs = [spent for _, _, spent, _ in
+             _reduced(engine._twin_run, prep, True, None, False, rows=rows)]
     by_budget = {}
     for j, budgets in enumerate(_edge_budgets(costs)):
         for budget in budgets:
             by_budget.setdefault(budget, []).append(j)
     for budget, js in sorted(by_budget.items()):
-        twin = [_twin_run(preps[j], True, budget, False) for j in js]
-        _assert_batch_matches_twin(sq, np.array([cells[j] for j in js], np.int64), avoid,
-                                   budget, twin)
+        _assert_batch_matches_twin(prep, rows[js], budget)
 
 
 @needs_compiler
@@ -722,12 +692,13 @@ def test_first_hit_budget_edges_match_twin():
     sq = build_V(10)
     preps = [_Prepared(sq, SearchConstraints.make(required=(sq.entry(r, c),)))
              for r in range(sq.order) for c in range(sq.order)]
-    costs = [_twin_run(prep, True, None, False)[2] for prep in preps]
+    costs = [_reduced(engine._twin_run, prep, True, None, False)[0][2] for prep in preps]
     for prep, budgets in zip(preps, _edge_budgets(costs)):
         for budget in budgets:
-            twin = _twin_run(prep, True, budget, False)
+            twin = _reduced(engine._twin_run, prep, True, budget, False)
             for threads in (1, 2, 3):
-                assert _kernel_run(prep, True, budget, False, threads) == twin, (budget, threads)
+                assert _reduced(_kernel.run, prep, True, budget, False, threads) == twin, \
+                    (budget, threads)
 
 
 @needs_compiler
@@ -749,31 +720,52 @@ def test_batch_rejects_a_base_outside_its_layout(break_layout):
                         prune=True, budget=None, enumerate_all=False)
 
 
-# (label, square) for the per-cell filter check below.
-FILTER_CASES = [("V10", build_V(10)), ("T12", build_T(12)), ("EX8", build_exceptional(8)),
-                ("L9", build_L(3)),  # odd order
-                ("CAYLEY8", cayley_table(8))]
+# (label, square, step) for the per-cell filter check below: every step-th cell.
+FILTER_CASES = [("V10", build_V(10), 1), ("T12", build_T(12), 1),
+                ("EX8", build_exceptional(8), 1),
+                ("L9", build_L(3), 1),  # odd order
+                ("CAYLEY8", cayley_table(8), 1),
+                ("V64", build_V(64), 37)]  # Python-int masks, above the kernel's orders
 
 
 @pytest.mark.parametrize("avoid", [False, True], ids=["through", "avoiding"])
-@pytest.mark.parametrize("sq", [pytest.param(sq, id=label) for label, sq in FILTER_CASES])
-def test_cell_rows_filter_as_prepared(sq, avoid):
-    """The kernel batch's per-cell masks are exactly `_Prepared`'s rows for a required
-    entry (through) or a forbidden cell (avoiding), for every cell."""
+@pytest.mark.parametrize("sq, step", [pytest.param(sq, step, id=label)
+                                      for label, sq, step in FILTER_CASES])
+def test_cell_rows_filter_as_prepared(sq, step, avoid):
+    """The batch's per-cell masks are exactly `_Prepared`'s rows for a required entry
+    (through) or a forbidden cell (avoiding), for every cell (every step-th of V64)."""
     n = sq.order
-    cells = np.indices((n, n)).reshape(2, -1).T
+    cells = np.indices((n, n)).reshape(2, -1).T[::step]
     rows = _cell_rows(sq.to_array(), cells, avoid)
-    assert rows.shape == (n * n, n) and rows.dtype == np.int64
+    assert rows.shape == (len(cells), n)
+    assert rows.dtype == (np.int64 if n <= _kernel.MAX_KERNEL_ORDER else object)
     for j, (r, c) in enumerate(cells.tolist()):
         cons = SearchConstraints.make(forbidden_cells=((r, c),)) if avoid \
             else SearchConstraints.make(required=(sq.entry(r, c),))
         assert rows[j].tolist() == _Prepared(sq, cons).rows.tolist(), (r, c)
 
 
+@pytest.mark.parametrize("sq, cells, avoid, status, nodes", [
+    pytest.param(cayley_table(63), [(0, 1), (62, 0)], True, [1, 1], [2_016, 2_015],
+                 id="CAYLEY63-avoiding"),
+    pytest.param(cayley_table(64), [(0, 0), (63, 63)], False, [0, 0], [0, 0],
+                 id="CAYLEY64-through"),
+])
+def test_twin_batches_above_kernel_orders(sq, cells, avoid, status, nodes):
+    """Above the kernel's orders `_search_cells` runs the twin on Python-int masks.  The
+    identity diagonal of odd CAYLEY63 is a transversal avoiding both cells; CAYLEY64's
+    searches are pruned at the root."""
+    found, spent, cols = _search_cells(sq, cells, avoid, None, None)
+    assert (found.tolist(), spent.tolist()) == (status, nodes)
+    for j in np.flatnonzero(found == 1):
+        assert cols[j].tolist() == list(range(sq.order))
+
+
 def _twin_first(prep, prune, first_hit):
     """The twin's first solution (or None) and its nodes, under ``first_hit``'s rule."""
     counter = _NodeCounter()
-    first = next(_iter_cols(prep, prune, None, counter, first_hit), None)
+    first = next(_iter_cols(prep.sym, prep.delta, prep.rows, prep.transversal, prune, None,
+                            counter, first_hit), None)
     return first, counter.nodes
 
 
@@ -855,6 +847,11 @@ def test_ctypes_signatures_match_c():
     assert len(argtypes) == 11
 
 
+def test_twin_takes_the_kernel_interface():
+    """The oracle cannot drift from the interface of the kernel it checks."""
+    assert inspect.signature(engine._twin_run) == inspect.signature(_kernel.run)
+
+
 @needs_compiler
 def test_kernel_compiles_without_warnings(tmp_path):
     """The build's own flags, so warnings that only optimisation finds show too."""
@@ -889,10 +886,11 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
         decls += [_c_array(f"{label}_sym", prep.sym), _c_array(f"{label}_delta", prep.delta),
                   _c_array(f"{label}_rows", prep.rows)]
         square = f"{label}_sym, {label}_delta, {n}"
-        total = _kernel_run(prep, True, None, True, 1)[2]
+        total = _reduced(_kernel.run, prep, True, None, True, 1)[0][2]
         for budget in (-1, total // 3, 2 * total // 3):
             calls.append(f"enumerate({square}, {label}_rows, {budget});")
-            st, count, nodes, _ = _kernel_run(prep, True, None if budget < 0 else budget, True, 1)
+            [(st, count, nodes, _)] = _reduced(_kernel.run, prep, True,
+                                               None if budget < 0 else budget, True, 1)
             expected.append(f"dfs {st} {'-' if count is None else count} {nodes}")
         for avoid in (0, 1):
             decls.append(_c_array(f"{label}_cells{avoid}", _cell_rows(prep.sym, cells, avoid)))

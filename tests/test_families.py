@@ -5,6 +5,7 @@ import pytest
 
 from latintrav import (
     DomainError,
+    LatinSquare,
     bounds,
     claimed_pinned_entries,
     families,
@@ -286,3 +287,12 @@ def test_with_family_leaves_the_shared_square_unchanged():
     assert renamed is not square and renamed == square and renamed.family is None
     assert square.family == "V"
     assert build_family("V", 16) is square
+
+
+def test_with_family_checks_the_tag():
+    """`with_family` takes the tags a new square takes and rejects the rest."""
+    with pytest.raises(DomainError, match="unknown family tag 'BOGUS'"):
+        build_T(12).with_family("BOGUS")
+    with pytest.raises(DomainError, match="unknown family tag 'BOGUS'"):
+        LatinSquare(build_T(12).grid, family="BOGUS")
+    assert build_T(12).with_family("CUSTOM").family == "CUSTOM"
