@@ -10,14 +10,16 @@ rows) for `engine.find` and full enumeration, and a batch of per-cell masks
 (``engine._cell_rows``) for each phase of per-cell classification and for
 `engine.pinned_verdicts`.  The kernel tallies nothing per cell.
 
-A call runs on every CPU in the process's affinity mask unless told
-otherwise (`cpu_count`).  A batch of one full enumeration walks the tree down
-to a split depth read from the tree and hands the subtrees below it to
-threads, which add their nodes to one shared pool and stop once it is over
-the budget.  That gives the one-thread walk's status and nodes for every
-budget, and its count and nodes when it finishes.  Any other batch strides
-its searches across the threads, each search on one.  The threads are
-created and joined inside each call, so nothing outlives it or a fork.
+A call runs on every CPU in the process's affinity mask (`cpu_count`), which
+``taskset`` narrows; only the test suite passes `run` a thread count, and
+`run` is the one place a count is resolved.  A batch of one full enumeration
+walks the tree down to a split depth read from the tree and hands the
+subtrees below it to threads, which add their nodes to one shared pool and
+stop once it is over the budget.  That gives the one-thread walk's status
+and nodes for every budget, and its count and nodes when it finishes.  Any
+other batch strides its searches across the threads, each search on one.
+The threads are created and joined inside each call, so nothing outlives it
+or a fork.
 
 The C kernel and the pure-python twin ``engine._twin_run``, which takes `run`'s
 arguments and returns its arrays, must stay behaviourally identical: same
@@ -148,14 +150,6 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _threads(threads: int | None) -> int:
-    if threads is None:
-        return cpu_count()
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    return threads
-
-
 def _check(arr: np.ndarray, shape: tuple[int, ...]) -> None:
     if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
         raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
@@ -191,7 +185,9 @@ def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bo
     _check(delta, (n, n))
     k = len(rows)
     _check(rows, (k, n))
-    threads = _threads(threads)
+    threads = cpu_count() if threads is None else threads
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     out = np.empty((k, n + 3), np.int64)
     if load().search(sym.ctypes.data, delta.ctypes.data, n, rows.ctypes.data, k, transversal,
                      prune, -1 if budget is None else budget, enumerate_all, threads,

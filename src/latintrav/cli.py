@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import __version__, blocks, bounds, engine
 from .core import (
+    DomainError,
     LatinSquare,
     LatinSquareError,
     from_json,
@@ -70,11 +71,8 @@ def _add_square_source(p: argparse.ArgumentParser, positional: bool = True) -> N
     p.add_argument("--m", type=int, help="block size for family L")
 
 
-def _add_common(p: argparse.ArgumentParser, jobs: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=None, help="node budget per search")
-    if jobs:
-        p.add_argument("--jobs", type=int, default=None,
-                       help="most search threads (default: every CPU this process may use)")
     p.add_argument("--format", choices=["text", "json"], default="json")
     p.add_argument("--no-meta", action="store_true", help="omit timestamp/meta block")
 
@@ -92,7 +90,7 @@ def cmd_construct(args) -> int:
 def cmd_classify(args) -> int:
     square = _load_square(args)
     code = 0
-    report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
+    report = engine.classify(square, node_budget=args.budget)
     if report.partial:
         code = 3
     _emit(args, report.to_json_dict(), _render_classify)
@@ -107,11 +105,24 @@ def _render_classify(payload: dict) -> str:
     ])
 
 
+def _spec(spec: str, metavar: str) -> tuple[int, ...]:
+    """One ``--require`` (R,C,S) or ``--forbid`` (R,C) value as its integers."""
+    try:
+        values = tuple(int(v) for v in spec.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != metavar.count(",") + 1:
+        raise DomainError(f"expected {metavar} as integers, got {spec!r}")
+    return values
+
+
 def cmd_transversal(args) -> int:
+    if args.action == "disjoint-pair" and (args.mode or args.require or args.forbid):
+        raise DomainError("disjoint-pair takes no --mode, --require or --forbid")
     square = _load_square(args)
     mode = SearchMode.SUITABLE_DIAGONAL if args.mode == "suitable" else SearchMode.TRANSVERSAL
-    required = tuple(tuple(int(v) for v in spec.split(",")) for spec in args.require or ())
-    forbidden = tuple(tuple(int(v) for v in spec.split(",")) for spec in args.forbid or ())
+    required = tuple(_spec(spec, "R,C,S") for spec in args.require or ())
+    forbidden = tuple(_spec(spec, "R,C") for spec in args.forbid or ())
     kwargs = dict(required=required, forbidden_cells=forbidden, mode=mode,
                   node_budget=args.budget)
     if args.action == "find":
@@ -160,7 +171,7 @@ def cmd_bounds(args) -> int:
         check = bounds.check_sets_only(args.family, args.order)
     else:
         square = build_family(args.family, n=args.order)
-        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
+        report = engine.classify(square, node_budget=args.budget)
         if report.partial:
             check = bounds.check_sets_only(args.family, args.order)
             code = 3
@@ -188,7 +199,7 @@ def cmd_table1(args) -> int:
     for n in range(10, args.max_order + 2, 2):
         family = family_of_order(n)
         square = build_family(family, n)
-        report = engine.classify(square, node_budget=args.budget, jobs=args.jobs)
+        report = engine.classify(square, node_budget=args.budget)
         if report.partial:
             code = 3
             break
@@ -230,13 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="per-cell FREE/COVERED/PINNED report")
     _add_square_source(p)
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("transversal", help="find/enumerate/count transversals")
     p.add_argument("action", choices=["find", "enumerate", "count", "disjoint-pair"])
     _add_square_source(p)
-    p.add_argument("--mode", choices=["transversal", "suitable"], default="transversal")
+    p.add_argument("--mode", choices=["transversal", "suitable"])
     p.add_argument("--require", action="append", metavar="R,C,S",
                    help="entry the solution must contain (repeatable)")
     p.add_argument("--forbid", action="append", metavar="R,C",
@@ -254,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--sets-only", action="store_true",
                    help="skip classification; set arithmetic only")
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("blocks", help="block-hit theorem verification")
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="lower bound vs computed tau per even order")
     p.add_argument("--max-order", type=int, default=16)
-    _add_common(p, jobs=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_table1)
     return ap
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -157,10 +158,7 @@ class LatinSquare:
     __slots__ = ("order", "grid", "family", "_array", "_delta_grid", "__weakref__")
 
     def __init__(self, grid, family: str | None = None):
-        try:
-            arr = np.array(grid, dtype=np.int64, order="C")  # the square's own copy
-        except (ValueError, TypeError) as exc:
-            raise DomainError(f"grid is not a rectangular integer array: {exc}") from None
+        arr = _grid_array(grid)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DomainError(f"grid must be square and non-empty, got shape {arr.shape}")
         n = int(arr.shape[0])
@@ -212,6 +210,31 @@ class LatinSquare:
     def __repr__(self) -> str:
         tag = f", family={self.family!r}" if self.family else ""
         return f"LatinSquare(order={self.order}{tag})"
+
+
+def _grid_array(grid) -> np.ndarray:
+    """The square's own C-contiguous int64 copy of ``grid``, an integer array copied once.
+
+    BadSymbol for a value that is not an integer (floats, strings and booleans
+    included) or lies beyond int64; DomainError for a grid that is not rows.
+    """
+    if isinstance(grid, np.ndarray):
+        kinds = {grid.dtype.type}
+    else:
+        try:
+            grid = list(grid)
+            kinds = set(map(type, chain.from_iterable(grid)))
+        except TypeError:
+            raise DomainError("grid must be a sequence of rows") from None
+    for kind in kinds:
+        if not issubclass(kind, (int, np.integer)) or kind is bool:
+            raise BadSymbol(f"grid values must be integers, got {kind.__name__}")
+    try:
+        return np.array(grid, dtype=np.int64, order="C")
+    except OverflowError:
+        raise BadSymbol(f"a grid value lies outside 0..{len(grid) - 1}") from None
+    except (ValueError, TypeError) as exc:
+        raise DomainError(f"grid is not a rectangular integer array: {exc}") from None
 
 
 def _validate_latin(arr: np.ndarray) -> None:
@@ -357,7 +380,9 @@ def from_json_dict(data: dict) -> LatinSquare:
         grid = data["grid"]
     except (TypeError, KeyError) as exc:
         raise ParseError(f"missing field {exc}", 1) from None
-    return new_square(int(order), grid, family=data.get("family"))
+    if type(order) is not int:
+        raise ParseError(f"order is not an integer: {order!r}", 1)
+    return new_square(order, grid, family=data.get("family"))
 
 
 def to_json(square: LatinSquare) -> str:

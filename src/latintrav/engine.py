@@ -75,7 +75,7 @@ class SearchConstraints:
     """Required entries, forbidden cells, search mode, and an optional budget.
 
     A budget of 0 stops at the first node; None means no budget, and a
-    negative budget is a DomainError.
+    negative or non-integer budget is a DomainError.
     """
 
     required: frozenset[Entry] = frozenset()
@@ -113,7 +113,11 @@ class SearchConstraints:
 
 
 def _check_budget(node_budget: int | None) -> None:
-    if node_budget is not None and node_budget < 0:
+    if node_budget is None:
+        return
+    if not isinstance(node_budget, (int, np.integer)) or isinstance(node_budget, bool):
+        raise DomainError(f"node budget must be an integer, got {node_budget!r}")
+    if node_budget < 0:
         raise DomainError(f"node budget must be at least 0, got {node_budget}")
 
 
@@ -251,7 +255,7 @@ def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transvers
               prune: bool, budget: int | None, enumerate_all: bool, threads: int | None = None):
     """`_kernel.run` on the pure twin, at every order: the same arguments and the same
     (status, count, nodes, cols) views of one (k, n + 3) array.  The searches run one
-    after another, each an `_iter_cols` walk of its ``rows[j]``; ``threads`` is ignored."""
+    after another, each an `_iter_cols` walk of its ``rows[j]``; the thread count is ignored."""
     out = np.zeros((len(rows), len(sym) + 3), np.int64)
     for search, masks in zip(out, rows):
         counter = _NodeCounter()
@@ -271,15 +275,15 @@ def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transvers
 
 
 def _run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
-         prune: bool, budget: int | None, enumerate_all: bool, threads: int | None = None):
+         prune: bool, budget: int | None, enumerate_all: bool):
     """`_kernel.run` where the kernel takes the order and loads, else `_twin_run`."""
     if len(sym) > _kernel.MAX_KERNEL_ORDER:
         _log_large_orders()
     elif _kernel.load() is not None:
         return _kernel.run(sym, delta, rows, transversal=transversal, prune=prune,
-                           budget=budget, enumerate_all=enumerate_all, threads=threads)
+                           budget=budget, enumerate_all=enumerate_all)
     return _twin_run(sym, delta, rows, transversal=transversal, prune=prune, budget=budget,
-                     enumerate_all=enumerate_all, threads=threads)
+                     enumerate_all=enumerate_all)
 
 
 @functools.cache
@@ -326,14 +330,13 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
     return Diagonal(cols)
 
 
-def _search(prep: _Prepared, prune: bool, budget: int | None, enumerate_all: bool,
-            threads: int | None = None) -> tuple[int, int, tuple[int, ...] | None]:
+def _search(prep: _Prepared, prune: bool, budget: int | None,
+            enumerate_all: bool) -> tuple[int, int, tuple[int, ...] | None]:
     """A prepared search's count, nodes and, from a first-hit search that found one, the
-    first solution's columns (else None), on ``threads`` kernel threads (None: every
-    CPU); BudgetExceeded when the budget runs out."""
+    first solution's columns (else None); BudgetExceeded when the budget runs out."""
     status, count, nodes, cols = _run(
         prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, prune=prune,
-        budget=budget, enumerate_all=enumerate_all, threads=threads)
+        budget=budget, enumerate_all=enumerate_all)
     if status[0] == -1:
         raise BudgetExceeded(int(nodes[0]))
     first = tuple(cols[0].tolist()) if status[0] == 1 and not enumerate_all else None
@@ -445,22 +448,21 @@ def _cell_rows(sym: np.ndarray, cells: np.ndarray, avoid: bool) -> np.ndarray:
     return rows
 
 
-def _search_cells(square: LatinSquare, cells, avoid: bool, budget: int | None,
-                  threads: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _search_cells(square: LatinSquare, cells, avoid: bool,
+                  budget: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First transversal through, or with ``avoid`` avoiding, each of ``cells``.
 
     Returns (status, nodes, cols) arrays for the cells in order: status 1
     with the first solution's columns in that cell's row of ``cols``, 0 when
     there is none, or -1 when the search ran out of its node budget; nodes
     is what each search visited (budget + 1 when it ran out).  The whole
-    batch is one `_run` call over the square's arrays and `_cell_rows`'s
-    masks, on ``threads`` kernel threads (None: every CPU).
+    batch is one `_run` call over the square's arrays and `_cell_rows`'s masks.
     """
     cells = np.reshape(np.asarray(cells, np.int64), (-1, 2))
     sym = square.to_array()
     status, _, nodes, cols = _run(
         sym, delta_grid(square), _cell_rows(sym, cells, avoid), transversal=True, prune=True,
-        budget=budget, enumerate_all=False, threads=threads)
+        budget=budget, enumerate_all=False)
     return status, nodes, cols
 
 
@@ -469,7 +471,7 @@ _STATUS_NAMES = (UNKNOWN, FREE, COVERED, PINNED)
 _UNKNOWN, _FREE, _COVERED, _PINNED = range(4)
 
 
-def _classify_cells(square: LatinSquare, node_budget: int | None, threads: int | None,
+def _classify_cells(square: LatinSquare, node_budget: int | None,
                     transversal_count: int | None = None,
                     nodes: int = 0) -> ClassificationReport:
     """The two per-cell phases of `classify`; the report adds ``nodes`` to their own.
@@ -479,7 +481,7 @@ def _classify_cells(square: LatinSquare, node_budget: int | None, threads: int |
     """
     n = square.order
     cells = np.indices((n, n)).reshape(2, -1).T
-    found, spent, cols = _search_cells(square, cells, False, node_budget, threads)
+    found, spent, cols = _search_cells(square, cells, False, node_budget)
     code = np.choose(found + 1, (_UNKNOWN, _FREE, _COVERED))
     nodes += int(spent[found == -1].sum())
     witnessed = np.flatnonzero(found == 1)
@@ -491,7 +493,7 @@ def _classify_cells(square: LatinSquare, node_budget: int | None, threads: int |
         common[rows * n + witness_cols[0, rows]] = True
     shared = np.flatnonzero(common & (found == 1))
     if len(shared):
-        avoided, spent, _ = _search_cells(square, cells[shared], True, node_budget, threads)
+        avoided, spent, _ = _search_cells(square, cells[shared], True, node_budget)
         code[shared] = np.choose(avoided + 1, (_UNKNOWN, _PINNED, _COVERED))
         nodes += int(spent[avoided == -1].sum())
     status = tuple(tuple(map(_STATUS_NAMES.__getitem__, row))
@@ -511,23 +513,22 @@ def _classify_cells(square: LatinSquare, node_budget: int | None, threads: int |
     )
 
 
-def _report_from_summary(square: LatinSquare, summary: EnumerationSummary,
-                         threads: int | None = None) -> ClassificationReport:
+def _report_from_summary(square: LatinSquare,
+                         summary: EnumerationSummary) -> ClassificationReport:
     """The report of a finished unconstrained enumeration of ``square``.
 
-    Statuses and witnesses come from the per-cell phases, run on ``threads``
-    kernel threads (None: every CPU) with no node budget;
-    ``transversal_count`` and ``nodes`` come from ``summary``.  No budget is
-    needed: every per-cell search keeps a subsequence of each row's
+    Statuses and witnesses come from the per-cell phases, run with no node
+    budget; ``transversal_count`` and ``nodes`` come from ``summary``.  No
+    budget is needed: every per-cell search keeps a subsequence of each row's
     candidates and narrower suffix delta intervals, and its forward check
     only drops more, so it visits a subset (not a prefix) of the nodes of
     the enumeration that already finished and cannot run out where that
     did not.
     """
-    return _classify_cells(square, None, threads, summary.count, summary.nodes)
+    return _classify_cells(square, None, summary.count, summary.nodes)
 
 
-def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int | None = None,
+def classify(square: LatinSquare, *, node_budget: int | None = None,
              strategy: str = "per-cell") -> ClassificationReport:
     """Classify every cell as FREE / COVERED / PINNED.
 
@@ -553,11 +554,11 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int |
     refutation behind each PINNED verdict.  On the compiled kernel each phase
     is one kernel call per square, not one call per cell.
 
-    ``jobs`` caps the kernel's threads, for the enumeration and for each
-    phase; the default is every CPU in the affinity mask.  Each search's
-    result does not depend on the thread count, and the intersection is
-    taken after all phase-1 results are in, so neither does the report.
-    ``jobs`` below 1 is a DomainError.
+    The kernel runs the enumeration and each phase on every CPU in the
+    process's affinity mask (`_kernel.cpu_count`; ``taskset`` narrows it).
+    Each search's result does not depend on the thread count, and the
+    intersection is taken after all phase-1 results are in, so neither does
+    the report.
 
     ``node_budget`` caps each search; a search that runs out leaves its cell
     UNKNOWN and the report partial, never FREE or PINNED.  A cell whose
@@ -567,15 +568,12 @@ def classify(square: LatinSquare, *, node_budget: int | None = None, jobs: int |
     """
     if strategy not in ("per-cell", "enumerate"):
         raise DomainError(f"unknown classify strategy {strategy!r}")
-    if jobs is not None and jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
     _check_budget(node_budget)
-    threads = _kernel.cpu_count() if jobs is None else min(jobs, _kernel.cpu_count())
     if strategy == "enumerate":
         count, nodes, _ = _search(_Prepared(square, SearchConstraints(node_budget=node_budget)),
-                                  True, node_budget, True, threads)
-        return _report_from_summary(square, EnumerationSummary(count, nodes), threads)
-    return _classify_cells(square, node_budget, threads)
+                                  True, node_budget, True)
+        return _report_from_summary(square, EnumerationSummary(count, nodes))
+    return _classify_cells(square, node_budget)
 
 
 def is_pinned(square: LatinSquare, entry, *, node_budget: int | None = None) -> bool:
@@ -593,7 +591,7 @@ def pinned_verdicts(square: LatinSquare, entries, *,
         cells.append(_as_rcs(entry)[:2])
     if not cells or find(square, node_budget=node_budget) is None:
         return (False,) * len(cells)
-    status, nodes, _ = _search_cells(square, cells, True, node_budget, None)
+    status, nodes, _ = _search_cells(square, cells, True, node_budget)
     if (status == -1).any():
         raise BudgetExceeded(int(nodes[status == -1][0]))
     return tuple((status == 0).tolist())

@@ -133,6 +133,53 @@ def test_transversal_disjoint_pair(capsys):
     assert json.loads(out)["found"] is True
 
 
+@pytest.mark.parametrize("flag", [["--mode", "suitable"], ["--mode", "transversal"],
+                                  ["--require", "0,0,0"], ["--forbid", "0,1"]])
+def test_disjoint_pair_rejects_search_options(capsys, flag):
+    """disjoint-pair searches unconstrained transversals; it refuses, not drops, the options
+    that `find` and `count` honour (``--mode suitable`` on odd CAYLEY5 is OddOrder there)."""
+    code, out, err = run(capsys, "transversal", "disjoint-pair", "--family", "CAYLEY",
+                         "--order", "5", *flag, "--no-meta")
+    assert (code, out) == (2, "")
+    assert "disjoint-pair takes no --mode, --require or --forbid" in err
+    code, _, err = run(capsys, "transversal", "find", "--family", "CAYLEY", "--order", "5",
+                       "--mode", "suitable")
+    assert code == 2 and "even order" in err
+
+
+@pytest.mark.parametrize("flag, expected", [
+    (["--require", "0,0"], "R,C,S"), (["--require", "0,0,0,0"], "R,C,S"),
+    (["--require", "0,x,0"], "R,C,S"), (["--forbid", "1"], "R,C"), (["--forbid", "1,2,3"], "R,C"),
+    (["--forbid", "1.0,2"], "R,C"),
+])
+def test_malformed_constraint_spec_exits_2(capsys, flag, expected):
+    code, out, err = run(capsys, "transversal", "find", "--family", "EX6", *flag, "--no-meta")
+    assert (code, out) == (2, "")
+    assert f"expected {expected} as integers, got {flag[1]!r}" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": 3, "grid": [[0, 1, 2], [1, 2, 0], [2, 0, 1.2]]}',
+    '{"order": 3, "grid": [[0, 1, 2.9], [1, 2, 0], [2, 0, 1]]}',
+    '{"order": 2, "grid": [["0", "1"], ["1", "0"]]}',
+    '{"order": 2, "grid": [[false, true], [true, false]]}',
+    '{"order": 2, "grid": [[0, 9223372036854775808], [1, 0]]}',
+    '{"order": "2", "grid": [[0, 1], [1, 0]]}',
+    '{"order": 2.0, "grid": [[0, 1], [1, 0]]}',
+    "2\n0 9223372036854775808\n1 0\n",
+    "2\n0 -9223372036854775809\n1 0\n",
+], ids=["json-float", "json-float-2.9", "json-str", "json-bool", "json-2^63",
+        "json-order-str", "json-order-float", "text-2^63", "text-below-int64"])
+def test_non_integral_square_file_exits_2(capsys, tmp_path, text):
+    """A square file whose values or order are not integers, or do not fit in int64, is an
+    input error with a message, never a classified square or a traceback."""
+    path = tmp_path / "square"
+    path.write_text(text)
+    code, out, err = run(capsys, "classify", str(path), "--no-meta")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and ("integer" in err or "outside" in err)
+
+
 @pytest.mark.parametrize("family,n", [("T", 12), ("U", 14), ("V", 16)])
 def test_pinned_entries_are_the_certified_cells(capsys, family, n):
     code, out, _ = run(capsys, "pinned", "--family", family, "--order", str(n), "--no-meta")
@@ -329,15 +376,21 @@ def test_parser_is_built_once_and_parses_afresh(capsys):
     assert [r["tau"] for r in data["rows"]] == [34]
 
 
-def test_jobs_only_where_work_is_spread(capsys):
+@pytest.mark.parametrize("argv", [
+    ["classify", "--family", "EX6"],
+    ["bounds", "--family", "T", "--order", "12"],
+    ["table1", "--max-order", "10"],
+    ["blocks", "--m", "3"],
+    ["pinned", "--family", "T", "--order", "12"],
+    ["transversal", "find", "--family", "EX6"],
+    ["construct", "--family", "EX6"],
+], ids=lambda argv: argv[0])
+def test_no_command_takes_jobs(capsys, argv):
+    """The kernel alone decides its thread count; ``taskset`` narrows it."""
     with pytest.raises(SystemExit) as exc:
-        main(["blocks", "--m", "3", "--jobs", "2"])
+        main([*argv, "--jobs", "2"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
-    code, _, _ = run(capsys, "classify", "--family", "EX6", "--jobs", "1", "--no-meta")
-    assert code == 0
-    code, _, err = run(capsys, "classify", "--family", "EX6", "--jobs", "0", "--no-meta")
-    assert code == 2 and "jobs must be at least 1" in err
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_one_family_list():

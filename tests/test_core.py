@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,8 +59,9 @@ def test_out_of_range_symbol_rejected():
 
 
 def test_ragged_grid_rejected():
-    with pytest.raises(DomainError):
-        LatinSquare([[0, 1], [1]])
+    for grid in ([[0, 1], [1]], [0, 1], 5):
+        with pytest.raises(DomainError):
+            LatinSquare(grid)
 
 
 def test_order_mismatch_rejected():
@@ -224,3 +227,50 @@ def test_square_owns_a_copy_of_its_grid():
     rep, want = classify(sq), classify(contiguous)
     assert (rep.status, rep.witnesses, rep.pinned, rep.nodes) \
         == (want.status, want.witnesses, want.pinned, want.nodes)
+
+
+@pytest.mark.parametrize("grid", [
+    [[0, 1.5], [1, 0]],
+    [[0, 1.0], [1, 0]],
+    [["0", "1"], ["1", "0"]],
+    [[False, True], [True, False]],
+    [[0, True], [True, 0]],
+    [[0, None], [1, 0]],
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[False, True], [True, False]]),
+    np.array([[0, 1], [1, 0]], dtype=object),
+], ids=["float", "integral-float", "str", "bool", "bool-among-ints", "none", "float-array",
+        "bool-array", "object-array"])
+def test_non_integer_values_rejected(grid):
+    """No value is rounded, parsed or read as 0/1: `np.array(grid, dtype=np.int64)` took
+    [[0, 1.5], [1, 0]] as ((0, 1), (1, 0))."""
+    with pytest.raises(BadSymbol, match="must be integers"):
+        LatinSquare(grid)
+
+
+@pytest.mark.parametrize("value", [2**63, -2**63 - 1, 2**64])
+def test_values_beyond_int64_rejected(value):
+    with pytest.raises(BadSymbol, match=r"outside 0\.\.1"):
+        LatinSquare([[0, value], [1, 0]])
+    with pytest.raises(BadSymbol):
+        parse(f"2\n0 {value}\n1 0\n")
+    with pytest.raises(BadSymbol):
+        from_json(f'{{"order": 2, "grid": [[0, {value}], [1, 0]]}}')
+
+
+def test_integer_grids_of_any_integer_type_accepted():
+    want = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    a = cayley_table(3).to_array()
+    for grid in (a, a.astype(np.uint8), a.astype(np.int32), list(a), a.tolist(),
+                 [[np.int16(v) for v in row] for row in a]):
+        sq = LatinSquare(grid)
+        assert sq.grid == want and sq.to_array().dtype == np.int64
+        assert {type(v) for row in sq.grid for v in row} == {int}
+
+
+@pytest.mark.parametrize("order", ["2", 2.0, 2.7, True, None, [2]])
+def test_json_order_must_be_an_integer(order):
+    """`int(order)` took "2", 2.7 and true as order 2 (true as 1)."""
+    with pytest.raises(ParseError, match="order is not an integer"):
+        from_json(json.dumps({"order": order, "grid": [[0, 1], [1, 0]]}))
+    assert from_json('{"order": 2, "grid": [[0, 1], [1, 0]]}').order == 2

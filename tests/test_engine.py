@@ -174,11 +174,9 @@ def test_budget_exceeded_compiled_backend():
         find(build_exceptional(8), node_budget=3)
 
 
-@pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])
-def test_negative_budget_is_a_domain_error(twin):
-    """A budget below 0 is rejected, never read as no budget; 0 stops at the first node."""
-    sq = build_V(10)
-    calls = [
+def _budget_calls(sq):
+    """Every library entry point that takes a node budget, as a call of the budget."""
+    return [
         lambda budget: find(sq, node_budget=budget),
         lambda budget: next(iter_solutions(sq, node_budget=budget)),
         lambda budget: count_and_cover(sq, node_budget=budget),
@@ -189,6 +187,13 @@ def test_negative_budget_is_a_domain_error(twin):
         lambda budget: find_disjoint_pair(cayley_table(5), node_budget=budget),
         lambda budget: verify_hit_theorem(3, node_budget=budget),
     ]
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])
+def test_negative_budget_is_a_domain_error(twin):
+    """A budget below 0 is rejected, never read as no budget; 0 stops at the first node."""
+    sq = build_V(10)
+    calls = _budget_calls(sq)
     with pure_twin() if twin else nullcontext():
         for call in calls:
             for budget in (-1, -3):  # -1 is what the kernel and the twin take for no budget
@@ -199,6 +204,22 @@ def test_negative_budget_is_a_domain_error(twin):
                 call(0)
             assert exc.value.nodes == 1
         assert classify(build_T(12), node_budget=0).partial
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])
+def test_non_integer_budget_is_a_domain_error(twin):
+    """A budget that is not an integer is an input error on both backends, before any
+    search: the kernel's ctypes call would reject 1.5, and the twin would stop after 2
+    nodes.  A numpy integer is an integer."""
+    sq = build_V(10)
+    with pure_twin() if twin else nullcontext():
+        for call in _budget_calls(sq):
+            for budget in (1.5, 2.0, "10", True):
+                with pytest.raises(DomainError, match="node budget must be an integer"):
+                    call(budget)
+        with pytest.raises(DomainError, match="node budget must be an integer"):
+            find(build_T(12), node_budget=1.5)
+        assert find(sq, node_budget=np.int64(10**6)) == find(sq)
 
 
 def test_unknown_backend_and_block_size_are_rejected():
@@ -755,7 +776,7 @@ def test_twin_batches_above_kernel_orders(sq, cells, avoid, status, nodes):
     """Above the kernel's orders `_search_cells` runs the twin on Python-int masks.  The
     identity diagonal of odd CAYLEY63 is a transversal avoiding both cells; CAYLEY64's
     searches are pruned at the root."""
-    found, spent, cols = _search_cells(sq, cells, avoid, None, None)
+    found, spent, cols = _search_cells(sq, cells, avoid, None)
     assert (found.tolist(), spent.tolist()) == (status, nodes)
     for j in np.flatnonzero(found == 1):
         assert cols[j].tolist() == list(range(sq.order))
@@ -852,6 +873,24 @@ def test_twin_takes_the_kernel_interface():
     assert inspect.signature(engine._twin_run) == inspect.signature(_kernel.run)
 
 
+def test_thread_rule_lives_in_the_kernel():
+    """No engine function or method takes a thread count but `_twin_run`, which mirrors
+    `_kernel.run`'s signature: the kernel alone decides how many threads to use."""
+    routines = []
+    for obj in vars(engine).values():
+        if getattr(obj, "__module__", None) != engine.__name__:
+            continue
+        if inspect.isclass(obj):
+            routines += [f for _, f in inspect.getmembers(obj, inspect.isroutine)
+                         if getattr(f, "__module__", None) == engine.__name__]
+        elif callable(obj):
+            routines.append(obj)
+    assert engine.classify in routines and engine._Prepared.__init__ in routines
+    takers = [f.__qualname__ for f in routines
+              if {"jobs", "threads"} & set(inspect.signature(f).parameters)]
+    assert takers == ["_twin_run"]
+
+
 @needs_compiler
 def test_kernel_compiles_without_warnings(tmp_path):
     """The build's own flags, so warnings that only optimisation finds show too."""
@@ -874,9 +913,9 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
     a third and two thirds of its nodes; batches of one search through, and
     then avoiding, each cell run without a budget and at a third of that
     batch's largest search, so the shared tables and the budget's exits run
-    on every thread.  The expected lines come from the kernel on one thread:
-    status and nodes, and the count only when the enumeration finished; each
-    batch's found witnesses and summed nodes.
+    on every thread.  The expected lines come from the kernel in this process,
+    the enumeration on one thread: status and nodes, and the count only when
+    the enumeration finished; each batch's found witnesses and summed nodes.
     """
     decls, calls, expected = [], [], []
     for label, sq in cases:
@@ -894,11 +933,11 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
             expected.append(f"dfs {st} {'-' if count is None else count} {nodes}")
         for avoid in (0, 1):
             decls.append(_c_array(f"{label}_cells{avoid}", _cell_rows(prep.sym, cells, avoid)))
-            most = int(_search_cells(sq, cells, bool(avoid), None, 1)[1].max())
+            most = int(_search_cells(sq, cells, bool(avoid), None)[1].max())
             for budget in (-1, most // 3):
                 calls.append(f"batch({square}, {label}_cells{avoid}, {budget});")
                 status, nodes, _ = _search_cells(sq, cells, bool(avoid),
-                                                 None if budget < 0 else budget, 1)
+                                                 None if budget < 0 else budget)
                 expected.append(f"cells {(status == 1).sum()} {nodes.sum()}")
     source = "#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
 int64_t search(const int64_t *, const int64_t *, int64_t, const int64_t *, int64_t, int64_t,
@@ -1067,17 +1106,29 @@ def test_classify_enumeration_budget(twin):
     assert default.transversal_count is None and not default.partial
 
 
-def test_classify_jobs_do_not_change_report():
-    """Every field of every strategy's report, on one thread, two and every CPU."""
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform has no affinity masks")
+def test_classify_report_same_on_one_cpu():
+    """Every field of each strategy's report in a child process whose affinity mask holds
+    one CPU, so the kernel runs on one thread, equals this process's on every CPU."""
     sq = build_V(10)  # has a pinned cell, so both phases run
-    for strategy in ("enumerate", "per-cell"):
-        one, two, default = (_report_fields(classify(sq, strategy=strategy, jobs=jobs))
-                             for jobs in (1, 2, None))
-        assert one["pinned"]
-        assert one == two == default
-    for jobs in (0, -1):
-        with pytest.raises(DomainError, match="jobs"):
-            classify(sq, jobs=jobs)
+    script = ("import os, sys; from latintrav import _kernel; "
+              "from latintrav.engine import classify; from latintrav.families import build_V; "
+              "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+              "assert _kernel.cpu_count() == 1; "
+              "print(repr([classify(build_V(10), strategy=s) for s in sys.argv[1:]]))")
+    strategies = ("enumerate", "per-cell")
+    proc = subprocess.run([sys.executable, "-c", script, *strategies], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(_kernel._SOURCE.parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    reports = [classify(sq, strategy=strategy) for strategy in strategies]
+    assert reports[0].pinned and reports[0].transversal_count == 272
+    assert proc.stdout.strip() == repr(reports)
+
+
+def test_classify_rejects_unknown_strategy():
+    sq = build_V(10)
     for strategy in ("auto", "count"):
         with pytest.raises(DomainError, match="strategy"):
             classify(sq, strategy=strategy)
@@ -1169,9 +1220,9 @@ def test_pinned_verdicts_share_one_search(monkeypatch):
     calls = []
     real_find, real_search_cells = engine.find, engine._search_cells
 
-    def search_cells(square, cells, avoid, budget, threads):
+    def search_cells(square, cells, avoid, budget):
         calls.append(("cells", [tuple(cell) for cell in cells], avoid))
-        return real_search_cells(square, cells, avoid, budget, threads)
+        return real_search_cells(square, cells, avoid, budget)
 
     monkeypatch.setattr(engine, "find",
                         lambda *a, **kw: calls.append(("find", kw)) or real_find(*a, **kw))
