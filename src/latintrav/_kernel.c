@@ -10,8 +10,8 @@
  * search keeps, say for one required entry or one forbidden cell, is decided
  * by the caller (engine._Prepared, engine._cell_rows); the kernel only walks
  * the masks.  A batch of one full
- * enumeration is split across threads (split_walk); any other batch strides
- * its searches across threads, one thread per search.
+ * enumeration is split across threads (split_walk); in any other batch the
+ * threads take searches from one shared counter, one thread per search.
  *
  * It must stay behaviourally identical to the pure twin: rows ascending,
  * candidates in column order within a row, the same prunes, and one node per
@@ -353,10 +353,11 @@ static int64_t walk_first(const struct tree *t, struct walk *w, int64_t limit)
     return walk_body(t, w, 0, t->n, limit, 0, NULL, NULL);
 }
 
-/* Runs fn on `count` workers, worker i getting args + i * size; worker 0
- * runs on the calling thread, and a worker whose thread cannot be created
- * runs there too, after it.  Returns once every worker has finished. */
-static void run_workers(void *(*fn)(void *), char *args, size_t size, int64_t count)
+/* Runs fn(arg) on `count` workers, worker 0 on the calling thread, and
+ * returns once every worker has finished.  The workers take their work from
+ * one queue in arg, and worker 0 drains it, so a worker whose thread cannot
+ * be created leaves no work undone. */
+static void run_workers(void *(*fn)(void *), void *arg, int64_t count)
 {
     pthread_t tid[MAX_THREADS];
     int started[MAX_THREADS] = {0};
@@ -365,14 +366,11 @@ static void run_workers(void *(*fn)(void *), char *args, size_t size, int64_t co
     if (have_attr)
         pthread_attr_setstacksize(&attr, STACK_SIZE);
     for (int64_t i = 1; i < count; i++)
-        started[i] = pthread_create(&tid[i], have_attr ? &attr : NULL, fn, args + i * size) == 0;
-    fn(args);
-    for (int64_t i = 1; i < count; i++) {
+        started[i] = pthread_create(&tid[i], have_attr ? &attr : NULL, fn, arg) == 0;
+    fn(arg);
+    for (int64_t i = 1; i < count; i++)
         if (started[i])
             pthread_join(tid[i], NULL);
-        else
-            fn(args + i * size);
-    }
     if (have_attr)
         pthread_attr_destroy(&attr);
 }
@@ -428,7 +426,7 @@ static int64_t split_walk(const struct tree *t, struct walk *w, int64_t limit, i
     walk_all(t, w, 0, depth, limit, pre, NULL);
     struct split s = {.t = t, .pre = pre, .depth = depth, .ntasks = ntasks, .budget = limit,
                       .nodes = w->nodes};
-    run_workers(split_worker, (char *)&s, 0, threads);
+    run_workers(split_worker, &s, threads);
     free(pre);
     w->count = s.count;
     if (s.nodes > limit) {
@@ -439,30 +437,31 @@ static int64_t split_walk(const struct tree *t, struct walk *w, int64_t limit, i
     return s.count > 0;
 }
 
-/* The arguments of search, one copy per worker, which takes searches first,
- * first + workers, ... of the batch; split is the threads of a batch of one
- * full enumeration, 1 otherwise. */
+/* The arguments of search, shared by its workers, which take searches from
+ * next in order until none is left.  next is read and written atomically;
+ * the rest is read-only while the workers run. */
 struct batch {
     const struct grid *g;
     const int64_t *rows;
     int64_t *out;
-    int64_t n, k, transversal, prune, limit, enumerate_all, split, first, workers;
+    int64_t n, k, transversal, prune, limit, enumerate_all, threads;
+    int64_t next; /* the next search to take */
 };
 
 static void *batch_worker(void *arg)
 {
-    const struct batch *b = arg;
+    struct batch *b = arg;
     const int64_t n = b->n;
     struct tree t = {.g = b->g, .n = n, .transversal = b->transversal,
                      .target = n % 2 ? 0 : n / 2};
     struct walk w; /* not zeroed: about 32 KB */
-    for (int64_t j = b->first; j < b->k; j += b->workers) {
+    for (int64_t j; (j = __atomic_fetch_add(&b->next, 1, __ATOMIC_RELAXED)) < b->k;) {
         int64_t *out = b->out + j * (n + 3);
         int64_t status = mask_tree(&t, (const uint64_t *)b->rows + j * n, b->prune);
         w.count = w.nodes = 0;
         if (status == 1) {
-            if (b->split > 1) {
-                status = split_walk(&t, &w, b->limit, b->split);
+            if (b->enumerate_all && b->k == 1 && b->threads > 1) {
+                status = split_walk(&t, &w, b->limit, b->threads);
             } else {
                 start(&t, &w);
                 status = b->enumerate_all ? walk_all(&t, &w, 0, n, b->limit, NULL, NULL)
@@ -491,8 +490,8 @@ static void *batch_worker(void *arg)
  * prune    the delta-interval prune, and in first-hit searches
  *          (enumerate_all = 0) the forward check too
  * threads  a batch of one full enumeration (enumerate_all = 1) is split
- *          across them; any other batch runs its searches on min(threads, k)
- *          threads, each search on one
+ *          across them; in any other batch min(threads, k) threads take the
+ *          searches from one shared counter, each search on one thread
  * out      (k, n + 3): for each search its status, count and nodes, then the
  *          columns of the solution a first-hit search found, written only
  *          when its status is 1
@@ -508,7 +507,6 @@ int64_t search(const int64_t *sym, const int64_t *delta, int64_t n, const int64_
                int64_t enumerate_all, int64_t threads, int64_t *out)
 {
     struct grid g;
-    struct batch parts[MAX_THREADS];
     if (build_grid(&g, sym, delta, n, transversal) != 0)
         return -2;
     for (int64_t i = 0; i < k * n; i++)
@@ -516,15 +514,10 @@ int64_t search(const int64_t *sym, const int64_t *delta, int64_t n, const int64_
             return -2;
     if (threads > MAX_THREADS)
         threads = MAX_THREADS;
-    int64_t split = enumerate_all && k == 1 ? threads : 1;
-    int64_t workers = split > 1 ? 1 : threads < k ? threads : k;
-    for (int64_t i = 0; i < workers; i++)
-        parts[i] = (struct batch){.g = &g, .rows = rows, .out = out, .n = n, .k = k,
-                                  .transversal = transversal, .prune = prune,
-                                  .limit = budget < 0 ? INT64_MAX : budget,
-                                  .enumerate_all = enumerate_all, .split = split, .first = i,
-                                  .workers = workers};
-    if (workers > 0)
-        run_workers(batch_worker, (char *)parts, sizeof parts[0], workers);
+    struct batch b = {.g = &g, .rows = rows, .out = out, .n = n, .k = k,
+                      .transversal = transversal, .prune = prune,
+                      .limit = budget < 0 ? INT64_MAX : budget,
+                      .enumerate_all = enumerate_all, .threads = threads};
+    run_workers(batch_worker, &b, threads < k ? threads : k);
     return 0;
 }

@@ -16,8 +16,9 @@ A call runs on every CPU in the process's affinity mask (`cpu_count`), which
 walks the tree down to a split depth read from the tree and hands the
 subtrees below it to threads, which add their nodes to one shared pool and
 stop once it is over the budget.  That gives the one-thread walk's status
-and nodes for every budget, and its count and nodes when it finishes.  Any
-other batch strides its searches across the threads, each search on one.
+and nodes for every budget, and its count and nodes when it finishes.  In
+any other batch the threads take searches from one shared counter until none
+is left, each search on one thread.
 The threads are created and joined inside each call, so nothing outlives it
 or a fork.
 
@@ -172,8 +173,9 @@ def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bo
     a first-hit search with status 1 and is not written otherwise.
     A batch of one full enumeration runs on ``threads`` threads (default
     `cpu_count`), with the same status and nodes on any number, and the
-    same count when it finishes; any other batch shares its searches out
-    over them, one thread per search, which changes no result.
+    same count when it finishes; in any other batch min(threads, k)
+    threads take the searches from one shared counter, one thread per
+    search, which changes no result.
     Raises ValueError when an array breaks the kernel's layout (each symbol
     in 0..n-1, each delta in (-n, n)) or a row mask has a column outside
     0..n-1.  The caller has checked that `load` returns the kernel.

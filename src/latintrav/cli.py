@@ -53,7 +53,9 @@ def _emit(args, payload: dict, text_renderer=None) -> None:
 
 
 def _load_square(args) -> LatinSquare:
-    if getattr(args, "square", None):
+    if args.square:
+        if args.family or args.order is not None or args.m is not None:
+            raise DomainError("a square file takes no --family, --order or --m")
         text = Path(args.square).read_text(encoding="utf-8")
         if text.lstrip().startswith("{"):
             return from_json(text)
@@ -64,9 +66,10 @@ def _load_square(args) -> LatinSquare:
 
 
 def _add_square_source(p: argparse.ArgumentParser, positional: bool = True) -> None:
+    """A square file or family options; without the file, --family is required."""
     if positional:
         p.add_argument("square", nargs="?", help="square file (text or JSON form)")
-    p.add_argument("--family", choices=FAMILIES)
+    p.add_argument("--family", choices=FAMILIES, required=not positional)
     p.add_argument("--order", type=int)
     p.add_argument("--m", type=int, help="block size for family L")
 
@@ -233,9 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a family square and print/write it")
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--order", type=int)
-    p.add_argument("--m", type=int, help="block size for family L")
+    _add_square_source(p, positional=False)
     p.add_argument("--output", "-o", help="write to file instead of stdout")
     p.set_defaults(fn=cmd_construct)
 

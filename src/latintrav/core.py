@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
@@ -335,34 +336,42 @@ def serialize(square: LatinSquare) -> str:
     return "\n".join(lines) + "\n"
 
 
+# A plain decimal integer; int() also takes '+', '_' and non-ASCII digits, which parse refuses.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(token: str, what: str, line: int, column: int = 1) -> int:
+    """``token`` as an int when it is a plain decimal integer, else a ParseError."""
+    if _INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            pass
+    raise ParseError(f"{what}: {token!r}", line, column)
+
+
 def parse(text: str, family: str | None = None) -> LatinSquare:
-    """Parse the text form produced by :func:`serialize`."""
+    """Parse the text form produced by :func:`serialize`.
+
+    The order and every grid value must be a plain integer (``-?[0-9]+``).
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if not lines or not lines[0].strip():
+    order = lines[0].strip() if lines else ""
+    if not order:
         raise ParseError("missing order line", 1)
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise ParseError(f"order is not an integer: {lines[0].strip()!r}", 1) from None
+    n = _integer(order, "order is not an integer", 1)
     if n < 1:
         raise ParseError(f"order must be positive, got {n}", 1)
     if len(lines) - 1 != n:
         raise ParseError(f"expected {n} grid lines, found {len(lines) - 1}", len(lines))
     grid = []
     for i, line in enumerate(lines[1:], start=2):
-        tokens = line.split()
+        tokens = list(re.finditer(r"\S+", line))
         if len(tokens) != n:
             raise ParseError(f"expected {n} values, found {len(tokens)}", i)
-        row = []
-        for tok in tokens:
-            try:
-                row.append(int(tok))
-            except ValueError:
-                col = line.index(tok) + 1
-                raise ParseError(f"not an integer: {tok!r}", i, col) from None
-        grid.append(row)
+        grid.append([_integer(tok[0], "not an integer", i, tok.start() + 1) for tok in tokens])
     return new_square(n, grid, family=family)
 
 

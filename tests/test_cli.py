@@ -76,6 +76,35 @@ def test_classify_parse_error_exit_2(capsys, tmp_path):
     assert "column" in err
 
 
+def test_classify_non_plain_integer_exit_2(capsys, tmp_path):
+    """'0_0' is not read as 0: int() took it, so this file classified with exit 0."""
+    path = tmp_path / "underscore.txt"
+    path.write_text("2\n0 1\n1 0_0\n")
+    code, out, err = run(capsys, "classify", str(path), "--no-meta")
+    assert (code, out) == (2, "")
+    assert "line 3, column 3: not an integer: '0_0'" in err
+
+
+@pytest.mark.parametrize("command", [["classify"], ["transversal", "count"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("options", [["--family", "T", "--order", "12"], ["--order", "12"],
+                                     ["--m", "3"]], ids=["family", "order", "m"])
+def test_square_file_with_family_options_exit_2(capsys, tmp_path, command, options):
+    """A square file with --family, --order or --m is refused, not classified in their place."""
+    path = tmp_path / "v10.txt"
+    run(capsys, "construct", "--family", "V", "--order", "10", "-o", str(path))
+    code, out, err = run(capsys, *command, str(path), *options, "--no-meta")
+    assert (code, out) == (2, "")
+    assert "a square file takes no --family, --order or --m" in err
+
+
+def test_pinned_requires_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pinned", "--order", "12"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --family" in capsys.readouterr().err
+
+
 def test_classify_no_meta_is_deterministic(capsys):
     _, out1, _ = run(capsys, "classify", "--family", "V", "--order", "10", "--no-meta")
     _, out2, _ = run(capsys, "classify", "--family", "V", "--order", "10", "--no-meta")

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +102,43 @@ def test_parse_error_carries_position():
         parse("2\n0 1\n")
     with pytest.raises(ParseError):
         parse("x\n")
+
+
+@pytest.mark.parametrize("text, line, column, token", [
+    ("2\n0 1\n1 0_0\n", 3, 3, "0_0"),
+    ("2\n+0 1\n1 0\n", 2, 1, "+0"),
+    ("2\n0 1\n1 \u0660\n", 3, 3, "\u0660"),
+    ("2\n0  \uff11\n1 0\n", 2, 4, "\uff11"),
+    ("2\n0 1.0\n1 0\n", 2, 3, "1.0"),
+    ("2\n0 --1\n1 0\n", 2, 3, "--1"),
+    ("+2\n0 1\n1 0\n", 1, 1, "+2"),
+    ("2_0\n", 1, 1, "2_0"),
+    ("\u0662\n0 1\n1 0\n", 1, 1, "\u0662"),
+], ids=["underscore", "plus", "arabic-indic-zero", "fullwidth-one", "decimal-point",
+        "double-minus", "order-plus", "order-underscore", "order-arabic-indic-two"])
+def test_parse_accepts_only_plain_integers(text, line, column, token):
+    """Grid values and the order match ASCII ``-?[0-9]+``: int() alone took '0_0', '+0' and
+    non-ASCII digits, so a mistyped file classified as a different square."""
+    with pytest.raises(ParseError, match=re.escape(repr(token))) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_parse_keeps_minus_and_surrounding_whitespace():
+    assert parse(" 2 \n 0\t 1 \n1 0\n").grid == ((0, 1), (1, 0))
+    with pytest.raises(BadSymbol, match="outside"):
+        parse("2\n0 -1\n1 0\n")
+    with pytest.raises(ParseError, match="order must be positive"):
+        parse("-2\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() has no digit limit")
+def test_parse_error_for_more_digits_than_int_converts():
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError, match="not an integer") as exc:
+        parse(f"2\n0 1\n1 {digits}\n")
+    assert (exc.value.line, exc.value.column) == (3, 3)
 
 
 def test_json_round_trip_keeps_family():

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import sysconfig
 from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1001,6 +1002,47 @@ def test_threads_race_free_under_thread_sanitizer(tmp_path):
     assert "ThreadSanitizer" not in proc.stderr, proc.stderr
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == expected
+
+
+@needs_compiler
+def test_no_thread_created_leaves_no_search_undone(tmp_path, monkeypatch):
+    """A kernel whose pthread_create always fails with EAGAIN: the calling thread
+    alone takes every search of a batch and every task of a split enumeration, so
+    at threads=3 each result is the normal kernel's on one thread.
+
+    Skips where the compiler cannot build that kernel.
+    """
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    stub = tmp_path / "no_thread.c"
+    stub.write_text("#include <errno.h>\n"
+                    "int lt_no_thread(void *t, const void *a, void *(*f)(void *), void *arg) "
+                    "{ (void)t; (void)a; (void)f; (void)arg; return EAGAIN; }\n")
+    lib_path = tmp_path / "kernel_no_thread.so"
+    built = subprocess.run([*cc, *_kernel.CFLAGS, "-Dpthread_create=lt_no_thread",
+                            str(_kernel._SOURCE), str(stub), "-o", str(lib_path)],
+                           capture_output=True, text=True)
+    if built.returncode != 0:
+        pytest.skip(f"the compiler cannot build the kernel without threads: {built.stderr}")
+    lib = ctypes.CDLL(str(lib_path))
+    lib.search.argtypes = _kernel.load().search.argtypes
+    lib.search.restype = ctypes.c_int64
+    sq = build_V(16)
+    prep = _Prepared(sq, SearchConstraints.make())
+    cells = _cell_rows(prep.sym, np.indices((16, 16)).reshape(2, -1).T, False)
+    cases = [(cells, None, False), (None, None, True), (None, 1_000_000, True)]
+    expected = [_reduced(_kernel.run, prep, True, budget, enumerate_all, 1, rows)
+                for rows, budget, enumerate_all in cases]
+
+    def search(*args):  # every output word -1 first, so a search left undone shows
+        n, k, out = args[2], args[4], args[-1]
+        ctypes.memset(out, 0xFF, k * (n + 3) * 8)
+        return lib.search(*args)
+
+    monkeypatch.setattr(_kernel, "load", lambda: SimpleNamespace(search=search))
+    for (rows, budget, enumerate_all), want in zip(cases, expected):
+        assert _reduced(_kernel.run, prep, True, budget, enumerate_all, 3, rows) == want
+    assert len(expected[0]) == 256 and expected[1][0][2] == 54_400_976
+    assert expected[2] == [(-1, None, 1_000_001, None)]
 
 
 def test_classify_exceptional_6():
