@@ -22,6 +22,8 @@ from .core import (
     DomainError,
     LatinSquare,
     LatinSquareError,
+    ParseError,
+    _integer,
     from_json,
     parse,
     serialize,
@@ -65,17 +67,25 @@ def _load_square(args) -> LatinSquare:
     raise LatinSquareError("provide a square file or --family/--order")
 
 
+def _plain_int(text: str) -> int:
+    """An integer option value: plain ``-?[0-9]+`` only, the rule `core.parse` applies."""
+    try:
+        return _integer(text, "not a plain integer", 1)
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"not a plain integer: {text!r}") from None
+
+
 def _add_square_source(p: argparse.ArgumentParser, positional: bool = True) -> None:
     """A square file or family options; without the file, --family is required."""
     if positional:
         p.add_argument("square", nargs="?", help="square file (text or JSON form)")
     p.add_argument("--family", choices=FAMILIES, required=not positional)
-    p.add_argument("--order", type=int)
-    p.add_argument("--m", type=int, help="block size for family L")
+    p.add_argument("--order", type=_plain_int)
+    p.add_argument("--m", type=_plain_int, help="block size for family L")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=None, help="node budget per search")
+    p.add_argument("--budget", type=_plain_int, default=None, help="node budget per search")
     p.add_argument("--format", choices=["text", "json"], default="json")
     p.add_argument("--no-meta", action="store_true", help="omit timestamp/meta block")
 
@@ -111,8 +121,8 @@ def _render_classify(payload: dict) -> str:
 def _spec(spec: str, metavar: str) -> tuple[int, ...]:
     """One ``--require`` (R,C,S) or ``--forbid`` (R,C) value as its integers."""
     try:
-        values = tuple(int(v) for v in spec.split(","))
-    except ValueError:
+        values = tuple(map(_plain_int, spec.split(",")))
+    except argparse.ArgumentTypeError:
         values = ()
     if len(values) != metavar.count(",") + 1:
         raise DomainError(f"expected {metavar} as integers, got {spec!r}")
@@ -263,19 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="transversal-free lower-bound check")
     p.add_argument("--family", choices=["T", "U", "V"], required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_plain_int, required=True)
     p.add_argument("--sets-only", action="store_true",
                    help="skip classification; set arithmetic only")
     _add_common(p)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("blocks", help="block-hit theorem verification")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_plain_int, required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_blocks)
 
     p = sub.add_parser("table1", help="lower bound vs computed tau per even order")
-    p.add_argument("--max-order", type=int, default=16)
+    p.add_argument("--max-order", type=_plain_int, default=16)
     _add_common(p)
     p.set_defaults(fn=cmd_table1)
     return ap

@@ -75,12 +75,28 @@ class Entry:
         return (self.row, self.col, self.sym)
 
 
+def _require_integers(kinds, error: type[LatinSquareError], what: str) -> None:
+    """Raise ``error`` unless every type in ``kinds`` is an integer type: int or a
+    numpy integer, never bool.  Grid values, permutations and coordinates obey it."""
+    for kind in set(kinds):
+        if not issubclass(kind, (int, np.integer)) or kind is bool:
+            raise error(f"{what} must be integers, got {kind.__name__}")
+
+
 def _as_rcs(entry) -> tuple[int, int, int]:
-    """Accept an Entry or a plain (row, col, sym) triple."""
+    """Accept an Entry or a plain (row, col, sym) triple of integers (else DomainError)."""
     if isinstance(entry, Entry):
         return entry.as_tuple()
     r, c, s = entry
+    _require_integers(map(type, (r, c, s)), DomainError, "entry coordinates")
     return (int(r), int(c), int(s))
+
+
+def _as_rc(cell) -> tuple[int, int]:
+    """Accept a plain (row, col) pair of integers (else DomainError)."""
+    r, c = cell
+    _require_integers(map(type, (r, c)), DomainError, "cell coordinates")
+    return (int(r), int(c))
 
 
 def _check_family(family: str | None) -> None:
@@ -89,7 +105,9 @@ def _check_family(family: str | None) -> None:
 
 
 def _check_permutation(seq: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in seq)
+    vals = tuple(seq)
+    _require_integers(map(type, vals), BadPermutation, what)
+    vals = tuple(map(int, vals))
     if len(vals) != n or set(vals) != set(range(n)):
         raise BadPermutation(f"{what} is not a permutation of 0..{n - 1}: {vals!r}")
     return vals
@@ -102,7 +120,8 @@ class Diagonal:
     cols: tuple[int, ...]
 
     def __post_init__(self):
-        _check_permutation(self.cols, len(self.cols), "diagonal column map")
+        object.__setattr__(self, "cols",
+                           _check_permutation(self.cols, len(self.cols), "diagonal column map"))
 
     @property
     def order(self) -> int:
@@ -141,11 +160,10 @@ def is_transversal(square: "LatinSquare", diag) -> bool:
 
 def as_transversal(square: "LatinSquare", diag) -> Transversal:
     """Validate symbol distinctness against `square` and wrap the columns."""
-    cols = diagonal_cols(diag)
-    t = Transversal(cols)
+    t = Transversal(diag.cols if isinstance(diag, Diagonal) else tuple(diag))
     syms = t.symbols(square)
     if len(set(syms)) != square.order:
-        raise NotTransversal(f"columns {cols!r} repeat a symbol: {syms!r}")
+        raise NotTransversal(f"columns {t.cols!r} repeat a symbol: {syms!r}")
     return t
 
 
@@ -227,9 +245,7 @@ def _grid_array(grid) -> np.ndarray:
             kinds = set(map(type, chain.from_iterable(grid)))
         except TypeError:
             raise DomainError("grid must be a sequence of rows") from None
-    for kind in kinds:
-        if not issubclass(kind, (int, np.integer)) or kind is bool:
-            raise BadSymbol(f"grid values must be integers, got {kind.__name__}")
+    _require_integers(kinds, BadSymbol, "grid values")
     try:
         return np.array(grid, dtype=np.int64, order="C")
     except OverflowError:

@@ -44,6 +44,7 @@ from .core import (
     LatinSquare,
     LatinSquareError,
     Transversal,
+    _as_rc,
     _as_rcs,
     as_transversal,
 )
@@ -87,7 +88,7 @@ class SearchConstraints:
     def make(cls, required=(), forbidden_cells=(), mode=SearchMode.TRANSVERSAL,
              node_budget=None) -> "SearchConstraints":
         req = frozenset(Entry(*_as_rcs(e)) for e in required)
-        forb = frozenset((int(r), int(c)) for r, c in forbidden_cells)
+        forb = frozenset(map(_as_rc, forbidden_cells))
         return cls(req, forb, mode, node_budget)
 
     def validate(self, square: LatinSquare) -> None:
@@ -171,12 +172,15 @@ def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, transversal
                first_hit: bool) -> Iterator[tuple[int, ...]]:
     """Pure-python twin of one kernel search over the masks ``rows``; yields column tuples lazily.
 
-    Like the kernel's ``mask_tree``, it works out the target residue and the
-    delta sum's suffix bounds from the masks.  A ``first_hit`` caller, which
-    takes at most the first solution, also gets the forward check when
-    ``prune`` is on: a candidate is dropped, after its node is counted, when
-    placing it leaves a later row without a candidate whose column (and, in
-    a transversal search, symbol) is free, as in the kernel.
+    It walks a stack of row iterators: each open row keeps an iterator over
+    its candidates, and every candidate it takes counts one node in
+    ``counter``, placed or not.  Like the kernel's ``mask_tree``, it works
+    out the target residue and the delta sum's suffix bounds from the masks.
+    A ``first_hit`` caller, which takes at most the first solution, also gets
+    the forward check when ``prune`` is on: a candidate is dropped, after its
+    node is counted, when placing it leaves a later row without a candidate
+    whose column (and, in a transversal search, symbol) is free, as in the
+    kernel.
     """
     n = len(sym)
     # each row's candidates as (col, sym, delta), columns ascending
@@ -191,64 +195,41 @@ def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, transversal
     forward = prune and first_hit
     if prune and lo_suf[0] + ((target - lo_suf[0]) % n) > hi_suf[0]:
         return  # the target residue is unreachable from the root
-    limit = -1 if budget is None else budget
+    stop = -1 if budget is None else int(budget) + 1  # the node that overruns the budget
     sol = [0] * n
-    idx = [0] * (n + 1)
-    ucols = [0] * (n + 1)
-    usyms = [0] * (n + 1)
-    dsum = [0] * (n + 1)
-    depth = 0
-    nodes = counter.nodes
-    while depth >= 0:
-        if depth == n:
-            if transversal or dsum[n] % n == target:
-                counter.nodes = nodes
-                yield tuple(sol)
-            depth -= 1
-            continue
-        row = cand[depth]
-        length = len(row)
-        i = idx[depth]
-        uc = ucols[depth]
-        us = usyms[depth]
-        ds = dsum[depth]
-        moved = False
-        while i < length:
-            nodes += 1
-            if 0 <= limit < nodes:
-                counter.nodes = nodes
-                raise BudgetExceeded(nodes)
-            c, s, d = row[i]
-            i += 1
-            if uc >> c & 1:
-                continue
-            if transversal and us >> s & 1:
+    # one open row per depth: its candidate iterator and the used columns, used
+    # symbols and delta sum of the rows above it
+    stack = [(iter(cand[0]), 0, 0, 0)]
+    while stack:
+        depth = len(stack) - 1
+        below = depth + 1
+        lo_rest, hi_rest = lo_suf[below], hi_suf[below]
+        row, uc, us, ds = stack[-1]
+        for c, s, d in row:
+            counter.nodes += 1
+            if counter.nodes == stop:
+                raise BudgetExceeded(counter.nodes)
+            if uc >> c & 1 or transversal and us >> s & 1:
                 continue
             nd = ds + d
             if prune:
-                lo = nd + lo_suf[depth + 1]
-                hi = nd + hi_suf[depth + 1]
-                if lo + ((target - lo) % n) > hi:
+                lo = nd + lo_rest
+                if lo + ((target - lo) % n) > nd + hi_rest:
                     continue
             uc_next = uc | 1 << c
             us_next = us | 1 << s if transversal else us
             if forward and not all(
                     any(not (uc_next >> c2 & 1 or us_next >> s2 & 1) for c2, s2, _ in cand[r])
-                    for r in range(depth + 1, n)):
+                    for r in range(below, n)):
                 continue
-            idx[depth] = i
             sol[depth] = c
-            ucols[depth + 1] = uc_next
-            usyms[depth + 1] = us_next
-            dsum[depth + 1] = nd
-            depth += 1
-            idx[depth] = 0
-            moved = True
-            break
-        if not moved:
-            idx[depth] = i
-            depth -= 1
-    counter.nodes = nodes
+            if below < n:
+                stack.append((iter(cand[below]), uc_next, us_next, nd))
+                break
+            if transversal or nd % n == target:
+                yield tuple(sol)
+        else:
+            stack.pop()
 
 
 def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,

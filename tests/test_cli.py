@@ -85,6 +85,37 @@ def test_classify_non_plain_integer_exit_2(capsys, tmp_path):
     assert "line 3, column 3: not an integer: '0_0'" in err
 
 
+T12_FIND = ["transversal", "find", "--family", "T", "--order", "12"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transversal", "find", "--family", "T", "--order", "1_2"],
+     "argument --order: not a plain integer: '1_2'"),
+    (["classify", "--family", "V", "--order", "\u0661\u0660"],
+     "argument --order: not a plain integer: '\u0661\u0660'"),
+    (["classify", "--family", "V", "--order", "10", "--budget", "1_0"],
+     "argument --budget: not a plain integer: '1_0'"),
+    (["construct", "--family", "L", "--m", "+3"], "argument --m: not a plain integer: '+3'"),
+    (["blocks", "--m", "\uff13"], "argument --m: not a plain integer: '\uff13'"),
+    (["table1", "--max-order", "1e1"], "argument --max-order: not a plain integer: '1e1'"),
+    ([*T12_FIND, "--require", "+1,0,3"], "expected R,C,S as integers, got '+1,0,3'"),
+    ([*T12_FIND, "--require", "1,0_0,3"], "expected R,C,S as integers, got '1,0_0,3'"),
+    ([*T12_FIND, "--require", "1,0,\u0663"], "expected R,C,S as integers, got '1,0,\u0663'"),
+    ([*T12_FIND, "--forbid", " 1,0"], "expected R,C as integers, got ' 1,0'"),
+], ids=["order-underscore", "order-arabic-indic", "budget-underscore", "m-plus", "m-fullwidth",
+        "max-order-exponent", "require-plus", "require-underscore", "require-arabic-indic",
+        "forbid-space"])
+def test_integer_options_take_only_plain_integers(capsys, argv, message):
+    """int() took each of these ('1_2' as 12, '+1' as 1, '\u0663' as 3), and the command ran."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects an option value
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert message in out.err
+
+
 @pytest.mark.parametrize("command", [["classify"], ["transversal", "count"]],
                          ids=lambda c: c[0])
 @pytest.mark.parametrize("options", [["--family", "T", "--order", "12"], ["--order", "12"],

@@ -21,6 +21,7 @@ from latintrav import (
     as_transversal,
     cayley_table,
     classify,
+    find,
     from_json,
     is_transversal,
     new_square,
@@ -305,6 +306,36 @@ def test_integer_grids_of_any_integer_type_accepted():
         sq = LatinSquare(grid)
         assert sq.grid == want and sq.to_array().dtype == np.int64
         assert {type(v) for row in sq.grid for v in row} == {int}
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: Diagonal((0.5, 1)), BadPermutation),
+    (lambda: Diagonal((True, False)), BadPermutation),
+    (lambda: Isotopism((0.5, 1), (0, 1), (0, 1)), BadPermutation),
+    (lambda: as_transversal(cayley_table(3), ("0", "1", "2")), BadPermutation),
+    (lambda: find(build_V(10), required=[(0.7, 0, 0)]), DomainError),
+    (lambda: find(build_V(10), forbidden_cells=[(0.2, 0.9)]), DomainError),
+    (lambda: find(build_V(10), forbidden_cells=[(True, False)]), DomainError),
+], ids=["diagonal-float", "diagonal-bool", "isotopism-float", "transversal-str",
+        "required-float", "forbidden-float", "forbidden-bool"])
+def test_non_integer_coordinates_rejected(call, error):
+    """Coordinates follow the grid rule: Diagonal((0.5, 1)) kept cols (0.5, 1), the
+    isotopism and the search constraints truncated 0.5 and 0.7 to 0, read True as 1,
+    and the transversal took the strings "0", "1", "2"."""
+    with pytest.raises(error, match="must be integers"):
+        call()
+
+
+def test_integer_coordinates_of_any_integer_type_accepted():
+    sq = cayley_table(3)
+    for cols in ((0, 1, 2), [0, 1, 2], np.array([0, 1, 2]), (np.int8(0), np.uint16(1), 2)):
+        for diag in (Diagonal(cols), as_transversal(sq, cols)):
+            assert diag.cols == (0, 1, 2) and set(map(type, diag.cols)) == {int}
+    v10 = build_V(10)
+    assert find(v10, required=[(np.int64(0), np.int32(1), v10[0, 1])]) == \
+        find(v10, required=[(0, 1, v10[0, 1])])
+    assert find(v10, forbidden_cells=[(np.int64(1), np.uint8(1))]) == \
+        find(v10, forbidden_cells=[(1, 1)])
 
 
 @pytest.mark.parametrize("order", ["2", 2.0, 2.7, True, None, [2]])

@@ -89,6 +89,12 @@ def test_enumeration_is_lexicographic_and_deterministic():
     assert first == second == sorted(first)
 
 
+def test_twin_walk_is_not_bounded_by_the_recursion_limit():
+    """One row per level of a 1001-deep walk: a twin that recursed once per row
+    raised RecursionError here.  The identity is the first transversal of Z_1001."""
+    assert next(iter_solutions(cayley_table(1001))).cols == tuple(range(1001))
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_pruning_soundness_small(n, oracle):
     sq = cayley_table(n)
