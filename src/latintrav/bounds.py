@@ -117,29 +117,37 @@ def _masks(family: str, n: int) -> tuple[LatinSquare, tuple[Entry, ...], dict[st
             f"{family}{n}: column/symbol sets disagree with the forced cells")
     outside = np.ones((n, n), bool)
     outside[[e.row for e in pinned], [e.col for e in pinned]] = False
-    in_cols = np.zeros((n, n), bool)
-    in_cols[:, sorted(cols)] = True
-    masks = {"N": in_cols & outside,
-             "O": np.isin(square.to_array(), sorted(syms)) & outside}
+    is_col = np.zeros(n, bool)
+    is_col[sorted(cols)] = True
+    is_sym = np.zeros(n, bool)
+    is_sym[sorted(syms)] = True
+    masks = {"N": is_col & outside,
+             "O": is_sym[square.to_array()] & outside}
     dg = delta_grid(square)
     for name, rows in zip("PQR", _off_max_rows(family, k)):
         idx = [r for r, _ in rows]
+        want = np.array([d for _, d in rows], np.int64).reshape(-1, 1)
         mask = np.zeros((n, n), bool)
-        mask[idx] = dg[idx] != np.array([d for _, d in rows], np.int64).reshape(-1, 1)
-        masks[name] = mask & outside
+        mask[idx] = (dg[idx] != want) & outside[idx]
+        masks[name] = mask
     return square, pinned, masks
 
 
 def _union_mask(family: str, n: int) -> np.ndarray:
-    return np.logical_or.reduce(list(_masks(family, n)[2].values()))
+    masks = iter(_masks(family, n)[2].values())
+    union = next(masks).copy()
+    for mask in masks:
+        union |= mask
+    return union
 
 
 def bound_sets(family: str, n: int) -> BoundSets:
     square, pinned, masks = _masks(family, n)
-    grid = square.grid
+    arr = square.to_array()
 
     def cells(mask):
-        return frozenset(Entry(r, c, grid[r][c]) for r, c in np.argwhere(mask).tolist())
+        rows, cols = np.nonzero(mask)
+        return frozenset(map(Entry, rows.tolist(), cols.tolist(), arr[rows, cols].tolist()))
 
     return BoundSets(
         family=family,

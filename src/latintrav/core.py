@@ -85,9 +85,7 @@ def _require_integers(kinds, error: type[LatinSquareError], what: str) -> None:
 
 def _as_rcs(entry) -> tuple[int, int, int]:
     """Accept an Entry or a plain (row, col, sym) triple of integers (else DomainError)."""
-    if isinstance(entry, Entry):
-        return entry.as_tuple()
-    r, c, s = entry
+    r, c, s = entry.as_tuple() if isinstance(entry, Entry) else entry
     _require_integers(map(type, (r, c, s)), DomainError, "entry coordinates")
     return (int(r), int(c), int(s))
 
@@ -131,7 +129,7 @@ class Diagonal:
         return tuple(square.entry(r, c) for r, c in enumerate(self.cols))
 
     def symbols(self, square: "LatinSquare") -> tuple[int, ...]:
-        return tuple(square.grid[r][c] for r, c in enumerate(self.cols))
+        return tuple(square.to_array()[range(len(self.cols)), self.cols].tolist())
 
 
 @dataclass(frozen=True)
@@ -144,10 +142,12 @@ class Transversal(Diagonal):
 
 
 def diagonal_cols(diag) -> tuple[int, ...]:
-    """Accept a Diagonal/Transversal or a plain column sequence."""
+    """Accept a Diagonal/Transversal or a plain sequence of integers (else BadPermutation)."""
     if isinstance(diag, Diagonal):
         return diag.cols
-    return tuple(map(int, diag))
+    cols = tuple(diag)
+    _require_integers(map(type, cols), BadPermutation, "diagonal columns")
+    return cols
 
 
 def is_transversal(square: "LatinSquare", diag) -> bool:
@@ -171,10 +171,12 @@ class LatinSquare:
     """A validated n x n latin square over symbols 0..n-1.
 
     Instances are immutable after construction and safe to share across
-    concurrent workers; every analysis produces new values.
+    concurrent workers; every analysis produces new values.  The values live
+    in one int64 array; ``grid``, the same values as a tuple of row tuples of
+    Python ints, is built on first access and kept.
     """
 
-    __slots__ = ("order", "grid", "family", "_array", "_delta_grid", "__weakref__")
+    __slots__ = ("order", "family", "_array", "_grid", "_delta_grid", "__weakref__")
 
     def __init__(self, grid, family: str | None = None):
         arr = _grid_array(grid)
@@ -187,18 +189,28 @@ class LatinSquare:
             raise BadSymbol(f"value {int(arr[r, c])} at ({r},{c}) outside 0..{n - 1}")
         _validate_latin(arr)
         self.order = n
-        self.grid = tuple(map(tuple, arr.tolist()))  # tolist() already gives Python ints
         self.family = family
         arr.setflags(write=False)
         self._array = arr
+        self._grid = None
         self._delta_grid = None
+
+    @property
+    def grid(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of Python ints, built on first access.
+
+        Two threads that miss at once each build an equal tuple; either is kept.
+        """
+        if self._grid is None:
+            self._grid = tuple(map(tuple, self._array.tolist()))
+        return self._grid
 
     def to_array(self) -> np.ndarray:
         """The grid as a read-only, C-contiguous int64 array owned by the square."""
         return self._array
 
     def entry(self, row: int, col: int) -> Entry:
-        return Entry(row, col, self.grid[row][col])
+        return Entry(row, col, int(self._array[row, col]))
 
     def entries(self) -> Iterator[Entry]:
         for r, row in enumerate(self.grid):
@@ -209,19 +221,19 @@ class LatinSquare:
         _check_family(family)
         sq = LatinSquare.__new__(LatinSquare)
         sq.order = self.order
-        sq.grid = self.grid
         sq.family = family
         sq._array = self._array
+        sq._grid = self._grid
         sq._delta_grid = self._delta_grid
         return sq
 
     def __getitem__(self, rc: tuple[int, int]) -> int:
         r, c = rc
-        return self.grid[r][c]
+        return int(self._array[r, c])
 
     def __eq__(self, other) -> bool:
         # Family is metadata; equality is the mathematical identity.
-        return isinstance(other, LatinSquare) and self.grid == other.grid
+        return isinstance(other, LatinSquare) and np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
         return hash(self.grid)
@@ -255,16 +267,25 @@ def _grid_array(grid) -> np.ndarray:
 
 
 def _validate_latin(arr: np.ndarray) -> None:
+    """NotLatin for the first repeat, rows before columns; values are already in 0..n-1.
+
+    A line of n values in 0..n-1 repeats one exactly when it misses one, so one
+    boolean table per axis finds that some line does.
+    """
     n = arr.shape[0]
-    ref = np.arange(n, dtype=np.int64)
-    if (np.sort(arr, axis=1) != ref).any():
+    idx = np.arange(n)
+    has = np.zeros((n, n), dtype=bool)
+    has[idx.reshape(-1, 1), arr] = True  # has[r, s]: row r holds symbol s
+    if not has.all():
         for r in range(n):
             seen = set()
             for v in arr[r]:
                 if v in seen:
                     raise NotLatin("row", r, int(v))
                 seen.add(int(v))
-    if (np.sort(arr, axis=0) != ref.reshape(-1, 1)).any():
+    has[:] = False
+    has[arr, idx] = True  # has[s, c]: column c holds symbol s
+    if not has.all():
         for c in range(n):
             seen = set()
             for v in arr[:, c]:
@@ -348,7 +369,7 @@ def _isotopism_image(square: LatinSquare, iso: Isotopism) -> np.ndarray:
 def serialize(square: LatinSquare) -> str:
     """Text form: first line is n, then n lines of n space-separated symbols."""
     lines = [str(square.order)]
-    lines.extend(" ".join(str(v) for v in row) for row in square.grid)
+    lines.extend(" ".join(map(str, row)) for row in square.to_array().tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -394,7 +415,7 @@ def parse(text: str, family: str | None = None) -> LatinSquare:
 def to_json_dict(square: LatinSquare) -> dict:
     return {
         "order": square.order,
-        "grid": [list(row) for row in square.grid],
+        "grid": square.to_array().tolist(),
         "family": square.family,
     }
 

@@ -16,6 +16,7 @@ unavoidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -59,8 +60,10 @@ def delta_grid(square: LatinSquare) -> np.ndarray:
         return cached
     n = square.order
     idx = np.arange(n, dtype=np.int64)
-    v = (square.to_array() - idx.reshape(-1, 1) - idx) % n
-    v = np.where(2 * v > n, v - n, v)
+    v = square.to_array() - idx.reshape(-1, 1)
+    v -= idx
+    v %= n
+    np.subtract(v, n, out=v, where=v > n // 2)
     v.setflags(write=False)
     square._delta_grid = v
     return v
@@ -101,7 +104,7 @@ class DeltaProfile:
 
 def delta_profile(square: LatinSquare) -> DeltaProfile:
     dg = delta_grid(square)
-    grid = square.grid
+    arr = square.to_array()
     row_min = dg.min(axis=1)
     row_max = dg.max(axis=1)
     argmin = []
@@ -109,8 +112,8 @@ def delta_profile(square: LatinSquare) -> DeltaProfile:
     for r in range(square.order):
         lo_cols = np.flatnonzero(dg[r] == row_min[r])
         hi_cols = np.flatnonzero(dg[r] == row_max[r])
-        argmin.append(tuple(Entry(r, int(c), grid[r][c]) for c in lo_cols))
-        argmax.append(tuple(Entry(r, int(c), grid[r][c]) for c in hi_cols))
+        argmin.append(tuple(map(Entry, repeat(r), lo_cols.tolist(), arr[r, lo_cols].tolist())))
+        argmax.append(tuple(map(Entry, repeat(r), hi_cols.tolist(), arr[r, hi_cols].tolist())))
     return DeltaProfile(
         row_min=tuple(int(v) for v in row_min),
         row_max=tuple(int(v) for v in row_max),
@@ -203,7 +206,8 @@ def special_symbol_delta_check(square: LatinSquare, transversal, m: int) -> bool
     """
     from .families import build_family  # deferred; families depends on this module
 
-    if square.order != 3 * m or square.grid != build_family("L", m=m).grid:
+    arr = square.to_array()
+    if square.order != 3 * m or not np.array_equal(arr, build_family("L", m=m).to_array()):
         raise NotBlockSquare(f"square is not the order-{3 * m} block square")
     cols = diagonal_cols(transversal)
     if not is_transversal(square, cols):
@@ -211,8 +215,7 @@ def special_symbol_delta_check(square: LatinSquare, transversal, m: int) -> bool
     special = {0, 2 * m - 1, 3 * m - 1}
     zeros = 0
     tops = 0
-    for r, c in enumerate(cols):
-        s = square.grid[r][c]
+    for r, (c, s) in enumerate(zip(cols, arr[range(3 * m), cols].tolist())):
         dm = (r + c) % m
         if s in special:
             if dm == 0:

@@ -47,8 +47,10 @@ from .core import (
     _as_rc,
     _as_rcs,
     as_transversal,
+    is_transversal,
 )
 from .delta import OddOrder, delta_grid
+from .families import witness_transversal
 
 FREE = "FREE"
 COVERED = "COVERED"
@@ -97,7 +99,7 @@ class SearchConstraints:
         for e in self.required:
             if not (0 <= e.row < square.order and 0 <= e.col < square.order):
                 raise DomainError(f"required entry {e} outside the square")
-            if square.grid[e.row][e.col] != e.sym:
+            if square[e.row, e.col] != e.sym:
                 raise DomainError(f"required entry {e} is not an entry of the square")
             if e.row in rows or e.col in cols or e.sym in syms:
                 raise DomainError("required entries must be pairwise row/col/sym disjoint")
@@ -564,18 +566,30 @@ def is_pinned(square: LatinSquare, entry, *, node_budget: int | None = None) -> 
 
 def pinned_verdicts(square: LatinSquare, entries, *,
                     node_budget: int | None = None) -> tuple[bool, ...]:
-    """`is_pinned` for each entry: one unconstrained search, then one batch avoiding each cell."""
+    """`is_pinned` for each entry: is there a transversal, then one batch avoiding each cell."""
     _check_budget(node_budget)
     cells = []
     for entry in entries:
         SearchConstraints.make(required=(entry,)).validate(square)
         cells.append(_as_rcs(entry)[:2])
-    if not cells or find(square, node_budget=node_budget) is None:
+    if not cells or not _has_transversal(square, node_budget):
         return (False,) * len(cells)
     status, nodes, _ = _search_cells(square, cells, True, node_budget)
     if (status == -1).any():
         raise BudgetExceeded(int(nodes[status == -1][0]))
     return tuple((status == 0).tolist())
+
+
+def _has_transversal(square: LatinSquare, node_budget: int | None) -> bool:
+    """True when the square's family witness is a transversal of this very square,
+    else whether one unconstrained search finds one."""
+    try:
+        witness = witness_transversal(square.family, square.order)
+    except DomainError:  # no family, no witness, or an order the family does not cover
+        witness = None
+    if witness is not None and is_transversal(square, witness):
+        return True
+    return find(square, node_budget=node_budget) is not None
 
 
 def find_disjoint_pair(square: LatinSquare, *,

@@ -11,11 +11,15 @@ Three even-order families carry floor(n/6) cells that every suitable diagonal
 subsquares that every transversal must hit.  ``EX6``/``EX8`` are fixed order-6
 and order-8 squares with large transversal-free regions.
 
-Each grid is defined by a list of cases over the cell coordinates (a, b),
-evaluated top to bottom with the first match winning.  The cases are intended
-to be mutually exclusive; builders verify that and fail loudly on overlap.
-All column/symbol arithmetic is reduced mod n after evaluating over the
-integers, while mod-2 / mod-3 guards read the plain representatives 0..n-1.
+Each T/U/V grid is the base grid a + b plus an offset given by a list of
+cases over the cell coordinates (a, b).  A case names the rows it can match
+(one row, a run of rows a = residue mod 3, or the rows of its listed cells)
+and its condition is evaluated over those rows only, so a build holds the
+grid, an int8 offset and an int8 hit count per cell and no per-case n x n
+mask.  The cases are mutually exclusive; builders count the hits per cell and
+fail loudly on overlap.  All column/symbol arithmetic is reduced mod n after
+evaluating over the integers, while mod-2 / mod-3 guards read the plain
+representatives 0..n-1.  ``L`` is filled block by block from one circulant.
 
 ``build_family`` dispatches on one table of the families (order rule, builder,
 witness columns) and hands out the square some caller already holds for the
@@ -105,137 +109,150 @@ def family_of_order(n: int) -> str:
     return next(f for f, (residue, _) in _TUV.items() if n % 6 == residue)
 
 
-def _cells(n: int, coords) -> np.ndarray:
-    mask = np.zeros((n, n), dtype=bool)
-    for r, c in coords:
-        mask[r, c] = True
-    return mask
+class _Case(NamedTuple):
+    """Cells (a, b) with a in ``rows`` and ``when(a, b)`` true get ``offset``."""
+
+    rows: slice
+    when: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (rows x 1, 1 x n) -> mask
+    offset: int
 
 
-def _first_match_grid(n: int, conds, offsets, family: str) -> LatinSquare:
-    """Base grid (a+b) plus the offset of the first matching case, all mod n."""
-    conds = [np.broadcast_to(cond, (n, n)) for cond in conds]
-    overlap = sum(cond.astype(np.int64) for cond in conds)
-    if (overlap > 1).any():
-        r, c = map(int, np.argwhere(overlap > 1)[0])
-        hits = [i for i, cond in enumerate(conds) if cond[r, c]]
-        raise CaseOverlap(f"family {family}, order {n}: cases {hits} all match cell ({r},{c})")
-    a = np.arange(n, dtype=np.int64).reshape(-1, 1)
-    b = np.arange(n, dtype=np.int64).reshape(1, -1)
-    off = np.select(conds, offsets, default=0)
-    return LatinSquare((a + b + off) % n, family=family)
+def _mid(lo: int, hi: int, residue: int) -> slice:
+    """The rows a with lo <= a <= hi and a = residue (mod 3)."""
+    return slice(lo + (residue - lo) % 3, hi + 1, 3)
+
+
+def _row(a: int) -> slice:
+    return slice(a, a + 1)
+
+
+def _cells(offset: int, *coords: tuple[int, int]) -> _Case:
+    """A case matching exactly the listed cells, confined to the rows they span."""
+    rows = [r for r, _ in coords]
+
+    def when(a, b):
+        mask = np.zeros((a.size, b.size), dtype=bool)
+        for r, c in coords:
+            mask[a[:, 0] == r, c] = True
+        return mask
+
+    return _Case(slice(min(rows), max(rows) + 1), when, offset)
+
+
+def _case_grid(n: int, cases: Sequence[_Case], family: str) -> LatinSquare:
+    """Base grid (a+b) plus the offset of the one matching case, all mod n.
+
+    Each case is evaluated over its own rows only; a cell matched by two cases
+    raises CaseOverlap.
+    """
+    idx = np.arange(n, dtype=np.int64)
+    b = idx.reshape(1, -1)
+    off = np.zeros((n, n), dtype=np.int8)
+    hits = np.zeros((n, n), dtype=np.int8)
+    for rows, when, offset in cases:
+        mask = when(idx[rows, None], b)
+        np.copyto(off[rows], offset, where=mask)
+        hits[rows] += mask
+    if (hits > 1).any():
+        r, c = map(int, np.argwhere(hits > 1)[0])
+        row = idx[r:r + 1, None]
+        matched = [i for i, (rows, when, _) in enumerate(cases)
+                   if r in range(n)[rows] and np.broadcast_to(when(row, b), (1, n))[0, c]]
+        raise CaseOverlap(f"family {family}, order {n}: cases {matched} all match cell ({r},{c})")
+    grid = np.add.outer(idx, idx)
+    grid += off
+    grid %= n
+    return LatinSquare(grid, family=family)
 
 
 def build_T(n: int) -> LatinSquare:
     """Order n = 6k (k >= 2) square with k forced cells."""
     k = family_k("T", n)
-    a = np.arange(n, dtype=np.int64).reshape(-1, 1)
-    b = np.arange(n, dtype=np.int64).reshape(1, -1)
-    mid = (a >= 4) & (a <= 3 * k - 3)
-    conds = [
-        _cells(n, [(0, 2), (1, 0)]),
-        _cells(n, [(0, 1), (2, 1)]),
-        _cells(n, [(1, 1), (1, 2), (2, 2), (3, 1)]),
-        _cells(n, [(3, 0)]),
-        (b > 1) & (b % 3 == 1) & (a == 0),
-        (b > 1) & (b % 3 == 1) & (a == 3),
-        mid & (a % 3 == 0) & (b % 2 == 0),
-        mid & (a % 3 == 1) & (b % 2 == 0) & (b != (n - 2 * a + 2) % n),
-        mid & (a % 3 == 1) & ((b == (n - 2 * a + 3) % n) | (b == (n - 2 * a + 2) % n)),
-        mid & (a % 3 == 2) & (b == (n - 2 * a + 4) % n),
-        mid & (a % 3 == 2) & (b == (n - 2 * a + 5) % n),
-    ]
-    offsets = [2, 1, -1, -2, 3, -3, -2, 2, 1, 1, -1]
-    return _first_match_grid(n, conds, offsets, "T")
+    lo, hi = 4, 3 * k - 3
+    return _case_grid(n, [
+        _cells(2, (0, 2), (1, 0)),
+        _cells(1, (0, 1), (2, 1)),
+        _cells(-1, (1, 1), (1, 2), (2, 2), (3, 1)),
+        _cells(-2, (3, 0)),
+        _Case(_row(0), lambda a, b: (b > 1) & (b % 3 == 1), 3),
+        _Case(_row(3), lambda a, b: (b > 1) & (b % 3 == 1), -3),
+        _Case(_mid(lo, hi, 0), lambda a, b: b % 2 == 0, -2),
+        _Case(_mid(lo, hi, 1), lambda a, b: (b % 2 == 0) & (b != (n - 2 * a + 2) % n), 2),
+        _Case(_mid(lo, hi, 1),
+              lambda a, b: (b == (n - 2 * a + 3) % n) | (b == (n - 2 * a + 2) % n), 1),
+        _Case(_mid(lo, hi, 2), lambda a, b: b == (n - 2 * a + 4) % n, 1),
+        _Case(_mid(lo, hi, 2), lambda a, b: b == (n - 2 * a + 5) % n, -1),
+    ], "T")
 
 
 def build_U(n: int) -> LatinSquare:
     """Order n = 6k+2 (k >= 2) square with k forced cells."""
     k = family_k("U", n)
-    a = np.arange(n, dtype=np.int64).reshape(-1, 1)
-    b = np.arange(n, dtype=np.int64).reshape(1, -1)
-    mid = (a >= 5) & (a <= 3 * k - 2)
-    conds = [
-        _cells(n, [(1, 3), (2, 5), (3, 4)]),
-        _cells(n, [(1, 4), (2, 4), (3, 5), (4, 3), (4, 4)]),
-        _cells(n, [(0, 4), (2, 3)]),
-        (b != 4) & (b % 2 == 0) & (a == 2),
-        ((b > 3) & (b % 3 == 0) & (a == 0)) | _cells(n, [(0, 1)]),
-        ((b > 3) & (b % 3 == 0) & (a == 3)) | _cells(n, [(3, 1)]),
-        ((b != 4) & (b % 2 == 0) & (a == 4)) | _cells(n, [(3, 3)]),
-        mid & (a % 3 == 2) & (b % 2 == 0) & (b != (n - 2 * a + 4) % n),
-        mid & (a % 3 == 2) & ((b == (n - 2 * a + 4) % n) | (b == (n - 2 * a + 5) % n)),
-        mid & (a % 3 == 0) & (b == (n - 2 * a + 6) % n),
-        mid & (a % 3 == 0) & (b == (n - 2 * a + 7) % n),
-        mid & (a % 3 == 1) & (b % 2 == 0),
-    ]
-    offsets = [1, -1, 2, 2, 3, -3, -2, 2, 1, 1, -1, -2]
-    return _first_match_grid(n, conds, offsets, "U")
+    lo, hi = 5, 3 * k - 2
+    return _case_grid(n, [
+        _cells(1, (1, 3), (2, 5), (3, 4)),
+        _cells(-1, (1, 4), (2, 4), (3, 5), (4, 3), (4, 4)),
+        _cells(2, (0, 4), (2, 3)),
+        _Case(_row(2), lambda a, b: (b != 4) & (b % 2 == 0), 2),
+        _Case(_row(0), lambda a, b: (b > 3) & (b % 3 == 0), 3),
+        _cells(3, (0, 1)),
+        _Case(_row(3), lambda a, b: (b > 3) & (b % 3 == 0), -3),
+        _cells(-3, (3, 1)),
+        _Case(_row(4), lambda a, b: (b != 4) & (b % 2 == 0), -2),
+        _cells(-2, (3, 3)),
+        _Case(_mid(lo, hi, 2), lambda a, b: (b % 2 == 0) & (b != (n - 2 * a + 4) % n), 2),
+        _Case(_mid(lo, hi, 2),
+              lambda a, b: (b == (n - 2 * a + 4) % n) | (b == (n - 2 * a + 5) % n), 1),
+        _Case(_mid(lo, hi, 0), lambda a, b: b == (n - 2 * a + 6) % n, 1),
+        _Case(_mid(lo, hi, 0), lambda a, b: b == (n - 2 * a + 7) % n, -1),
+        _Case(_mid(lo, hi, 1), lambda a, b: b % 2 == 0, -2),
+    ], "U")
 
 
 def build_V(n: int) -> LatinSquare:
     """Order n = 6k+4 (k >= 1) square with k forced cells."""
     k = family_k("V", n)
-    a = np.arange(n, dtype=np.int64).reshape(-1, 1)
-    b = np.arange(n, dtype=np.int64).reshape(1, -1)
-    mid = (a >= 4) & (a <= 3 * k)
-    conds = [
-        _cells(n, [(1, 1), (1, 2)]),
-        _cells(n, [(3, 0), (3, 2)]),
-        _cells(n, [(0, 1)]),
-        _cells(n, [(1, 0)]),
-        (b % 3 == 2) & (a == 0),
-        (b > 2) & (b % 3 == 2) & (a == 3),
-        mid & (a % 3 == 0) & (b % 2 == 0),
-        mid & (a % 3 == 1) & (b % 2 == 0) & (b != (n - 2 * a + 2) % n),
-        mid & (a % 3 == 1) & ((b == (n - 2 * a + 2) % n) | (b == (n - 2 * a + 3) % n)),
-        mid & (a % 3 == 2) & (b == (n - 2 * a + 4) % n),
-        mid & (a % 3 == 2) & (b == (n - 2 * a + 5) % n),
-    ]
-    offsets = [-1, -2, 1, 2, 3, -3, -2, 2, 1, 1, -1]
-    return _first_match_grid(n, conds, offsets, "V")
+    lo, hi = 4, 3 * k
+    return _case_grid(n, [
+        _cells(-1, (1, 1), (1, 2)),
+        _cells(-2, (3, 0), (3, 2)),
+        _cells(1, (0, 1)),
+        _cells(2, (1, 0)),
+        _Case(_row(0), lambda a, b: b % 3 == 2, 3),
+        _Case(_row(3), lambda a, b: (b > 2) & (b % 3 == 2), -3),
+        _Case(_mid(lo, hi, 0), lambda a, b: b % 2 == 0, -2),
+        _Case(_mid(lo, hi, 1), lambda a, b: (b % 2 == 0) & (b != (n - 2 * a + 2) % n), 2),
+        _Case(_mid(lo, hi, 1),
+              lambda a, b: (b == (n - 2 * a + 2) % n) | (b == (n - 2 * a + 3) % n), 1),
+        _Case(_mid(lo, hi, 2), lambda a, b: b == (n - 2 * a + 4) % n, 1),
+        _Case(_mid(lo, hi, 2), lambda a, b: b == (n - 2 * a + 5) % n, -1),
+    ], "V")
 
 
 def build_L(m: int) -> LatinSquare:
     """Order n = 3m square (m odd >= 3) tiled by nine m x m latin subsquares.
 
-    Block (i, j) holds the symbol band determined by (i + j) mod 3, with the
-    band's top symbol replaced by one of {0, 2m-1, 3m-1} on a single broken
-    diagonal.  Blocks are indexed 1..3; within the base band the symbol at
-    local cell (a, b) is (a + b) mod m plus the band offset.
+    Block (i, j), indexed 0..2, is the circulant (a + b) mod m of its local
+    cell (a, b) shifted into the symbol band (i + j) mod 3, that is by
+    m * ((i + j) mod 3).  One broken diagonal of the block, a + b = 0 (mod m)
+    in band 0 and a + b = m - 1 (mod m) in the other two, carries the special
+    symbol (0, 2m-1, 3m-1)[(j - i) mod 3] in place of the band's bottom or
+    top symbol.
     """
     if m < 3 or m % 2 == 0:
         raise DomainError(f"block square needs odd m >= 3, got {m}")
     n = 3 * m
-    r = np.arange(n, dtype=np.int64).reshape(-1, 1)
-    c = np.arange(n, dtype=np.int64).reshape(1, -1)
-    i = r // m + 1
-    j = c // m + 1
-    cls = (i + j) % 3
-    v = (r + c) % m
-    blk = ((i == 1) & (j == 1), (i == 2) & (j == 3), (i == 3) & (j == 2),
-           (i == 2) & (j == 2), (i == 3) & (j == 3),
-           (i == 1) & (j == 2), (i == 3) & (j == 1),
-           (i == 1) & (j == 3), (i == 2) & (j == 1))
-    conds = [
-        (cls == 2) & (v != 0),
-        (cls == 0) & (v != m - 1),
-        (cls == 1) & (v != m - 1),
-        (v == 0) & blk[0],
-        (v == 0) & blk[1],
-        (v == 0) & blk[2],
-        (v == m - 1) & (blk[3] | blk[4]),
-        (v == m - 1) & (blk[5] | blk[6]),
-        (v == m - 1) & (blk[7] | blk[8]),
-    ]
-    choices = [v, v + m, v + 2 * m,
-               0, 2 * m - 1, 3 * m - 1,
-               0, 2 * m - 1, 3 * m - 1]
-    overlap = sum(cond.astype(np.int64) for cond in conds)
-    if (overlap != 1).any():
-        rr, cc = map(int, np.argwhere(overlap != 1)[0])
-        raise CaseOverlap(f"family L, m={m}: cell ({rr},{cc}) matched {int(overlap[rr, cc])} cases")
-    grid = np.select(conds, choices)
+    local = np.arange(m, dtype=np.int64)
+    circulant = np.add.outer(local, local) % m
+    diagonals = (circulant == 0, circulant == m - 1)
+    specials = (0, 2 * m - 1, 3 * m - 1)
+    grid = np.empty((n, n), dtype=np.int64)
+    for i in range(3):
+        for j in range(3):
+            band = (i + j) % 3
+            block = grid[i * m:(i + 1) * m, j * m:(j + 1) * m]
+            np.add(circulant, band * m, out=block)
+            block[diagonals[band != 0]] = specials[(j - i) % 3]
     return LatinSquare(grid, family="L")
 
 

@@ -316,12 +316,17 @@ def test_integer_grids_of_any_integer_type_accepted():
     (lambda: find(build_V(10), required=[(0.7, 0, 0)]), DomainError),
     (lambda: find(build_V(10), forbidden_cells=[(0.2, 0.9)]), DomainError),
     (lambda: find(build_V(10), forbidden_cells=[(True, False)]), DomainError),
+    (lambda: find(build_V(10), required=[Entry(0.5, 0, 0)]), DomainError),
+    (lambda: is_transversal(cayley_table(3), ("0", "1", "2")), BadPermutation),
+    (lambda: is_transversal(cayley_table(3), (0.5, 1.2, 2.9)), BadPermutation),
 ], ids=["diagonal-float", "diagonal-bool", "isotopism-float", "transversal-str",
-        "required-float", "forbidden-float", "forbidden-bool"])
+        "required-float", "forbidden-float", "forbidden-bool", "required-entry-float",
+        "is-transversal-str", "is-transversal-float"])
 def test_non_integer_coordinates_rejected(call, error):
     """Coordinates follow the grid rule: Diagonal((0.5, 1)) kept cols (0.5, 1), the
     isotopism and the search constraints truncated 0.5 and 0.7 to 0, read True as 1,
-    and the transversal took the strings "0", "1", "2"."""
+    the transversal took the strings "0", "1", "2", an Entry's 0.5 ended in a bare
+    TypeError, and is_transversal took the strings and truncated the floats."""
     with pytest.raises(error, match="must be integers"):
         call()
 
@@ -331,6 +336,7 @@ def test_integer_coordinates_of_any_integer_type_accepted():
     for cols in ((0, 1, 2), [0, 1, 2], np.array([0, 1, 2]), (np.int8(0), np.uint16(1), 2)):
         for diag in (Diagonal(cols), as_transversal(sq, cols)):
             assert diag.cols == (0, 1, 2) and set(map(type, diag.cols)) == {int}
+        assert is_transversal(sq, cols)
     v10 = build_V(10)
     assert find(v10, required=[(np.int64(0), np.int32(1), v10[0, 1])]) == \
         find(v10, required=[(0, 1, v10[0, 1])])

@@ -20,6 +20,7 @@ from latintrav import (
     Diagonal,
     DomainError,
     Entry,
+    LatinSquare,
     SearchConstraints,
     SearchMode,
     Transversal,
@@ -30,6 +31,7 @@ from latintrav import (
     find,
     find_disjoint_pair,
     is_pinned,
+    is_transversal,
     iter_solutions,
 )
 from latintrav import engine
@@ -54,7 +56,10 @@ from latintrav.families import (
     build_T,
     build_U,
     build_V,
+    build_family,
     claimed_free_cells,
+    claimed_pinned_entries,
+    witness_transversal,
 )
 
 SMALL = [cayley_table(n) for n in range(1, 7)] + [build_exceptional(6)]
@@ -1262,7 +1267,8 @@ def test_is_pinned_rejects_cells_outside_the_square(entry):
 
 
 def test_pinned_verdicts_share_one_search(monkeypatch):
-    """One unconstrained `find`, then one batch of avoiding searches over the cells in order."""
+    """Existence from the family's witness, else one unconstrained `find`; then one batch
+    of avoiding searches over the cells in order."""
     sq = build_T(12)
     entries = [(1, 0, 3), (0, 0, 0), (2, 1, 4)]
     calls = []
@@ -1276,13 +1282,30 @@ def test_pinned_verdicts_share_one_search(monkeypatch):
                         lambda *a, **kw: calls.append(("find", kw)) or real_find(*a, **kw))
     monkeypatch.setattr(engine, "_search_cells", search_cells)
     assert pinned_verdicts(sq, entries) == (True, False, True)
-    assert calls == [("find", {"node_budget": None}),
-                     ("cells", [(1, 0), (0, 0), (2, 1)], True)]
+    assert calls == [("cells", [(1, 0), (0, 0), (2, 1)], True)]
+    assert pinned_verdicts(sq.with_family(None), entries) == (True, False, True)
+    assert calls[1:] == [("find", {"node_budget": None}),
+                         ("cells", [(1, 0), (0, 0), (2, 1)], True)]
     assert pinned_verdicts(sq, []) == ()
     assert pinned_verdicts(cayley_table(6), [(0, 0, 0), (1, 1, 2)]) == (False, False)
-    assert len(calls) == 3  # no search without entries; one for the transversal-free square
+    assert len(calls) == 4  # no search without entries; one for the transversal-free square
     with pytest.raises(DomainError):
         pinned_verdicts(sq, [(1, 0, 3), (0, 0, 5)])
+
+
+def test_pinned_existence_from_the_family_witness(monkeypatch):
+    """U44's unconstrained search runs for about a minute; its witness answers at once, and
+    the avoiding refutations finish far inside the budget.  A witness that is not a
+    transversal of the square passed in is not taken."""
+    sq = build_family("U", 44)
+    forced = claimed_pinned_entries("U", 44)
+    assert pinned_verdicts(sq, forced, node_budget=100_000) == (True,) * 7
+    found = []
+    monkeypatch.setattr(engine, "find", lambda *a, **kw: found.append(a) or None)
+    swapped = LatinSquare(build_V(10).to_array()[[1, 0, *range(2, 10)]], family="V")
+    assert not is_transversal(swapped, witness_transversal("V", 10))
+    assert pinned_verdicts(swapped, [swapped.entry(1, 2)]) == (False,)
+    assert found == [(swapped,)]
 
 
 @pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])

@@ -1,6 +1,7 @@
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from latintrav import (
@@ -29,6 +30,129 @@ T_ORDERS = [12, 18, 24, 30, 60, 120, 300]
 U_ORDERS = [14, 20, 26, 32, 62, 122, 296]
 V_ORDERS = [10, 16, 22, 28, 58, 118, 298]
 L_MS = [3, 5, 7, 9, 15, 21, 45, 99]
+
+
+# Reference builders: each case as a dense n x n mask over the whole grid, the
+# first match winning, as the family squares were first written down.
+def _ref_cells(n, coords):
+    mask = np.zeros((n, n), dtype=bool)
+    for r, c in coords:
+        mask[r, c] = True
+    return mask
+
+
+def _ref_first_match(n, conds, offsets):
+    conds = [np.broadcast_to(cond, (n, n)) for cond in conds]
+    assert (sum(cond.astype(np.int64) for cond in conds) <= 1).all()
+    a = np.arange(n, dtype=np.int64).reshape(-1, 1)
+    b = np.arange(n, dtype=np.int64).reshape(1, -1)
+    return (a + b + np.select(conds, offsets, default=0)) % n
+
+
+def _ref_T(n):
+    k = n // 6
+    a = np.arange(n, dtype=np.int64).reshape(-1, 1)
+    b = np.arange(n, dtype=np.int64).reshape(1, -1)
+    mid = (a >= 4) & (a <= 3 * k - 3)
+    conds = [
+        _ref_cells(n, [(0, 2), (1, 0)]),
+        _ref_cells(n, [(0, 1), (2, 1)]),
+        _ref_cells(n, [(1, 1), (1, 2), (2, 2), (3, 1)]),
+        _ref_cells(n, [(3, 0)]),
+        (b > 1) & (b % 3 == 1) & (a == 0),
+        (b > 1) & (b % 3 == 1) & (a == 3),
+        mid & (a % 3 == 0) & (b % 2 == 0),
+        mid & (a % 3 == 1) & (b % 2 == 0) & (b != (n - 2 * a + 2) % n),
+        mid & (a % 3 == 1) & ((b == (n - 2 * a + 3) % n) | (b == (n - 2 * a + 2) % n)),
+        mid & (a % 3 == 2) & (b == (n - 2 * a + 4) % n),
+        mid & (a % 3 == 2) & (b == (n - 2 * a + 5) % n),
+    ]
+    return _ref_first_match(n, conds, [2, 1, -1, -2, 3, -3, -2, 2, 1, 1, -1])
+
+
+def _ref_U(n):
+    k = (n - 2) // 6
+    a = np.arange(n, dtype=np.int64).reshape(-1, 1)
+    b = np.arange(n, dtype=np.int64).reshape(1, -1)
+    mid = (a >= 5) & (a <= 3 * k - 2)
+    conds = [
+        _ref_cells(n, [(1, 3), (2, 5), (3, 4)]),
+        _ref_cells(n, [(1, 4), (2, 4), (3, 5), (4, 3), (4, 4)]),
+        _ref_cells(n, [(0, 4), (2, 3)]),
+        (b != 4) & (b % 2 == 0) & (a == 2),
+        ((b > 3) & (b % 3 == 0) & (a == 0)) | _ref_cells(n, [(0, 1)]),
+        ((b > 3) & (b % 3 == 0) & (a == 3)) | _ref_cells(n, [(3, 1)]),
+        ((b != 4) & (b % 2 == 0) & (a == 4)) | _ref_cells(n, [(3, 3)]),
+        mid & (a % 3 == 2) & (b % 2 == 0) & (b != (n - 2 * a + 4) % n),
+        mid & (a % 3 == 2) & ((b == (n - 2 * a + 4) % n) | (b == (n - 2 * a + 5) % n)),
+        mid & (a % 3 == 0) & (b == (n - 2 * a + 6) % n),
+        mid & (a % 3 == 0) & (b == (n - 2 * a + 7) % n),
+        mid & (a % 3 == 1) & (b % 2 == 0),
+    ]
+    return _ref_first_match(n, conds, [1, -1, 2, 2, 3, -3, -2, 2, 1, 1, -1, -2])
+
+
+def _ref_V(n):
+    k = (n - 4) // 6
+    a = np.arange(n, dtype=np.int64).reshape(-1, 1)
+    b = np.arange(n, dtype=np.int64).reshape(1, -1)
+    mid = (a >= 4) & (a <= 3 * k)
+    conds = [
+        _ref_cells(n, [(1, 1), (1, 2)]),
+        _ref_cells(n, [(3, 0), (3, 2)]),
+        _ref_cells(n, [(0, 1)]),
+        _ref_cells(n, [(1, 0)]),
+        (b % 3 == 2) & (a == 0),
+        (b > 2) & (b % 3 == 2) & (a == 3),
+        mid & (a % 3 == 0) & (b % 2 == 0),
+        mid & (a % 3 == 1) & (b % 2 == 0) & (b != (n - 2 * a + 2) % n),
+        mid & (a % 3 == 1) & ((b == (n - 2 * a + 2) % n) | (b == (n - 2 * a + 3) % n)),
+        mid & (a % 3 == 2) & (b == (n - 2 * a + 4) % n),
+        mid & (a % 3 == 2) & (b == (n - 2 * a + 5) % n),
+    ]
+    return _ref_first_match(n, conds, [-1, -2, 1, 2, 3, -3, -2, 2, 1, 1, -1])
+
+
+def _ref_L(m):
+    n = 3 * m
+    r = np.arange(n, dtype=np.int64).reshape(-1, 1)
+    c = np.arange(n, dtype=np.int64).reshape(1, -1)
+    i = r // m + 1
+    j = c // m + 1
+    cls = (i + j) % 3
+    v = (r + c) % m
+    blk = ((i == 1) & (j == 1), (i == 2) & (j == 3), (i == 3) & (j == 2),
+           (i == 2) & (j == 2), (i == 3) & (j == 3),
+           (i == 1) & (j == 2), (i == 3) & (j == 1),
+           (i == 1) & (j == 3), (i == 2) & (j == 1))
+    conds = [
+        (cls == 2) & (v != 0),
+        (cls == 0) & (v != m - 1),
+        (cls == 1) & (v != m - 1),
+        (v == 0) & blk[0],
+        (v == 0) & blk[1],
+        (v == 0) & blk[2],
+        (v == m - 1) & (blk[3] | blk[4]),
+        (v == m - 1) & (blk[5] | blk[6]),
+        (v == m - 1) & (blk[7] | blk[8]),
+    ]
+    assert (sum(cond.astype(np.int64) for cond in conds) == 1).all()
+    return np.select(conds, [v, v + m, v + 2 * m,
+                             0, 2 * m - 1, 3 * m - 1,
+                             0, 2 * m - 1, 3 * m - 1])
+
+
+@pytest.mark.parametrize("build, reference, start", [
+    (build_T, _ref_T, 12), (build_U, _ref_U, 14), (build_V, _ref_V, 10),
+], ids=["T", "U", "V"])
+def test_row_confined_cases_match_the_dense_reference(build, reference, start):
+    for n in range(start, 201, 6):
+        assert np.array_equal(build(n).to_array(), reference(n)), n
+
+
+def test_block_fill_matches_the_dense_reference():
+    for m in range(3, 52, 2):
+        assert np.array_equal(build_L(m).to_array(), _ref_L(m)), m
 
 
 def test_build_T_spec_cells():
@@ -183,17 +307,15 @@ def test_claimed_pinned_count_and_membership(family, orders):
 
 
 def test_overlapping_cases_fail_loudly():
-    import numpy as np
-
     from latintrav import CaseOverlap
-    from latintrav.families import _first_match_grid
+    from latintrav.families import _Case, _case_grid, _cells, _mid
 
-    n = 4
-    a = np.arange(n).reshape(-1, 1)
-    b = np.arange(n).reshape(1, -1)
-    overlapping = [(a == 0), (a == 0) & (b == 1)]
-    with pytest.raises(CaseOverlap):
-        _first_match_grid(n, overlapping, [1, 2], "T")
+    odd_cols = _Case(_mid(0, 7, 1), lambda a, b: b % 2 == 1, 1)  # rows 1, 4 and 7
+    band = _Case(slice(3, 5), lambda a, b: b == a - 1, -1)        # cells (3, 2) and (4, 3)
+    with pytest.raises(CaseOverlap, match=r"order 8: cases \[0, 2\] all match cell \(4,3\)"):
+        _case_grid(8, [odd_cols, _cells(2, (0, 0)), band], "T")
+    with pytest.raises(CaseOverlap, match=r"cases \[0, 1\] all match cell \(4,3\)"):
+        _case_grid(8, [_cells(2, (0, 0), (4, 3)), band], "T")
 
 
 def test_family_of_order():
@@ -247,8 +369,8 @@ def test_build_family_rejects_conflicting_arguments(family, n, m, message):
 def _count_grids(monkeypatch) -> list[int]:
     """Patch the T/U/V grid maker, which each build_T/U/V call runs once; returns its orders."""
     orders = []
-    real = families._first_match_grid
-    monkeypatch.setattr(families, "_first_match_grid",
+    real = families._case_grid
+    monkeypatch.setattr(families, "_case_grid",
                         lambda n, *rest: orders.append(n) or real(n, *rest))
     return orders
 
@@ -296,3 +418,10 @@ def test_with_family_checks_the_tag():
     with pytest.raises(DomainError, match="unknown family tag 'BOGUS'"):
         LatinSquare(build_T(12).grid, family="BOGUS")
     assert build_T(12).with_family("CUSTOM").family == "CUSTOM"
+
+
+@pytest.mark.parametrize("family, n", [("T", 1200), ("U", 1202), ("V", 1204)])
+def test_bound_sets_hold_at_large_orders(family, n):
+    """The set check builds T/U/V squares of order 1200 in well under a second."""
+    check = bounds.check_sets_only(family, n)
+    assert check.size_ok and check.union_size >= check.lower_bound
