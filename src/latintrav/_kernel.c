@@ -2,14 +2,15 @@
  * delta-interval pruning and, in first-hit searches, forward checking (a
  * placement that leaves a later row with no free column is dropped): the
  * compiled twin of engine._twin_run, which takes the same arrays and fills the
- * same output.  The one entry point, search, runs a batch of transversal (or
- * suitable-diagonal) searches over one square: it checks the square's (n, n)
- * symbol and delta arrays and builds its tables from them once (build_grid),
- * every search of the batch reads those tables, and each fills its own
- * search tree from its own candidate mask per row (mask_tree).  What a
- * search keeps, say for one required entry or one forbidden cell, is decided
- * by the caller (engine._Prepared, engine._cell_rows); the kernel only walks
- * the masks.  A batch of one full
+ * same output.  Every search prunes; the unpruned walk, the prune's reference,
+ * exists only in the pure twin (engine._iter_cols).  The one entry point,
+ * search, runs a batch of transversal (or suitable-diagonal) searches over one
+ * square: it checks the square's (n, n) symbol and delta arrays and builds its
+ * tables from them once (build_grid), every search of the batch reads those
+ * tables, and each fills its own search tree from its own candidate mask per
+ * row (mask_tree).  What a search keeps, say for one required entry or one
+ * forbidden cell, is decided by the caller (engine._Prepared,
+ * engine._cell_rows); the kernel only walks the masks.  A batch of one full
  * enumeration is split across threads (split_walk); in any other batch the
  * threads take searches from one shared counter, one thread per search.
  *
@@ -61,7 +62,7 @@ struct grid {
  * them, read-only once built and shared by every thread of the search. */
 struct tree {
     const struct grid *g;
-    int64_t n, transversal, prune, target;
+    int64_t n, transversal, target;
     int64_t res_need[MAX_ORDER + 1], width[MAX_ORDER + 1];
     int64_t len[MAX_ORDER];            /* row r's candidate count */
     uint64_t root[MAX_ORDER];          /* row r's candidate columns */
@@ -111,16 +112,15 @@ static int64_t build_grid(struct grid *g, const int64_t *sym, const int64_t *del
     return 0;
 }
 
-/* Sets t's rows to the candidate columns in rows and its prune flag, and
- * fills its index table, row lengths and residue tables from them and t's
- * grid; returns 1 to search, or 0 when a row has no candidates or the target
- * residue is unreachable from the root. */
-static int64_t mask_tree(struct tree *t, const uint64_t *rows, int64_t prune)
+/* Sets t's rows to the candidate columns in rows, and fills its index table,
+ * row lengths and residue tables from them and t's grid; returns 1 to search,
+ * or 0 when a row has no candidates or the target residue is unreachable from
+ * the root. */
+static int64_t mask_tree(struct tree *t, const uint64_t *rows)
 {
     const int8_t *delta = t->g->delta;
     const int64_t n = t->n;
     int64_t lo_suf[MAX_ORDER + 1], hi_suf[MAX_ORDER + 1];
-    t->prune = prune;
     for (int64_t r = 0; r < n; r++) {
         uint64_t m = rows[r];
         t->root[r] = m;
@@ -147,9 +147,9 @@ static int64_t mask_tree(struct tree *t, const uint64_t *rows, int64_t prune)
     }
     for (int64_t r = 0; r <= n; r++) {
         t->res_need[r] = pymod(t->target - lo_suf[r], n);
-        t->width[r] = prune && hi_suf[r] - lo_suf[r] < n - 1 ? hi_suf[r] - lo_suf[r] : BIG;
+        t->width[r] = hi_suf[r] - lo_suf[r] < n - 1 ? hi_suf[r] - lo_suf[r] : BIG;
     }
-    return prune && lo_suf[0] + pymod(t->target - lo_suf[0], n) > hi_suf[0] ? 0 : 1;
+    return lo_suf[0] + pymod(t->target - lo_suf[0], n) > hi_suf[0] ? 0 : 1;
 }
 
 /* Sets w at the root: depth 0 with every row's candidate columns free. */
@@ -214,7 +214,7 @@ static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, con
  * the test needs no division; depths whose width is n - 1 or more never
  * prune and are not tested.
  *
- * The forward check, in a first-hit walk whose tree prunes.  The update of
+ * The forward check, in a first-hit walk.  The update of
  * depth d + 1's availability rows also notes whether it left some row
  * empty, one compare per row and no branch (faster, measured, than stopping
  * at the first empty row); if it did, the candidate is dropped, since no
@@ -230,7 +230,6 @@ walk_body(const struct tree *t, struct walk *w, int64_t top, int64_t stop, int64
           const int enumerate_all, int64_t *pre, struct split *s)
 {
     const int64_t n = t->n;
-    const int forward = !enumerate_all && t->prune;
     const int8_t *delta = t->g->delta;
     const uint8_t *sym = t->g->sym;
     int64_t depth = top, nodes = 0, count = 0, pooled = 0, status;
@@ -289,7 +288,7 @@ walk_body(const struct tree *t, struct walk *w, int64_t top, int64_t stop, int64
             uint64_t *to = w->avail + (depth + 1) * n;
             uint64_t bit = (uint64_t)1 << c;
             const uint64_t *sc = t->g->sym_col + sym[depth * n + c] * n;
-            if (forward) { /* drop c when it leaves a later row no free column */
+            if (!enumerate_all) { /* drop c when it leaves a later row no free column */
                 int64_t empty = 0;
                 for (int64_t r = depth + 1; r < n; r++) {
                     uint64_t row_free = from[r] & ~(bit | sc[r]);
@@ -347,7 +346,7 @@ static int64_t walk_all(const struct tree *t, struct walk *w, int64_t top, int64
     return walk_body(t, w, top, stop, limit, 1, pre, s);
 }
 
-/* The walk of a first-hit search from the root, forward-checked when t prunes. */
+/* The walk of a first-hit search from the root, forward-checked. */
 static int64_t walk_first(const struct tree *t, struct walk *w, int64_t limit)
 {
     return walk_body(t, w, 0, t->n, limit, 0, NULL, NULL);
@@ -444,7 +443,7 @@ struct batch {
     const struct grid *g;
     const int64_t *rows;
     int64_t *out;
-    int64_t n, k, transversal, prune, limit, enumerate_all, threads;
+    int64_t n, k, transversal, limit, enumerate_all, threads;
     int64_t next; /* the next search to take */
 };
 
@@ -457,7 +456,7 @@ static void *batch_worker(void *arg)
     struct walk w; /* not zeroed: about 32 KB */
     for (int64_t j; (j = __atomic_fetch_add(&b->next, 1, __ATOMIC_RELAXED)) < b->k;) {
         int64_t *out = b->out + j * (n + 3);
-        int64_t status = mask_tree(&t, (const uint64_t *)b->rows + j * n, b->prune);
+        int64_t status = mask_tree(&t, (const uint64_t *)b->rows + j * n);
         w.count = w.nodes = 0;
         if (status == 1) {
             if (b->enumerate_all && b->k == 1 && b->threads > 1) {
@@ -487,8 +486,8 @@ static void *batch_worker(void *arg)
  * transversal  1: symbols must be distinct (transversals); 0: they need not,
  *          and a diagonal counts when its delta sum is the target residue
  *          (suitable diagonals)
- * prune    the delta-interval prune, and in first-hit searches
- *          (enumerate_all = 0) the forward check too
+ * (no prune flag: every search prunes, and a first-hit search forward-checks;
+ *  the unpruned walk exists only in the pure twin, engine._iter_cols)
  * threads  a batch of one full enumeration (enumerate_all = 1) is split
  *          across them; in any other batch min(threads, k) threads take the
  *          searches from one shared counter, each search on one thread
@@ -503,7 +502,7 @@ static void *batch_worker(void *arg)
  * sum is n/2 for even n and 0 for odd n.
  */
 int64_t search(const int64_t *sym, const int64_t *delta, int64_t n, const int64_t *rows,
-               int64_t k, int64_t transversal, int64_t prune, int64_t budget,
+               int64_t k, int64_t transversal, int64_t budget,
                int64_t enumerate_all, int64_t threads, int64_t *out)
 {
     struct grid g;
@@ -515,7 +514,7 @@ int64_t search(const int64_t *sym, const int64_t *delta, int64_t n, const int64_
     if (threads > MAX_THREADS)
         threads = MAX_THREADS;
     struct batch b = {.g = &g, .rows = rows, .out = out, .n = n, .k = k,
-                      .transversal = transversal, .prune = prune,
+                      .transversal = transversal,
                       .limit = budget < 0 ? INT64_MAX : budget,
                       .enumerate_all = enumerate_all, .threads = threads};
     run_workers(batch_worker, &b, threads < k ? threads : k);

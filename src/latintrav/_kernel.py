@@ -24,20 +24,20 @@ or a fork.
 
 The C kernel and the pure-python twin ``engine._twin_run``, which takes `run`'s
 arguments and returns its arrays, must stay behaviourally identical: same
-candidate order (rows ascending, columns ascending within a row), same
-pruning rules, same node accounting (one node per candidate index visited).  With ``prune`` on, both drop a candidate whose
-delta sum can no longer reach the target residue, and a first-hit search
-(``enumerate_all`` False) also drops one whose placement leaves a later row
-with no free column (forward checking); a full enumeration walks the tree of
-the delta prune alone, so its node totals do not move.  The kernel does not
-visit the candidates one by one: it keeps, per depth, a table of every later
-row's columns whose column and (in a transversal search) symbol are unused,
-updated as each row is placed, and walks the entered row's mask from that
-table, adding the index distance of each jump to the node count, so every
+candidate order (rows ascending, columns ascending within a row), same pruning
+rules, same node accounting (one node per candidate index visited).  Both
+always drop a candidate whose delta sum can no longer reach the target residue,
+and a first-hit search (``enumerate_all`` False) also drops one whose placement
+leaves a later row with no free column (forward checking); a full enumeration
+walks the tree of the delta prune alone, so its node totals do not move.  The
+unpruned walk exists only in the twin (``engine._iter_cols``).  The kernel does
+not visit the candidates one by one: it keeps, per depth, a table of every
+later row's columns whose column and (in a transversal search) symbol are
+unused, updated as each row is placed, and walks the entered row's mask from
+that table, adding the index distance of each jump to the node count, so every
 status and node total is the twin's for every budget (budget + 1 when it runs
-out).  Symbols and deltas are
-read by (row, column) from byte tables.  The delta sum is kept modulo n, which
-needs every delta to lie in (-n, n).
+out).  Symbols and deltas are read by (row, column) from byte tables.  The
+delta sum is kept modulo n, which needs every delta to lie in (-n, n).
 ``engine._cell_rows``'s per-cell row masks must filter exactly as
 ``engine._Prepared`` does.  Both equivalences are tested in the suite, with
 the pure twin and ``_Prepared`` as the oracles.
@@ -138,7 +138,7 @@ def load():
         log.warning("C search kernel unavailable, searches run on the pure-Python twin: %s %s",
                     exc, detail)
         return None
-    lib.search.argtypes = [_PTR, _PTR, _I64, _PTR] + [_I64] * 6 + [_PTR]
+    lib.search.argtypes = [_PTR, _PTR, _I64, _PTR] + [_I64] * 5 + [_PTR]
     lib.search.restype = _I64
     return lib
 
@@ -157,14 +157,14 @@ def _check(arr: np.ndarray, shape: tuple[int, ...]) -> None:
 
 
 def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
-        prune: bool, budget: int | None, enumerate_all: bool, threads: int | None = None):
+        budget: int | None, enumerate_all: bool, threads: int | None = None):
     """A batch of kernel searches over one square, search j over the masks ``rows[j]``.
 
     ``sym`` and ``delta`` are the square's (n, n) int64 arrays and ``rows``
     a (k, n) int64 array: ``rows[j, r]`` holds search j's candidate columns
     of row r as bits.  A ``transversal`` search needs distinct symbols; any
     other counts a diagonal whose delta sum hits the target residue, which
-    the kernel works out from n.
+    the kernel works out from n.  Every search prunes; only the twin walks unpruned.
     Returns (status, count, nodes, cols), views of one (k, n + 3) array:
     for each search status 1 when it found at least one solution, 0 when
     the space was exhausted empty (with 0 nodes when a row has no
@@ -192,7 +192,7 @@ def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bo
         raise ValueError(f"threads must be at least 1, got {threads}")
     out = np.empty((k, n + 3), np.int64)
     if load().search(sym.ctypes.data, delta.ctypes.data, n, rows.ctypes.data, k, transversal,
-                     prune, -1 if budget is None else budget, enumerate_all, threads,
+                     -1 if budget is None else budget, enumerate_all, threads,
                      out.ctypes.data) == -2:
         raise ValueError("kernel square must hold symbols in 0..n-1 and deltas in (-n, n), "
                          "and row masks only columns in 0..n-1")

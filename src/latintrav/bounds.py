@@ -187,34 +187,12 @@ class BoundCheck:
         }
 
 
-def check_sets_only(family: str, n: int) -> BoundCheck:
-    """Pure set arithmetic: union size vs the closed form, no search needed."""
-    union_size = int(_union_mask(family, n).sum())
-    value = lower_bound_formula(family, n)
-    return BoundCheck(
-        family=family,
-        n=n,
-        union_size=union_size,
-        formula_value=value,
-        lower_bound=math.ceil(value),
-        size_ok=union_size >= value,
-        subset_ok=None,
-        tau=None,
-        tau_ok=None,
-    )
-
-
-def verify_bound(family: str, n: int, report: ClassificationReport) -> BoundCheck:
-    """Check the union against a classification: size, subset-of-FREE, and tau."""
-    if report.partial:
-        raise PartialReport(f"classification of {family}{n} is incomplete")
-    if report.order != n:
-        raise DomainError(f"report order {report.order} does not match n={n}")
-    union = _union_mask(family, n)
+def _bound_check(family: str, n: int, union: np.ndarray, subset_ok: bool | None = None,
+                 tau: int | None = None) -> BoundCheck:
+    """The check of a union mask's size against the closed form, plus a classification's
+    subset test and tau when given."""
     union_size = int(union.sum())
     value = lower_bound_formula(family, n)
-    subset_ok = not (union & (np.array(report.status) != FREE)).any()
-    tau = report.tau
     return BoundCheck(
         family=family,
         n=n,
@@ -224,5 +202,21 @@ def verify_bound(family: str, n: int, report: ClassificationReport) -> BoundChec
         size_ok=union_size >= value,
         subset_ok=subset_ok,
         tau=tau,
-        tau_ok=value <= tau < n * n,
+        tau_ok=None if tau is None else value <= tau < n * n,
     )
+
+
+def check_sets_only(family: str, n: int) -> BoundCheck:
+    """Pure set arithmetic: union size vs the closed form, no search needed."""
+    return _bound_check(family, n, _union_mask(family, n))
+
+
+def verify_bound(family: str, n: int, report: ClassificationReport) -> BoundCheck:
+    """Check the union against a classification: size, subset-of-FREE, and tau."""
+    if report.partial:
+        raise PartialReport(f"classification of {family}{n} is incomplete")
+    if report.order != n:
+        raise DomainError(f"report order {report.order} does not match n={n}")
+    union = _union_mask(family, n)
+    subset_ok = not (union & (np.array(report.status) != FREE)).any()
+    return _bound_check(family, n, union, subset_ok, report.tau)

@@ -160,7 +160,7 @@ def is_transversal(square: "LatinSquare", diag) -> bool:
 
 def as_transversal(square: "LatinSquare", diag) -> Transversal:
     """Validate symbol distinctness against `square` and wrap the columns."""
-    t = Transversal(diag.cols if isinstance(diag, Diagonal) else tuple(diag))
+    t = Transversal(_check_permutation(diagonal_cols(diag), square.order, "diagonal columns"))
     syms = t.symbols(square)
     if len(set(syms)) != square.order:
         raise NotTransversal(f"columns {t.cols!r} repeat a symbol: {syms!r}")
@@ -304,6 +304,7 @@ def new_square(order: int, grid, family: str | None = None) -> LatinSquare:
 
 def cayley_table(n: int) -> LatinSquare:
     """Addition table of the integers mod n: grid[a][b] = (a+b) % n."""
+    _require_integers((type(n),), DomainError, "orders")
     if n < 1:
         raise DomainError(f"order must be positive, got {n}")
     a = np.arange(n, dtype=np.int64)
@@ -340,7 +341,7 @@ class Isotopism:
         return Entry(self.alpha[r], self.beta[c], self.gamma[s])
 
     def diagonal_image(self, diag) -> Diagonal:
-        cols = diagonal_cols(diag)
+        cols = _check_permutation(diagonal_cols(diag), self.order, "diagonal columns")
         new_cols = [0] * len(cols)
         for r, c in enumerate(cols):
             new_cols[self.alpha[r]] = self.beta[c]

@@ -21,13 +21,12 @@ from itertools import repeat
 import numpy as np
 
 from .core import (
-    BadPermutation,
-    Diagonal,
     DomainError,
     Entry,
     LatinSquare,
     LatinSquareError,
     _as_rcs,
+    _check_permutation,
     diagonal_cols,
     is_transversal,
 )
@@ -71,10 +70,7 @@ def delta_grid(square: LatinSquare) -> np.ndarray:
 
 def delta_sum(square: LatinSquare, diag) -> int:
     """Sum of delta over a diagonal's cells, reduced mod n into 0..n-1."""
-    cols = diagonal_cols(diag)
-    Diagonal(cols)  # raises BadPermutation on invalid input
-    if len(cols) != square.order:
-        raise BadPermutation(f"{len(cols)} columns for a square of order {square.order}")
+    cols = _check_permutation(diagonal_cols(diag), square.order, "diagonal columns")
     dg = delta_grid(square)
     return int(sum(dg[r, c] for r, c in enumerate(cols)) % square.order)
 

@@ -11,9 +11,9 @@ the subtree is pruned.  A search that wants only the first solution
 candidate whose placement leaves some later row with no candidate whose column
 (and symbol) is free.  Full and lazy enumeration do not, so their node totals
 are those of the delta prune alone.  Pruning never removes a real solution,
-which the test suite checks by comparing against pruning-disabled runs; the
-forward check drops only subtrees without one, so the first solution found is
-the same with and without it.
+which the test suite checks against the one unpruned walk, the pure twin's
+(`iter_solutions(prune=False)`); the forward check drops only subtrees
+without one, so the first solution found is the same with and without it.
 
 A search reads the square's symbol and delta arrays and one candidate mask
 per row (`_Prepared`, or `_cell_rows` for a batch of per-cell searches).
@@ -111,6 +111,8 @@ class SearchConstraints:
         for r, c in sorted(self.forbidden_cells):
             if not (0 <= r < square.order and 0 <= c < square.order):
                 raise DomainError(f"forbidden cell ({r}, {c}) outside the square")
+        if not isinstance(self.mode, SearchMode):
+            raise DomainError(f"search mode must be a SearchMode, got {self.mode!r}")
         if self.mode is SearchMode.SUITABLE_DIAGONAL and square.order % 2:
             raise OddOrder("suitable-diagonal mode needs even order")
 
@@ -235,15 +237,15 @@ def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, transversal
 
 
 def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
-              prune: bool, budget: int | None, enumerate_all: bool, threads: int | None = None):
+              budget: int | None, enumerate_all: bool, threads: int | None = None):
     """`_kernel.run` on the pure twin, at every order: the same arguments and the same
     (status, count, nodes, cols) views of one (k, n + 3) array.  The searches run one
-    after another, each an `_iter_cols` walk of its ``rows[j]``; the thread count is ignored."""
+    after another, each a pruned `_iter_cols` walk of its ``rows[j]``, ignoring ``threads``."""
     out = np.zeros((len(rows), len(sym) + 3), np.int64)
     for search, masks in zip(out, rows):
         counter = _NodeCounter()
         try:
-            for cols in _iter_cols(sym, delta, masks, transversal, prune, budget, counter,
+            for cols in _iter_cols(sym, delta, masks, transversal, True, budget, counter,
                                    not enumerate_all):
                 search[1] += 1
                 if not enumerate_all:
@@ -258,14 +260,14 @@ def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transvers
 
 
 def _run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
-         prune: bool, budget: int | None, enumerate_all: bool):
+         budget: int | None, enumerate_all: bool):
     """`_kernel.run` where the kernel takes the order and loads, else `_twin_run`."""
     if len(sym) > _kernel.MAX_KERNEL_ORDER:
         _log_large_orders()
     elif _kernel.load() is not None:
-        return _kernel.run(sym, delta, rows, transversal=transversal, prune=prune,
-                           budget=budget, enumerate_all=enumerate_all)
-    return _twin_run(sym, delta, rows, transversal=transversal, prune=prune, budget=budget,
+        return _kernel.run(sym, delta, rows, transversal=transversal, budget=budget,
+                           enumerate_all=enumerate_all)
+    return _twin_run(sym, delta, rows, transversal=transversal, budget=budget,
                      enumerate_all=enumerate_all)
 
 
@@ -297,15 +299,15 @@ def _constraints_arg(constraints, kwargs) -> SearchConstraints:
     return constraints
 
 
-def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
-         prune: bool = True, **kwargs) -> Transversal | Diagonal | None:
+def find(square: LatinSquare, constraints: SearchConstraints | None = None,
+         **kwargs) -> Transversal | Diagonal | None:
     """First solution in lexicographic column order, or None if none exists.
 
     Raises BudgetExceeded when the node budget runs out, which is an unknown
     outcome, never a "no".
     """
     cons = _constraints_arg(constraints, kwargs)
-    _, _, cols = _search(_Prepared(square, cons), prune, cons.node_budget, False)
+    _, _, cols = _search(_Prepared(square, cons), cons.node_budget, False)
     if cols is None:
         return None
     if cons.mode is SearchMode.TRANSVERSAL:
@@ -313,13 +315,13 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None, *,
     return Diagonal(cols)
 
 
-def _search(prep: _Prepared, prune: bool, budget: int | None,
+def _search(prep: _Prepared, budget: int | None,
             enumerate_all: bool) -> tuple[int, int, tuple[int, ...] | None]:
     """A prepared search's count, nodes and, from a first-hit search that found one, the
     first solution's columns (else None); BudgetExceeded when the budget runs out."""
     status, count, nodes, cols = _run(
-        prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, prune=prune,
-        budget=budget, enumerate_all=enumerate_all)
+        prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, budget=budget,
+        enumerate_all=enumerate_all)
     if status[0] == -1:
         raise BudgetExceeded(int(nodes[0]))
     first = tuple(cols[0].tolist()) if status[0] == 1 and not enumerate_all else None
@@ -328,7 +330,8 @@ def _search(prep: _Prepared, prune: bool, budget: int | None,
 
 def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = None, *,
                    prune: bool = True, **kwargs) -> Iterator[Diagonal]:
-    """Lazy lexicographic enumeration on the pure twin; yields bound objects."""
+    """Lazy lexicographic enumeration on the pure twin; yields bound objects.  With
+    ``prune=False`` it is the unpruned oracle that the tests hold every prune against."""
     cons = _constraints_arg(constraints, kwargs)
     prep = _Prepared(square, cons)
     counter = _NodeCounter()
@@ -340,13 +343,13 @@ def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = 
 
 
 def enumerate_solutions(square: LatinSquare, constraints: SearchConstraints | None = None,
-                        *, prune: bool = True, **kwargs) -> int:
+                        **kwargs) -> int:
     """Count every solution; `iter_solutions` visits them one by one."""
-    return count_and_cover(square, constraints, prune=prune, **kwargs).count
+    return count_and_cover(square, constraints, **kwargs).count
 
 
-def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None = None, *,
-                    prune: bool = True, **kwargs) -> EnumerationSummary:
+def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None = None,
+                    **kwargs) -> EnumerationSummary:
     """Full enumeration reduced to its count and node total.
 
     Raises BudgetExceeded, with budget + 1 nodes and no partial count, when
@@ -359,7 +362,7 @@ def count_and_cover(square: LatinSquare, constraints: SearchConstraints | None =
     the enumeration runs on every CPU in the affinity mask.
     """
     cons = _constraints_arg(constraints, kwargs)
-    count, nodes, _ = _search(_Prepared(square, cons), prune, cons.node_budget, True)
+    count, nodes, _ = _search(_Prepared(square, cons), cons.node_budget, True)
     return EnumerationSummary(count=count, nodes=nodes)
 
 
@@ -444,7 +447,7 @@ def _search_cells(square: LatinSquare, cells, avoid: bool,
     cells = np.reshape(np.asarray(cells, np.int64), (-1, 2))
     sym = square.to_array()
     status, _, nodes, cols = _run(
-        sym, delta_grid(square), _cell_rows(sym, cells, avoid), transversal=True, prune=True,
+        sym, delta_grid(square), _cell_rows(sym, cells, avoid), transversal=True,
         budget=budget, enumerate_all=False)
     return status, nodes, cols
 
@@ -553,9 +556,7 @@ def classify(square: LatinSquare, *, node_budget: int | None = None,
         raise DomainError(f"unknown classify strategy {strategy!r}")
     _check_budget(node_budget)
     if strategy == "enumerate":
-        count, nodes, _ = _search(_Prepared(square, SearchConstraints(node_budget=node_budget)),
-                                  True, node_budget, True)
-        return _report_from_summary(square, EnumerationSummary(count, nodes))
+        return _report_from_summary(square, count_and_cover(square, node_budget=node_budget))
     return _classify_cells(square, node_budget)
 
 

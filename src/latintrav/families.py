@@ -39,6 +39,7 @@ from .core import (
     Entry,
     LatinSquare,
     Transversal,
+    _require_integers,
     as_transversal,
     cayley_table,
 )
@@ -92,6 +93,7 @@ _TUV = {"T": (0, 12), "U": (2, 14), "V": (4, 10)}
 
 def family_k(family: str, n: int) -> int:
     """Validate (family, n) for T/U/V and return k = floor(n/6)."""
+    _require_integers((type(n),), DomainError, "orders")
     if family not in _TUV:
         raise DomainError(f"pinned-entry families are T, U and V, got {family!r}")
     residue, minimum = _TUV[family]
@@ -104,6 +106,7 @@ def family_k(family: str, n: int) -> int:
 
 def family_of_order(n: int) -> str:
     """The T/U/V family covering an even order n >= 10."""
+    _require_integers((type(n),), DomainError, "orders")
     if n < 10 or n % 2:
         raise DomainError(f"pinned-entry families cover even orders >= 10, got {n}")
     return next(f for f, (residue, _) in _TUV.items() if n % 6 == residue)
@@ -239,6 +242,7 @@ def build_L(m: int) -> LatinSquare:
     symbol (0, 2m-1, 3m-1)[(j - i) mod 3] in place of the band's bottom or
     top symbol.
     """
+    _require_integers((type(m),), DomainError, "block sizes m")
     if m < 3 or m % 2 == 0:
         raise DomainError(f"block square needs odd m >= 3, got {m}")
     n = 3 * m
@@ -465,6 +469,8 @@ def build_family(family: str, n: int | None = None, m: int | None = None) -> Lat
     spec = _FAMILIES.get(family)
     if spec is None:
         raise DomainError(f"unknown family {family!r} (use one of {FAMILIES})")
+    # before the lookup: order 12.0 would find a live T12
+    _require_integers({type(v) for v in (n, m) if v is not None}, DomainError, "orders and m")
     order = spec.order(family, n, m)
     square = _LIVE.get((family, order))
     if square is None:

@@ -215,6 +215,18 @@ def test_as_transversal_rejects_symbol_repeat():
         as_transversal(sq, (0, 1, 2, 3))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: as_transversal(cayley_table(3), (0, 1, 2, 3)),
+    lambda: as_transversal(cayley_table(5), (0, 1, 2)),
+    lambda: Isotopism.identity(3).diagonal_image((1, 0)),
+], ids=["as-transversal-long", "as-transversal-short", "diagonal-image-short"])
+def test_diagonal_of_the_wrong_length_is_a_bad_permutation(call):
+    """A column count other than the order, as in delta_sum: no IndexError, no claim of
+    a repeated symbol, no image with fewer cells than the isotopism's order."""
+    with pytest.raises(BadPermutation, match="not a permutation of 0.."):
+        call()
+
+
 @pytest.mark.parametrize("cols, expected", [
     ((0, 1, 2), True),
     (np.array([0, 1, 2], np.int64), True),

@@ -151,6 +151,17 @@ def test_constraints_validation():
         find(cayley_table(5), mode=SearchMode.SUITABLE_DIAGONAL)
 
 
+@pytest.mark.parametrize("square, mode", [
+    pytest.param(build_V(10), "transversal", id="transversal-string"),
+    pytest.param(cayley_table(5), "suitable-diagonal", id="odd-order-suitable-string"),
+])
+def test_mode_must_be_a_search_mode(square, mode):
+    """A mode's value string is not a mode: it ran a suitable-diagonal search, and on an
+    odd square skipped the OddOrder check."""
+    with pytest.raises(DomainError, match="SearchMode"):
+        find(square, mode=mode)
+
+
 @pytest.mark.parametrize("cell", [(6, 0), (0, 6), (-1, -1), (2, -1)])
 def test_forbidden_cell_outside_the_square_is_rejected(cell):
     """No IndexError from a row past the end, no wrap-around from a negative index."""
@@ -239,6 +250,10 @@ def test_unknown_backend_and_block_size_are_rejected():
         find(build_exceptional(6), backend="pure")  # the engine picks the search path itself
     with pytest.raises(TypeError, match="block_m"):
         count_and_cover(build_V(10), block_m=3)  # the search core tallies no blocks
+    with pytest.raises(TypeError, match="prune"):
+        find(build_exceptional(6), prune=False)  # the kernel always prunes
+    with pytest.raises(TypeError, match="prune"):
+        count_and_cover(build_V(10), prune=False)
 
 
 @pytest.fixture
@@ -333,7 +348,8 @@ def test_concurrent_builds_yield_one_library(tmp_path):
         == [_kernel.library_path(_kernel._SOURCE.read_bytes()).name]
 
 
-# (label, square, prune) for the kernel-logic check below.
+# (label, square, prune) for the kernel-logic check below: prune names the twin's rule
+# (the kernel always prunes).
 KERNEL_CASES = (
     [(f"CAYLEY{n}-{'pruned' if prune else 'unpruned'}", cayley_table(n), prune)
      for n in range(1, 9) for prune in (True, False)]
@@ -348,12 +364,14 @@ KERNEL_CASES = (
                                        for label, sq, prune in KERNEL_CASES])
 def test_kernel_logic_matches_twin(sq, prune):
     """The C kernel against the pure twin, its oracle, on 1, 2 and 3 threads: the first
-    hit and the full enumeration."""
+    hit and the full enumeration, against the pruned twin or its unpruned walk, the
+    prune's reference (`_twin_oracle`)."""
     prep = _Prepared(sq, SearchConstraints.make())
     for enumerate_all in (False, True):
-        twin = _reduced(engine._twin_run, prep, prune, None, enumerate_all)
+        twin = _twin_oracle(prep, prune, enumerate_all)
         for threads in (1, 2, 3):
-            assert _reduced(_kernel.run, prep, prune, None, enumerate_all, threads) == twin
+            assert _as_oracle(_reduced(_kernel.run, prep, None, enumerate_all, threads),
+                              prune) == twin
 
 
 def test_hit_theorem_fails_when_a_refutation_finds_a_transversal(monkeypatch):
@@ -382,23 +400,45 @@ def test_hit_theorem_kernel_matches_twin():
 @needs_compiler
 def test_kernel_logic_budget_matches_twin():
     prep = _Prepared(build_exceptional(8), SearchConstraints.make())
-    assert _reduced(_kernel.run, prep, True, 3, False) \
-        == _reduced(engine._twin_run, prep, True, 3, False) == [(-1, None, 4, None)]
+    assert _reduced(_kernel.run, prep, 3, False) \
+        == _reduced(engine._twin_run, prep, 3, False) == [(-1, None, 4, None)]
 
 
-def _reduced(run, prep, prune, budget, enumerate_all, threads=None, rows=None):
+def _reduced(run, prep, budget, enumerate_all, threads=None, rows=None):
     """``run``, `_kernel.run` or `engine._twin_run`, over ``prep``'s square and masks (or the
     batch ``rows``), reduced to what both promise for each search: status and nodes for
     every budget, the count when the search finished and the solution of a first-hit
     search that found one."""
     status, count, nodes, cols = run(
         prep.sym, prep.delta, prep.rows[None] if rows is None else rows,
-        transversal=prep.transversal, prune=prune, budget=budget, enumerate_all=enumerate_all,
+        transversal=prep.transversal, budget=budget, enumerate_all=enumerate_all,
         threads=threads)
     return [(st, ct if st >= 0 else None, spent,
              tuple(sol) if st == 1 and not enumerate_all else None)
             for st, ct, spent, sol in zip(status.tolist(), count.tolist(), nodes.tolist(),
                                           cols.tolist())]
+
+
+def _twin_oracle(prep, prune, enumerate_all) -> list[tuple]:
+    """What the kernel must give over ``prep`` without a budget: the pruned twin's
+    `_reduced` result, or with ``prune`` False that of the twin's unpruned walk, the
+    prune's reference, less the nodes: a pruned search shares its status, count and first
+    solution, not its node total."""
+    if prune:
+        return _reduced(engine._twin_run, prep, None, enumerate_all)
+    found = []
+    for cols in _iter_cols(prep.sym, prep.delta, prep.rows, prep.transversal, False, None,
+                           _NodeCounter(), not enumerate_all):
+        found.append(cols)
+        if not enumerate_all:
+            break
+    return [(int(bool(found)), len(found), found[0] if found and not enumerate_all else None)]
+
+
+def _as_oracle(results, prune) -> list[tuple]:
+    """`_reduced` results as `_twin_oracle` gives them for ``prune``: whole, or without
+    the nodes that the unpruned walk does not share."""
+    return results if prune else [(st, ct, sol) for st, ct, _, sol in results]
 
 
 def _c_define(name: str) -> int:
@@ -408,7 +448,7 @@ def _c_define(name: str) -> int:
     return int(match.group(1))
 
 
-def _row_entries(prep, prune) -> list[list[int]]:
+def _row_entries(prep) -> list[list[int]]:
     """For each depth, the one-thread walk's node count each time it enters that row.
 
     Written apart from the twin, with its node accounting (one node per
@@ -439,11 +479,11 @@ def _row_entries(prep, prune) -> list[list[int]]:
             if used_cols >> c & 1 or (prep.transversal and used_syms >> s & 1):
                 continue
             low, high = dsum + delta + lo[d + 1], dsum + delta + hi[d + 1]
-            if prune and low + (target - low) % n > high:
+            if low + (target - low) % n > high:
                 continue
             enter(d + 1, used_cols | 1 << c, used_syms | 1 << s, dsum + delta)
 
-    if not (prune and lo[0] + (target - lo[0]) % n > hi[0]):
+    if lo[0] + (target - lo[0]) % n <= hi[0]:
         enter(0, 0, 0, 0)
     return entries
 
@@ -478,18 +518,19 @@ EVEN_CASES = ([(f"CAYLEY{n}", cayley_table(n)) for n in (2, 4, 6, 8)]
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 @pytest.mark.parametrize("sq", [pytest.param(sq, id=label) for label, sq in EVEN_CASES])
 def test_kernel_suitable_diagonals_match_twin(sq, prune):
-    """transversal=False: the residue test at the leaves, with and without the prune, and
-    no symbol test, so every suitable diagonal counts, not only the transversals."""
+    """transversal=False: the residue test at the leaves and no symbol test, so every
+    suitable diagonal counts, not only the transversals; against the pruned twin or its
+    unpruned walk (`_twin_oracle`)."""
     prep = _Prepared(sq, SearchConstraints.make(mode=SearchMode.SUITABLE_DIAGONAL))
-    first = _reduced(engine._twin_run, prep, prune, None, False)[0][3]
+    first = _twin_oracle(prep, prune, False)[0][-1]
     # forbidding a cell of the first suitable diagonal moves the first hit
     cell = (1, first[1]) if first else (0, 0)
     for forbidden in ((), (cell,)):
         prep = _Prepared(sq, SearchConstraints.make(mode=SearchMode.SUITABLE_DIAGONAL,
                                                     forbidden_cells=forbidden))
         for enumerate_all in (False, True):
-            assert _reduced(_kernel.run, prep, prune, None, enumerate_all) \
-                == _reduced(engine._twin_run, prep, prune, None, enumerate_all)
+            assert _as_oracle(_reduced(_kernel.run, prep, None, enumerate_all), prune) \
+                == _twin_oracle(prep, prune, enumerate_all)
 
 
 @needs_compiler
@@ -506,7 +547,7 @@ def test_kernel_rejects_candidates_outside_its_layout(break_layout):
     else:
         delta[0, 0] = 6
     with pytest.raises(ValueError, match="kernel square"):
-        _kernel.run(prep.sym, delta, rows, transversal=True, prune=True, budget=None,
+        _kernel.run(prep.sym, delta, rows, transversal=True, budget=None,
                     enumerate_all=len(rows) == 1)
 
 
@@ -514,13 +555,15 @@ def test_kernel_rejects_candidates_outside_its_layout(break_layout):
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 @pytest.mark.parametrize("enumerate_all", [False, True], ids=["first-hit", "enumerate"])
 def test_kernel_row_without_candidates_matches_twin(enumerate_all, prune):
-    """A row with no candidates is an empty search with no node, on the kernel as on the twin."""
+    """A row with no candidates is an empty search with no node, on the kernel as on the
+    pruned twin, and empty on the unpruned walk too."""
     prep = _Prepared(build_V(10), SearchConstraints.make(
         forbidden_cells=[(3, c) for c in range(10)]))
-    twin = _reduced(engine._twin_run, prep, prune, None, enumerate_all)
-    assert twin == [(0, 0, 0, None)]
+    twin = _twin_oracle(prep, prune, enumerate_all)
+    assert twin == _as_oracle([(0, 0, 0, None)], prune)
     for threads in (1, 2, 3):
-        assert _reduced(_kernel.run, prep, prune, None, enumerate_all, threads) == twin, threads
+        assert _as_oracle(_reduced(_kernel.run, prep, None, enumerate_all, threads), prune) \
+            == twin, threads
 
 
 def _budget_sweep(nodes: int) -> list[int]:
@@ -531,16 +574,15 @@ def _budget_sweep(nodes: int) -> list[int]:
 # The suitable-diagonal trees of EX8 and CAYLEY8 (0.5M nodes each) take about
 # 13 s of twin runs, so they run under --runlong.
 SWEEP_CASES = [
-    pytest.param(sq, mode, id=f"{label}-{mode.value}",
+    pytest.param(sq, mode, id=f"{label}-{mode.value}-pruned",
                  marks=[pytest.mark.long] if sq.order == 8 and mode is SearchMode.SUITABLE_DIAGONAL
                  else [])
     for label, sq in EVEN_CASES for mode in SearchMode]
 
 
 @needs_compiler
-@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 @pytest.mark.parametrize("sq, mode", SWEEP_CASES)
-def test_enumeration_budget_sweep_matches_twin(sq, mode, prune):
+def test_enumeration_budget_sweep_matches_twin(sq, mode):
     """Full enumeration stopped at budgets across the whole tree: the kernel must give
     the twin's status and nodes (budget + 1 when it runs out, however its jumps over
     used candidates land) and, when it finishes, the twin's count, on 1, 2 and 3
@@ -548,17 +590,17 @@ def test_enumeration_budget_sweep_matches_twin(sq, mode, prune):
     enumeration's shallow walk and inside its tasks, and one below the total after
     its last task."""
     prep = _Prepared(sq, SearchConstraints.make(mode=mode))
-    total = _reduced(engine._twin_run, prep, prune, None, True)[0][2]
+    total = _reduced(engine._twin_run, prep, None, True)[0][2]
     budgets = set(_budget_sweep(total)) | {max(total - 1, 0), total}
-    entries = _row_entries(prep, prune)
+    entries = _row_entries(prep)
     for threads in (2, 3):
         depth = _split_depth(entries, threads)
         if depth is not None:
             budgets.update(_boundary_budgets(entries, depth))
     for budget in sorted(budgets):
-        twin = _reduced(engine._twin_run, prep, prune, budget, True)
+        twin = _reduced(engine._twin_run, prep, budget, True)
         for threads in (1, 2, 3):
-            assert _reduced(_kernel.run, prep, prune, budget, True, threads) == twin, \
+            assert _reduced(_kernel.run, prep, budget, True, threads) == twin, \
                 (budget, threads)
 
 
@@ -575,7 +617,7 @@ def test_split_and_unsplit_trees_match_twin(sq, splits):
     Either way every budget beside a row entry gives the twin's result.
     """
     prep = _Prepared(sq, SearchConstraints.make())
-    entries = _row_entries(prep, True)
+    entries = _row_entries(prep)
     assert sum(len(e) for e in entries) > 0
     for threads in (2, 3):
         depth = _split_depth(entries, threads)
@@ -583,8 +625,8 @@ def test_split_and_unsplit_trees_match_twin(sq, splits):
         # beside the entries of every depth, so the split depth's are among them
         budgets = [b for d in range(1, sq.order) for b in _boundary_budgets(entries, d)[::8]]
         for budget in budgets + [None]:
-            assert _reduced(_kernel.run, prep, True, budget, True, threads) \
-                == _reduced(engine._twin_run, prep, True, budget, True), budget
+            assert _reduced(_kernel.run, prep, budget, True, threads) \
+                == _reduced(engine._twin_run, prep, budget, True), budget
 
 
 @needs_compiler
@@ -596,7 +638,7 @@ def test_long_tasks_under_budgets_match_one_thread():
     prep = _Prepared(build_V(16), SearchConstraints.make())
     for budget in np.linspace(100_000, 5_440_000, 8).round().astype(int).tolist():
         for threads in (1, 2, 3):
-            assert _reduced(_kernel.run, prep, True, budget, True, threads) \
+            assert _reduced(_kernel.run, prep, budget, True, threads) \
                 == [(-1, None, budget + 1, None)], (budget, threads)
 
 
@@ -613,9 +655,9 @@ NEAR_MAX_CASES = [("CAYLEY61", cayley_table(61), None, False)] + [
                           for label, sq, budget, enumerate_all in NEAR_MAX_CASES])
 def test_kernel_near_max_order_matches_twin(sq, budget, enumerate_all):
     prep = _Prepared(sq, SearchConstraints.make())
-    twin = _reduced(engine._twin_run, prep, True, budget, enumerate_all)
+    twin = _reduced(engine._twin_run, prep, budget, enumerate_all)
     for threads in (1, 2, 3):
-        assert _reduced(_kernel.run, prep, True, budget, enumerate_all, threads) == twin, threads
+        assert _reduced(_kernel.run, prep, budget, enumerate_all, threads) == twin, threads
 
 
 @needs_compiler
@@ -653,9 +695,9 @@ def _cell_batch(sq, avoid):
 def _assert_batch_matches_twin(prep, rows, budget):
     """The kernel batch over the masks ``rows`` at ``budget``, on 1, 2 and 3 threads,
     against the twin on the same masks."""
-    twin = _reduced(engine._twin_run, prep, True, budget, False, rows=rows)
+    twin = _reduced(engine._twin_run, prep, budget, False, rows=rows)
     for threads in (1, 2, 3):
-        assert _reduced(_kernel.run, prep, True, budget, False, threads, rows) == twin, \
+        assert _reduced(_kernel.run, prep, budget, False, threads, rows) == twin, \
             (budget, threads)
 
 
@@ -689,7 +731,7 @@ def test_batched_budget_sweep_matches_twin(sq, avoid):
     """Every cell's search at budgets up to the largest search's nodes + 1, on 1 to 3 threads."""
     prep, rows = _cell_batch(sq, avoid)
     most = max(spent for _, _, spent, _ in
-               _reduced(engine._twin_run, prep, True, None, False, rows=rows))
+               _reduced(engine._twin_run, prep, None, False, rows=rows))
     for budget in _budget_sweep(most):
         _assert_batch_matches_twin(prep, rows, budget)
 
@@ -709,7 +751,7 @@ def test_batched_budget_edges_match_twin(sq, avoid):
     each budget run as one batch of the cells it concerns, on 1 to 3 threads."""
     prep, rows = _cell_batch(sq, avoid)
     costs = [spent for _, _, spent, _ in
-             _reduced(engine._twin_run, prep, True, None, False, rows=rows)]
+             _reduced(engine._twin_run, prep, None, False, rows=rows)]
     by_budget = {}
     for j, budgets in enumerate(_edge_budgets(costs)):
         for budget in budgets:
@@ -725,12 +767,12 @@ def test_first_hit_budget_edges_match_twin():
     sq = build_V(10)
     preps = [_Prepared(sq, SearchConstraints.make(required=(sq.entry(r, c),)))
              for r in range(sq.order) for c in range(sq.order)]
-    costs = [_reduced(engine._twin_run, prep, True, None, False)[0][2] for prep in preps]
+    costs = [_reduced(engine._twin_run, prep, None, False)[0][2] for prep in preps]
     for prep, budgets in zip(preps, _edge_budgets(costs)):
         for budget in budgets:
-            twin = _reduced(engine._twin_run, prep, True, budget, False)
+            twin = _reduced(engine._twin_run, prep, budget, False)
             for threads in (1, 2, 3):
-                assert _reduced(_kernel.run, prep, True, budget, False, threads) == twin, \
+                assert _reduced(_kernel.run, prep, budget, False, threads) == twin, \
                     (budget, threads)
 
 
@@ -750,7 +792,7 @@ def test_batch_rejects_a_base_outside_its_layout(break_layout):
     for rows in masks:
         with pytest.raises(ValueError, match="kernel square"):
             _kernel.run(arrays["symbol-n"], arrays["delta-n"], rows, transversal=True,
-                        prune=True, budget=None, enumerate_all=False)
+                        budget=None, enumerate_all=False)
 
 
 # (label, square, step) for the per-cell filter check below: every step-th cell.
@@ -829,22 +871,15 @@ def test_forward_check_changes_only_nodes(sq, forward, plain, avoid):
         assert totals == [forward[avoid], plain[avoid]]
 
 
-@needs_compiler
 @pytest.mark.parametrize("avoid", [False, True], ids=["through", "avoiding"])
 @pytest.mark.parametrize("sq, nodes", [
-    pytest.param(build_V(10), (3_776_336, 17_914_224), id="V10"),
     pytest.param(build_exceptional(8), (110_642, 56_704), id="EX8"),
 ])
 def test_unpruned_first_hit_nodes_unchanged(sq, nodes, avoid):
-    """prune=False turns the forward check off too: every cell's first-hit search visits
-    the nodes it visited before the check existed, on the kernel and, for EX8, the twin."""
-    cells = np.indices((sq.order, sq.order)).reshape(2, -1).T
-    spent = _kernel.run(sq.to_array(), delta_grid(sq), _cell_rows(sq.to_array(), cells, avoid),
-                        transversal=True, prune=False, budget=None, enumerate_all=False)[2]
-    assert int(spent.sum()) == nodes[avoid]
-    if sq.order == 8:
-        assert sum(_twin_first(prep, False, True)[1]
-                   for prep in _cell_preps(sq, avoid)) == nodes[avoid]
+    """The twin's unpruned walk has no forward check either: every cell's first-hit search
+    visits the nodes it visited before the check existed."""
+    assert sum(_twin_first(prep, False, True)[1]
+               for prep in _cell_preps(sq, avoid)) == nodes[avoid]
 
 
 def test_kernel_order_limits_agree():
@@ -877,7 +912,7 @@ def test_ctypes_signatures_match_c():
     fn = _kernel.load().search
     assert fn.argtypes == argtypes
     assert fn.restype is restype
-    assert len(argtypes) == 11
+    assert len(argtypes) == 10
 
 
 def test_twin_takes_the_kernel_interface():
@@ -885,9 +920,8 @@ def test_twin_takes_the_kernel_interface():
     assert inspect.signature(engine._twin_run) == inspect.signature(_kernel.run)
 
 
-def test_thread_rule_lives_in_the_kernel():
-    """No engine function or method takes a thread count but `_twin_run`, which mirrors
-    `_kernel.run`'s signature: the kernel alone decides how many threads to use."""
+def _engine_routines() -> list:
+    """Every function the engine defines, and every method of the classes it defines."""
     routines = []
     for obj in vars(engine).values():
         if getattr(obj, "__module__", None) != engine.__name__:
@@ -897,10 +931,27 @@ def test_thread_rule_lives_in_the_kernel():
                          if getattr(f, "__module__", None) == engine.__name__]
         elif callable(obj):
             routines.append(obj)
+    return routines
+
+
+def test_thread_rule_lives_in_the_kernel():
+    """No engine function or method takes a thread count but `_twin_run`, which mirrors
+    `_kernel.run`'s signature: the kernel alone decides how many threads to use."""
+    routines = _engine_routines()
     assert engine.classify in routines and engine._Prepared.__init__ in routines
     takers = [f.__qualname__ for f in routines
               if {"jobs", "threads"} & set(inspect.signature(f).parameters)]
     assert takers == ["_twin_run"]
+
+
+def test_prune_lives_in_the_twin():
+    """No engine function or method takes ``prune`` but the twin's walk and its lazy
+    enumeration, the unpruned oracle: the kernel and every search through it always prune."""
+    routines = _engine_routines()
+    assert engine.find in routines and engine._twin_run in routines
+    takers = [f.__qualname__ for f in routines if "prune" in inspect.signature(f).parameters]
+    assert takers == ["_iter_cols", "iter_solutions"]
+    assert "prune" not in inspect.signature(_kernel.run).parameters
 
 
 @needs_compiler
@@ -937,11 +988,11 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
         decls += [_c_array(f"{label}_sym", prep.sym), _c_array(f"{label}_delta", prep.delta),
                   _c_array(f"{label}_rows", prep.rows)]
         square = f"{label}_sym, {label}_delta, {n}"
-        total = _reduced(_kernel.run, prep, True, None, True, 1)[0][2]
+        total = _reduced(_kernel.run, prep, None, True, 1)[0][2]
         for budget in (-1, total // 3, 2 * total // 3):
             calls.append(f"enumerate({square}, {label}_rows, {budget});")
-            [(st, count, nodes, _)] = _reduced(_kernel.run, prep, True,
-                                               None if budget < 0 else budget, True, 1)
+            [(st, count, nodes, _)] = _reduced(_kernel.run, prep, None if budget < 0 else budget,
+                                               True, 1)
             expected.append(f"dfs {st} {'-' if count is None else count} {nodes}")
         for avoid in (0, 1):
             decls.append(_c_array(f"{label}_cells{avoid}", _cell_rows(prep.sym, cells, avoid)))
@@ -953,12 +1004,12 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
                 expected.append(f"cells {(status == 1).sum()} {nodes.sum()}")
     source = "#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
 int64_t search(const int64_t *, const int64_t *, int64_t, const int64_t *, int64_t, int64_t,
-               int64_t, int64_t, int64_t, int64_t, int64_t *);
+               int64_t, int64_t, int64_t, int64_t *);
 static int64_t out[64 * 64 * 67];
 static void enumerate(const int64_t *sym, const int64_t *delta, int64_t n, const int64_t *rows,
                       int64_t budget)
 {
-    if (search(sym, delta, n, rows, 1, 1, 1, budget, 1, 3, out) != 0)
+    if (search(sym, delta, n, rows, 1, 1, budget, 1, 3, out) != 0)
         printf("bad input\\n");
     else if (out[0] < 0)
         printf("dfs %lld - %lld\\n", (long long)out[0], (long long)out[2]);
@@ -969,7 +1020,7 @@ static void batch(const int64_t *sym, const int64_t *delta, int64_t n, const int
                   int64_t budget)
 {
     int64_t found = 0, spent = 0;
-    if (search(sym, delta, n, rows, n * n, 1, 1, budget, 0, 3, out) != 0)
+    if (search(sym, delta, n, rows, n * n, 1, budget, 0, 3, out) != 0)
         printf("bad input\\n");
     for (int64_t j = 0; j < n * n; j++) {
         found += out[j * (n + 3)] == 1;
@@ -1041,7 +1092,7 @@ def test_no_thread_created_leaves_no_search_undone(tmp_path, monkeypatch):
     prep = _Prepared(sq, SearchConstraints.make())
     cells = _cell_rows(prep.sym, np.indices((16, 16)).reshape(2, -1).T, False)
     cases = [(cells, None, False), (None, None, True), (None, 1_000_000, True)]
-    expected = [_reduced(_kernel.run, prep, True, budget, enumerate_all, 1, rows)
+    expected = [_reduced(_kernel.run, prep, budget, enumerate_all, 1, rows)
                 for rows, budget, enumerate_all in cases]
 
     def search(*args):  # every output word -1 first, so a search left undone shows
@@ -1051,7 +1102,7 @@ def test_no_thread_created_leaves_no_search_undone(tmp_path, monkeypatch):
 
     monkeypatch.setattr(_kernel, "load", lambda: SimpleNamespace(search=search))
     for (rows, budget, enumerate_all), want in zip(cases, expected):
-        assert _reduced(_kernel.run, prep, True, budget, enumerate_all, 3, rows) == want
+        assert _reduced(_kernel.run, prep, budget, enumerate_all, 3, rows) == want
     assert len(expected[0]) == 256 and expected[1][0][2] == 54_400_976
     assert expected[2] == [(-1, None, 1_000_001, None)]
 

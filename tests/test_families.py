@@ -8,11 +8,13 @@ from latintrav import (
     DomainError,
     LatinSquare,
     bounds,
+    cayley_table,
     claimed_pinned_entries,
     families,
     is_transversal,
     witness_transversal,
 )
+from latintrav.blocks import verify_hit_theorem
 from latintrav.cli import main
 from latintrav.families import (
     build_exceptional,
@@ -316,6 +318,25 @@ def test_overlapping_cases_fail_loudly():
         _case_grid(8, [odd_cols, _cells(2, (0, 0)), band], "T")
     with pytest.raises(CaseOverlap, match=r"cases \[0, 1\] all match cell \(4,3\)"):
         _case_grid(8, [_cells(2, (0, 0), (4, 3)), band], "T")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_family("T", 12.0),
+    lambda: build_L(3.0),
+    lambda: bounds.check_sets_only("T", 12.0),
+    lambda: verify_hit_theorem(3.0),
+    lambda: bounds.lower_bound("T", 12.0),
+    lambda: cayley_table(True),
+    lambda: family_of_order(12.0),
+], ids=["build-family", "build-L", "check-sets-only", "hit-theorem", "lower-bound",
+        "cayley-bool", "family-of-order"])
+def test_family_orders_and_m_must_be_integers(call):
+    """Orders and m follow the grid values' rule: int or a numpy integer, never a float or
+    bool, and the answer is a DomainError, not a TypeError or a square of order 1."""
+    held = build_family("T", 12)  # the live T12 must not answer for order 12.0
+    with pytest.raises(DomainError, match="must be integers"):
+        call()
+    assert build_family("T", np.int64(12)) is held
 
 
 def test_family_of_order():
