@@ -28,8 +28,8 @@
  * split_walk).
  * Threads are created and joined inside each call; nothing outlives it.
  * _kernel.py builds and loads this file; the caller checks 1 <= n <=
- * MAX_ORDER, the buffer shapes and threads >= 1, and search rejects a symbol,
- * a delta or a row mask outside its layout.
+ * MAX_ORDER and the buffer shapes and passes threads >= 1, and search rejects
+ * a symbol, a delta or a row mask outside its layout.
  */
 #include <pthread.h>
 #include <stdint.h>
@@ -62,7 +62,7 @@ struct grid {
  * them, read-only once built and shared by every thread of the search. */
 struct tree {
     const struct grid *g;
-    int64_t n, transversal, target;
+    int64_t n, target;
     int64_t res_need[MAX_ORDER + 1], width[MAX_ORDER + 1];
     int64_t len[MAX_ORDER];            /* row r's candidate count */
     uint64_t root[MAX_ORDER];          /* row r's candidate columns */
@@ -82,7 +82,7 @@ struct walk {
  * atomically; the rest is read-only while the workers run. */
 struct split {
     const struct tree *t;
-    const int64_t *pre; /* ntasks prefix records of n + 1 words */
+    const uint64_t *pre; /* ntasks prefix records of n - depth + 1 words (see walk_body) */
     int64_t depth, ntasks, budget;
     int64_t next;  /* the next task to take */
     int64_t nodes; /* the node pool: the shallow walk's nodes plus those the tasks have added */
@@ -159,17 +159,6 @@ static void start(const struct tree *t, struct walk *w)
     w->dres[0] = 0;
 }
 
-/* A prefix record: the delta residue and the columns of rows 0..depth-1,
- * and the free columns of rows depth..n-1 at that depth.  Its length is
- * n + 1. */
-static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, const int64_t *rec)
-{
-    w->dres[depth] = rec[0];
-    memcpy(w->sol, rec + 1, (size_t)depth * sizeof w->sol[0]);
-    for (int64_t r = depth; r < t->n; r++)
-        w->avail[depth * t->n + r] = (uint64_t)rec[1 + r];
-}
-
 /* Walks the subtree below the node w holds at depth top, stopping at budget
  * limit.  Returns 1 when at least one solution was found, 0 when the subtree
  * was exhausted without one, and -1 when the budget ran out (w->nodes is
@@ -179,8 +168,10 @@ static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, con
  * loop carries none of the first-hit walk's tests.
  *
  * A node at depth stop < n is not entered: it is counted in w->emitted and,
- * when pre is not NULL, written as a prefix record to pre.  Pass stop = n to
- * walk the whole subtree.
+ * when pre is not NULL, written to pre as a prefix record: the delta residue
+ * at that depth, then the free columns of rows stop..n-1.  It keeps no
+ * columns of the rows above, since only a full enumeration is split and it
+ * reads no solution's columns.  Pass stop = n to walk the whole subtree.
  *
  * When s is not NULL, the walk is one of its tasks: it adds its nodes to
  * s's node pool every CHECK_EVERY nodes or so and when it ends, passing
@@ -214,6 +205,10 @@ static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, con
  * the test needs no division; depths whose width is n - 1 or more never
  * prune and are not tested.
  *
+ * The leaf.  At depth n - 1, width[n] is 0 and res_need[n] the target, so
+ * the prune places only a candidate that brings the delta sum to the target
+ * residue (for n = 1 every residue is 0): every leaf counts, untested.
+ *
  * The forward check, in a first-hit walk.  The update of
  * depth d + 1's availability rows also notes whether it left some row
  * empty, one compare per row and no branch (faster, measured, than stopping
@@ -227,7 +222,7 @@ static void load_prefix(const struct tree *t, struct walk *w, int64_t depth, con
  */
 static inline __attribute__((always_inline)) int64_t
 walk_body(const struct tree *t, struct walk *w, int64_t top, int64_t stop, int64_t limit,
-          const int enumerate_all, int64_t *pre, struct split *s)
+          const int enumerate_all, uint64_t *pre, struct split *s)
 {
     const int64_t n = t->n;
     const int8_t *delta = t->g->delta;
@@ -238,24 +233,20 @@ walk_body(const struct tree *t, struct walk *w, int64_t top, int64_t stop, int64
     w->left[top] = w->avail[top * n + top];
     w->idx[top] = 0;
     while (depth >= top) {
-        if (depth == n) {
-            if (t->transversal || w->dres[n] == t->target) {
-                count++;
-                if (!enumerate_all) {
-                    status = 1;
-                    goto done;
-                }
+        if (depth == n) { /* a solution: see "The leaf" above */
+            count++;
+            if (!enumerate_all) {
+                status = 1;
+                goto done;
             }
             depth--;
             continue;
         }
         if (depth == stop) {
             if (pre) {
-                int64_t *rec = pre + w->emitted * (n + 1);
-                rec[0] = w->dres[depth];
-                memcpy(rec + 1, w->sol, (size_t)depth * sizeof rec[0]);
-                for (int64_t r = depth; r < n; r++)
-                    rec[1 + r] = (int64_t)w->avail[depth * n + r];
+                uint64_t *rec = pre + w->emitted * (n - depth + 1);
+                rec[0] = (uint64_t)w->dres[depth];
+                memcpy(rec + 1, w->avail + depth * n + depth, (size_t)(n - depth) * sizeof rec[0]);
             }
             w->emitted++;
             depth--;
@@ -341,7 +332,7 @@ done:
 
 /* The walk of a full enumeration, with walk_body's stop, pre and s. */
 static int64_t walk_all(const struct tree *t, struct walk *w, int64_t top, int64_t stop,
-                        int64_t limit, int64_t *pre, struct split *s)
+                        int64_t limit, uint64_t *pre, struct split *s)
 {
     return walk_body(t, w, top, stop, limit, 1, pre, s);
 }
@@ -381,14 +372,17 @@ static void run_workers(void *(*fn)(void *), void *arg, int64_t count)
 static void *split_worker(void *arg)
 {
     struct split *s = arg;
+    const int64_t n = s->t->n, depth = s->depth;
     struct walk w;
     for (;;) {
         int64_t pool = __atomic_load_n(&s->nodes, __ATOMIC_RELAXED);
         int64_t i = __atomic_fetch_add(&s->next, 1, __ATOMIC_RELAXED);
         if (i >= s->ntasks || pool > s->budget)
             return NULL;
-        load_prefix(s->t, &w, s->depth, s->pre + i * (s->t->n + 1));
-        walk_all(s->t, &w, s->depth, s->t->n, s->budget - pool, NULL, s);
+        const uint64_t *rec = s->pre + i * (n - depth + 1);
+        w.dres[depth] = (int64_t)rec[0];
+        memcpy(w.avail + depth * n + depth, rec + 1, (size_t)(n - depth) * sizeof rec[0]);
+        walk_all(s->t, &w, depth, n, s->budget - pool, NULL, s);
         __atomic_add_fetch(&s->count, w.count, __ATOMIC_RELAXED);
     }
 }
@@ -416,7 +410,7 @@ static int64_t split_walk(const struct tree *t, struct walk *w, int64_t limit, i
             break;
         ntasks = w->emitted;
     }
-    int64_t *pre = ntasks < want ? NULL : malloc((size_t)(ntasks * (n + 1)) * sizeof *pre);
+    uint64_t *pre = ntasks < want ? NULL : malloc((size_t)(ntasks * (n - depth + 1)) * sizeof *pre);
     if (!pre) {
         start(t, w);
         return walk_all(t, w, 0, n, limit, NULL, NULL);
@@ -443,7 +437,7 @@ struct batch {
     const struct grid *g;
     const int64_t *rows;
     int64_t *out;
-    int64_t n, k, transversal, limit, enumerate_all, threads;
+    int64_t n, k, limit, enumerate_all, threads;
     int64_t next; /* the next search to take */
 };
 
@@ -451,8 +445,7 @@ static void *batch_worker(void *arg)
 {
     struct batch *b = arg;
     const int64_t n = b->n;
-    struct tree t = {.g = b->g, .n = n, .transversal = b->transversal,
-                     .target = n % 2 ? 0 : n / 2};
+    struct tree t = {.g = b->g, .n = n, .target = n % 2 ? 0 : n / 2};
     struct walk w; /* not zeroed: about 32 KB */
     for (int64_t j; (j = __atomic_fetch_add(&b->next, 1, __ATOMIC_RELAXED)) < b->k;) {
         int64_t *out = b->out + j * (n + 3);
@@ -483,11 +476,9 @@ static void *batch_worker(void *arg)
  * sym      (n, n): the symbol of every cell, row after row, in 0..n-1
  * delta    (n, n): the delta of every cell, row after row, |delta| < n
  * rows     (k, n): each search's candidate columns of row r as bits 0..n-1
- * transversal  1: symbols must be distinct (transversals); 0: they need not,
- *          and a diagonal counts when its delta sum is the target residue
- *          (suitable diagonals)
- * (no prune flag: every search prunes, and a first-hit search forward-checks;
- *  the unpruned walk exists only in the pure twin, engine._iter_cols)
+ * transversal  1: symbols must be distinct (transversals); 0: they need not
+ *          (suitable diagonals).  Either way a diagonal counts only when its
+ *          delta sum is the target residue, which every transversal's is
  * threads  a batch of one full enumeration (enumerate_all = 1) is split
  *          across them; in any other batch min(threads, k) threads take the
  *          searches from one shared counter, each search on one thread
@@ -514,7 +505,6 @@ int64_t search(const int64_t *sym, const int64_t *delta, int64_t n, const int64_
     if (threads > MAX_THREADS)
         threads = MAX_THREADS;
     struct batch b = {.g = &g, .rows = rows, .out = out, .n = n, .k = k,
-                      .transversal = transversal,
                       .limit = budget < 0 ? INT64_MAX : budget,
                       .enumerate_all = enumerate_all, .threads = threads};
     run_workers(batch_worker, &b, threads < k ? threads : k);

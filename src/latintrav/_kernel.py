@@ -11,14 +11,13 @@ rows) for `engine.find` and full enumeration, and a batch of per-cell masks
 `engine.pinned_verdicts`.  The kernel tallies nothing per cell.
 
 A call runs on every CPU in the process's affinity mask (`cpu_count`), which
-``taskset`` narrows; only the test suite passes `run` a thread count, and
-`run` is the one place a count is resolved.  A batch of one full enumeration
-walks the tree down to a split depth read from the tree and hands the
-subtrees below it to threads, which add their nodes to one shared pool and
-stop once it is over the budget.  That gives the one-thread walk's status
-and nodes for every budget, and its count and nodes when it finishes.  In
-any other batch the threads take searches from one shared counter until none
-is left, each search on one thread.
+``taskset`` narrows; `run` is the one place a thread count is resolved, and no
+caller passes one.  A batch of one full enumeration walks the tree down to a
+split depth read from the tree and hands the subtrees below it to threads,
+which add their nodes to one shared pool and stop once it is over the budget.
+That gives the one-thread walk's status and nodes for every budget, and its
+count and nodes when it finishes.  In any other batch the threads take
+searches from one shared counter until none is left, each search on one thread.
 The threads are created and joined inside each call, so nothing outlives it
 or a fork.
 
@@ -144,7 +143,7 @@ def load():
 
 
 def cpu_count() -> int:
-    """The CPUs this process may run on: the default thread count of `run`."""
+    """The CPUs this process may run on: the thread count of every `run`."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
@@ -157,7 +156,7 @@ def _check(arr: np.ndarray, shape: tuple[int, ...]) -> None:
 
 
 def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
-        budget: int | None, enumerate_all: bool, threads: int | None = None):
+        budget: int | None, enumerate_all: bool):
     """A batch of kernel searches over one square, search j over the masks ``rows[j]``.
 
     ``sym`` and ``delta`` are the square's (n, n) int64 arrays and ``rows``
@@ -171,11 +170,11 @@ def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bo
     candidates), and -1 when the node budget ran out (nodes is then
     budget + 1, and count means nothing); ``cols[j]`` holds the solution of
     a first-hit search with status 1 and is not written otherwise.
-    A batch of one full enumeration runs on ``threads`` threads (default
-    `cpu_count`), with the same status and nodes on any number, and the
-    same count when it finishes; in any other batch min(threads, k)
-    threads take the searches from one shared counter, one thread per
-    search, which changes no result.
+    A batch of one full enumeration runs on `cpu_count` threads, with the
+    same status and nodes on any number, and the same count when it
+    finishes; in any other batch min(`cpu_count`, k) threads take the
+    searches from one shared counter, one thread per search, which changes
+    no result.
     Raises ValueError when an array breaks the kernel's layout (each symbol
     in 0..n-1, each delta in (-n, n)) or a row mask has a column outside
     0..n-1.  The caller has checked that `load` returns the kernel.
@@ -187,12 +186,9 @@ def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bo
     _check(delta, (n, n))
     k = len(rows)
     _check(rows, (k, n))
-    threads = cpu_count() if threads is None else threads
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     out = np.empty((k, n + 3), np.int64)
     if load().search(sym.ctypes.data, delta.ctypes.data, n, rows.ctypes.data, k, transversal,
-                     -1 if budget is None else budget, enumerate_all, threads,
+                     -1 if budget is None else budget, enumerate_all, cpu_count(),
                      out.ctypes.data) == -2:
         raise ValueError("kernel square must hold symbols in 0..n-1 and deltas in (-n, n), "
                          "and row masks only columns in 0..n-1")

@@ -18,15 +18,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BadPermutation,
     DomainError,
+    Entry,
     Isotopism,
     LatinSquare,
     LatinSquareError,
+    _as_rc,
+    _as_rcs,
+    _at_least_one,
     _isotopism_image,
     diagonal_cols,
 )
 from . import engine
-from .families import build_family
+from .families import _odd_block_size, build_family
 
 
 class SumViolation(LatinSquareError):
@@ -44,10 +49,11 @@ PHI_BLOCK_MAP = {(1, 1): (2, 3), (2, 2): (1, 2), (3, 3): (3, 1)}
 
 def block_of(entry_or_cell, m: int) -> tuple[int, int]:
     """1-based block index (i, j) of a cell: i = r//m + 1, j = c//m + 1."""
-    if hasattr(entry_or_cell, "row"):
-        r, c = entry_or_cell.row, entry_or_cell.col
+    m = _at_least_one(m, "block sizes m")
+    if isinstance(entry_or_cell, Entry) or len(entry_or_cell) == 3:
+        r, c, _ = _as_rcs(entry_or_cell)
     else:
-        r, c = entry_or_cell[0], entry_or_cell[1]
+        r, c = _as_rc(entry_or_cell)
     if not (0 <= r < 3 * m and 0 <= c < 3 * m):
         raise DomainError(f"cell ({r},{c}) outside an order-{3 * m} square")
     return (r // m + 1, c // m + 1)
@@ -55,7 +61,9 @@ def block_of(entry_or_cell, m: int) -> tuple[int, int]:
 
 def block_cells(i: int, j: int, m: int) -> tuple[tuple[int, int], ...]:
     """All m*m cells of block (i, j)."""
-    if not (1 <= i <= 3 and 1 <= j <= 3):
+    i, j = (_at_least_one(index, "block indices") for index in (i, j))
+    m = _at_least_one(m, "block sizes m")
+    if i > 3 or j > 3:
         raise DomainError(f"block index ({i},{j}) outside 1..3")
     return tuple((r, c)
                  for r in range((i - 1) * m, i * m)
@@ -64,6 +72,7 @@ def block_cells(i: int, j: int, m: int) -> tuple[tuple[int, int], ...]:
 
 def block_hits(square: LatinSquare, transversal, m: int) -> tuple[tuple[int, ...], ...]:
     """3x3 matrix of the transversal's cell counts per block; sums must be m."""
+    m = _at_least_one(m, "block sizes m")
     cols = diagonal_cols(transversal)
     if square.order != 3 * m or len(cols) != square.order:
         raise DomainError(f"expected a diagonal of an order-{3 * m} square")
@@ -88,16 +97,14 @@ def _swap_blocks(m: int, first: int, second: int) -> tuple[int, ...]:
 
 def automorphism_tau(m: int) -> Isotopism:
     """(alpha, alpha, alpha) with alpha swapping the middle and last thirds."""
-    if m < 3 or m % 2 == 0:
-        raise DomainError(f"block square symmetries need odd m >= 3, got {m}")
+    m = _odd_block_size(m)
     alpha = _swap_blocks(m, 1, 2)
     return Isotopism(alpha, alpha, alpha)
 
 
 def autotopism_phi(m: int) -> Isotopism:
     """Rows swap thirds 1,2; columns swap thirds 1,3; symbols per the cycle list."""
-    if m < 3 or m % 2 == 0:
-        raise DomainError(f"block square symmetries need odd m >= 3, got {m}")
+    m = _odd_block_size(m)
     alpha = _swap_blocks(m, 0, 1)
     beta = _swap_blocks(m, 0, 2)
     gamma = list(range(3 * m))
@@ -110,9 +117,12 @@ def autotopism_phi(m: int) -> Isotopism:
 def block_image_map(iso: Isotopism, m: int) -> dict[tuple[int, int], tuple[int, int]]:
     """Where each block's cell set lands under (alpha, beta).
 
-    Raises DomainError when some block's image straddles several blocks (the
-    row or column permutation does not respect the banding).
+    Raises BadPermutation unless iso acts on order 3m, and DomainError when a
+    block's image straddles several blocks (alpha or beta breaks the banding).
     """
+    m = _at_least_one(m, "block sizes m")
+    if iso.order != 3 * m:
+        raise BadPermutation(f"isotopism acts on 0..{iso.order - 1}, blocks need order {3 * m}")
     def band_image(perm):
         bands = []
         for t in range(3):

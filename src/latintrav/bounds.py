@@ -171,10 +171,6 @@ class BoundCheck:
     tau: int | None
     tau_ok: bool | None
 
-    @property
-    def ok(self) -> bool:
-        return bool(self.size_ok and self.subset_ok is not False and self.tau_ok is not False)
-
     def to_json_dict(self) -> dict:
         value = self.formula_value
         return {

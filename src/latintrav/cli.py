@@ -84,8 +84,8 @@ def _add_square_source(p: argparse.ArgumentParser, positional: bool = True) -> N
     p.add_argument("--m", type=_plain_int, help="block size for family L")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=_plain_int, default=None, help="node budget per search")
+def _add_common(p: argparse.ArgumentParser, budget: int | None = None) -> None:
+    p.add_argument("--budget", type=_plain_int, default=budget, help="node budget per search")
     p.add_argument("--format", choices=["text", "json"], default="json")
     p.add_argument("--no-meta", action="store_true", help="omit timestamp/meta block")
 
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="per-cell FREE/COVERED/PINNED report")
     _add_square_source(p)
-    _add_common(p)
+    _add_common(p, DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("transversal", help="find/enumerate/count transversals")
@@ -276,17 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_plain_int, required=True)
     p.add_argument("--sets-only", action="store_true",
                    help="skip classification; set arithmetic only")
-    _add_common(p)
+    _add_common(p, DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("blocks", help="block-hit theorem verification")
     p.add_argument("--m", type=_plain_int, required=True)
-    _add_common(p)
+    _add_common(p, DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_blocks)
 
     p = sub.add_parser("table1", help="lower bound vs computed tau per even order")
     p.add_argument("--max-order", type=_plain_int, default=16)
-    _add_common(p)
+    _add_common(p, DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_table1)
     return ap
 
@@ -294,9 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "budget", "unset") is None and args.command in (
-            "classify", "bounds", "table1", "blocks"):
-        args.budget = DEFAULT_BUDGET
     try:
         engine._check_budget(getattr(args, "budget", None))
         return args.fn(args)

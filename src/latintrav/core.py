@@ -83,6 +83,14 @@ def _require_integers(kinds, error: type[LatinSquareError], what: str) -> None:
             raise error(f"{what} must be integers, got {kind.__name__}")
 
 
+def _at_least_one(value, what: str) -> int:
+    """``value`` as an int when it is an integer (`_require_integers`) of at least 1."""
+    _require_integers((type(value),), DomainError, what)
+    if value < 1:
+        raise DomainError(f"{what} must be at least 1, got {value}")
+    return int(value)
+
+
 def _as_rcs(entry) -> tuple[int, int, int]:
     """Accept an Entry or a plain (row, col, sym) triple of integers (else DomainError)."""
     r, c, s = entry.as_tuple() if isinstance(entry, Entry) else entry
@@ -304,9 +312,7 @@ def new_square(order: int, grid, family: str | None = None) -> LatinSquare:
 
 def cayley_table(n: int) -> LatinSquare:
     """Addition table of the integers mod n: grid[a][b] = (a+b) % n."""
-    _require_integers((type(n),), DomainError, "orders")
-    if n < 1:
-        raise DomainError(f"order must be positive, got {n}")
+    n = _at_least_one(n, "orders")
     a = np.arange(n, dtype=np.int64)
     return LatinSquare((a.reshape(-1, 1) + a) % n, family="CAYLEY")
 
@@ -335,10 +341,6 @@ class Isotopism:
     def identity(cls, n: int) -> "Isotopism":
         ident = tuple(range(n))
         return cls(ident, ident, ident)
-
-    def entry_image(self, entry) -> Entry:
-        r, c, s = _as_rcs(entry)
-        return Entry(self.alpha[r], self.beta[c], self.gamma[s])
 
     def diagonal_image(self, diag) -> Diagonal:
         cols = _check_permutation(diagonal_cols(diag), self.order, "diagonal columns")

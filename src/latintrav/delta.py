@@ -26,6 +26,7 @@ from .core import (
     LatinSquare,
     LatinSquareError,
     _as_rcs,
+    _at_least_one,
     _check_permutation,
     diagonal_cols,
     is_transversal,
@@ -48,7 +49,7 @@ REFUTATION_NONE = "NotRefuted"
 def delta(entry, n: int) -> int:
     """Symmetric representative of s - r - c mod n in (-n/2, n/2]."""
     r, c, s = _as_rcs(entry)
-    v = (s - r - c) % n
+    v = (s - r - c) % _at_least_one(n, "orders")
     return v - n if 2 * v > n else v
 
 
@@ -190,7 +191,7 @@ def forced_entry_certificate(square: LatinSquare) -> ForcedCertificate:
 def delta_m(entry, m: int) -> int:
     """(row + col) mod m, the block-level residue for squares of order 3m."""
     r, c, _ = _as_rcs(entry)
-    return (r + c) % m
+    return (r + c) % _at_least_one(m, "block sizes m")
 
 
 def special_symbol_delta_check(square: LatinSquare, transversal, m: int) -> bool:

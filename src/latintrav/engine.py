@@ -140,7 +140,7 @@ class _Prepared:
     ``rows[r]`` holds row r's candidate columns as bits (`_column_bits`).
     """
 
-    __slots__ = ("n", "transversal", "sym", "delta", "rows")
+    __slots__ = ("transversal", "sym", "delta", "rows")
 
     def __init__(self, square: LatinSquare, constraints: SearchConstraints):
         constraints.validate(square)
@@ -157,7 +157,6 @@ class _Prepared:
         for e in constraints.required:
             keep[e.row] = False
             keep[e.row, e.col] = True
-        self.n = n
         self.transversal = transversal
         self.sym = sym
         self.delta = delta_grid(square)
@@ -237,10 +236,10 @@ def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, transversal
 
 
 def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
-              budget: int | None, enumerate_all: bool, threads: int | None = None):
+              budget: int | None, enumerate_all: bool):
     """`_kernel.run` on the pure twin, at every order: the same arguments and the same
     (status, count, nodes, cols) views of one (k, n + 3) array.  The searches run one
-    after another, each a pruned `_iter_cols` walk of its ``rows[j]``, ignoring ``threads``."""
+    after another on the calling thread, each a pruned `_iter_cols` walk of its ``rows[j]``."""
     out = np.zeros((len(rows), len(sym) + 3), np.int64)
     for search, masks in zip(out, rows):
         counter = _NodeCounter()

@@ -232,6 +232,14 @@ def build_V(n: int) -> LatinSquare:
     ], "V")
 
 
+def _odd_block_size(m) -> int:
+    """``m`` as an int when it is an odd integer >= 3: `build_L`'s and its symmetries' rule."""
+    _require_integers((type(m),), DomainError, "block sizes m")
+    if m < 3 or m % 2 == 0:
+        raise DomainError(f"block square needs odd m >= 3, got {m}")
+    return int(m)
+
+
 def build_L(m: int) -> LatinSquare:
     """Order n = 3m square (m odd >= 3) tiled by nine m x m latin subsquares.
 
@@ -242,9 +250,7 @@ def build_L(m: int) -> LatinSquare:
     symbol (0, 2m-1, 3m-1)[(j - i) mod 3] in place of the band's bottom or
     top symbol.
     """
-    _require_integers((type(m),), DomainError, "block sizes m")
-    if m < 3 or m % 2 == 0:
-        raise DomainError(f"block square needs odd m >= 3, got {m}")
+    m = _odd_block_size(m)
     n = 3 * m
     local = np.arange(m, dtype=np.int64)
     circulant = np.add.outer(local, local) % m

@@ -3,6 +3,7 @@ import pytest
 from latintrav import (
     BadPermutation,
     DomainError,
+    Entry,
     Isotopism,
     apply_isotopism,
     witness_transversal,
@@ -21,6 +22,7 @@ from latintrav.blocks import (
     verify_block_maps,
     verify_hit_theorem,
 )
+from latintrav.delta import delta, delta_m
 from latintrav.families import build_L
 
 
@@ -30,6 +32,33 @@ def test_block_of_examples():
     assert block_of((7, 12), 5) == (2, 3)
     with pytest.raises(DomainError):
         block_of((9, 0), 3)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: block_of((1.5, 2), 3), DomainError),
+    (lambda: block_of(Entry(1, 2, 3), True), DomainError),
+    (lambda: block_cells(1, 1, 2.0), DomainError),
+    (lambda: block_cells(True, 1, 3), DomainError),
+    (lambda: block_cells(1, 1, 0), DomainError),
+    (lambda: block_cells(1, 1, -2), DomainError),
+    (lambda: automorphism_tau(3.0), DomainError),
+    (lambda: autotopism_phi(5.0), DomainError),
+    (lambda: block_hits(build_L(3), witness_transversal("L", 9), 3.0), DomainError),
+    (lambda: block_image_map(Isotopism.identity(6), 3), BadPermutation),
+    (lambda: delta((0, 0, 1), 4.0), DomainError),
+    (lambda: delta_m((0, 0, 1), 4.0), DomainError),
+    (lambda: delta((0, 0, 1), 0), DomainError),
+    (lambda: delta((0, 0, 1), -4), DomainError),
+], ids=["block_of-float-cell", "block_of-bool-m", "block_cells-float-m", "block_cells-bool-i",
+        "block_cells-m-0", "block_cells-m-negative", "tau-float-m", "phi-float-m",
+        "block_hits-float-m", "block_image_map-order-6", "delta-float-n", "delta_m-float-m",
+        "delta-n-0", "delta-n-negative"])
+def test_block_and_delta_arguments_obey_integer_and_range_rules(call, error):
+    """Every m, n and block index is an integer (never bool or float) of at least 1, every
+    cell a pair or entry of integers, and a block map's isotopism acts on order 3m; a
+    call that breaks a rule is a typed error, not a wrong value or a bare TypeError."""
+    with pytest.raises(error):
+        call()
 
 
 def test_block_cells():

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from latintrav import _kernel, engine
-from latintrav.cli import build_parser, main
+from latintrav.cli import DEFAULT_BUDGET, build_parser, main
 from latintrav.core import KNOWN_FAMILIES, DomainError
 from latintrav.families import FAMILIES, build_family, claimed_pinned_entries
 
@@ -367,6 +367,21 @@ def test_negative_budget_exits_2(capsys, argv):
     assert "node budget must be at least 0, got -1" in err
     code, _, _ = run(capsys, *argv, "--budget", "0", "--no-meta")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["construct", "--family", "T", "--order", "12"], "none"),
+    (["classify", "--family", "V", "--order", "10"], DEFAULT_BUDGET),
+    (["transversal", "find", "--family", "V", "--order", "10"], None),
+    (["pinned", "--family", "V", "--order", "10"], None),
+    (["bounds", "--family", "V", "--order", "10"], DEFAULT_BUDGET),
+    (["blocks", "--m", "3"], DEFAULT_BUDGET),
+    (["table1"], DEFAULT_BUDGET),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_default_budget_per_subcommand(argv, budget):
+    """The classifying subcommands default to `DEFAULT_BUDGET`, a search subcommand to no
+    budget, and construct, which runs no search, has no --budget."""
+    assert getattr(build_parser().parse_args(argv), "budget", "none") == budget
 
 
 def test_negative_budget_exits_2_with_sets_only(capsys):

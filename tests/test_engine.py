@@ -10,6 +10,7 @@ import sys
 import sysconfig
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -408,11 +409,12 @@ def _reduced(run, prep, budget, enumerate_all, threads=None, rows=None):
     """``run``, `_kernel.run` or `engine._twin_run`, over ``prep``'s square and masks (or the
     batch ``rows``), reduced to what both promise for each search: status and nodes for
     every budget, the count when the search finished and the solution of a first-hit
-    search that found one."""
-    status, count, nodes, cols = run(
-        prep.sym, prep.delta, prep.rows[None] if rows is None else rows,
-        transversal=prep.transversal, budget=budget, enumerate_all=enumerate_all,
-        threads=threads)
+    search that found one.  ``threads`` sets the kernel's thread count by patching
+    `_kernel.cpu_count` for the call."""
+    with patch.object(_kernel, "cpu_count", lambda: threads) if threads else nullcontext():
+        status, count, nodes, cols = run(
+            prep.sym, prep.delta, prep.rows[None] if rows is None else rows,
+            transversal=prep.transversal, budget=budget, enumerate_all=enumerate_all)
     return [(st, ct if st >= 0 else None, spent,
              tuple(sol) if st == 1 and not enumerate_all else None)
             for st, ct, spent, sol in zip(status.tolist(), count.tolist(), nodes.tolist(),
@@ -457,7 +459,7 @@ def _row_entries(prep) -> list[list[int]]:
     passes from its shallow walk into a task, and their number at depth d is
     the number of tasks.
     """
-    n = prep.n
+    n = len(prep.sym)
     target = n // 2 if n % 2 == 0 else 0
     rows = [[(c, sym[c], delta[c]) for c in range(n) if mask >> c & 1]
             for mask, sym, delta in zip(prep.rows.tolist(), prep.sym.tolist(),
@@ -518,9 +520,9 @@ EVEN_CASES = ([(f"CAYLEY{n}", cayley_table(n)) for n in (2, 4, 6, 8)]
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 @pytest.mark.parametrize("sq", [pytest.param(sq, id=label) for label, sq in EVEN_CASES])
 def test_kernel_suitable_diagonals_match_twin(sq, prune):
-    """transversal=False: the residue test at the leaves and no symbol test, so every
-    suitable diagonal counts, not only the transversals; against the pruned twin or its
-    unpruned walk (`_twin_oracle`)."""
+    """transversal=False: no symbol test, and the prune's target residue alone decides,
+    so every suitable diagonal counts, not only the transversals; against the pruned twin
+    or its unpruned walk (`_twin_oracle`), which tests the residue at the leaves."""
     prep = _Prepared(sq, SearchConstraints.make(mode=SearchMode.SUITABLE_DIAGONAL))
     first = _twin_oracle(prep, prune, False)[0][-1]
     # forbidding a cell of the first suitable diagonal moves the first hit
@@ -935,13 +937,13 @@ def _engine_routines() -> list:
 
 
 def test_thread_rule_lives_in_the_kernel():
-    """No engine function or method takes a thread count but `_twin_run`, which mirrors
-    `_kernel.run`'s signature: the kernel alone decides how many threads to use."""
+    """No engine function or method takes a thread count, and neither does `_kernel.run`:
+    the kernel alone decides how many threads to use (`_kernel.cpu_count`)."""
     routines = _engine_routines()
     assert engine.classify in routines and engine._Prepared.__init__ in routines
-    takers = [f.__qualname__ for f in routines
+    takers = [f.__qualname__ for f in routines + [_kernel.run]
               if {"jobs", "threads"} & set(inspect.signature(f).parameters)]
-    assert takers == ["_twin_run"]
+    assert takers == []
 
 
 def test_prune_lives_in_the_twin():
@@ -1070,7 +1072,8 @@ def test_threads_race_free_under_thread_sanitizer(tmp_path):
 def test_no_thread_created_leaves_no_search_undone(tmp_path, monkeypatch):
     """A kernel whose pthread_create always fails with EAGAIN: the calling thread
     alone takes every search of a batch and every task of a split enumeration, so
-    at threads=3 each result is the normal kernel's on one thread.
+    on 3 threads (`_kernel.cpu_count` patched) each result is the normal kernel's on
+    one thread.
 
     Skips where the compiler cannot build that kernel.
     """
