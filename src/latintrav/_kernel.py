@@ -36,10 +36,10 @@ unused, updated as each row is placed, and walks the entered row's mask from
 that table, adding the index distance of each jump to the node count, so every
 status and node total is the twin's for every budget (budget + 1 when it runs
 out).  Symbols and deltas are read by (row, column) from byte tables.  The
-delta sum is kept modulo n, which needs every delta to lie in (-n, n).
-``engine._cell_rows``'s per-cell row masks must filter exactly as
-``engine._Prepared`` does.  Both equivalences are tested in the suite, with
-the pure twin and ``_Prepared`` as the oracles.
+delta sum is kept modulo n, which needs every delta to lie in (-n, n).  The
+suite tests the equivalence with the pure twin as the oracle.  Every row
+mask the kernel walks comes from ``engine._cell_rows``, the engine's one
+candidate filter.
 
 When the kernel loads, ``engine._run`` sends here every first-hit search and
 full enumeration of order at most ``MAX_KERNEL_ORDER``; lazy enumeration

@@ -20,13 +20,11 @@ import numpy as np
 from .core import (
     BadPermutation,
     DomainError,
-    Entry,
     Isotopism,
     LatinSquare,
     LatinSquareError,
-    _as_rc,
-    _as_rcs,
     _at_least_one,
+    _coordinates,
     _isotopism_image,
     diagonal_cols,
 )
@@ -50,10 +48,7 @@ PHI_BLOCK_MAP = {(1, 1): (2, 3), (2, 2): (1, 2), (3, 3): (3, 1)}
 def block_of(entry_or_cell, m: int) -> tuple[int, int]:
     """1-based block index (i, j) of a cell: i = r//m + 1, j = c//m + 1."""
     m = _at_least_one(m, "block sizes m")
-    if isinstance(entry_or_cell, Entry) or len(entry_or_cell) == 3:
-        r, c, _ = _as_rcs(entry_or_cell)
-    else:
-        r, c = _as_rc(entry_or_cell)
+    r, c = _coordinates(entry_or_cell, (2, 3), "cell or entry")[:2]
     if not (0 <= r < 3 * m and 0 <= c < 3 * m):
         raise DomainError(f"cell ({r},{c}) outside an order-{3 * m} square")
     return (r // m + 1, c // m + 1)

@@ -165,7 +165,6 @@ class BoundCheck:
     n: int
     union_size: int
     formula_value: Fraction
-    lower_bound: int
     size_ok: bool
     subset_ok: bool | None
     tau: int | None
@@ -194,7 +193,6 @@ def _bound_check(family: str, n: int, union: np.ndarray, subset_ok: bool | None 
         n=n,
         union_size=union_size,
         formula_value=value,
-        lower_bound=math.ceil(value),
         size_ok=union_size >= value,
         subset_ok=subset_ok,
         tau=tau,

@@ -3,9 +3,10 @@ reference table of transversal-free counts, and emit machine-readable
 certificates.
 
 Exit codes: 0 success, 2 input/domain error, 3 node budget exceeded (partial
-output is still emitted).  All JSON output is deterministic; the ``meta``
-block (tool, version, timestamp) is dropped with ``--no-meta`` so
-byte-identical reruns can be compared.
+output is still emitted by ``classify``, ``bounds``, ``blocks`` and ``table1``;
+``transversal`` and ``pinned`` print only the error).  All JSON output is
+deterministic; the ``meta`` block (tool, version, timestamp) is dropped with
+``--no-meta`` so byte-identical reruns can be compared.
 """
 
 from __future__ import annotations

@@ -91,18 +91,27 @@ def _at_least_one(value, what: str) -> int:
     return int(value)
 
 
+def _coordinates(item, sizes: tuple[int, ...], what: str) -> tuple[int, ...]:
+    """``item``, an Entry or a sequence of integers (`_require_integers`) whose length is
+    one of ``sizes``, as ints; else DomainError."""
+    try:
+        values = item.as_tuple() if isinstance(item, Entry) else tuple(item)
+    except TypeError:  # not a sequence: no length is right
+        values = ()
+    if len(values) not in sizes:
+        raise DomainError(f"{what} must be {' or '.join(map(str, sizes))} integers, got {item!r}")
+    _require_integers(map(type, values), DomainError, f"{what} coordinates")
+    return tuple(map(int, values))
+
+
 def _as_rcs(entry) -> tuple[int, int, int]:
     """Accept an Entry or a plain (row, col, sym) triple of integers (else DomainError)."""
-    r, c, s = entry.as_tuple() if isinstance(entry, Entry) else entry
-    _require_integers(map(type, (r, c, s)), DomainError, "entry coordinates")
-    return (int(r), int(c), int(s))
+    return _coordinates(entry, (3,), "entry")
 
 
 def _as_rc(cell) -> tuple[int, int]:
     """Accept a plain (row, col) pair of integers (else DomainError)."""
-    r, c = cell
-    _require_integers(map(type, (r, c)), DomainError, "cell coordinates")
-    return (int(r), int(c))
+    return _coordinates(cell, (2,), "cell")
 
 
 def _check_family(family: str | None) -> None:

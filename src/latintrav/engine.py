@@ -16,7 +16,7 @@ which the test suite checks against the one unpruned walk, the pure twin's
 without one, so the first solution found is the same with and without it.
 
 A search reads the square's symbol and delta arrays and one candidate mask
-per row (`_Prepared`, or `_cell_rows` for a batch of per-cell searches).
+per row, from `_cell_rows` (`_Prepared` ANDs them over a search's constraints).
 `_run` alone picks the backend: the compiled `_kernel.run` up to its largest
 order when it loads, else `_twin_run`, the pure-Python twin with the same
 interface, which is the kernel's oracle in the tests.
@@ -126,41 +126,27 @@ def _check_budget(node_budget: int | None) -> None:
         raise DomainError(f"node budget must be at least 0, got {node_budget}")
 
 
-def _column_bits(n: int) -> np.ndarray:
-    """Each column's row-mask bit: int64 up to the kernel's orders, Python ints above."""
-    if n <= _kernel.MAX_KERNEL_ORDER:
-        return np.left_shift(1, np.arange(n, dtype=np.int64))
-    return np.array([1 << c for c in range(n)], object)
-
-
 class _Prepared:
     """One search's input: the square's own arrays and the cells it keeps.
 
     ``sym`` and ``delta`` are `to_array` and the cached `delta_grid`;
-    ``rows[r]`` holds row r's candidate columns as bits (`_column_bits`).
+    ``rows[r]`` holds row r's candidate columns as bits: the AND of `_cell_rows`'s
+    masks over the constraints, exact since `SearchConstraints.validate` keeps required
+    entries pairwise row, column and symbol disjoint and off the forbidden cells.
     """
 
     __slots__ = ("transversal", "sym", "delta", "rows")
 
     def __init__(self, square: LatinSquare, constraints: SearchConstraints):
         constraints.validate(square)
-        n = square.order
-        sym = square.to_array()
-        transversal = constraints.mode is SearchMode.TRANSVERSAL
-        keep = np.ones((n, n), bool)
-        for e in constraints.required:
-            keep[:, e.col] = False
-            if transversal:
-                keep &= sym != e.sym
-        for r, c in constraints.forbidden_cells:
-            keep[r, c] = False
-        for e in constraints.required:
-            keep[e.row] = False
-            keep[e.row, e.col] = True
-        self.transversal = transversal
-        self.sym = sym
+        self.transversal = constraints.mode is SearchMode.TRANSVERSAL
+        self.sym = square.to_array()
         self.delta = delta_grid(square)
-        self.rows = keep @ _column_bits(n)
+        required = [(e.row, e.col) for e in constraints.required]
+        masks = [_cell_rows(self.sym, cells, avoid, self.transversal)
+                 for cells, avoid in ((required, False), (list(constraints.forbidden_cells), True))]
+        self.rows = np.bitwise_and.reduce(np.concatenate(masks), axis=0,
+                                          initial=(1 << square.order) - 1)
 
 
 class _NodeCounter:
@@ -371,7 +357,8 @@ class ClassificationReport:
 
     ``status[r][c]`` is FREE (in no transversal), COVERED (in some but not
     all), PINNED (in every transversal, of which there is at least one), or
-    UNKNOWN (budget ran out); ``tau`` counts FREE cells.
+    UNKNOWN (budget ran out); ``tau`` counts FREE cells.  ``has_transversal``
+    is None when no search found one and some ran out: a partial run never says "no".
     """
 
     order: int
@@ -379,7 +366,7 @@ class ClassificationReport:
     status: tuple[tuple[str, ...], ...]
     tau: int
     pinned: tuple[Entry, ...]
-    has_transversal: bool
+    has_transversal: bool | None
     transversal_count: int | None
     witnesses: dict
     partial: bool
@@ -406,28 +393,33 @@ class ClassificationReport:
         return out
 
 
-def _cell_rows(sym: np.ndarray, cells: np.ndarray, avoid: bool) -> np.ndarray:
-    """`_Prepared`'s row masks for a transversal search through, or with ``avoid``
-    avoiding, each of ``cells``: a (k, n) array of `_column_bits`, row j for ``cells[j]``.
+def _cell_rows(sym: np.ndarray, cells, avoid: bool, transversal: bool) -> np.ndarray:
+    """The engine's one candidate filter: the row masks of a search through, or with
+    ``avoid`` avoiding, each of the k (row, col) ``cells``, a (k, n) array, row j for
+    ``cells[j]``.
 
     A required entry (r, c, s) keeps only column c in row r and drops column
-    c and the cell of symbol s from every other row; a forbidden cell (r, c)
-    drops that cell alone.  ``sym`` is a latin square's (n, n) symbol array,
-    so each row holds each symbol in exactly one column.
+    c from every other row, and in a ``transversal`` search the cell of
+    symbol s as well; a forbidden cell (r, c) drops that cell alone.
+    ``sym`` is a latin square's (n, n) symbol array, so each row holds each
+    symbol in exactly one column.  Masks are int64 up to the kernel's orders,
+    Python ints above.
     """
     n = len(sym)
-    bits = _column_bits(n)
+    bits = np.array([1 << c for c in range(n)], np.int64 if n <= _kernel.MAX_KERNEL_ORDER
+                    else object)
     everything = (1 << n) - 1
-    r, c = cells.T
+    r, c = np.reshape(np.asarray(cells, np.int64), (-1, 2)).T
     bit = bits[c]
-    k = np.arange(len(cells))
+    k = np.arange(len(r))
+    rows = np.full((len(r), n), everything, bits.dtype)
     if avoid:
-        rows = np.full((len(cells), n), everything, bits.dtype)
         rows[k, r] = everything ^ bit
         return rows
-    # others[s, i]: the columns of row i other than the one holding symbol s
-    others = everything ^ bits[np.argsort(sym, axis=1)].T
-    rows = others[sym[r, c]]
+    if transversal:
+        # others[s, i]: the columns of row i other than the one holding symbol s
+        others = everything ^ bits[np.argsort(sym, axis=1)].T
+        rows = others[sym[r, c]]
     rows &= ~bit[:, None]
     rows[k, r] = bit
     return rows
@@ -443,10 +435,9 @@ def _search_cells(square: LatinSquare, cells, avoid: bool,
     is what each search visited (budget + 1 when it ran out).  The whole
     batch is one `_run` call over the square's arrays and `_cell_rows`'s masks.
     """
-    cells = np.reshape(np.asarray(cells, np.int64), (-1, 2))
     sym = square.to_array()
     status, _, nodes, cols = _run(
-        sym, delta_grid(square), _cell_rows(sym, cells, avoid), transversal=True,
+        sym, delta_grid(square), _cell_rows(sym, cells, avoid, True), transversal=True,
         budget=budget, enumerate_all=False)
     return status, nodes, cols
 
@@ -489,7 +480,7 @@ def _classify_cells(square: LatinSquare, node_budget: int | None,
         status=status,
         tau=int((code == _FREE).sum()),
         pinned=tuple(square.entry(r, c) for r, c in cells[code == _PINNED].tolist()),
-        has_transversal=bool(len(witnessed)),
+        has_transversal=True if len(witnessed) else None if (found == -1).any() else False,
         transversal_count=transversal_count,
         witnesses=dict(zip(map(tuple, cells[witnessed].tolist()),
                            map(tuple, witness_cols.tolist()))),

@@ -332,6 +332,17 @@ def test_budget_exhaustion_exit_3(capsys):
     assert "node budget exceeded" in err
 
 
+def test_budgeted_classify_without_a_witness_does_not_say_no(capsys):
+    """V10 has 272 transversals, but no search finds one at budget 5: the partial report
+    says null (text: None) for hasTransversal, not false."""
+    argv = ("classify", "--family", "V", "--order", "10", "--budget", "5", "--no-meta")
+    code, out, _ = run(capsys, *argv)
+    data = json.loads(out)
+    assert (code, data["partial"], data["hasTransversal"]) == (3, True, None)
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 3 and "hasTransversal None" in out
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_count_budget_boundary(capsys, monkeypatch, threads):
     """V10's enumeration takes 32,250 nodes: one fewer is exit 3, that many is the count.

@@ -23,12 +23,14 @@ from latintrav import (
     classify,
     find,
     from_json,
+    is_pinned,
     is_transversal,
     new_square,
     parse,
     serialize,
     to_json,
 )
+from latintrav.blocks import block_of
 from latintrav.families import build_exceptional, build_L, build_T, build_U, build_V
 
 
@@ -340,6 +342,25 @@ def test_non_integer_coordinates_rejected(call, error):
     the transversal took the strings "0", "1", "2", an Entry's 0.5 ended in a bare
     TypeError, and is_transversal took the strings and truncated the floats."""
     with pytest.raises(error, match="must be integers"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: find(build_V(10), forbidden_cells=[(1,)]),
+    lambda: find(build_V(10), required=[(1, 2)]),
+    lambda: find(build_V(10), required=[(1, 2, 3, 4)]),
+    lambda: find(build_V(10), forbidden_cells=[5]),
+    lambda: find(build_V(10), required=[None]),
+    lambda: block_of(5, 3),
+    lambda: block_of((1, 2, 3, 4), 3),
+    lambda: is_pinned(build_V(10), (1, 2)),
+], ids=["forbidden-1", "required-2", "required-4", "forbidden-int", "required-none",
+        "block_of-int", "block_of-4", "is_pinned-2"])
+def test_malformed_cells_and_entries_rejected(call):
+    """A cell is a pair and an entry a triple of integers; anything else, of another
+    length or not a sequence at all, is a DomainError, not a bare ValueError or
+    TypeError from unpacking it."""
+    with pytest.raises(DomainError, match=r"must be (2|3|2 or 3) integers, got"):
         call()
 
 

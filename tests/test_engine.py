@@ -1,8 +1,10 @@
 import ctypes
 import dataclasses
 import inspect
+import itertools
 import logging
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -691,7 +693,8 @@ def _cell_batch(sq, avoid):
     """The unconstrained `_Prepared` of ``sq`` and `_cell_rows`'s masks through, or with
     ``avoid`` avoiding, each of its cells, row by row."""
     prep = _Prepared(sq, SearchConstraints.make())
-    return prep, _cell_rows(prep.sym, np.indices((sq.order, sq.order)).reshape(2, -1).T, avoid)
+    cells = np.indices((sq.order, sq.order)).reshape(2, -1).T
+    return prep, _cell_rows(prep.sym, cells, avoid, True)
 
 
 def _assert_batch_matches_twin(prep, rows, budget):
@@ -789,7 +792,7 @@ def test_batch_rejects_a_base_outside_its_layout(break_layout):
     sq = build_V(10)
     arrays = {"symbol-n": sq.to_array().copy(), "delta-n": delta_grid(sq).copy()}
     cells = np.array([(0, 0), (3, 4)], np.int64)
-    masks = [_cell_rows(arrays["symbol-n"], cells, avoid) for avoid in (False, True)]
+    masks = [_cell_rows(arrays["symbol-n"], cells, avoid, True) for avoid in (False, True)]
     arrays[break_layout][3, 4] = 10
     for rows in masks:
         with pytest.raises(ValueError, match="kernel square"):
@@ -797,29 +800,89 @@ def test_batch_rejects_a_base_outside_its_layout(break_layout):
                         budget=None, enumerate_all=False)
 
 
-# (label, square, step) for the per-cell filter check below: every step-th cell.
-FILTER_CASES = [("V10", build_V(10), 1), ("T12", build_T(12), 1),
-                ("EX8", build_exceptional(8), 1),
-                ("L9", build_L(3), 1),  # odd order
-                ("CAYLEY8", cayley_table(8), 1),
-                ("V64", build_V(64), 37)]  # Python-int masks, above the kernel's orders
-
-
-@pytest.mark.parametrize("avoid", [False, True], ids=["through", "avoiding"])
-@pytest.mark.parametrize("sq, step", [pytest.param(sq, step, id=label)
-                                      for label, sq, step in FILTER_CASES])
-def test_cell_rows_filter_as_prepared(sq, step, avoid):
-    """The batch's per-cell masks are exactly `_Prepared`'s rows for a required entry
-    (through) or a forbidden cell (avoiding), for every cell (every step-th of V64)."""
+def _constraint_sets(sq, mode, solutions, count, seed):
+    """``count`` seeded constraint sets of ``sq`` in ``mode``: 0-3 required entries,
+    pairwise row, column and symbol disjoint, and 0-3 forbidden cells off them.  Every
+    other set takes its required entries from one of ``solutions``, so that some hold."""
+    rng = random.Random(seed)
     n = sq.order
-    cells = np.indices((n, n)).reshape(2, -1).T[::step]
-    rows = _cell_rows(sq.to_array(), cells, avoid)
-    assert rows.shape == (len(cells), n)
-    assert rows.dtype == (np.int64 if n <= _kernel.MAX_KERNEL_ORDER else object)
-    for j, (r, c) in enumerate(cells.tolist()):
-        cons = SearchConstraints.make(forbidden_cells=((r, c),)) if avoid \
-            else SearchConstraints.make(required=(sq.entry(r, c),))
-        assert rows[j].tolist() == _Prepared(sq, cons).rows.tolist(), (r, c)
+    sets = []
+    for i in range(count):
+        cols = rng.choice(solutions) if i % 2 and solutions else rng.sample(range(n), n)
+        required = []
+        for r in rng.sample(range(n), rng.randint(0, 3)):
+            entry = sq.entry(r, cols[r])
+            if all(entry.sym != e.sym for e in required):
+                required.append(entry)
+        taken = {(e.row, e.col) for e in required}
+        forbidden = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))}
+        sets.append(SearchConstraints.make(required=required, forbidden_cells=forbidden - taken,
+                                           mode=mode))
+    return sets
+
+
+# (label, square, mode) for the constraint check below; suitable diagonals need even order.
+CONSTRAINT_CASES = [
+    (f"{label}-{mode.value}", sq, mode)
+    for label, sq in (("EX6", build_exceptional(6)), ("EX8", build_exceptional(8)),
+                      ("CAYLEY7", cayley_table(7)))
+    for mode in SearchMode if sq.order % 2 == 0 or mode is SearchMode.TRANSVERSAL]
+
+
+@pytest.mark.parametrize("twin", [True, pytest.param(False, marks=needs_compiler)],
+                         ids=["twin", "kernel"])
+@pytest.mark.parametrize("sq, mode", [pytest.param(sq, mode, id=label)
+                                      for label, sq, mode in CONSTRAINT_CASES])
+def test_constraints_filter_as_a_permutation_scan(sq, mode, twin, oracle):
+    """Seeded sets of required entries and forbidden cells against a raw scan of all n!
+    column maps: `find` returns the first map that keeps every constraint and
+    `enumerate_solutions` counts them.  A transversal search also checks the per-cell
+    batches through and avoiding every cell (`_search_cells`)."""
+    n = sq.order
+    if mode is SearchMode.TRANSVERSAL:
+        solutions = oracle(sq.grid)
+    else:
+        solutions = [p for p in itertools.permutations(range(n)) if delta_sum(sq, p) == n // 2]
+    with pure_twin() if twin else nullcontext():
+        for cons in _constraint_sets(sq, mode, solutions, 16, seed=n):
+            kept = [p for p in solutions
+                    if all(p[e.row] == e.col for e in cons.required)
+                    and all(p[r] != c for r, c in cons.forbidden_cells)]
+            hit = find(sq, cons)
+            assert (hit and hit.cols, enumerate_solutions(sq, cons)) == \
+                (kept[0] if kept else None, len(kept)), cons
+        if mode is SearchMode.TRANSVERSAL:
+            cells = np.indices((n, n)).reshape(2, -1).T
+            for avoid in (False, True):
+                status, _, cols = _search_cells(sq, cells, avoid, None)
+                for (r, c), st, first in zip(cells.tolist(), status.tolist(), cols.tolist()):
+                    kept = [p for p in solutions if (p[r] == c) != avoid]
+                    assert (st, tuple(first) if st else None) == \
+                        (int(bool(kept)), kept[0] if kept else None), (r, c, avoid)
+
+
+@pytest.mark.parametrize("mode", SearchMode, ids=lambda mode: mode.value)
+def test_prepared_keeps_the_documented_cells_above_kernel_orders(mode):
+    """V64's masks are Python ints.  With two required entries and two forbidden cells,
+    one in a required row, `_Prepared` keeps exactly the cells of `_cell_rows`' rule,
+    built here cell by cell."""
+    sq = build_V(64)
+    required = (sq.entry(3, 5), sq.entry(40, 7))
+    forbidden = ((10, 11), (3, 6))
+    prep = _Prepared(sq, SearchConstraints.make(required=required, forbidden_cells=forbidden,
+                                                mode=mode))
+    expected = []
+    for i in range(64):
+        cols = set(range(64)) - {c for r, c in forbidden if r == i}
+        for e in required:
+            if i == e.row:
+                cols &= {e.col}
+            else:
+                cols -= {e.col}
+                if mode is SearchMode.TRANSVERSAL:
+                    cols -= {c for c in range(64) if sq[i, c] == e.sym}
+        expected.append(sum(1 << c for c in cols))
+    assert prep.rows.dtype == object and prep.rows.tolist() == expected
 
 
 @pytest.mark.parametrize("sq, cells, avoid, status, nodes", [
@@ -997,7 +1060,8 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
                                                True, 1)
             expected.append(f"dfs {st} {'-' if count is None else count} {nodes}")
         for avoid in (0, 1):
-            decls.append(_c_array(f"{label}_cells{avoid}", _cell_rows(prep.sym, cells, avoid)))
+            rows = _cell_rows(prep.sym, cells, avoid, True)
+            decls.append(_c_array(f"{label}_cells{avoid}", rows))
             most = int(_search_cells(sq, cells, bool(avoid), None)[1].max())
             for budget in (-1, most // 3):
                 calls.append(f"batch({square}, {label}_cells{avoid}, {budget});")
@@ -1093,7 +1157,7 @@ def test_no_thread_created_leaves_no_search_undone(tmp_path, monkeypatch):
     lib.search.restype = ctypes.c_int64
     sq = build_V(16)
     prep = _Prepared(sq, SearchConstraints.make())
-    cells = _cell_rows(prep.sym, np.indices((16, 16)).reshape(2, -1).T, False)
+    cells = _cell_rows(prep.sym, np.indices((16, 16)).reshape(2, -1).T, False, True)
     cases = [(cells, None, False), (None, None, True), (None, 1_000_000, True)]
     expected = [_reduced(_kernel.run, prep, budget, enumerate_all, 1, rows)
                 for rows, budget, enumerate_all in cases]
@@ -1188,6 +1252,16 @@ def test_classify_strategies_agree(sq):
                 assert all((r, c) in w for w in witness_cells)
     if witness_cells:
         assert set.intersection(*witness_cells) == {(e.row, e.col) for e in cells.pinned}
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])
+def test_budgeted_classify_without_a_witness_does_not_say_no(twin):
+    """At budget 5 no search of V10, which has 272 transversals, finds one: the report
+    is partial and leaves whether there is a transversal unknown (None), never False."""
+    with pure_twin() if twin else nullcontext():
+        rep = classify(build_V(10), node_budget=5)
+    assert rep.partial and not rep.witnesses
+    assert rep.has_transversal is None and rep.to_json_dict()["hasTransversal"] is None
 
 
 @pytest.mark.parametrize("twin", [False, True], ids=["kernel", "twin"])

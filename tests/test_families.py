@@ -445,4 +445,4 @@ def test_with_family_checks_the_tag():
 def test_bound_sets_hold_at_large_orders(family, n):
     """The set check builds T/U/V squares of order 1200 in well under a second."""
     check = bounds.check_sets_only(family, n)
-    assert check.size_ok and check.union_size >= check.lower_bound
+    assert check.size_ok and check.union_size >= bounds.lower_bound(family, n)
