@@ -5,10 +5,10 @@
  * same output.  Every search prunes; the unpruned walk, the prune's reference,
  * exists only in the pure twin (engine._iter_cols).  The one entry point,
  * search, runs a batch of transversal (or suitable-diagonal) searches over one
- * square: it checks the square's (n, n) symbol and delta arrays and builds its
- * tables from them once (build_grid), every search of the batch reads those
- * tables, and each fills its own search tree from its own candidate mask per
- * row (mask_tree).  What a search keeps, say for one required entry or one
+ * square: it checks the square's (n, n) int64 symbol and int8 delta arrays
+ * and builds its tables from them once (build_grid), every search of the
+ * batch reads those tables, and each fills its own search tree from its own
+ * candidate mask per row (mask_tree).  What a search keeps, say for one required entry or one
  * forbidden cell, is decided by the caller (engine._Prepared,
  * engine._cell_rows); the kernel only walks the masks.  A batch of one full
  * enumeration is split across threads (split_walk); in any other batch the
@@ -89,11 +89,11 @@ struct split {
     int64_t count; /* the tasks' solutions */
 };
 
-/* Fills g from the square's (n, n) sym and delta arrays, and its symbol
- * table only for a transversal search, so a diagonal search's stays 0 and
- * its walk frees no symbol; returns 0, or -2 when n or a cell is out of
+/* Fills g from the square's (n, n) int64 sym and int8 delta arrays, and its
+ * symbol table only for a transversal search, so a diagonal search's stays 0
+ * and its walk frees no symbol; returns 0, or -2 when n or a cell is out of
  * range: each symbol must lie in 0..n-1 and each |delta| < n. */
-static int64_t build_grid(struct grid *g, const int64_t *sym, const int64_t *delta, int64_t n,
+static int64_t build_grid(struct grid *g, const int64_t *sym, const int8_t *delta, int64_t n,
                           int64_t transversal)
 {
     if (n < 1 || n > MAX_ORDER)
@@ -473,8 +473,9 @@ static void *batch_worker(void *arg)
  * rows[j * n .. j * n + n - 1].  Returns 0, or -2 with nothing searched or
  * written when n, a symbol, a delta or a row mask is out of range.
  *
- * sym      (n, n): the symbol of every cell, row after row, in 0..n-1
- * delta    (n, n): the delta of every cell, row after row, |delta| < n
+ * sym      (n, n) int64: the symbol of every cell, row after row, in 0..n-1
+ * delta    (n, n) int8: the delta of every cell, row after row, |delta| < n
+ *          (the square's cached delta table, read as it is)
  * rows     (k, n): each search's candidate columns of row r as bits 0..n-1
  * transversal  1: symbols must be distinct (transversals); 0: they need not
  *          (suitable diagonals).  Either way a diagonal counts only when its
@@ -492,7 +493,7 @@ static void *batch_worker(void *arg)
  * valid only for a search that finished).  The target residue of the delta
  * sum is n/2 for even n and 0 for odd n.
  */
-int64_t search(const int64_t *sym, const int64_t *delta, int64_t n, const int64_t *rows,
+int64_t search(const int64_t *sym, const int8_t *delta, int64_t n, const int64_t *rows,
                int64_t k, int64_t transversal, int64_t budget,
                int64_t enumerate_all, int64_t threads, int64_t *out)
 {

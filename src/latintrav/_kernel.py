@@ -2,9 +2,10 @@
 
 The library has one entry point, ``search``, wrapped by `run`.  One call runs
 a batch of transversal (or suitable-diagonal) searches over one square: it
-checks the square's own (n, n) symbol and delta arrays and builds its tables
-from them once, and each search of the batch walks its own candidate mask per
-row.  It returns every search's status, count, nodes and first-hit columns in
+checks the square's own (n, n) arrays, the int64 symbols (`to_array`) and the
+int8 deltas (the cached ``delta_grid``, read as it is, with no conversion),
+and builds its tables from them once, and each search of the batch walks its
+own candidate mask per row.  It returns every search's status, count, nodes and first-hit columns in
 one array.  ``engine._run`` passes one search's masks (``engine._Prepared``'s
 rows) for `engine.find` and full enumeration, and a batch of per-cell masks
 (``engine._cell_rows``) for each phase of per-cell classification and for
@@ -150,18 +151,19 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _check(arr: np.ndarray, shape: tuple[int, ...]) -> None:
-    if arr.dtype != np.int64 or arr.shape != shape or not arr.flags.c_contiguous:
-        raise ValueError(f"kernel input must be C-contiguous int64 of shape {shape}")
+def _check(arr: np.ndarray, dtype: type, shape: tuple[int, ...]) -> None:
+    if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
+        raise ValueError(f"kernel input must be C-contiguous {np.dtype(dtype)} of shape {shape}")
 
 
 def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
         budget: int | None, enumerate_all: bool):
     """A batch of kernel searches over one square, search j over the masks ``rows[j]``.
 
-    ``sym`` and ``delta`` are the square's (n, n) int64 arrays and ``rows``
-    a (k, n) int64 array: ``rows[j, r]`` holds search j's candidate columns
-    of row r as bits.  A ``transversal`` search needs distinct symbols; any
+    ``sym`` is the square's (n, n) int64 symbol array, ``delta`` its (n, n)
+    int8 delta array (``delta_grid`` caches int8 at every kernel order), and
+    ``rows`` a (k, n) int64 array: ``rows[j, r]`` holds search j's candidate
+    columns of row r as bits.  A ``transversal`` search needs distinct symbols; any
     other counts a diagonal whose delta sum hits the target residue, which
     the kernel works out from n.  Every search prunes; only the twin walks unpruned.
     Returns (status, count, nodes, cols), views of one (k, n + 3) array:
@@ -175,17 +177,18 @@ def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bo
     finishes; in any other batch min(`cpu_count`, k) threads take the
     searches from one shared counter, one thread per search, which changes
     no result.
-    Raises ValueError when an array breaks the kernel's layout (each symbol
-    in 0..n-1, each delta in (-n, n)) or a row mask has a column outside
+    Raises ValueError when an array has another dtype or shape or is not
+    C-contiguous, when a value breaks the kernel's layout (each symbol in
+    0..n-1, each delta in (-n, n)), or when a row mask has a column outside
     0..n-1.  The caller has checked that `load` returns the kernel.
     """
     n = sym.shape[0]
     if not 1 <= n <= MAX_KERNEL_ORDER:
         raise ValueError(f"kernel order must be in 1..{MAX_KERNEL_ORDER}, got {n}")
-    _check(sym, (n, n))
-    _check(delta, (n, n))
+    _check(sym, np.int64, (n, n))
+    _check(delta, np.int8, (n, n))
     k = len(rows)
-    _check(rows, (k, n))
+    _check(rows, np.int64, (k, n))
     out = np.empty((k, n + 3), np.int64)
     if load().search(sym.ctypes.data, delta.ctypes.data, n, rows.ctypes.data, k, transversal,
                      -1 if budget is None else budget, enumerate_all, cpu_count(),

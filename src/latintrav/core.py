@@ -189,19 +189,34 @@ class LatinSquare:
 
     Instances are immutable after construction and safe to share across
     concurrent workers; every analysis produces new values.  The values live
-    in one int64 array; ``grid``, the same values as a tuple of row tuples of
-    Python ints, is built on first access and kept.
+    in one int64 array, which the square copies from ``grid`` (the family
+    builders hand over a fresh one through `_adopt` instead); ``grid``, the
+    same values as a tuple of row tuples of Python ints, is built on first
+    access and kept.
     """
 
     __slots__ = ("order", "family", "_array", "_grid", "_delta_grid", "__weakref__")
 
     def __init__(self, grid, family: str | None = None):
-        arr = _grid_array(grid)
+        self._set(_grid_array(grid), family)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, family: str | None = None) -> "LatinSquare":
+        """The square of ``arr``, a fresh C-contiguous int64 array that no one else holds,
+        kept without a copy and made read-only; the checks are `__init__`'s."""
+        if arr.dtype != np.int64 or not arr.flags.c_contiguous or arr.base is not None:
+            raise ValueError("only a fresh C-contiguous int64 array can be adopted")
+        sq = cls.__new__(cls)
+        sq._set(arr, family)
+        return sq
+
+    def _set(self, arr: np.ndarray, family: str | None) -> None:
+        """Checks ``arr`` (square, values in range, latin) and ``family``, then keeps both."""
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise DomainError(f"grid must be square and non-empty, got shape {arr.shape}")
         n = int(arr.shape[0])
         _check_family(family)
-        if ((arr < 0) | (arr >= n)).any():
+        if arr.min() < 0 or arr.max() >= n:
             r, c = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
             raise BadSymbol(f"value {int(arr[r, c])} at ({r},{c}) outside 0..{n - 1}")
         _validate_latin(arr)
@@ -219,11 +234,14 @@ class LatinSquare:
         Two threads that miss at once each build an equal tuple; either is kept.
         """
         if self._grid is None:
-            self._grid = tuple(map(tuple, self._array.tolist()))
+            # one int object per symbol, not one per cell: ints above 256 are not cached
+            symbols = np.array(range(self.order), dtype=object)
+            self._grid = tuple(map(tuple, symbols[self._array].tolist()))
         return self._grid
 
     def to_array(self) -> np.ndarray:
-        """The grid as a read-only, C-contiguous int64 array owned by the square."""
+        """The grid as a read-only, C-contiguous int64 array owned by the square: its
+        copy of the caller's grid, or the array a family builder handed over."""
         return self._array
 
     def entry(self, row: int, col: int) -> Entry:
@@ -253,7 +271,8 @@ class LatinSquare:
         return isinstance(other, LatinSquare) and np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
-        return hash(self.grid)
+        # equal squares have equal C-contiguous int64 arrays, hence equal bytes
+        return hash(self._array.tobytes())
 
     def __repr__(self) -> str:
         tag = f", family={self.family!r}" if self.family else ""
@@ -323,7 +342,9 @@ def cayley_table(n: int) -> LatinSquare:
     """Addition table of the integers mod n: grid[a][b] = (a+b) % n."""
     n = _at_least_one(n, "orders")
     a = np.arange(n, dtype=np.int64)
-    return LatinSquare((a.reshape(-1, 1) + a) % n, family="CAYLEY")
+    table = np.add.outer(a, a)
+    table %= n
+    return LatinSquare._adopt(table, family="CAYLEY")
 
 
 @dataclass(frozen=True)
@@ -361,7 +382,7 @@ class Isotopism:
 
 def apply_isotopism(square: LatinSquare, iso: Isotopism) -> LatinSquare:
     """Return the square with result[alpha(r)][beta(c)] = gamma(square[r][c])."""
-    return LatinSquare(_isotopism_image(square, iso))
+    return LatinSquare._adopt(_isotopism_image(square, iso))
 
 
 def _isotopism_image(square: LatinSquare, iso: Isotopism) -> np.ndarray:

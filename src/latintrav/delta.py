@@ -54,16 +54,25 @@ def delta(entry, n: int) -> int:
 
 
 def delta_grid(square: LatinSquare) -> np.ndarray:
-    """Per-cell delta values as a read-only int64 matrix (cached)."""
+    """Per-cell delta values as a read-only matrix (cached) of a narrow signed type.
+
+    int8 up to order 255, so every kernel order gets int8; int16 up to order
+    16384, where s - r - c in [-2(n-1), n-1] still fits the int16 it is
+    computed in; int32 above.  Its scalars wrap on overflow, so sum an array
+    of them (``ndarray.sum`` accumulates in int64), not the scalars themselves.
+    """
     cached = square._delta_grid
     if cached is not None:
         return cached
     n = square.order
-    idx = np.arange(n, dtype=np.int64)
-    v = square.to_array() - idx.reshape(-1, 1)
+    wide = np.int16 if n <= 1 << 14 else np.int32
+    idx = np.arange(n, dtype=wide)
+    v = np.subtract(square.to_array(), idx.reshape(-1, 1), dtype=wide)
     v -= idx
     v %= n
     np.subtract(v, n, out=v, where=v > n // 2)
+    if n <= 255:
+        v = v.astype(np.int8)
     v.setflags(write=False)
     square._delta_grid = v
     return v
@@ -71,9 +80,9 @@ def delta_grid(square: LatinSquare) -> np.ndarray:
 
 def delta_sum(square: LatinSquare, diag) -> int:
     """Sum of delta over a diagonal's cells, reduced mod n into 0..n-1."""
-    cols = _check_permutation(diagonal_cols(diag), square.order, "diagonal columns")
-    dg = delta_grid(square)
-    return int(sum(dg[r, c] for r, c in enumerate(cols)) % square.order)
+    n = square.order
+    cols = _check_permutation(diagonal_cols(diag), n, "diagonal columns")
+    return int(delta_grid(square)[range(n), cols].sum() % n)
 
 
 def is_suitable_diagonal(square: LatinSquare, diag) -> bool:

@@ -129,7 +129,8 @@ def _check_budget(node_budget: int | None) -> None:
 class _Prepared:
     """One search's input: the square's own arrays and the cells it keeps.
 
-    ``sym`` and ``delta`` are `to_array` and the cached `delta_grid`;
+    ``sym`` and ``delta`` are `to_array` (int64) and the cached `delta_grid` (int8 at
+    every kernel order, which the kernel reads as it is, and the twin as Python ints);
     ``rows[r]`` holds row r's candidate columns as bits: the AND of `_cell_rows`'s
     masks over the constraints, exact since `SearchConstraints.validate` keeps required
     entries pairwise row, column and symbol disjoint and off the forbidden cells.

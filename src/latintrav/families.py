@@ -165,7 +165,7 @@ def _case_grid(n: int, cases: Sequence[_Case], family: str) -> LatinSquare:
     grid = np.add.outer(idx, idx)
     grid += off
     grid %= n
-    return LatinSquare(grid, family=family)
+    return LatinSquare._adopt(grid, family=family)
 
 
 def build_T(n: int) -> LatinSquare:
@@ -263,7 +263,7 @@ def build_L(m: int) -> LatinSquare:
             block = grid[i * m:(i + 1) * m, j * m:(j + 1) * m]
             np.add(circulant, band * m, out=block)
             block[diagonals[band != 0]] = specials[(j - i) % 3]
-    return LatinSquare(grid, family="L")
+    return LatinSquare._adopt(grid, family="L")
 
 
 def build_exceptional(n: int) -> LatinSquare:

@@ -259,10 +259,56 @@ def test_grid_is_tuples_of_exact_ints(build, arg):
     assert sq.grid == per_cell
     assert {type(row) for row in sq.grid} == {tuple}
     assert {type(v) for row in sq.grid for v in row} == {int}
-    assert hash(sq) == hash(per_cell)
+    assert hash(sq) == hash(sq.with_family(None))
     from_array = LatinSquare(sq.to_array())
     assert from_array == sq and hash(from_array) == hash(sq)
     assert sq != LatinSquare(sq.to_array()[::-1])
+
+
+def test_grid_shares_one_int_per_symbol():
+    """300 symbols, so at most 300 int objects; ints above 256 are not cached, and one
+    per cell would be 90,000."""
+    sq = build_T(300)
+    assert len({id(v) for row in sq.grid for v in row}) <= 300
+    assert sq.grid == tuple(map(tuple, sq.to_array().tolist()))
+
+
+@pytest.mark.parametrize("grid, family, error", [
+    ([[0, 1], [1, 1]], None, NotLatin),
+    ([[0, 1], [1, 0], [0, 1]], None, DomainError),
+    ([[0, 2], [2, 0]], None, BadSymbol),
+    ([[0, -1], [-1, 0]], None, BadSymbol),
+    ([[0, 1], [1, 0]], "BOGUS", DomainError),
+], ids=["not-latin", "not-square", "symbol-n", "symbol-negative", "family"])
+def test_an_adopted_array_gets_the_checks_of_a_copied_grid(grid, family, error):
+    """The builders' path runs `LatinSquare`'s checks and raises what they raise."""
+    with pytest.raises(error) as copied:
+        LatinSquare(grid, family)
+    with pytest.raises(error) as adopted:
+        LatinSquare._adopt(np.array(grid, np.int64), family)
+    assert str(adopted.value) == str(copied.value)
+
+
+def test_adopt_keeps_a_fresh_array_and_refuses_the_rest():
+    arr = build_V(10).to_array().copy()
+    sq = LatinSquare._adopt(arr, "V")
+    assert sq.to_array() is arr and not arr.flags.writeable
+    assert sq == build_V(10) and sq.family == "V"
+    fresh = build_V(10).to_array().copy()
+    for other in (fresh.T, fresh[:], fresh.astype(np.int32)):
+        with pytest.raises(ValueError, match="fresh C-contiguous int64"):
+            LatinSquare._adopt(other)
+    assert fresh.flags.writeable
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_T(300), lambda: build_L(5), lambda: cayley_table(9),
+    lambda: apply_isotopism(build_V(10), Isotopism(range(10), range(9, -1, -1), range(10))),
+], ids=["T300", "L5", "cayley9", "isotope-V10"])
+def test_to_array_owns_its_data_and_is_read_only(build):
+    arr = build().to_array()
+    assert arr.flags.owndata and arr.flags.c_contiguous and not arr.flags.writeable
+    assert arr.dtype == np.int64
 
 
 def test_square_owns_a_copy_of_its_grid():

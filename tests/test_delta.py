@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +6,8 @@ from hypothesis import strategies as st
 from latintrav import (
     BadPermutation,
     Entry,
+    Isotopism,
+    apply_isotopism,
     cayley_table,
     delta,
     delta_m,
@@ -20,8 +23,16 @@ from latintrav.delta import (
     REFUTATION_MIN_SUM,
     NotBlockSquare,
     OddOrder,
+    delta_grid,
 )
-from latintrav.families import build_exceptional, build_L, build_T, build_U, build_V
+from latintrav.families import (
+    build_exceptional,
+    build_family,
+    build_L,
+    build_T,
+    build_U,
+    build_V,
+)
 
 
 def test_delta_examples():
@@ -54,6 +65,53 @@ def test_delta_sum_examples(oracle):
         assert delta_sum(c5, cols) == 0
     assert delta_sum(build_T(12), witness_transversal("T", 12)) == 6
     assert delta_sum(cayley_table(4), (0, 1, 2, 3)) == 0
+
+
+def _scaled_cayley(n: int, k: int):
+    """The addition table of the integers mod n with each symbol s written k*s mod n (k a
+    unit mod n), so the delta of cell (r, c) is (k - 1)(r + c) mod n."""
+    return apply_isotopism(cayley_table(n),
+                           Isotopism(range(n), range(n), [k * s % n for s in range(n)]))
+
+
+def _delta_reference(square) -> np.ndarray:
+    """`delta_grid` by the int64 formula: (s - r - c) mod n mapped into (-n/2, n/2]."""
+    n = square.order
+    idx = np.arange(n, dtype=np.int64)
+    v = (square.to_array() - idx[:, None] - idx) % n
+    return np.where(v > n // 2, v - n, v)
+
+
+@pytest.mark.parametrize("build, dtype, lo, hi", [
+    (lambda: _scaled_cayley(255, 2), np.int8, -127, 127),
+    (lambda: _scaled_cayley(256, 3), np.int16, -126, 128),
+    (lambda: build_T(300), np.int16, -3, 3),
+    (lambda: build_L(85), np.int8, -86, 86),
+], ids=["order-255", "order-256", "T300", "L85"])
+def test_delta_grid_is_narrow_and_exact(build, dtype, lo, hi):
+    """int8 holds (-n/2, n/2] up to order 255 and int16 from 256 on, where 128 occurs."""
+    sq = build()
+    dg = delta_grid(sq)
+    assert dg.dtype == dtype and dg.flags.c_contiguous and not dg.flags.writeable
+    assert (int(dg.min()), int(dg.max())) == (lo, hi)
+    assert np.array_equal(dg, _delta_reference(sq))
+    assert delta_grid(sq) is dg
+
+
+@pytest.mark.parametrize("family, n", [("T", 300), ("U", 296), ("V", 298),
+                                       ("T", 252), ("U", 248), ("V", 250)])
+def test_delta_sum_of_large_witnesses(family, n):
+    """Every transversal's delta sum is n/2 mod n, at int16 orders and at int8 ones."""
+    assert delta_sum(build_family(family, n), witness_transversal(family, n)) == n // 2
+
+
+def test_delta_sum_does_not_wrap_in_int8():
+    """A diagonal of the order-255 square with delta 127 in every row: its sum, 255 * 127,
+    lies far outside the int8 its table is stored in."""
+    sq = _scaled_cayley(255, 2)
+    cols = [(127 - r) % 255 for r in range(255)]
+    assert delta_grid(sq)[range(255), cols].tolist() == [127] * 255
+    assert delta_sum(sq, cols) == 255 * 127 % 255 == 0
 
 
 def test_delta_sum_rejects_non_diagonal():

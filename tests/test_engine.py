@@ -782,6 +782,19 @@ def test_first_hit_budget_edges_match_twin():
 
 
 @needs_compiler
+def test_kernel_takes_the_cached_int8_deltas_as_they_are():
+    """The kernel reads `delta_grid`'s int8 table without a conversion, and any other
+    dtype or layout of it is an error, never a misread table."""
+    sq = build_V(10)
+    prep = _Prepared(sq, SearchConstraints.make())
+    assert prep.delta is delta_grid(sq) and prep.delta.dtype == np.int8
+    for delta in (prep.delta.astype(np.int64), np.asfortranarray(prep.delta)):
+        with pytest.raises(ValueError, match="C-contiguous int8"):
+            _kernel.run(prep.sym, delta, prep.rows[None], transversal=True, budget=None,
+                        enumerate_all=False)
+
+
+@needs_compiler
 @pytest.mark.parametrize("break_layout", ["delta-n", "symbol-n"])
 def test_batch_rejects_a_base_outside_its_layout(break_layout):
     """A bad symbol or delta array is an error, never a batch of "no transversal" (FREE)
@@ -965,7 +978,8 @@ def _c_signature(name: str) -> tuple[list, object]:
     match = re.search(rf"^(int64_t|void)\s+{name}\s*\(([^)]*)\)", source, re.MULTILINE)
     assert match, f"no definition of {name} in {_kernel._SOURCE.name}"
     params = [p.strip() for p in match.group(2).split(",")]
-    assert all(re.fullmatch(r"(const )?int64_t (\*\w+|\w+)", p) for p in params), params
+    assert all(re.fullmatch(r"(const )?int64_t (\*\w+|\w+)|const int8_t \*\w+", p)
+               for p in params), params
     argtypes = [ctypes.c_void_p if "*" in p else ctypes.c_int64 for p in params]
     return argtypes, ctypes.c_int64 if match.group(1) == "int64_t" else None
 
@@ -1029,9 +1043,10 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _c_array(name: str, arr) -> str:
-    values = ", ".join(str(v) for v in np.asarray(arr).ravel().tolist())
-    return f"static const int64_t {name}[] = {{{values}}};\n"
+def _c_array(name: str, arr: np.ndarray) -> str:
+    """``arr`` as a C array of its own integer type (int8_t, int64_t)."""
+    values = ", ".join(str(v) for v in arr.ravel().tolist())
+    return f"static const {arr.dtype.name}_t {name}[] = {{{values}}};\n"
 
 
 def _tsan_program(cases) -> tuple[str, list[str]]:
@@ -1069,10 +1084,10 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
                                                  None if budget < 0 else budget)
                 expected.append(f"cells {(status == 1).sum()} {nodes.sum()}")
     source = "#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
-int64_t search(const int64_t *, const int64_t *, int64_t, const int64_t *, int64_t, int64_t,
+int64_t search(const int64_t *, const int8_t *, int64_t, const int64_t *, int64_t, int64_t,
                int64_t, int64_t, int64_t, int64_t *);
 static int64_t out[64 * 64 * 67];
-static void enumerate(const int64_t *sym, const int64_t *delta, int64_t n, const int64_t *rows,
+static void enumerate(const int64_t *sym, const int8_t *delta, int64_t n, const int64_t *rows,
                       int64_t budget)
 {
     if (search(sym, delta, n, rows, 1, 1, budget, 1, 3, out) != 0)
@@ -1082,7 +1097,7 @@ static void enumerate(const int64_t *sym, const int64_t *delta, int64_t n, const
     else
         printf("dfs %lld %lld %lld\\n", (long long)out[0], (long long)out[1], (long long)out[2]);
 }
-static void batch(const int64_t *sym, const int64_t *delta, int64_t n, const int64_t *rows,
+static void batch(const int64_t *sym, const int8_t *delta, int64_t n, const int64_t *rows,
                   int64_t budget)
 {
     int64_t found = 0, spent = 0;

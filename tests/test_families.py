@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -446,3 +447,23 @@ def test_bound_sets_hold_at_large_orders(family, n):
     """The set check builds T/U/V squares of order 1200 in well under a second."""
     check = bounds.check_sets_only(family, n)
     assert check.size_ok and check.union_size >= bounds.lower_bound(family, n)
+
+
+def _peak_bytes(call) -> int:
+    """The most memory tracemalloc saw allocated at once while ``call()`` ran."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_family_square_costs_one_int64_array():
+    """The builder hands its array to the square, which keeps it without a copy: T1200's
+    build peaks below 13 n^2 bytes (a copy made it 20 n^2), and the set check, which adds
+    the int16 delta table and the masks, below 18 n^2 (23.6 n^2 with an int64 table)."""
+    n = 1200
+    assert _peak_bytes(lambda: build_T(n)) <= 13 * n * n
+    assert _peak_bytes(lambda: bounds.check_sets_only("T", n)) <= 18 * n * n
