@@ -37,7 +37,6 @@ from .delta import (
     ForcedCertificate,
     NotBlockSquare,
     OddOrder,
-    delta,
     delta_m,
     delta_profile,
     delta_sum,

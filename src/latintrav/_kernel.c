@@ -1,16 +1,19 @@
-/* Row-order depth-first search over transversals (or diagonals) with
- * delta-interval pruning and, in first-hit searches, forward checking (a
- * placement that leaves a later row with no free column is dropped): the
+/* Row-order depth-first search over transversals with delta-interval
+ * pruning and, in first-hit searches, forward checking (a placement that
+ * leaves a later row with no free column is dropped): the
  * compiled twin of engine._twin_run, which takes the same arrays and fills the
  * same output.  Every search prunes; the unpruned walk, the prune's reference,
  * exists only in the pure twin (engine._iter_cols).  The one entry point,
- * search, runs a batch of transversal (or suitable-diagonal) searches over one
- * square: it checks the square's (n, n) int64 symbol and int8 delta arrays
- * and builds its tables from them once (build_grid), every search of the
- * batch reads those tables, and each fills its own search tree from its own
- * candidate mask per row (mask_tree).  What a search keeps, say for one required entry or one
- * forbidden cell, is decided by the caller (engine._Prepared,
- * engine._cell_rows); the kernel only walks the masks.  A batch of one full
+ * search, runs a batch of transversal searches over one square: it checks the
+ * square's (n, n) int64 symbol and int8 delta arrays and builds its symbol
+ * tables from them once (build_grid), every search of the batch reads those
+ * tables and the caller's delta array, and each fills its own search tree from
+ * its own candidate mask per row (mask_tree).  The kernel has no search mode: a
+ * suitable-diagonal search is a transversal search over the column-index grid
+ * (engine._Prepared passes sym[r][c] = c), whose symbol test is the column
+ * test.  What a search keeps, say for one required entry or one forbidden
+ * cell, is decided by the caller (engine._Prepared, engine._cell_rows); the
+ * kernel only walks the masks.  A batch of one full
  * enumeration is split across threads (split_walk); in any other batch the
  * threads take searches from one shared counter, one thread per search.
  *
@@ -21,7 +24,7 @@
  * column and symbol are unused, so a row is walked by jumping straight to
  * its next free candidate; the node count grows by the index distance of
  * each jump (clamped to budget + 1 when a jump crosses the budget).
- * Symbols and deltas are read by (row, column) from byte tables, and the
+ * Symbols and deltas are read by (row, column) from byte arrays, and the
  * delta sum is kept mod n without a division, which needs |delta| < n.
  * Threads change no status and no node total for any budget, and no count
  * of an enumeration that finishes: those equal the one-thread walk's (see
@@ -54,7 +57,7 @@ static inline int64_t pymod(int64_t a, int64_t n)
  * every search over it and every thread. */
 struct grid {
     uint8_t sym[MAX_ORDER * MAX_ORDER];      /* [r * n + c]: the symbol */
-    int8_t delta[MAX_ORDER * MAX_ORDER];     /* [r * n + c]: the delta, |delta| < n */
+    const int8_t *delta;                     /* [r * n + c]: the caller's delta, |delta| < n */
     uint64_t sym_col[MAX_ORDER * MAX_ORDER]; /* [sym * n + r]: its column bit in row r */
 };
 
@@ -89,15 +92,15 @@ struct split {
     int64_t count; /* the tasks' solutions */
 };
 
-/* Fills g from the square's (n, n) int64 sym and int8 delta arrays, and its
- * symbol table only for a transversal search, so a diagonal search's stays 0
- * and its walk frees no symbol; returns 0, or -2 when n or a cell is out of
- * range: each symbol must lie in 0..n-1 and each |delta| < n. */
-static int64_t build_grid(struct grid *g, const int64_t *sym, const int8_t *delta, int64_t n,
-                          int64_t transversal)
+/* Fills g's symbol tables from the square's (n, n) int64 sym array and points
+ * it at the (n, n) int8 delta array, which must outlive g; returns 0, or -2
+ * when n or a cell is out of range: each symbol must lie in 0..n-1 and each
+ * |delta| < n. */
+static int64_t build_grid(struct grid *g, const int64_t *sym, const int8_t *delta, int64_t n)
 {
     if (n < 1 || n > MAX_ORDER)
         return -2;
+    g->delta = delta;
     memset(g->sym_col, 0, (size_t)(n * n) * sizeof g->sym_col[0]);
     for (int64_t r = 0; r < n; r++)
         for (int64_t c = 0; c < n; c++) {
@@ -105,9 +108,7 @@ static int64_t build_grid(struct grid *g, const int64_t *sym, const int8_t *delt
             if (s < 0 || s >= n || d <= -n || d >= n)
                 return -2;
             g->sym[r * n + c] = (uint8_t)s;
-            g->delta[r * n + c] = (int8_t)d;
-            if (transversal)
-                g->sym_col[s * n + r] |= (uint64_t)1 << c;
+            g->sym_col[s * n + r] |= (uint64_t)1 << c;
         }
     return 0;
 }
@@ -183,8 +184,8 @@ static void start(const struct tree *t, struct walk *w)
  * column c and symbol s at depth d writes depth d + 1's entries for rows
  * d + 1..n-1 from depth d's, less bit c and the column of s in each row (the
  * symbol table, symbol-major, maps a symbol to its column bit in every row,
- * so the update reads contiguous words; in a diagonal search it is all 0, so
- * the same update frees the symbol).
+ * so the update reads contiguous words; over the column-index grid of a
+ * suitable-diagonal search that bit is c itself, so nothing more is dropped).
  * Entering a row is then one load, and candidates whose column or symbol is
  * used are never visited.  The lowest set bit of the entered mask is the next
  * candidate to try; because columns ascend within a row, that is also the
@@ -475,11 +476,8 @@ static void *batch_worker(void *arg)
  *
  * sym      (n, n) int64: the symbol of every cell, row after row, in 0..n-1
  * delta    (n, n) int8: the delta of every cell, row after row, |delta| < n
- *          (the square's cached delta table, read as it is)
+ *          (the square's cached delta table, read where it is during the call)
  * rows     (k, n): each search's candidate columns of row r as bits 0..n-1
- * transversal  1: symbols must be distinct (transversals); 0: they need not
- *          (suitable diagonals).  Either way a diagonal counts only when its
- *          delta sum is the target residue, which every transversal's is
  * threads  a batch of one full enumeration (enumerate_all = 1) is split
  *          across them; in any other batch min(threads, k) threads take the
  *          searches from one shared counter, each search on one thread
@@ -490,15 +488,16 @@ static void *batch_worker(void *arg)
  * A search's status is 1 when it found at least one solution, 0 when the
  * space was exhausted empty (with no node when a row has no candidates) and
  * -1 when the node budget ran out (nodes is then budget + 1, and count is
- * valid only for a search that finished).  The target residue of the delta
- * sum is n/2 for even n and 0 for odd n.
+ * valid only for a search that finished).  A solution has distinct columns and
+ * symbols and a delta sum at the target residue, n/2 for even n and 0 for odd
+ * n, which every transversal's is; over the column-index grid that makes it a
+ * suitable diagonal.
  */
 int64_t search(const int64_t *sym, const int8_t *delta, int64_t n, const int64_t *rows,
-               int64_t k, int64_t transversal, int64_t budget,
-               int64_t enumerate_all, int64_t threads, int64_t *out)
+               int64_t k, int64_t budget, int64_t enumerate_all, int64_t threads, int64_t *out)
 {
     struct grid g;
-    if (build_grid(&g, sym, delta, n, transversal) != 0)
+    if (build_grid(&g, sym, delta, n) != 0)
         return -2;
     for (int64_t i = 0; i < k * n; i++)
         if ((uint64_t)rows[i] >> n)

@@ -1,12 +1,15 @@
 """Compiled depth-first search kernel, built from ``_kernel.c`` on first use.
 
 The library has one entry point, ``search``, wrapped by `run`.  One call runs
-a batch of transversal (or suitable-diagonal) searches over one square: it
-checks the square's own (n, n) arrays, the int64 symbols (`to_array`) and the
-int8 deltas (the cached ``delta_grid``, read as it is, with no conversion),
-and builds its tables from them once, and each search of the batch walks its
-own candidate mask per row.  It returns every search's status, count, nodes and first-hit columns in
-one array.  ``engine._run`` passes one search's masks (``engine._Prepared``'s
+a batch of transversal searches over one square: it checks the square's own
+(n, n) arrays, the int64 symbols and the int8 deltas (the cached
+``delta_grid``, read where it is, with no conversion or copy), and builds its
+symbol tables once, and each search of the batch walks its own candidate mask
+per row.  It has no search mode: ``engine._Prepared`` passes `to_array` for a
+transversal search and the column-index grid (``sym[r, c] = c``) for a
+suitable-diagonal search, whose symbol test is then the column test.  It
+returns every search's status, count, nodes and first-hit columns in one
+array.  ``engine._run`` passes one search's masks (``engine._Prepared``'s
 rows) for `engine.find` and full enumeration, and a batch of per-cell masks
 (``engine._cell_rows``) for each phase of per-cell classification and for
 `engine.pinned_verdicts`.  The kernel tallies nothing per cell.
@@ -32,11 +35,11 @@ leaves a later row with no free column (forward checking); a full enumeration
 walks the tree of the delta prune alone, so its node totals do not move.  The
 unpruned walk exists only in the twin (``engine._iter_cols``).  The kernel does
 not visit the candidates one by one: it keeps, per depth, a table of every
-later row's columns whose column and (in a transversal search) symbol are
-unused, updated as each row is placed, and walks the entered row's mask from
-that table, adding the index distance of each jump to the node count, so every
-status and node total is the twin's for every budget (budget + 1 when it runs
-out).  Symbols and deltas are read by (row, column) from byte tables.  The
+later row's columns whose column and symbol are unused, updated as each row is
+placed, and walks the entered row's mask from that table, adding the index
+distance of each jump to the node count, so every status and node total is the
+twin's for every budget (budget + 1 when it runs out).  Symbols and deltas are
+read by (row, column) from byte arrays.  The
 delta sum is kept modulo n, which needs every delta to lie in (-n, n).  The
 suite tests the equivalence with the pure twin as the oracle.  Every row
 mask the kernel walks comes from ``engine._cell_rows``, the engine's one
@@ -138,7 +141,7 @@ def load():
         log.warning("C search kernel unavailable, searches run on the pure-Python twin: %s %s",
                     exc, detail)
         return None
-    lib.search.argtypes = [_PTR, _PTR, _I64, _PTR] + [_I64] * 5 + [_PTR]
+    lib.search.argtypes = [_PTR, _PTR, _I64, _PTR] + [_I64] * 4 + [_PTR]
     lib.search.restype = _I64
     return lib
 
@@ -156,16 +159,17 @@ def _check(arr: np.ndarray, dtype: type, shape: tuple[int, ...]) -> None:
         raise ValueError(f"kernel input must be C-contiguous {np.dtype(dtype)} of shape {shape}")
 
 
-def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
-        budget: int | None, enumerate_all: bool):
+def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, budget: int | None,
+        enumerate_all: bool):
     """A batch of kernel searches over one square, search j over the masks ``rows[j]``.
 
-    ``sym`` is the square's (n, n) int64 symbol array, ``delta`` its (n, n)
-    int8 delta array (``delta_grid`` caches int8 at every kernel order), and
+    ``sym`` is an (n, n) int64 symbol array (the square's, or the column-index
+    grid), ``delta`` the square's (n, n) int8 delta array (``delta_grid`` caches int8 at every kernel order), and
     ``rows`` a (k, n) int64 array: ``rows[j, r]`` holds search j's candidate
-    columns of row r as bits.  A ``transversal`` search needs distinct symbols; any
-    other counts a diagonal whose delta sum hits the target residue, which
-    the kernel works out from n.  Every search prunes; only the twin walks unpruned.
+    columns of row r as bits.  A solution has distinct columns and symbols and a
+    delta sum at the target residue, which the kernel works out from n; over the
+    column-index grid it is a suitable diagonal.  Every search prunes; only the
+    twin walks unpruned.
     Returns (status, count, nodes, cols), views of one (k, n + 3) array:
     for each search status 1 when it found at least one solution, 0 when
     the space was exhausted empty (with 0 nodes when a row has no
@@ -190,7 +194,7 @@ def run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bo
     k = len(rows)
     _check(rows, np.int64, (k, n))
     out = np.empty((k, n + 3), np.int64)
-    if load().search(sym.ctypes.data, delta.ctypes.data, n, rows.ctypes.data, k, transversal,
+    if load().search(sym.ctypes.data, delta.ctypes.data, n, rows.ctypes.data, k,
                      -1 if budget is None else budget, enumerate_all, cpu_count(),
                      out.ctypes.data) == -2:
         raise ValueError("kernel square must hold symbols in 0..n-1 and deltas in (-n, n), "

@@ -24,16 +24,13 @@ from .core import (
     LatinSquare,
     LatinSquareError,
     _at_least_one,
+    _check_permutation,
     _coordinates,
     _isotopism_image,
     diagonal_cols,
 )
 from . import engine
 from .families import _odd_block_size, build_family
-
-
-class SumViolation(LatinSquareError):
-    """Block hit counts whose row/column sums differ from m (caller error)."""
 
 
 class NotAutotopism(LatinSquareError):
@@ -66,18 +63,18 @@ def block_cells(i: int, j: int, m: int) -> tuple[tuple[int, int], ...]:
 
 
 def block_hits(square: LatinSquare, transversal, m: int) -> tuple[tuple[int, ...], ...]:
-    """3x3 matrix of the transversal's cell counts per block; sums must be m."""
+    """3x3 matrix of the diagonal's cell counts per block; its row and column sums are m.
+
+    Raises DomainError unless the square has order 3m, and BadPermutation
+    unless the columns are a permutation of 0..3m-1.
+    """
     m = _at_least_one(m, "block sizes m")
-    cols = diagonal_cols(transversal)
-    if square.order != 3 * m or len(cols) != square.order:
+    if square.order != 3 * m:
         raise DomainError(f"expected a diagonal of an order-{3 * m} square")
+    cols = _check_permutation(diagonal_cols(transversal), square.order, "diagonal columns")
     x = [[0] * 3 for _ in range(3)]
     for r, c in enumerate(cols):
-        i, j = block_of((r, c), m)
-        x[i - 1][j - 1] += 1
-    for t in range(3):
-        if sum(x[t]) != m or sum(x[i][t] for i in range(3)) != m:
-            raise SumViolation(f"block sums {x} do not all equal m={m}")
+        x[r // m][c // m] += 1
     return tuple(tuple(row) for row in x)
 
 
@@ -158,15 +155,19 @@ class TheoremCheck:
     a block, 1 when every block is unavoidable and the first transversal hits
     some block exactly once, and None otherwise (also when a budget ran out).
     ``transversal_count`` is None when the enumeration that counts ran out of
-    budget; ``passed`` rests on the refutations and the block closure alone.
+    budget; ``passed`` rests on the first transversal, the refutations and the
+    block closure alone.  ``block22_ok`` and ``block11_ok`` are None when their
+    refutation ran out of budget, and ``passed`` is None when one of them is, or
+    the first-hit search ran out, and no finished search failed the theorem: a
+    budget never turns into "no".
     """
 
     m: int
     transversal_count: int | None
     min_block_hits: int | None
-    passed: bool
-    block22_ok: bool
-    block11_ok: bool
+    passed: bool | None
+    block22_ok: bool | None
+    block11_ok: bool | None
     budget_exhausted: bool
 
     def to_json_dict(self) -> dict:
@@ -199,6 +200,15 @@ def _carried_blocks(square: LatinSquare, m: int, blocks) -> set[tuple[int, int]]
         reached = grown
 
 
+def _all_of(verdicts) -> bool | None:
+    """Three-valued "and" of True, False and None (a search that ran out of budget):
+    False when some verdict is False, else None when some is None, else True."""
+    verdicts = tuple(verdicts)
+    if any(verdict is False for verdict in verdicts):
+        return False
+    return None if None in verdicts else True
+
+
 def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
     """Check that every transversal of build_L(m) hits all nine blocks.
 
@@ -208,7 +218,7 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
     transversal count, and a first-hit search the first transversal, which
     shows that at least one transversal exists and, when it hits some block
     exactly once, that the least number of hits is 1.  ``node_budget`` caps
-    each search.
+    each search; one that runs out leaves its verdict None, never False.
 
     When only the enumeration runs out of budget, the theorem can still
     pass: the count is then None and ``budget_exhausted`` True.  The
@@ -223,10 +233,9 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
         count = None
     try:
         first = engine.find(square, node_budget=node_budget)
+        exists = first is not None
     except engine.BudgetExceeded:
-        first = None
-    exhausted = count is None
-    exists = first is not None
+        first = exists = None
 
     def block_is_unavoidable(i, j):
         """Whether no transversal misses block (i, j); None when the budget ran out."""
@@ -236,12 +245,10 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
         except engine.BudgetExceeded:
             return None
 
-    refuted = (block_is_unavoidable(2, 2), block_is_unavoidable(1, 1))
-    exhausted = exhausted or None in refuted
-    block22, block11 = (verdict is True for verdict in refuted)
-    all_unavoidable = block22 and block11 \
-        and len(_carried_blocks(square, m, [(2, 2), (1, 1)])) == 9
-    passed = exists and all_unavoidable
+    block22, block11 = refuted = (block_is_unavoidable(2, 2), block_is_unavoidable(1, 1))
+    all_unavoidable = _all_of(refuted)
+    if all_unavoidable:
+        all_unavoidable = len(_carried_blocks(square, m, [(2, 2), (1, 1)])) == 9
     min_hits = None
     if False in refuted:
         min_hits = 0
@@ -252,8 +259,8 @@ def verify_hit_theorem(m: int, node_budget: int | None = None) -> TheoremCheck:
         m=m,
         transversal_count=count,
         min_block_hits=min_hits,
-        passed=passed,
+        passed=_all_of((exists, all_unavoidable)),
         block22_ok=block22,
         block11_ok=block11,
-        budget_exhausted=exhausted,
+        budget_exhausted=None in (count, exists, *refuted),
     )

@@ -4,11 +4,11 @@ Every transversal of a family square must take the maximum-delta cell in each
 row (the row maxima sum to exactly n/2), so three kinds of cells can never be
 used: cells that miss their row's maximum delta in designated rows (M = P u Q
 u R), cells sharing a column with a forced cell (N), and cells sharing a
-symbol with one (O).  Each set is materialized as a boolean (n, n) mask over
-the square's cells, so the union M u N u O is one mask whose count is
-compared against the family's closed-form quadratic bound; the case analysis
-behind the closed form is validated as a consequence, not re-derived.
-`bound_sets` lists the same masks' cells as entries.
+symbol with one (O).  Each set is made as a boolean (n, n) mask over the
+square's cells, one at a time, and ORed into one union mask M u N u O, less
+F, whose count is compared against the family's closed-form quadratic bound;
+the case analysis behind the closed form is validated as a consequence, not
+re-derived.  `bound_sets` lists the same masks' cells, less F, as entries.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -107,47 +108,56 @@ def _column_symbol_sets(family: str, n: int, k: int) -> tuple[set[int], set[int]
     return cols, syms
 
 
-def _masks(family: str, n: int) -> tuple[LatinSquare, tuple[Entry, ...], dict[str, np.ndarray]]:
-    """The square, its forced cells F, and (n, n) boolean masks of N, O, P, Q, R minus F."""
+def _forced_cells(family: str, n: int) -> tuple[LatinSquare, tuple[Entry, ...]]:
+    """The square and its forced cells F, checked against the family's column and symbol sets."""
     k = family_k(family, n)
     square, pinned = _pinned_square(family, n)
     cols, syms = _column_symbol_sets(family, n, k)
     if cols != {e.col for e in pinned} or syms != {e.sym for e in pinned}:
         raise DomainError(
             f"{family}{n}: column/symbol sets disagree with the forced cells")
-    outside = np.ones((n, n), bool)
-    outside[[e.row for e in pinned], [e.col for e in pinned]] = False
+    return square, pinned
+
+
+def _masks(family: str, square: LatinSquare,
+           pinned: tuple[Entry, ...]) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, mask) for N, O, P, Q and R as (n, n) boolean masks, the cells of F
+    included, each made only when asked for; N is a read-only view."""
+    n = square.order
     is_col = np.zeros(n, bool)
-    is_col[sorted(cols)] = True
+    is_col[[e.col for e in pinned]] = True
+    yield "N", np.broadcast_to(is_col, (n, n))
     is_sym = np.zeros(n, bool)
-    is_sym[sorted(syms)] = True
-    masks = {"N": is_col & outside,
-             "O": is_sym[square.to_array()] & outside}
+    is_sym[[e.sym for e in pinned]] = True
+    yield "O", is_sym[square.to_array()]
     dg = delta_grid(square)
-    for name, rows in zip("PQR", _off_max_rows(family, k)):
-        idx = [r for r, _ in rows]
-        want = np.array([d for _, d in rows], np.int64).reshape(-1, 1)
-        mask = np.zeros((n, n), bool)
-        mask[idx] = (dg[idx] != want) & outside[idx]
-        masks[name] = mask
-    return square, pinned, masks
+    for name, rows in zip("PQR", _off_max_rows(family, family_k(family, n))):
+        want = np.zeros((n, 1), np.int64)
+        in_rows = np.zeros((n, 1), bool)
+        for r, d in rows:
+            want[r], in_rows[r] = d, True
+        yield name, np.not_equal(dg, want, out=np.zeros((n, n), bool), where=in_rows)
 
 
 def _union_mask(family: str, n: int) -> np.ndarray:
-    masks = iter(_masks(family, n)[2].values())
-    union = next(masks).copy()
-    for mask in masks:
+    """M u N u O as one mask, ORing each set's mask in as it comes."""
+    square, pinned = _forced_cells(family, n)
+    union = np.zeros((n, n), bool)
+    for _, mask in _masks(family, square, pinned):
         union |= mask
+    union[[e.row for e in pinned], [e.col for e in pinned]] = False
     return union
 
 
 def bound_sets(family: str, n: int) -> BoundSets:
-    square, pinned, masks = _masks(family, n)
+    square, pinned = _forced_cells(family, n)
     arr = square.to_array()
+    forced = frozenset(pinned)
 
     def cells(mask):
         rows, cols = np.nonzero(mask)
-        return frozenset(map(Entry, rows.tolist(), cols.tolist(), arr[rows, cols].tolist()))
+        return frozenset(map(Entry, rows.tolist(), cols.tolist(), arr[rows, cols].tolist())) \
+            - forced
 
     return BoundSets(
         family=family,
@@ -155,7 +165,7 @@ def bound_sets(family: str, n: int) -> BoundSets:
         pinned=pinned,
         columns=frozenset(e.col for e in pinned),
         symbols=frozenset(e.sym for e in pinned),
-        **{name: cells(mask) for name, mask in masks.items()},
+        **{name: cells(mask) for name, mask in _masks(family, square, pinned)},
     )
 
 

@@ -1,21 +1,23 @@
 """Exhaustive search over diagonals and transversals with delta-interval pruning.
 
 The search walks rows in ascending index order assigning one column per row
-under used-column (and, for transversals, used-symbol) bitmasks, so solutions
-are produced in lexicographic order of the column sequence and enumeration is
-deterministic.  At every node the partial delta sum plus the remaining rows'
-min/max delta suffix sums brackets every reachable total; if no integer in
-that interval hits the target residue (n/2 mod n for even order, 0 for odd)
-the subtree is pruned.  A search that wants only the first solution
+under used-column and used-symbol bitmasks, so solutions are produced in
+lexicographic order of the column sequence and enumeration is deterministic.
+It has one mode: a suitable-diagonal search is a transversal search over the
+column-index grid (``sym[r, c] = c``, built by `_Prepared`), whose symbol test
+is the column test.  At every node the partial delta sum plus the remaining
+rows' min/max delta suffix sums brackets every reachable total; if no integer
+in that interval hits the target residue (n/2 mod n for even order, 0 for
+odd) the subtree is pruned.  A search that wants only the first solution
 (`find`, each per-cell search of `classify`) also forward-checks: it drops a
 candidate whose placement leaves some later row with no candidate whose column
-(and symbol) is free.  Full and lazy enumeration do not, so their node totals
+and symbol are free.  Full and lazy enumeration do not, so their node totals
 are those of the delta prune alone.  Pruning never removes a real solution,
 which the test suite checks against the one unpruned walk, the pure twin's
 (`iter_solutions(prune=False)`); the forward check drops only subtrees
 without one, so the first solution found is the same with and without it.
 
-A search reads the square's symbol and delta arrays and one candidate mask
+A search reads a symbol array, the square's delta array and one candidate mask
 per row, from `_cell_rows` (`_Prepared` ANDs them over a search's constraints).
 `_run` alone picks the backend: the compiled `_kernel.run` up to its largest
 order when it loads, else `_twin_run`, the pure-Python twin with the same
@@ -127,27 +129,32 @@ def _check_budget(node_budget: int | None) -> None:
 
 
 class _Prepared:
-    """One search's input: the square's own arrays and the cells it keeps.
+    """One search's input: its symbol array, the square's deltas and the cells it keeps.
 
-    ``sym`` and ``delta`` are `to_array` (int64) and the cached `delta_grid` (int8 at
-    every kernel order, which the kernel reads as it is, and the twin as Python ints);
-    ``rows[r]`` holds row r's candidate columns as bits: the AND of `_cell_rows`'s
-    masks over the constraints, exact since `SearchConstraints.validate` keeps required
-    entries pairwise row, column and symbol disjoint and off the forbidden cells.
+    The one place the search mode is read: ``sym`` is `to_array` (int64) for a
+    transversal search and the column-index grid (``sym[r, c] = c``) for a
+    suitable-diagonal search, so the search's symbol test is its column test and a
+    required entry drops only its column from the other rows.  ``delta`` is the cached
+    `delta_grid` either way (int8 at every kernel order, which the kernel reads as it
+    is, and the twin as Python ints); ``rows[r]`` holds row r's candidate columns as
+    bits: the AND of `_cell_rows`'s masks over the constraints, exact since
+    `SearchConstraints.validate` keeps required entries pairwise row, column and symbol
+    disjoint and off the forbidden cells.
     """
 
-    __slots__ = ("transversal", "sym", "delta", "rows")
+    __slots__ = ("sym", "delta", "rows")
 
     def __init__(self, square: LatinSquare, constraints: SearchConstraints):
         constraints.validate(square)
-        self.transversal = constraints.mode is SearchMode.TRANSVERSAL
-        self.sym = square.to_array()
+        n = square.order
+        self.sym = square.to_array() if constraints.mode is SearchMode.TRANSVERSAL \
+            else np.tile(np.arange(n, dtype=np.int64), (n, 1))
         self.delta = delta_grid(square)
         required = [(e.row, e.col) for e in constraints.required]
-        masks = [_cell_rows(self.sym, cells, avoid, self.transversal)
+        masks = [_cell_rows(self.sym, cells, avoid)
                  for cells, avoid in ((required, False), (list(constraints.forbidden_cells), True))]
         self.rows = np.bitwise_and.reduce(np.concatenate(masks), axis=0,
-                                          initial=(1 << square.order) - 1)
+                                          initial=(1 << n) - 1)
 
 
 class _NodeCounter:
@@ -157,8 +164,8 @@ class _NodeCounter:
         self.nodes = 0
 
 
-def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, transversal: bool,
-               prune: bool, budget: int | None, counter: _NodeCounter,
+def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, prune: bool,
+               budget: int | None, counter: _NodeCounter,
                first_hit: bool) -> Iterator[tuple[int, ...]]:
     """Pure-python twin of one kernel search over the masks ``rows``; yields column tuples lazily.
 
@@ -169,8 +176,9 @@ def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, transversal
     A ``first_hit`` caller, which takes at most the first solution, also gets
     the forward check when ``prune`` is on: a candidate is dropped, after its
     node is counted, when placing it leaves a later row without a candidate
-    whose column (and, in a transversal search, symbol) is free, as in the
-    kernel.
+    whose column and symbol are free, as in the kernel.  A solution has distinct
+    columns and symbols and a delta sum at the target residue; the unpruned walk
+    tests that residue at its leaves.
     """
     n = len(sym)
     # each row's candidates as (col, sym, delta), columns ascending
@@ -199,7 +207,7 @@ def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, transversal
             counter.nodes += 1
             if counter.nodes == stop:
                 raise BudgetExceeded(counter.nodes)
-            if uc >> c & 1 or transversal and us >> s & 1:
+            if uc >> c & 1 or us >> s & 1:
                 continue
             nd = ds + d
             if prune:
@@ -207,7 +215,7 @@ def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, transversal
                 if lo + ((target - lo) % n) > nd + hi_rest:
                     continue
             uc_next = uc | 1 << c
-            us_next = us | 1 << s if transversal else us
+            us_next = us | 1 << s
             if forward and not all(
                     any(not (uc_next >> c2 & 1 or us_next >> s2 & 1) for c2, s2, _ in cand[r])
                     for r in range(below, n)):
@@ -216,14 +224,14 @@ def _iter_cols(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, transversal
             if below < n:
                 stack.append((iter(cand[below]), uc_next, us_next, nd))
                 break
-            if transversal or nd % n == target:
+            if nd % n == target:
                 yield tuple(sol)
         else:
             stack.pop()
 
 
-def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
-              budget: int | None, enumerate_all: bool):
+def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, budget: int | None,
+              enumerate_all: bool):
     """`_kernel.run` on the pure twin, at every order: the same arguments and the same
     (status, count, nodes, cols) views of one (k, n + 3) array.  The searches run one
     after another on the calling thread, each a pruned `_iter_cols` walk of its ``rows[j]``."""
@@ -231,8 +239,7 @@ def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transvers
     for search, masks in zip(out, rows):
         counter = _NodeCounter()
         try:
-            for cols in _iter_cols(sym, delta, masks, transversal, True, budget, counter,
-                                   not enumerate_all):
+            for cols in _iter_cols(sym, delta, masks, True, budget, counter, not enumerate_all):
                 search[1] += 1
                 if not enumerate_all:
                     search[3:] = cols
@@ -245,16 +252,14 @@ def _twin_run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transvers
     return out[:, 0], out[:, 1], out[:, 2], out[:, 3:]
 
 
-def _run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, transversal: bool,
-         budget: int | None, enumerate_all: bool):
+def _run(sym: np.ndarray, delta: np.ndarray, rows: np.ndarray, *, budget: int | None,
+         enumerate_all: bool):
     """`_kernel.run` where the kernel takes the order and loads, else `_twin_run`."""
     if len(sym) > _kernel.MAX_KERNEL_ORDER:
         _log_large_orders()
     elif _kernel.load() is not None:
-        return _kernel.run(sym, delta, rows, transversal=transversal, budget=budget,
-                           enumerate_all=enumerate_all)
-    return _twin_run(sym, delta, rows, transversal=transversal, budget=budget,
-                     enumerate_all=enumerate_all)
+        return _kernel.run(sym, delta, rows, budget=budget, enumerate_all=enumerate_all)
+    return _twin_run(sym, delta, rows, budget=budget, enumerate_all=enumerate_all)
 
 
 @functools.cache
@@ -305,9 +310,8 @@ def _search(prep: _Prepared, budget: int | None,
             enumerate_all: bool) -> tuple[int, int, tuple[int, ...] | None]:
     """A prepared search's count, nodes and, from a first-hit search that found one, the
     first solution's columns (else None); BudgetExceeded when the budget runs out."""
-    status, count, nodes, cols = _run(
-        prep.sym, prep.delta, prep.rows[None], transversal=prep.transversal, budget=budget,
-        enumerate_all=enumerate_all)
+    status, count, nodes, cols = _run(prep.sym, prep.delta, prep.rows[None], budget=budget,
+                                      enumerate_all=enumerate_all)
     if status[0] == -1:
         raise BudgetExceeded(int(nodes[0]))
     first = tuple(cols[0].tolist()) if status[0] == 1 and not enumerate_all else None
@@ -323,8 +327,8 @@ def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = 
     counter = _NodeCounter()
     wrap = (lambda c: as_transversal(square, c)) \
         if cons.mode is SearchMode.TRANSVERSAL else Diagonal
-    for cols in _iter_cols(prep.sym, prep.delta, prep.rows, prep.transversal, prune,
-                           cons.node_budget, counter, False):
+    for cols in _iter_cols(prep.sym, prep.delta, prep.rows, prune, cons.node_budget, counter,
+                           False):
         yield wrap(cols)
 
 
@@ -394,17 +398,17 @@ class ClassificationReport:
         return out
 
 
-def _cell_rows(sym: np.ndarray, cells, avoid: bool, transversal: bool) -> np.ndarray:
+def _cell_rows(sym: np.ndarray, cells, avoid: bool) -> np.ndarray:
     """The engine's one candidate filter: the row masks of a search through, or with
     ``avoid`` avoiding, each of the k (row, col) ``cells``, a (k, n) array, row j for
     ``cells[j]``.
 
     A required entry (r, c, s) keeps only column c in row r and drops column
-    c from every other row, and in a ``transversal`` search the cell of
-    symbol s as well; a forbidden cell (r, c) drops that cell alone.
-    ``sym`` is a latin square's (n, n) symbol array, so each row holds each
-    symbol in exactly one column.  Masks are int64 up to the kernel's orders,
-    Python ints above.
+    c and the cell of symbol s from every other row; a forbidden cell (r, c)
+    drops that cell alone.  ``sym`` is a latin square's (n, n) symbol array,
+    so each row holds each symbol in exactly one column; over the column-index
+    grid of a suitable-diagonal search the cell of s is column c itself.
+    Masks are int64 up to the kernel's orders, Python ints above.
     """
     n = len(sym)
     bits = np.array([1 << c for c in range(n)], np.int64 if n <= _kernel.MAX_KERNEL_ORDER
@@ -413,15 +417,13 @@ def _cell_rows(sym: np.ndarray, cells, avoid: bool, transversal: bool) -> np.nda
     r, c = np.reshape(np.asarray(cells, np.int64), (-1, 2)).T
     bit = bits[c]
     k = np.arange(len(r))
-    rows = np.full((len(r), n), everything, bits.dtype)
     if avoid:
+        rows = np.full((len(r), n), everything, bits.dtype)
         rows[k, r] = everything ^ bit
         return rows
-    if transversal:
-        # others[s, i]: the columns of row i other than the one holding symbol s
-        others = everything ^ bits[np.argsort(sym, axis=1)].T
-        rows = others[sym[r, c]]
-    rows &= ~bit[:, None]
+    # others[s, i]: the columns of row i other than the one holding symbol s
+    others = everything ^ bits[np.argsort(sym, axis=1)].T
+    rows = others[sym[r, c]] & ~bit[:, None]
     rows[k, r] = bit
     return rows
 
@@ -437,9 +439,8 @@ def _search_cells(square: LatinSquare, cells, avoid: bool,
     batch is one `_run` call over the square's arrays and `_cell_rows`'s masks.
     """
     sym = square.to_array()
-    status, _, nodes, cols = _run(
-        sym, delta_grid(square), _cell_rows(sym, cells, avoid, True), transversal=True,
-        budget=budget, enumerate_all=False)
+    status, _, nodes, cols = _run(sym, delta_grid(square), _cell_rows(sym, cells, avoid),
+                                  budget=budget, enumerate_all=False)
     return status, nodes, cols
 
 

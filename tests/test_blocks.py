@@ -12,7 +12,6 @@ from latintrav.blocks import (
     PHI_BLOCK_MAP,
     TAU_BLOCK_MAP,
     NotAutotopism,
-    SumViolation,
     automorphism_tau,
     autotopism_phi,
     block_cells,
@@ -82,11 +81,13 @@ def test_block_hits_row_col_sums(oracle):
         assert min(min(row) for row in x) >= 1
 
 
-def test_block_hits_sum_violation_on_non_diagonal():
-    # a diagonal concentrated on the first block column is not a transversal
-    sq = build_L(3)
-    with pytest.raises(SumViolation):
-        block_hits(sq, (0, 1, 2, 0, 1, 2, 0, 1, 2), 3)
+@pytest.mark.parametrize("cols", [(0, 1, 2, 0, 1, 2, 0, 1, 2), (0,) * 9, tuple(range(8))],
+                         ids=["first-block-column", "one-column", "too-short"])
+def test_block_hits_rejects_a_non_permutation(cols):
+    """Columns that are not a permutation are not a diagonal: BadPermutation, as in every
+    other diagonal reader, never block sums of a non-diagonal."""
+    with pytest.raises(BadPermutation, match="not a permutation"):
+        block_hits(build_L(3), cols, 3)
 
 
 def test_tau_phi_definitions_m3():
@@ -166,6 +167,16 @@ def test_hit_theorem_budget_marks_exhausted():
     check = verify_hit_theorem(3, node_budget=5)
     assert check.budget_exhausted
     assert not check.passed
+
+
+@pytest.mark.parametrize("budget, block11", [(100, None), (9_000, True)])
+def test_hit_theorem_budget_never_says_no(budget, block11):
+    """At 100 nodes every search runs out (the first hit takes 1,557); at 9,000 the block
+    (1,1) refutation finishes (8,772) and the block (2,2) one does not (13,020).  A search
+    that ran out leaves its verdict, and so the theorem's, unknown (null), never false."""
+    data = verify_hit_theorem(3, node_budget=budget).to_json_dict()
+    assert data == {"m": 3, "transversalCount": None, "minBlockHits": None, "pass": None,
+                    "block22OK": None, "block11OK": block11, "budgetExhausted": True}
 
 
 def test_hit_theorem_passes_when_only_the_count_runs_out():

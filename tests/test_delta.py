@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from latintrav import (
     Isotopism,
     apply_isotopism,
     cayley_table,
-    delta,
     delta_m,
     delta_profile,
     delta_sum,
@@ -23,6 +24,7 @@ from latintrav.delta import (
     REFUTATION_MIN_SUM,
     NotBlockSquare,
     OddOrder,
+    delta,
     delta_grid,
 )
 from latintrav.families import (
@@ -41,6 +43,15 @@ def test_delta_examples():
     # boundary representative: n/2 stays positive
     assert delta((0, 0, 6), 12) == 6
     assert delta(Entry(0, 0, 6), 12) == 6
+
+
+def test_import_gives_the_delta_module():
+    """The package root does not re-export the function ``delta`` over its submodule, so
+    ``import latintrav.delta`` binds the module."""
+    import latintrav.delta as module
+
+    assert module is sys.modules["latintrav.delta"]
+    assert module.delta is delta
 
 
 @settings(max_examples=100, deadline=None)

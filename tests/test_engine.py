@@ -416,7 +416,7 @@ def _reduced(run, prep, budget, enumerate_all, threads=None, rows=None):
     with patch.object(_kernel, "cpu_count", lambda: threads) if threads else nullcontext():
         status, count, nodes, cols = run(
             prep.sym, prep.delta, prep.rows[None] if rows is None else rows,
-            transversal=prep.transversal, budget=budget, enumerate_all=enumerate_all)
+            budget=budget, enumerate_all=enumerate_all)
     return [(st, ct if st >= 0 else None, spent,
              tuple(sol) if st == 1 and not enumerate_all else None)
             for st, ct, spent, sol in zip(status.tolist(), count.tolist(), nodes.tolist(),
@@ -431,8 +431,8 @@ def _twin_oracle(prep, prune, enumerate_all) -> list[tuple]:
     if prune:
         return _reduced(engine._twin_run, prep, None, enumerate_all)
     found = []
-    for cols in _iter_cols(prep.sym, prep.delta, prep.rows, prep.transversal, False, None,
-                           _NodeCounter(), not enumerate_all):
+    for cols in _iter_cols(prep.sym, prep.delta, prep.rows, False, None, _NodeCounter(),
+                           not enumerate_all):
         found.append(cols)
         if not enumerate_all:
             break
@@ -480,7 +480,7 @@ def _row_entries(prep) -> list[list[int]]:
         entries[d].append(nodes)
         for c, s, delta in rows[d]:
             nodes += 1
-            if used_cols >> c & 1 or (prep.transversal and used_syms >> s & 1):
+            if used_cols >> c & 1 or used_syms >> s & 1:
                 continue
             low, high = dsum + delta + lo[d + 1], dsum + delta + hi[d + 1]
             if low + (target - low) % n > high:
@@ -522,10 +522,12 @@ EVEN_CASES = ([(f"CAYLEY{n}", cayley_table(n)) for n in (2, 4, 6, 8)]
 @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
 @pytest.mark.parametrize("sq", [pytest.param(sq, id=label) for label, sq in EVEN_CASES])
 def test_kernel_suitable_diagonals_match_twin(sq, prune):
-    """transversal=False: no symbol test, and the prune's target residue alone decides,
-    so every suitable diagonal counts, not only the transversals; against the pruned twin
-    or its unpruned walk (`_twin_oracle`), which tests the residue at the leaves."""
+    """A suitable-diagonal search runs over the column-index grid, whose symbol test is
+    the column test, so the prune's target residue alone decides and every suitable
+    diagonal counts, not only the transversals; against the pruned twin or its unpruned
+    walk (`_twin_oracle`), which tests the residue at the leaves."""
     prep = _Prepared(sq, SearchConstraints.make(mode=SearchMode.SUITABLE_DIAGONAL))
+    assert prep.sym.tolist() == [list(range(sq.order))] * sq.order
     first = _twin_oracle(prep, prune, False)[0][-1]
     # forbidding a cell of the first suitable diagonal moves the first hit
     cell = (1, first[1]) if first else (0, 0)
@@ -551,8 +553,7 @@ def test_kernel_rejects_candidates_outside_its_layout(break_layout):
     else:
         delta[0, 0] = 6
     with pytest.raises(ValueError, match="kernel square"):
-        _kernel.run(prep.sym, delta, rows, transversal=True, budget=None,
-                    enumerate_all=len(rows) == 1)
+        _kernel.run(prep.sym, delta, rows, budget=None, enumerate_all=len(rows) == 1)
 
 
 @needs_compiler
@@ -694,7 +695,7 @@ def _cell_batch(sq, avoid):
     ``avoid`` avoiding, each of its cells, row by row."""
     prep = _Prepared(sq, SearchConstraints.make())
     cells = np.indices((sq.order, sq.order)).reshape(2, -1).T
-    return prep, _cell_rows(prep.sym, cells, avoid, True)
+    return prep, _cell_rows(prep.sym, cells, avoid)
 
 
 def _assert_batch_matches_twin(prep, rows, budget):
@@ -790,8 +791,7 @@ def test_kernel_takes_the_cached_int8_deltas_as_they_are():
     assert prep.delta is delta_grid(sq) and prep.delta.dtype == np.int8
     for delta in (prep.delta.astype(np.int64), np.asfortranarray(prep.delta)):
         with pytest.raises(ValueError, match="C-contiguous int8"):
-            _kernel.run(prep.sym, delta, prep.rows[None], transversal=True, budget=None,
-                        enumerate_all=False)
+            _kernel.run(prep.sym, delta, prep.rows[None], budget=None, enumerate_all=False)
 
 
 @needs_compiler
@@ -805,12 +805,12 @@ def test_batch_rejects_a_base_outside_its_layout(break_layout):
     sq = build_V(10)
     arrays = {"symbol-n": sq.to_array().copy(), "delta-n": delta_grid(sq).copy()}
     cells = np.array([(0, 0), (3, 4)], np.int64)
-    masks = [_cell_rows(arrays["symbol-n"], cells, avoid, True) for avoid in (False, True)]
+    masks = [_cell_rows(arrays["symbol-n"], cells, avoid) for avoid in (False, True)]
     arrays[break_layout][3, 4] = 10
     for rows in masks:
         with pytest.raises(ValueError, match="kernel square"):
-            _kernel.run(arrays["symbol-n"], arrays["delta-n"], rows, transversal=True,
-                        budget=None, enumerate_all=False)
+            _kernel.run(arrays["symbol-n"], arrays["delta-n"], rows, budget=None,
+                        enumerate_all=False)
 
 
 def _constraint_sets(sq, mode, solutions, count, seed):
@@ -917,8 +917,8 @@ def test_twin_batches_above_kernel_orders(sq, cells, avoid, status, nodes):
 def _twin_first(prep, prune, first_hit):
     """The twin's first solution (or None) and its nodes, under ``first_hit``'s rule."""
     counter = _NodeCounter()
-    first = next(_iter_cols(prep.sym, prep.delta, prep.rows, prep.transversal, prune, None,
-                            counter, first_hit), None)
+    first = next(_iter_cols(prep.sym, prep.delta, prep.rows, prune, None, counter, first_hit),
+                 None)
     return first, counter.nodes
 
 
@@ -991,7 +991,7 @@ def test_ctypes_signatures_match_c():
     fn = _kernel.load().search
     assert fn.argtypes == argtypes
     assert fn.restype is restype
-    assert len(argtypes) == 10
+    assert len(argtypes) == 9
 
 
 def test_twin_takes_the_kernel_interface():
@@ -1031,6 +1031,17 @@ def test_prune_lives_in_the_twin():
     takers = [f.__qualname__ for f in routines if "prune" in inspect.signature(f).parameters]
     assert takers == ["_iter_cols", "iter_solutions"]
     assert "prune" not in inspect.signature(_kernel.run).parameters
+
+
+def test_search_core_takes_no_mode():
+    """No engine function or method takes a ``transversal`` flag, nor does `_kernel.run`,
+    and `_Prepared` keeps none: it reads the search mode once, into the symbol array."""
+    routines = _engine_routines()
+    assert engine._cell_rows in routines and engine._iter_cols in routines
+    takers = [f.__qualname__ for f in routines + [_kernel.run]
+              if "transversal" in inspect.signature(f).parameters]
+    assert takers == []
+    assert "transversal" not in _Prepared.__slots__
 
 
 @needs_compiler
@@ -1075,7 +1086,7 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
                                                True, 1)
             expected.append(f"dfs {st} {'-' if count is None else count} {nodes}")
         for avoid in (0, 1):
-            rows = _cell_rows(prep.sym, cells, avoid, True)
+            rows = _cell_rows(prep.sym, cells, avoid)
             decls.append(_c_array(f"{label}_cells{avoid}", rows))
             most = int(_search_cells(sq, cells, bool(avoid), None)[1].max())
             for budget in (-1, most // 3):
@@ -1085,12 +1096,12 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
                 expected.append(f"cells {(status == 1).sum()} {nodes.sum()}")
     source = "#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
 int64_t search(const int64_t *, const int8_t *, int64_t, const int64_t *, int64_t, int64_t,
-               int64_t, int64_t, int64_t, int64_t *);
+               int64_t, int64_t, int64_t *);
 static int64_t out[64 * 64 * 67];
 static void enumerate(const int64_t *sym, const int8_t *delta, int64_t n, const int64_t *rows,
                       int64_t budget)
 {
-    if (search(sym, delta, n, rows, 1, 1, budget, 1, 3, out) != 0)
+    if (search(sym, delta, n, rows, 1, budget, 1, 3, out) != 0)
         printf("bad input\\n");
     else if (out[0] < 0)
         printf("dfs %lld - %lld\\n", (long long)out[0], (long long)out[2]);
@@ -1101,7 +1112,7 @@ static void batch(const int64_t *sym, const int8_t *delta, int64_t n, const int6
                   int64_t budget)
 {
     int64_t found = 0, spent = 0;
-    if (search(sym, delta, n, rows, n * n, 1, budget, 0, 3, out) != 0)
+    if (search(sym, delta, n, rows, n * n, budget, 0, 3, out) != 0)
         printf("bad input\\n");
     for (int64_t j = 0; j < n * n; j++) {
         found += out[j * (n + 3)] == 1;
@@ -1172,7 +1183,7 @@ def test_no_thread_created_leaves_no_search_undone(tmp_path, monkeypatch):
     lib.search.restype = ctypes.c_int64
     sq = build_V(16)
     prep = _Prepared(sq, SearchConstraints.make())
-    cells = _cell_rows(prep.sym, np.indices((16, 16)).reshape(2, -1).T, False, True)
+    cells = _cell_rows(prep.sym, np.indices((16, 16)).reshape(2, -1).T, False)
     cases = [(cells, None, False), (None, None, True), (None, 1_000_000, True)]
     expected = [_reduced(_kernel.run, prep, budget, enumerate_all, 1, rows)
                 for rows, budget, enumerate_all in cases]
