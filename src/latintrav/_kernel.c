@@ -29,7 +29,11 @@
  * Threads change no status and no node total for any budget, and no count
  * of an enumeration that finishes: those equal the one-thread walk's (see
  * split_walk).
- * Threads are created and joined inside each call; nothing outlives it.
+ * The threads besides the caller's are helpers parked between calls (see
+ * run_workers): the first threaded call creates them and they live as long as
+ * the process, a forked child starts its own, and a call that finds another
+ * call using them runs on its own thread alone.  A call returns only once
+ * every helper that joined it has finished, so no work outlives it.
  * _kernel.py builds and loads this file; the caller checks 1 <= n <=
  * MAX_ORDER and the buffer shapes and passes threads >= 1, and search rejects
  * a symbol, a delta or a row mask outside its layout.
@@ -344,26 +348,95 @@ static int64_t walk_first(const struct tree *t, struct walk *w, int64_t limit)
     return walk_body(t, w, 0, t->n, limit, 0, NULL, NULL);
 }
 
-/* Runs fn(arg) on `count` workers, worker 0 on the calling thread, and
- * returns once every worker has finished.  The workers take their work from
- * one queue in arg, and worker 0 drains it, so a worker whose thread cannot
- * be created leaves no work undone. */
+/* The helpers: threads that wait between calls for a job, created by the
+ * first call that wants them and kept for the life of the process.  A job
+ * is fn(arg) with the number of helpers still to admit (want); busy counts
+ * the helpers inside it.  One call at a time owns the pool (owner); lock
+ * guards the rest. */
+static struct {
+    pthread_mutex_t owner, lock;
+    pthread_cond_t wake, idle;
+    void *(*fn)(void *);
+    void *arg;
+    int64_t helpers, want, busy;
+} pool = {PTHREAD_MUTEX_INITIALIZER, PTHREAD_MUTEX_INITIALIZER, PTHREAD_COND_INITIALIZER,
+          PTHREAD_COND_INITIALIZER, NULL, NULL, 0, 0, 0};
+static pthread_once_t pool_once = PTHREAD_ONCE_INIT;
+
+/* A forked child has none of its parent's helpers and may hold a copy of a
+ * lock some other thread held: it starts with an empty pool. */
+static void pool_reset(void)
+{
+    pthread_mutex_init(&pool.owner, NULL);
+    pthread_mutex_init(&pool.lock, NULL);
+    pthread_cond_init(&pool.wake, NULL);
+    pthread_cond_init(&pool.idle, NULL);
+    pool.helpers = pool.want = pool.busy = 0;
+}
+
+static void pool_register(void)
+{
+    pthread_atfork(NULL, NULL, pool_reset);
+}
+
+static void *helper(void *unused)
+{
+    (void)unused;
+    pthread_mutex_lock(&pool.lock);
+    for (;;) {
+        while (pool.want == 0)
+            pthread_cond_wait(&pool.wake, &pool.lock);
+        pool.want--;
+        pool.busy++;
+        void *(*fn)(void *) = pool.fn;
+        void *arg = pool.arg;
+        pthread_mutex_unlock(&pool.lock);
+        fn(arg);
+        pthread_mutex_lock(&pool.lock);
+        if (--pool.busy == 0)
+            pthread_cond_signal(&pool.idle);
+    }
+    return NULL;
+}
+
+/* Runs fn(arg) on up to `count` workers, worker 0 on the calling thread, and
+ * returns once every worker that entered has finished.  The other workers are
+ * the pool's helpers, woken for this job; the pool grows to count - 1 helpers
+ * first.  The workers take their work from one queue in arg, and worker 0
+ * drains it, so a helper that cannot be created, is late, or belongs to
+ * another caller's job (the pool is owned by one call at a time; any other
+ * runs alone) leaves no work undone. */
 static void run_workers(void *(*fn)(void *), void *arg, int64_t count)
 {
-    pthread_t tid[MAX_THREADS];
-    int started[MAX_THREADS] = {0};
-    pthread_attr_t attr;
-    int have_attr = pthread_attr_init(&attr) == 0;
-    if (have_attr)
-        pthread_attr_setstacksize(&attr, STACK_SIZE);
-    for (int64_t i = 1; i < count; i++)
-        started[i] = pthread_create(&tid[i], have_attr ? &attr : NULL, fn, arg) == 0;
+    if (count <= 1 || pthread_mutex_trylock(&pool.owner) != 0) {
+        fn(arg);
+        return;
+    }
+    pthread_once(&pool_once, pool_register);
+    pthread_mutex_lock(&pool.lock);
+    if (pool.helpers < count - 1) {
+        pthread_attr_t attr;
+        if (pthread_attr_init(&attr) == 0) {
+            pthread_attr_setstacksize(&attr, STACK_SIZE);
+            pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+            for (pthread_t tid; pool.helpers < count - 1; pool.helpers++)
+                if (pthread_create(&tid, &attr, helper, NULL) != 0)
+                    break;
+            pthread_attr_destroy(&attr);
+        }
+    }
+    pool.fn = fn;
+    pool.arg = arg;
+    pool.want = pool.helpers < count - 1 ? pool.helpers : count - 1;
+    pthread_cond_broadcast(&pool.wake);
+    pthread_mutex_unlock(&pool.lock);
     fn(arg);
-    for (int64_t i = 1; i < count; i++)
-        if (started[i])
-            pthread_join(tid[i], NULL);
-    if (have_attr)
-        pthread_attr_destroy(&attr);
+    pthread_mutex_lock(&pool.lock);
+    pool.want = 0; /* closed: a helper not yet in stays out */
+    while (pool.busy > 0)
+        pthread_cond_wait(&pool.idle, &pool.lock);
+    pthread_mutex_unlock(&pool.lock);
+    pthread_mutex_unlock(&pool.owner);
 }
 
 /* Takes tasks in order until none is left or the node pool is over the

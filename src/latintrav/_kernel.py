@@ -22,8 +22,12 @@ which add their nodes to one shared pool and stop once it is over the budget.
 That gives the one-thread walk's status and nodes for every budget, and its
 count and nodes when it finishes.  In any other batch the threads take
 searches from one shared counter until none is left, each search on one thread.
-The threads are created and joined inside each call, so nothing outlives it
-or a fork.
+Besides the calling thread, a call runs on helper threads that the first
+threaded call creates and that then wait, parked, between calls, so a small
+batch pays no thread start-up; no work is left in them when a call returns.
+A call that finds them busy with another (two Python threads, since ctypes
+releases the GIL) runs on its own thread alone, and a forked child starts its
+own helpers.
 
 The C kernel and the pure-python twin ``engine._twin_run``, which takes `run`'s
 arguments and returns its arrays, must stay behaviourally identical: same

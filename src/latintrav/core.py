@@ -8,6 +8,7 @@ that triple view.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import re
@@ -158,19 +159,30 @@ class Transversal(Diagonal):
     """
 
 
+_INT_ONLY = {int}
+
+
 def diagonal_cols(diag) -> tuple[int, ...]:
     """Accept a Diagonal/Transversal or a plain sequence of integers (else BadPermutation)."""
     if isinstance(diag, Diagonal):
         return diag.cols
     cols = tuple(diag)
-    _require_integers(map(type, cols), BadPermutation, "diagonal columns")
+    kinds = set(map(type, cols))
+    if kinds != _INT_ONLY:  # the common case, plain ints, skips the per-type check
+        _require_integers(kinds, BadPermutation, "diagonal columns")
     return cols
+
+
+@functools.lru_cache(maxsize=16)
+def _all_below(n: int) -> frozenset[int]:
+    """0..n-1, built once per order for `is_transversal`."""
+    return frozenset(range(n))
 
 
 def is_transversal(square: "LatinSquare", diag) -> bool:
     cols = diagonal_cols(diag)
     n = square.order
-    if len(cols) != n or set(cols) != set(range(n)):
+    if len(cols) != n or set(cols) != _all_below(n):
         return False
     return len(set(map(operator.getitem, square.grid, cols))) == n
 

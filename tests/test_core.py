@@ -238,8 +238,9 @@ def test_diagonal_of_the_wrong_length_is_a_bad_permutation(call):
     ((0, 1, 3), False),                      # column n
     ((0, 1), False),                         # short diagonal
     ((0, 2, 1), False),                      # repeated symbol
+    ((0, np.int64(1), 2), True),             # ints and a numpy integer
 ], ids=["tuple", "int64", "diagonal", "int64-repeated-symbol", "repeated-column",
-        "column-n", "short", "repeated-symbol"])
+        "column-n", "short", "repeated-symbol", "mixed-int64"])
 def test_is_transversal_answers(cols, expected):
     """Z3's cells (r, c) hold r + c mod 3: columns 0, 1, 2 read symbols 0, 2, 1."""
     assert is_transversal(cayley_table(3), cols) is expected
@@ -379,9 +380,10 @@ def test_integer_grids_of_any_integer_type_accepted():
     (lambda: find(build_V(10), required=[Entry(0.5, 0, 0)]), DomainError),
     (lambda: is_transversal(cayley_table(3), ("0", "1", "2")), BadPermutation),
     (lambda: is_transversal(cayley_table(3), (0.5, 1.2, 2.9)), BadPermutation),
+    (lambda: is_transversal(cayley_table(3), (True, False, 2)), BadPermutation),
 ], ids=["diagonal-float", "diagonal-bool", "isotopism-float", "transversal-str",
         "required-float", "forbidden-float", "forbidden-bool", "required-entry-float",
-        "is-transversal-str", "is-transversal-float"])
+        "is-transversal-str", "is-transversal-float", "is-transversal-bool"])
 def test_non_integer_coordinates_rejected(call, error):
     """Coordinates follow the grid rule: Diagonal((0.5, 1)) kept cols (0.5, 1), the
     isotopism and the search constraints truncated 0.5 and 0.7 to 0, read True as 1,

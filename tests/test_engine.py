@@ -7,9 +7,12 @@ import os
 import random
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import sysconfig
+import threading
+import time
 from contextlib import contextmanager, nullcontext
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -1067,9 +1070,13 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
     a third and two thirds of its nodes; batches of one search through, and
     then avoiding, each cell run without a budget and at a third of that
     batch's largest search, so the shared tables and the budget's exits run
-    on every thread.  The expected lines come from the kernel in this process,
-    the enumeration on one thread: status and nodes, and the count only when
-    the enumeration finished; each batch's found witnesses and summed nodes.
+    on every thread.  Then two threads call `search` at once over the last
+    square, one its full enumeration and one its batch through every cell, so
+    one of them finds the kernel's helpers busy and runs alone, and the full
+    enumeration runs once more on the helpers the calls before left waiting.
+    The expected lines come from the kernel in this process, the enumeration
+    on one thread: status and nodes, and the count only when the enumeration
+    finished; each batch's found witnesses and summed nodes.
     """
     decls, calls, expected = [], [], []
     for label, sq in cases:
@@ -1094,31 +1101,89 @@ def _tsan_program(cases) -> tuple[str, list[str]]:
                 status, nodes, _ = _search_cells(sq, cells, bool(avoid),
                                                  None if budget < 0 else budget)
                 expected.append(f"cells {(status == 1).sum()} {nodes.sum()}")
-    source = "#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
+    full, through = expected[-7], expected[-4]  # the last square's unbudgeted lines
+    calls += [f"at_once({square}, {label}_rows, {label}_cells0);",
+              f"enumerate({square}, {label}_rows, -1);"]
+    expected += [full, through, full]
+    source = "#include <pthread.h>\n#include <stdint.h>\n#include <stdio.h>\n" + "".join(decls) + """
 int64_t search(const int64_t *, const int8_t *, int64_t, const int64_t *, int64_t, int64_t,
                int64_t, int64_t, int64_t *);
-static int64_t out[64 * 64 * 67];
+static struct call {
+    const int64_t *sym, *rows;
+    const int8_t *delta;
+    int64_t n, k, budget, enumerate_all, result;
+    int64_t out[64 * 64 * 67];
+} calls[2];
+static struct call *prepare(int i, const int64_t *sym, const int8_t *delta, int64_t n,
+                            const int64_t *rows, int64_t budget, int64_t enumerate_all)
+{
+    struct call *c = &calls[i];
+    c->sym = sym;
+    c->delta = delta;
+    c->n = n;
+    c->rows = rows;
+    c->k = enumerate_all ? 1 : n * n;
+    c->budget = budget;
+    c->enumerate_all = enumerate_all;
+    return c;
+}
+static void *run(void *arg)
+{
+    struct call *c = arg;
+    c->result = search(c->sym, c->delta, c->n, c->rows, c->k, c->budget, c->enumerate_all, 3,
+                       c->out);
+    return NULL;
+}
+static void print(const struct call *c)
+{
+    const int64_t *out = c->out;
+    int64_t found = 0, spent = 0;
+    if (c->result != 0) {
+        printf("bad input\\n");
+    } else if (c->enumerate_all) {
+        if (out[0] < 0)
+            printf("dfs %lld - %lld\\n", (long long)out[0], (long long)out[2]);
+        else
+            printf("dfs %lld %lld %lld\\n", (long long)out[0], (long long)out[1],
+                   (long long)out[2]);
+    } else {
+        for (int64_t j = 0; j < c->k; j++) {
+            found += out[j * (c->n + 3)] == 1;
+            spent += out[j * (c->n + 3) + 2];
+        }
+        printf("cells %lld %lld\\n", (long long)found, (long long)spent);
+    }
+}
 static void enumerate(const int64_t *sym, const int8_t *delta, int64_t n, const int64_t *rows,
                       int64_t budget)
 {
-    if (search(sym, delta, n, rows, 1, budget, 1, 3, out) != 0)
-        printf("bad input\\n");
-    else if (out[0] < 0)
-        printf("dfs %lld - %lld\\n", (long long)out[0], (long long)out[2]);
-    else
-        printf("dfs %lld %lld %lld\\n", (long long)out[0], (long long)out[1], (long long)out[2]);
+    struct call *c = prepare(0, sym, delta, n, rows, budget, 1);
+    run(c);
+    print(c);
 }
 static void batch(const int64_t *sym, const int8_t *delta, int64_t n, const int64_t *rows,
                   int64_t budget)
 {
-    int64_t found = 0, spent = 0;
-    if (search(sym, delta, n, rows, n * n, budget, 0, 3, out) != 0)
-        printf("bad input\\n");
-    for (int64_t j = 0; j < n * n; j++) {
-        found += out[j * (n + 3)] == 1;
-        spent += out[j * (n + 3) + 2];
-    }
-    printf("cells %lld %lld\\n", (long long)found, (long long)spent);
+    struct call *c = prepare(0, sym, delta, n, rows, budget, 0);
+    run(c);
+    print(c);
+}
+static void at_once(const int64_t *sym, const int8_t *delta, int64_t n, const int64_t *rows,
+                    const int64_t *cells)
+{
+    pthread_t tid[2];
+    int started[2];
+    prepare(0, sym, delta, n, rows, -1, 1);
+    prepare(1, sym, delta, n, cells, -1, 0);
+    for (int i = 0; i < 2; i++)
+        started[i] = pthread_create(&tid[i], NULL, run, &calls[i]) == 0;
+    for (int i = 0; i < 2; i++)
+        if (started[i])
+            pthread_join(tid[i], NULL);
+        else
+            run(&calls[i]);
+    print(&calls[0]);
+    print(&calls[1]);
 }
 int main(void)
 {
@@ -1199,6 +1264,81 @@ def test_no_thread_created_leaves_no_search_undone(tmp_path, monkeypatch):
     assert len(expected[0]) == 256 and expected[1][0][2] == 54_400_976
     assert expected[2] == [(-1, None, 1_000_001, None)]
 
+
+
+def _thread_count() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                     reason="the platform lists no threads in /proc/self/task")
+
+
+@needs_compiler
+@needs_task_list
+def test_kernel_threads_are_kept_between_calls():
+    """The kernel's helper threads wait between calls: 50 classify calls on 3 threads
+    (`_kernel.cpu_count` patched) add at most 2 threads to the process, however many
+    batches they run."""
+    sq = build_V(10)
+    before = _thread_count()
+    with patch.object(_kernel, "cpu_count", lambda: 3):
+        for _ in range(50):
+            classify(sq)
+    assert _thread_count() - before <= 2
+
+
+@needs_compiler
+@needs_task_list
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
+def test_forked_child_starts_its_own_kernel_threads():
+    """A child forked after this process's helpers exist has none of them: its threaded
+    batches start 2 helpers of its own (3 threads, `_kernel.cpu_count` patched) and give
+    this process's report.  The child is killed if it has not exited within 60 s."""
+    sq = build_V(16)
+    with patch.object(_kernel, "cpu_count", lambda: 3):
+        want = _report_fields(classify(sq))  # the helpers exist from here on
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                before = _thread_count()
+                same = _report_fields(classify(sq)) == want
+                code = 0 if same and _thread_count() - before == 2 else 3
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its classify within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@needs_compiler
+def test_concurrent_callers_get_the_serial_reports():
+    """Two Python threads classify V16 and T24 at once, five times each, on 3 kernel
+    threads (`_kernel.cpu_count` patched): ctypes releases the GIL, so their kernel
+    calls overlap, and whichever finds the helpers busy runs alone.  Every report
+    equals the one classify gives with nothing else running."""
+    squares = [build_V(16), build_T(24)]
+    with patch.object(_kernel, "cpu_count", lambda: 3):
+        want = [_report_fields(classify(sq)) for sq in squares]
+        got = [[], []]
+        start = threading.Barrier(2)
+
+        def classify_five(i):
+            start.wait()
+            got[i] += [_report_fields(classify(squares[i])) for _ in range(5)]
+
+        callers = [threading.Thread(target=classify_five, args=(i,)) for i in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    assert got == [[want[0]] * 5, [want[1]] * 5]
 
 def test_classify_exceptional_6():
     rep = classify(build_exceptional(6))
