@@ -22,8 +22,11 @@
  * candidate index visited.  It gets there by another route (see walk): each
  * depth keeps, for every row still to fill, the mask of its columns whose
  * column and symbol are unused, so a row is walked by jumping straight to
- * its next free candidate; the node count grows by the index distance of
- * each jump (clamped to budget + 1 when a jump crosses the budget).
+ * its next free candidate.  Two accountings give the twin's node totals: a
+ * first-hit search adds the index distance of each jump, and a full
+ * enumeration, which walks every row it enters to the end, adds a row's
+ * candidate count when it enters the row (either is clamped to budget + 1
+ * when it crosses the budget).
  * Symbols and deltas are read by (row, column) from byte arrays, and the
  * delta sum is kept mod n without a division, which needs |delta| < n.
  * Threads change no status and no node total for any budget, and no count
@@ -176,7 +179,8 @@ static void start(const struct tree *t, struct walk *w)
  * when pre is not NULL, written to pre as a prefix record: the delta residue
  * at that depth, then the free columns of rows stop..n-1.  It keeps no
  * columns of the rows above, since only a full enumeration is split and it
- * reads no solution's columns.  Pass stop = n to walk the whole subtree.
+ * reads no solution's columns.  Pass stop = n to walk the whole subtree;
+ * top < stop always, so the walk first enters row top.
  *
  * When s is not NULL, the walk is one of its tasks: it adds its nodes to
  * s's node pool every CHECK_EVERY nodes or so and when it ends, passing
@@ -196,11 +200,20 @@ static void start(const struct tree *t, struct walk *w)
  * twin's next candidate in index order.
  *
  * Node accounting.  The twin counts one node per candidate index it visits,
- * used or not.  Jumping from index i to the candidate at index k adds
- * k + 1 - i nodes, and exhausting a row of len candidates adds len - i, so
- * the totals equal the twin's.  When a jump carries the count past the
- * budget, nodes is clamped to budget + 1, where the twin stops; the
- * candidates jumped over yield no solution, so count is the twin's too.
+ * used or not.  A first-hit walk, which stops at its first solution, counts
+ * as it goes: jumping from index i to the candidate at index k adds
+ * k + 1 - i nodes, and exhausting a row of len candidates adds len - i.  A
+ * full enumeration leaves a row before its end only when the budget runs
+ * out, so it adds a row's len nodes when it enters the row, the top row
+ * included (a node at stop is a prefix, not an entry), and none while it
+ * walks it.  A placement that leaves the next row, above stop, no free
+ * column does not push it: that row is entered, walked and left at once,
+ * for its len nodes.  Either way the totals equal the twin's.  When a step
+ * carries the count past the budget, nodes is clamped to budget + 1, where
+ * the twin stops.  In a first-hit walk the candidates jumped over yield no
+ * solution, so count is the twin's too; a full enumeration passes the
+ * budget at some entry exactly when the tree has more nodes than the
+ * budget, which is when the twin runs out, and its count is then not read.
  *
  * The prune.  The twin drops a candidate when no value congruent to the
  * target lies in [lo, hi], the range of delta sums still reachable:
@@ -223,7 +236,9 @@ static void start(const struct tree *t, struct walk *w)
  * point, so node totals stay equal.  It drops only subtrees without a
  * solution, so the first solution is the one the walk without it finds.  A
  * full enumeration does not check, so its tree and node totals stay those
- * of the delta prune alone.
+ * of the delta prune alone.  It only steps over a next row left empty: it
+ * updates that row first and, when no column is left in it, skips the other
+ * rows' update and counts the row's nodes as the twin's walk through it does.
  */
 static inline __attribute__((always_inline)) int64_t
 walk_body(const struct tree *t, struct walk *w, int64_t top, int64_t stop, int64_t limit,
@@ -237,6 +252,11 @@ walk_body(const struct tree *t, struct walk *w, int64_t top, int64_t stop, int64
     w->emitted = 0;
     w->left[top] = w->avail[top * n + top];
     w->idx[top] = 0;
+    if (enumerate_all) {
+        nodes = t->len[top];
+        if (nodes > limit)
+            goto out_of_budget;
+    }
     while (depth >= top) {
         if (depth == n) { /* a solution: see "The leaf" above */
             count++;
@@ -264,12 +284,14 @@ walk_body(const struct tree *t, struct walk *w, int64_t top, int64_t stop, int64
         int moved = 0;
         while (m) {
             int c = __builtin_ctzll(m);
-            int64_t k = at_row[c];
             m &= m - 1;
-            nodes += k + 1 - i;
-            i = k + 1;
-            if (nodes > limit)
-                goto out_of_budget;
+            if (!enumerate_all) { /* see "Node accounting" above */
+                int64_t k = at_row[c];
+                nodes += k + 1 - i;
+                i = k + 1;
+                if (nodes > limit)
+                    goto out_of_budget;
+            }
             int64_t nd = w->dres[depth] + delta_row[c];
             if (nd < 0)
                 nd += n;
@@ -294,26 +316,46 @@ walk_body(const struct tree *t, struct walk *w, int64_t top, int64_t stop, int64
                 if (empty)
                     continue;
             } else {
-                for (int64_t r = depth + 1; r < n; r++)
+                int64_t r = depth + 1;
+                if (r < stop) { /* a dead next row is entered, walked and left at once */
+                    to[r] = from[r] & ~(bit | sc[r]);
+                    if (to[r] == 0) {
+                        nodes += t->len[r];
+                        if (nodes > limit)
+                            goto out_of_budget;
+                        continue;
+                    }
+                    r++;
+                }
+                for (; r < n; r++)
                     to[r] = from[r] & ~(bit | sc[r]);
             }
             w->left[depth] = m;
-            w->idx[depth] = i;
-            w->sol[depth] = c;
+            if (!enumerate_all) {
+                w->idx[depth] = i;
+                w->sol[depth] = c;
+            }
             w->dres[depth + 1] = nd;
             depth++;
             if (depth < n) {
                 w->left[depth] = to[depth];
-                w->idx[depth] = 0;
+                if (!enumerate_all)
+                    w->idx[depth] = 0;
+                else if (depth < stop) {
+                    nodes += t->len[depth];
+                    if (nodes > limit)
+                        goto out_of_budget;
+                }
             }
             moved = 1;
             break;
         }
         if (!moved) {
-            nodes += t->len[depth] - i;
-            if (nodes > limit)
-                goto out_of_budget;
-            if (enumerate_all && nodes >= check) {
+            if (!enumerate_all) {
+                nodes += t->len[depth] - i;
+                if (nodes > limit)
+                    goto out_of_budget;
+            } else if (nodes >= check) {
                 int64_t pool = __atomic_add_fetch(&s->nodes, nodes - pooled, __ATOMIC_RELAXED);
                 pooled = nodes;
                 if (pool > s->budget)
@@ -442,7 +484,9 @@ static void run_workers(void *(*fn)(void *), void *arg, int64_t count)
 /* Takes tasks in order until none is left or the node pool is over the
  * budget.  A task's limit is the budget less the pool when it is taken: the
  * pool counts distinct nodes of the tree, none of them the task's, so a task
- * that passes that limit puts the pool over the budget. */
+ * that passes that limit puts the pool over the budget.  A task adds a row's
+ * nodes when it enters the row, before it walks them, but they are nodes the
+ * one-thread walk visits, so the pool still counts only distinct nodes. */
 static void *split_worker(void *arg)
 {
     struct split *s = arg;

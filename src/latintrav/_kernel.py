@@ -40,14 +40,17 @@ walks the tree of the delta prune alone, so its node totals do not move.  The
 unpruned walk exists only in the twin (``engine._iter_cols``).  The kernel does
 not visit the candidates one by one: it keeps, per depth, a table of every
 later row's columns whose column and symbol are unused, updated as each row is
-placed, and walks the entered row's mask from that table, adding the index
-distance of each jump to the node count, so every status and node total is the
-twin's for every budget (budget + 1 when it runs out).  Symbols and deltas are
-read by (row, column) from byte arrays.  The
-delta sum is kept modulo n, which needs every delta to lie in (-n, n).  The
-suite tests the equivalence with the pure twin as the oracle.  Every row
-mask the kernel walks comes from ``engine._cell_rows``, the engine's one
-candidate filter.
+placed, and walks the entered row's mask from that table.  It counts nodes in
+one of two ways: a first-hit search adds the index distance of each jump, and
+a full enumeration, which walks every row it enters to the end, adds a row's
+candidate count when it enters the row, and adds that of a next row a
+placement leaves without a free column without entering it.  Either way
+every status and node total is the twin's for every budget (budget + 1 when
+it runs out).  Symbols and deltas are read by (row, column) from byte
+arrays.  The delta sum is kept modulo n, which needs every delta to lie in
+(-n, n).  The suite tests the equivalence with the pure twin as the oracle.
+Every row mask the kernel walks comes from ``engine._cell_rows``, the
+engine's one candidate filter.
 
 When the kernel loads, ``engine._run`` sends here every first-hit search and
 full enumeration of order at most ``MAX_KERNEL_ORDER``; lazy enumeration

@@ -200,6 +200,7 @@ def test_hit_theorem_m5(hit_theorem_m5):
     check, _ = hit_theorem_m5
     assert check.passed
     assert check.min_block_hits >= 1
+    assert check.transversal_count == 6_262_440
 
 
 def test_theorem_check_json_shape():

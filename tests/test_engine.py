@@ -455,14 +455,16 @@ def _c_define(name: str) -> int:
     return int(match.group(1))
 
 
-def _row_entries(prep) -> list[list[int]]:
+def _row_entries(prep, charged=False) -> list[list[int]]:
     """For each depth, the one-thread walk's node count each time it enters that row.
 
     Written apart from the twin, with its node accounting (one node per
     candidate index).  Entering row d at depth d is reaching a depth-d prefix,
     so these are the counts at which a full enumeration split at depth d
     passes from its shallow walk into a task, and their number at depth d is
-    the number of tasks.
+    the number of tasks.  With ``charged``, each count is instead the one a
+    full enumeration on the kernel has charged once it has entered the row:
+    every candidate of every row entered so far, this row's included.
     """
     n = len(prep.sym)
     target = n // 2 if n % 2 == 0 else 0
@@ -474,13 +476,14 @@ def _row_entries(prep) -> list[list[int]]:
         return entries
     lo = [sum(min(d for *_, d in row) for row in rows[r:]) for r in range(n + 1)]
     hi = [sum(max(d for *_, d in row) for row in rows[r:]) for r in range(n + 1)]
-    nodes = 0
+    nodes = charges = 0
 
     def enter(d, used_cols, used_syms, dsum):
-        nonlocal nodes
+        nonlocal nodes, charges
         if d == n:
             return
-        entries[d].append(nodes)
+        charges += len(rows[d])
+        entries[d].append(charges if charged else nodes)
         for c, s, delta in rows[d]:
             nodes += 1
             if used_cols >> c & 1 or used_syms >> s & 1:
@@ -635,6 +638,40 @@ def test_split_and_unsplit_trees_match_twin(sq, splits):
         for budget in budgets + [None]:
             assert _reduced(_kernel.run, prep, budget, True, threads) \
                 == _reduced(engine._twin_run, prep, budget, True), budget
+
+
+@needs_compiler
+@pytest.mark.parametrize("sq, mode", [
+    pytest.param(build_V(10), SearchMode.TRANSVERSAL, id="V10"),
+    pytest.param(build_exceptional(8), SearchMode.TRANSVERSAL, id="EX8"),
+    # its walk ends on a row left without a free column
+    pytest.param(build_exceptional(6), SearchMode.TRANSVERSAL, id="EX6"),
+    # CAYLEY6 has no suitable diagonal (its tree is pruned at the root); EX6 has 132
+    pytest.param(build_exceptional(6), SearchMode.SUITABLE_DIAGONAL, id="EX6-suitable"),
+    # one row, entered at the top of the walk and never left for another
+    pytest.param(cayley_table(1), SearchMode.TRANSVERSAL, id="CAYLEY1"),
+])
+def test_enumeration_row_entry_budgets_match_twin(sq, mode):
+    """A full enumeration charges a row's candidates all at once when it enters the row,
+    a row left without a free column included, so its budget runs out at row entries.
+    For about 8 entries of each depth, the budgets are one below, at and one above two
+    counts: x + len, where the twin, at x when it enters (`_row_entries`), has visited
+    the row's len candidates, and the count the kernel has charged once it has entered
+    the row (`_row_entries(..., charged=True)`), where its budget test at that entry
+    switches.  Each depth's last entry is among them, so a walk whose last charge is a
+    row left empty must stop there too.  The kernel on 1, 2 and 3 threads must give the
+    twin's status, nodes and, when it finishes, count."""
+    prep = _Prepared(sq, SearchConstraints.make(mode=mode))
+    lens = [mask.bit_count() for mask in prep.rows.tolist()]
+    ends = [[x + length for x in xs] for xs, length in zip(_row_entries(prep), lens)]
+    budgets = sorted({x + k for xs in ends + _row_entries(prep, charged=True)
+                      for x in xs[::max(1, len(xs) // 8)] + xs[-1:] for k in (-1, 0, 1)})
+    assert budgets
+    for budget in budgets:
+        twin = _reduced(engine._twin_run, prep, budget, True)
+        for threads in (1, 2, 3):
+            assert _reduced(_kernel.run, prep, budget, True, threads) == twin, \
+                (budget, threads)
 
 
 @needs_compiler
@@ -1213,6 +1250,10 @@ def test_threads_race_free_under_thread_sanitizer(tmp_path):
         pytest.skip("the compiler cannot build and run a ThreadSanitizer program")
     source, expected = _tsan_program([("V10", build_V(10)), ("EX8", build_exceptional(8)),
                                      ("V16", build_V(16))])
+    # V16 at a third of its tree: its tasks stop at row entries while the others add to
+    # the node pool
+    assert "enumerate(V16_sym, V16_delta, 16, V16_rows, 18133658);" in source
+    assert "dfs -1 - 18133659" in expected
     (tmp_path / "program.c").write_text(source)
     subprocess.run([*cc, *flags, str(tmp_path / "program.c"), str(_kernel._SOURCE),
                     "-o", str(tmp_path / "program")], check=True, capture_output=True)
