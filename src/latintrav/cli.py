@@ -31,7 +31,7 @@ from .core import (
 )
 from .delta import forced_entry_certificate
 from .engine import BudgetExceeded, SearchMode
-from .families import FAMILIES, build_family, family_of_order
+from .families import FAMILIES, PINNED_FAMILIES, build_family, family_of_order
 
 DEFAULT_BUDGET = 1_000_000_000
 
@@ -44,8 +44,8 @@ def _meta() -> dict:
     }
 
 
-def _emit(args, payload: dict, text_renderer=None) -> None:
-    if getattr(args, "format", "json") == "text" and text_renderer is not None:
+def _emit(args, payload: dict, text_renderer) -> None:
+    if args.format == "text":
         out = text_renderer(payload)
     else:
         body = dict(payload)
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_pinned)
 
     p = sub.add_parser("bounds", help="transversal-free lower-bound check")
-    p.add_argument("--family", choices=["T", "U", "V"], required=True)
+    p.add_argument("--family", choices=PINNED_FAMILIES, required=True)
     p.add_argument("--order", type=_plain_int, required=True)
     p.add_argument("--sets-only", action="store_true",
                    help="skip classification; set arithmetic only")

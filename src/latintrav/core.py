@@ -4,6 +4,9 @@ Rows, columns and symbols are always the integers ``0..n-1``.  A square is a
 collection of ``n**2`` triples ``(row, col, sym)`` in which any two triples
 agree in at most one coordinate; all analysis code in this package works on
 that triple view.
+
+`is_transversal` is the one transversal test (`_is_permutation`, then distinct
+symbols read from the tuple grid); `as_transversal` raises where it says False.
 """
 
 from __future__ import annotations
@@ -120,11 +123,22 @@ def _check_family(family: str | None) -> None:
         raise DomainError(f"unknown family tag {family!r}")
 
 
+@functools.lru_cache(maxsize=16)
+def _all_below(n: int) -> frozenset[int]:
+    """0..n-1, built once per order for `_is_permutation`."""
+    return frozenset(range(n))
+
+
+def _is_permutation(cols: Sequence[int], n: int) -> bool:
+    """The package's one permutation test: ``cols`` holds each of 0..n-1 exactly once."""
+    return len(cols) == n and set(cols) == _all_below(n)
+
+
 def _check_permutation(seq: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     vals = tuple(seq)
     _require_integers(map(type, vals), BadPermutation, what)
     vals = tuple(map(int, vals))
-    if len(vals) != n or set(vals) != set(range(n)):
+    if not _is_permutation(vals, n):
         raise BadPermutation(f"{what} is not a permutation of 0..{n - 1}: {vals!r}")
     return vals
 
@@ -145,9 +159,6 @@ class Diagonal:
 
     def entries(self, square: "LatinSquare") -> tuple[Entry, ...]:
         return tuple(square.entry(r, c) for r, c in enumerate(self.cols))
-
-    def symbols(self, square: "LatinSquare") -> tuple[int, ...]:
-        return tuple(square.to_array()[range(len(self.cols)), self.cols].tolist())
 
 
 @dataclass(frozen=True)
@@ -173,26 +184,21 @@ def diagonal_cols(diag) -> tuple[int, ...]:
     return cols
 
 
-@functools.lru_cache(maxsize=16)
-def _all_below(n: int) -> frozenset[int]:
-    """0..n-1, built once per order for `is_transversal`."""
-    return frozenset(range(n))
-
-
 def is_transversal(square: "LatinSquare", diag) -> bool:
     cols = diagonal_cols(diag)
     n = square.order
-    if len(cols) != n or set(cols) != _all_below(n):
-        return False
-    return len(set(map(operator.getitem, square.grid, cols))) == n
+    return _is_permutation(cols, n) and len(set(map(operator.getitem, square.grid, cols))) == n
 
 
 def as_transversal(square: "LatinSquare", diag) -> Transversal:
-    """Validate symbol distinctness against `square` and wrap the columns."""
-    t = Transversal(_check_permutation(diagonal_cols(diag), square.order, "diagonal columns"))
-    syms = t.symbols(square)
+    """The columns as a Transversal of ``square``: BadPermutation unless they are a
+    permutation of 0..n-1, NotTransversal where `is_transversal` is False."""
+    cols = _check_permutation(diagonal_cols(diag), square.order, "diagonal columns")
+    syms = tuple(map(operator.getitem, square.grid, cols))
     if len(set(syms)) != square.order:
-        raise NotTransversal(f"columns {t.cols!r} repeat a symbol: {syms!r}")
+        raise NotTransversal(f"columns {cols!r} repeat a symbol: {syms!r}")
+    t = object.__new__(Transversal)  # Transversal(cols) would check the permutation again
+    object.__setattr__(t, "cols", cols)
     return t
 
 

@@ -28,6 +28,7 @@ from .core import (
     _as_rcs,
     _at_least_one,
     _check_permutation,
+    _is_permutation,
     diagonal_cols,
     is_transversal,
 )
@@ -91,9 +92,7 @@ def is_suitable_diagonal(square: LatinSquare, diag) -> bool:
     if n % 2:
         raise OddOrder(f"suitable diagonals are defined for even order only, got {n}")
     cols = diagonal_cols(diag)
-    if len(cols) != n or set(cols) != set(range(n)):
-        return False
-    return delta_sum(square, cols) == n // 2
+    return _is_permutation(cols, n) and delta_sum(square, cols) == n // 2
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
 from typing import Iterator
@@ -131,24 +131,28 @@ def _check_budget(node_budget: int | None) -> None:
 class _Prepared:
     """One search's input: its symbol array, the square's deltas and the cells it keeps.
 
-    The one place the search mode is read: ``sym`` is `to_array` (int64) for a
-    transversal search and the column-index grid (``sym[r, c] = c``) for a
-    suitable-diagonal search, so the search's symbol test is its column test and a
-    required entry drops only its column from the other rows.  ``delta`` is the cached
-    `delta_grid` either way (int8 at every kernel order, which the kernel reads as it
-    is, and the twin as Python ints); ``rows[r]`` holds row r's candidate columns as
-    bits: the AND of `_cell_rows`'s masks over the constraints, exact since
-    `SearchConstraints.validate` keeps required entries pairwise row, column and symbol
-    disjoint and off the forbidden cells.
+    The one place the search mode is read besides `SearchConstraints.validate`: a
+    transversal search gets ``sym`` = `to_array` (int64) and ``wrap`` = `as_transversal`
+    on the square, which turns a solution's columns into what the caller gets; a
+    suitable-diagonal search gets the column-index grid (``sym[r, c] = c``), whose
+    symbol test is its column test (a required entry drops only its column from the
+    other rows), and `Diagonal`.  ``delta`` is the cached `delta_grid` either way (int8
+    at every kernel order, which the kernel reads as it is, and the twin as Python
+    ints); ``rows[r]`` holds row r's candidate columns as bits: the AND of
+    `_cell_rows`'s masks over the constraints, exact since `SearchConstraints.validate`
+    keeps required entries pairwise row, column and symbol disjoint and off the
+    forbidden cells.
     """
 
-    __slots__ = ("sym", "delta", "rows")
+    __slots__ = ("sym", "delta", "rows", "wrap")
 
     def __init__(self, square: LatinSquare, constraints: SearchConstraints):
         constraints.validate(square)
         n = square.order
-        self.sym = square.to_array() if constraints.mode is SearchMode.TRANSVERSAL \
-            else np.tile(np.arange(n, dtype=np.int64), (n, 1))
+        if constraints.mode is SearchMode.TRANSVERSAL:
+            self.sym, self.wrap = square.to_array(), functools.partial(as_transversal, square)
+        else:
+            self.sym, self.wrap = np.tile(np.arange(n, dtype=np.int64), (n, 1)), Diagonal
         self.delta = delta_grid(square)
         required = [(e.row, e.col) for e in constraints.required]
         masks = [_cell_rows(self.sym, cells, avoid)
@@ -298,12 +302,9 @@ def find(square: LatinSquare, constraints: SearchConstraints | None = None,
     outcome, never a "no".
     """
     cons = _constraints_arg(constraints, kwargs)
-    _, _, cols = _search(_Prepared(square, cons), cons.node_budget, False)
-    if cols is None:
-        return None
-    if cons.mode is SearchMode.TRANSVERSAL:
-        return as_transversal(square, cols)
-    return Diagonal(cols)
+    prep = _Prepared(square, cons)
+    _, _, cols = _search(prep, cons.node_budget, False)
+    return None if cols is None else prep.wrap(cols)
 
 
 def _search(prep: _Prepared, budget: int | None,
@@ -324,12 +325,8 @@ def iter_solutions(square: LatinSquare, constraints: SearchConstraints | None = 
     ``prune=False`` it is the unpruned oracle that the tests hold every prune against."""
     cons = _constraints_arg(constraints, kwargs)
     prep = _Prepared(square, cons)
-    counter = _NodeCounter()
-    wrap = (lambda c: as_transversal(square, c)) \
-        if cons.mode is SearchMode.TRANSVERSAL else Diagonal
-    for cols in _iter_cols(prep.sym, prep.delta, prep.rows, prune, cons.node_budget, counter,
-                           False):
-        yield wrap(cols)
+    yield from map(prep.wrap, _iter_cols(prep.sym, prep.delta, prep.rows, prune,
+                                         cons.node_budget, _NodeCounter(), False))
 
 
 def enumerate_solutions(square: LatinSquare, constraints: SearchConstraints | None = None,
@@ -449,19 +446,17 @@ _STATUS_NAMES = (UNKNOWN, FREE, COVERED, PINNED)
 _UNKNOWN, _FREE, _COVERED, _PINNED = range(4)
 
 
-def _classify_cells(square: LatinSquare, node_budget: int | None,
-                    transversal_count: int | None = None,
-                    nodes: int = 0) -> ClassificationReport:
-    """The two per-cell phases of `classify`; the report adds ``nodes`` to their own.
+def _classify_cells(square: LatinSquare, node_budget: int | None) -> ClassificationReport:
+    """The two per-cell phases of `classify`; ``nodes`` counts only exhausted searches.
 
-    Statuses, witnesses and the nodes of budget-exhausted searches are read
-    from the phases' arrays; the status strings are built once, at the end.
+    Statuses, witnesses and nodes are read from the phases' arrays; the status
+    strings are built once, at the end.
     """
     n = square.order
     cells = np.indices((n, n)).reshape(2, -1).T
     found, spent, cols = _search_cells(square, cells, False, node_budget)
     code = np.choose(found + 1, (_UNKNOWN, _FREE, _COVERED))
-    nodes += int(spent[found == -1].sum())
+    nodes = int(spent[found == -1].sum())
     witnessed = np.flatnonzero(found == 1)
     witness_cols = cols[witnessed]
     # a cell lies in every witness when every witness has its column in its row
@@ -483,7 +478,7 @@ def _classify_cells(square: LatinSquare, node_budget: int | None,
         tau=int((code == _FREE).sum()),
         pinned=tuple(square.entry(r, c) for r, c in cells[code == _PINNED].tolist()),
         has_transversal=True if len(witnessed) else None if (found == -1).any() else False,
-        transversal_count=transversal_count,
+        transversal_count=None,
         witnesses=dict(zip(map(tuple, cells[witnessed].tolist()),
                            map(tuple, witness_cols.tolist()))),
         partial=bool((code == _UNKNOWN).any()),
@@ -496,14 +491,15 @@ def _report_from_summary(square: LatinSquare,
     """The report of a finished unconstrained enumeration of ``square``.
 
     Statuses and witnesses come from the per-cell phases, run with no node
-    budget; ``transversal_count`` and ``nodes`` come from ``summary``.  No
+    budget; ``transversal_count`` and ``nodes`` are ``summary``'s.  No
     budget is needed: every per-cell search keeps a subsequence of each row's
     candidates and narrower suffix delta intervals, and its forward check
     only drops more, so it visits a subset (not a prefix) of the nodes of
     the enumeration that already finished and cannot run out where that
     did not.
     """
-    return _classify_cells(square, None, summary.count, summary.nodes)
+    return replace(_classify_cells(square, None), transversal_count=summary.count,
+                   nodes=summary.nodes)
 
 
 def classify(square: LatinSquare, *, node_budget: int | None = None,

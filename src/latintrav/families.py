@@ -89,6 +89,7 @@ _EX8_FREE = (
 
 # The pinned-entry families: each one's order residue mod 6 and least order.
 _TUV = {"T": (0, 12), "U": (2, 14), "V": (4, 10)}
+PINNED_FAMILIES = tuple(_TUV)
 
 
 def family_k(family: str, n: int) -> int:
@@ -506,11 +507,9 @@ def _pinned_square(family: str, n: int) -> tuple[LatinSquare, tuple[Entry, ...]]
     """The T/U/V square and its certified forced cells, exactly floor(n/6) of them."""
     from .delta import forced_entry_certificate
 
-    if family not in ("T", "U", "V"):
-        raise DomainError(f"pinned-entry claims exist for T/U/V, got {family!r}")
+    k = family_k(family, n)
     square = build_family(family, n)
     cert = forced_entry_certificate(square)
-    k = n // 6
     if not cert.valid or len(cert.forced) != k:
         raise DomainError(
             f"certificate for {family}{n} is {'valid' if cert.valid else 'invalid'} "

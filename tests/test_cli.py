@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 
@@ -491,3 +492,34 @@ def test_one_family_list():
     for command in ("construct", "classify"):
         family = next(a for a in sub.choices[command]._actions if a.dest == "family")
         assert family.choices == FAMILIES
+
+
+# sha256 of each command's --no-meta stdout: the verdicts and the exact bytes the
+# command prints, which a refactor of the package must leave unchanged.
+NO_META_DIGESTS = {
+    "classify --family T --order 24":
+        "98f96c1408ec97f58dea4078097f71fd398ce88d8b736e96863b25ce8d0a2564",
+    "classify --family V --order 16":
+        "455d59dd1027c44095cfc458b56a7169c61250a6d3fb7c91afda681e262979bb",
+    "table1 --max-order 16":
+        "0fda58a33950c18e2a110c0c1a666e5c30a41c40f2af3a9ba4958690239cfccc",
+    "pinned --family T --order 12":
+        "41dc9668454c95c8c16ae6e1df9d1c3e2e7e44693da71a2d3adc6b3049ffe5b7",
+    "transversal count --family V --order 16":
+        "150ac12ae3e7261da7010c8c628f4071cd223e97551b1abc36b0764d03033d8f",
+    "transversal count --family EX8 --mode suitable":
+        "764f3c677e56e6b1bfbb475704d310539f5a3f3896e13073af404b1b92222b7e",
+    "blocks --m 3":
+        "1208a172eea2ec0191b67dda394f3a30ebf5e5ddd7be7b6e2f9be263162b6a6a",
+    "bounds --family U --order 14":
+        "1b32c3ad93fca1a6b35f6105a2617d8f3c886ed808743ec89ea3b98247f5c4b9",
+}
+
+
+def test_no_meta_output_bytes_are_pinned(capsys):
+    digests = {}
+    for command in NO_META_DIGESTS:
+        code, out, _ = run(capsys, *command.split(), "--no-meta")
+        assert code == 0, command
+        digests[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == NO_META_DIGESTS

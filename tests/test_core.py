@@ -16,7 +16,9 @@ from latintrav import (
     Isotopism,
     LatinSquare,
     NotLatin,
+    NotTransversal,
     ParseError,
+    Transversal,
     apply_isotopism,
     as_transversal,
     cayley_table,
@@ -229,21 +231,30 @@ def test_diagonal_of_the_wrong_length_is_a_bad_permutation(call):
         call()
 
 
-@pytest.mark.parametrize("cols, expected", [
+@pytest.mark.parametrize("cols, outcome", [
     ((0, 1, 2), True),
     (np.array([0, 1, 2], np.int64), True),
     (Diagonal((0, 1, 2)), True),
-    (np.array([0, 2, 1], np.int64), False),  # every symbol is 0
-    ((0, 0, 1), False),                      # repeated column
-    ((0, 1, 3), False),                      # column n
-    ((0, 1), False),                         # short diagonal
-    ((0, 2, 1), False),                      # repeated symbol
-    ((0, np.int64(1), 2), True),             # ints and a numpy integer
+    (np.array([0, 2, 1], np.int64), NotTransversal),  # every symbol is 0
+    ((0, 0, 1), BadPermutation),                      # repeated column
+    ((0, 1, 3), BadPermutation),                      # column n
+    ((0, 1), BadPermutation),                         # short diagonal
+    ((0, 2, 1), NotTransversal),                      # repeated symbol
+    ((0, np.int64(1), 2), True),                      # ints and a numpy integer
 ], ids=["tuple", "int64", "diagonal", "int64-repeated-symbol", "repeated-column",
         "column-n", "short", "repeated-symbol", "mixed-int64"])
-def test_is_transversal_answers(cols, expected):
-    """Z3's cells (r, c) hold r + c mod 3: columns 0, 1, 2 read symbols 0, 2, 1."""
-    assert is_transversal(cayley_table(3), cols) is expected
+def test_is_transversal_answers(cols, outcome):
+    """Z3's cells (r, c) hold r + c mod 3: columns 0, 1, 2 read symbols 0, 2, 1.
+    as_transversal agrees: NotTransversal where is_transversal answers False for a
+    permutation, BadPermutation where the columns are not one."""
+    sq = cayley_table(3)
+    assert is_transversal(sq, cols) is (outcome is True)
+    if outcome is True:
+        t = as_transversal(sq, cols)
+        assert type(t) is Transversal and t.cols == (0, 1, 2)
+    else:
+        with pytest.raises(outcome):
+            as_transversal(sq, cols)
 
 
 def test_entry_ordering_and_tuple():
